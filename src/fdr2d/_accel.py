@@ -1,15 +1,12 @@
-"""Numerical kernels with optional numba acceleration.
+"""Numerical kernels: feature-batched GLM fits and grid dominance counts.
 
 Two loops dominate runtime: per-feature IRLS fits when building
 statistic tensors, and the dominance count over a 2-D threshold grid
-during cutoff search. Both are written here in a numba-compatible
-subset of numpy and compiled when numba is importable. Setting
-``FDR2D_DISABLE_NUMBA=1`` forces the pure-numpy lane. Counts are exact
-integers in both lanes, so results are identical bit for bit.
+during cutoff search. The fits solve every response column of one
+design at once: the normal equations are stacked over features and
+each feature carries its own convergence and failure state, so a
+column's result does not depend on the other columns in the batch.
 """
-
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,25 +18,11 @@ BINOMIAL = 1
 POISSON = 2
 NEGBINOM = 3
 
-_DISABLED = os.environ.get("FDR2D_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by FDR2D_DISABLE_NUMBA")
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    _njit = None
-    HAVE_NUMBA = False
+# the kernels are numpy only; the benchmark records this as its lane
+HAVE_NUMBA = False
 
 
-def pair_exceed_counts_numpy(tm, tc, t1, t2):
+def pair_exceed_counts(tm, tc, t1, t2):
     """Count pairs dominating each grid point.
 
     out[a, b] = #{i : tm[i] >= t1[a] and tc[i] >= t2[b]}. Grids must be
@@ -56,368 +39,160 @@ def pair_exceed_counts_numpy(tm, tc, t1, t2):
     return np.ascontiguousarray(suff[1:, 1:], dtype=np.int64)
 
 
-def _build_kernels(jit):
-    """Build the kernel set. ``jit`` only changes the decorator."""
-    if jit:
-        deco = _njit(cache=False)
+def _cholesky(a):
+    """Lower Cholesky factors of a stack of (k, k) matrices.
+
+    Returns (lo, ok). A matrix fails when its largest diagonal is not
+    positive or a pivot falls to 1e-12 of it; its factor is then
+    garbage and only ``ok`` is meaningful. Unlike np.linalg.cholesky,
+    one failing matrix does not stop the others.
+    """
+    k = a.shape[1]
+    lo = np.zeros_like(a)
+    maxd = np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
+    ok = maxd > 0.0
+    for i in range(k):
+        s = a[:, i, i] - np.einsum("mt,mt->m", lo[:, i, :i], lo[:, i, :i])
+        ok &= s > 1e-12 * maxd
+        piv = np.sqrt(np.where(ok, s, 1.0))
+        lo[:, i, i] = piv
+        below = a[:, i + 1 :, i] - np.einsum("mjt,mt->mj", lo[:, i + 1 :, :i], lo[:, i, :i])
+        lo[:, i + 1 :, i] = below / piv[:, None]
+    return lo, ok
+
+
+def _cholesky_solve(lo, b):
+    """Solve lo @ lo.T @ x = b for stacked b of shape (m, k, r)."""
+    k = lo.shape[1]
+    x = b.copy()
+    for i in range(k):
+        x[:, i] -= np.einsum("mt,mtr->mr", lo[:, i, :i], x[:, :i])
+        x[:, i] /= lo[:, i, i, None]
+    for i in range(k - 1, -1, -1):
+        x[:, i] -= np.einsum("mt,mtr->mr", lo[:, i + 1 :, i], x[:, i + 1 :])
+        x[:, i] /= lo[:, i, i, None]
+    return x
+
+
+def _mean(eta, family):
+    # inverse link with the clamps that keep the weights finite
+    with np.errstate(over="ignore"):
+        if family == BINOMIAL:
+            return np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-10, 1.0 - 1e-10)
+        return np.clip(np.exp(eta), 1e-10, 1e250)
+
+
+def _information(design, w):
+    # design.T @ diag(w) @ design for every row of w: (m, k, k)
+    return np.einsum("nr,mn,ns->mrs", design, w, design)
+
+
+def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
+    """Fit one binomial, poisson or negbinom GLM per response column by IRLS.
+
+    ``design`` is (n, k) and ``ymat`` (n, m). Returns (coef (m, k),
+    cov (m, k, k), status (m,), n_iter (m,)) with status 0 converged,
+    1 iteration limit, 2 separation, 3 singular or degenerate design.
+    cov is the inverse observed information at the returned
+    coefficients and is zero unless status is 0 or 1. A feature stops
+    iterating when max|delta| <= tol * (1 + max|coef|); its coefficients
+    are then frozen while the rest of the batch goes on.
+    """
+    y = np.ascontiguousarray(ymat.T, dtype=float)
+    m = y.shape[0]
+    k = design.shape[1]
+    if family == BINOMIAL:
+        m0 = (y + 0.5) / 2.0
+        eta = np.log(m0 / (1.0 - m0))
     else:
-
-        def deco(f):
-            return f
-
-    @deco
-    def _chol_factor(a):
-        # small dense Cholesky with an explicit failure flag; numba has no
-        # try/except around np.linalg so the factorization is hand rolled
-        k = a.shape[0]
-        lo = np.zeros((k, k))
-        maxd = 0.0
-        for i in range(k):
-            if a[i, i] > maxd:
-                maxd = a[i, i]
-        if maxd <= 0.0:
-            return lo, False
-        for i in range(k):
-            s = a[i, i]
-            for t in range(i):
-                s -= lo[i, t] * lo[i, t]
-            if s <= 1e-12 * maxd:
-                return lo, False
-            lo[i, i] = np.sqrt(s)
-            inv = 1.0 / lo[i, i]
-            for j in range(i + 1, k):
-                s2 = a[j, i]
-                for t in range(i):
-                    s2 -= lo[j, t] * lo[i, t]
-                lo[j, i] = s2 * inv
-        return lo, True
-
-    @deco
-    def _chol_solve(lo, b):
-        k = lo.shape[0]
-        x = b.copy()
-        for i in range(k):
-            s = x[i]
-            for t in range(i):
-                s -= lo[i, t] * x[t]
-            x[i] = s / lo[i, i]
-        for i in range(k - 1, -1, -1):
-            s = x[i]
-            for t in range(i + 1, k):
-                s -= lo[t, i] * x[t]
-            x[i] = s / lo[i, i]
-        return x
-
-    @deco
-    def _chol_inverse(lo):
-        k = lo.shape[0]
-        out = np.zeros((k, k))
-        e = np.zeros(k)
-        for c in range(k):
-            for r in range(k):
-                e[r] = 0.0
-            e[c] = 1.0
-            out[:, c] = _chol_solve(lo, e)
-        return out
-
-    @deco
-    def glm_fit(design, y, family, nb_size, max_iter, tol):
-        """Fit one GLM by least squares (gaussian) or IRLS.
-
-        Returns (coef, cov, status, n_iter) with status 0 converged,
-        1 iteration limit, 2 separation, 3 singular or degenerate
-        design. cov is the inverse observed information (gaussian: the
-        t-scale covariance); it is exactly zero on a perfect gaussian
-        fit so callers can recognize the degenerate case.
-        """
-        n, k = design.shape
-        coef = np.zeros(k)
-        cov = np.zeros((k, k))
-
-        if family == GAUSSIAN:
-            if n <= k:
-                return coef, cov, 3, 0
-            a = design.T @ design
-            c = design.T @ y
-            lo, ok = _chol_factor(a)
-            if not ok:
-                return coef, cov, 3, 0
-            coef = _chol_solve(lo, c)
-            resid = y - design @ coef
-            rss = 0.0
-            yss = 0.0
-            for i in range(n):
-                rss += resid[i] * resid[i]
-                yss += y[i] * y[i]
-            # float arithmetic never produces an exact zero residual, so
-            # perfect fits are recognized at relative scale
-            if rss <= 1e-24 * yss:
-                sigma2 = 0.0
-            else:
-                sigma2 = rss / (n - k)
-            ainv = _chol_inverse(lo)
-            for r in range(k):
-                for s in range(k):
-                    cov[r, s] = sigma2 * ainv[r, s]
-            return coef, cov, 0, 1
-
-        eta = np.zeros(n)
-        mu = np.zeros(n)
+        eta = np.log(y + 0.5)
+    coef = np.zeros((m, k))
+    cov = np.zeros((m, k, k))
+    status = np.ones(m, dtype=np.int64)
+    n_iter = np.zeros(m, dtype=np.int64)
+    active = np.arange(m)
+    for it in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        e = eta[active]
+        mu = _mean(e, family)
         if family == BINOMIAL:
-            for i in range(n):
-                m0 = (y[i] + 0.5) / 2.0
-                eta[i] = np.log(m0 / (1.0 - m0))
+            w = mu * (1.0 - mu)
+            z = e + (y[active] - mu) / w
         else:
-            for i in range(n):
-                eta[i] = np.log(y[i] + 0.5)
+            w = mu if family == POISSON else nb_size * mu / (mu + nb_size)
+            z = e + (y[active] - mu) / mu
+        lo, ok = _cholesky(_information(design, w))
+        new = _cholesky_solve(lo, ((w * z) @ design)[:, :, None])[:, :, 0]
+        n_iter[active] = it
+        status[active[~ok]] = 3
+        keep = active[ok]
+        new = new[ok]
+        delta = np.max(np.abs(new - coef[keep]), axis=1)
+        done = delta <= tol * (1.0 + np.max(np.abs(new), axis=1))
+        coef[keep] = new
+        eta[keep] = new @ design.T
+        status[keep[done]] = 0
+        active = keep[~done]
 
-        w = np.zeros(n)
-        z = np.zeros(n)
-        status = 1
-        it = 0
-        for it in range(1, max_iter + 1):
-            if family == BINOMIAL:
-                for i in range(n):
-                    m0 = 1.0 / (1.0 + np.exp(-eta[i]))
-                    if m0 < 1e-10:
-                        m0 = 1e-10
-                    elif m0 > 1.0 - 1e-10:
-                        m0 = 1.0 - 1e-10
-                    mu[i] = m0
-                    v = m0 * (1.0 - m0)
-                    w[i] = v
-                    z[i] = eta[i] + (y[i] - m0) / v
-            elif family == POISSON:
-                for i in range(n):
-                    m0 = np.exp(eta[i])
-                    if m0 < 1e-10:
-                        m0 = 1e-10
-                    elif m0 > 1e250:
-                        m0 = 1e250
-                    mu[i] = m0
-                    w[i] = m0
-                    z[i] = eta[i] + (y[i] - m0) / m0
-            else:
-                for i in range(n):
-                    m0 = np.exp(eta[i])
-                    if m0 < 1e-10:
-                        m0 = 1e-10
-                    elif m0 > 1e250:
-                        m0 = 1e250
-                    mu[i] = m0
-                    w[i] = nb_size * m0 / (m0 + nb_size)
-                    z[i] = eta[i] + (y[i] - m0) / m0
-
-            a = np.zeros((k, k))
-            c = np.zeros(k)
-            for i in range(n):
-                wi = w[i]
-                zi = z[i]
-                for r in range(k):
-                    dri = design[i, r] * wi
-                    c[r] += dri * zi
-                    for s in range(r, k):
-                        a[r, s] += dri * design[i, s]
-            for r in range(k):
-                for s in range(r):
-                    a[r, s] = a[s, r]
-            lo, ok = _chol_factor(a)
-            if not ok:
-                return coef, cov, 3, it
-            new = _chol_solve(lo, c)
-            delta = 0.0
-            maxc = 0.0
-            for r in range(k):
-                d0 = abs(new[r] - coef[r])
-                if d0 > delta:
-                    delta = d0
-                a0 = abs(new[r])
-                if a0 > maxc:
-                    maxc = a0
-            coef = new
-            eta = design @ coef
-            if delta <= tol * (1.0 + maxc):
-                status = 0
-                break
-
-        # final mu at the returned coefficients
-        if family == BINOMIAL:
-            extreme = True
-            for i in range(n):
-                m0 = 1.0 / (1.0 + np.exp(-eta[i]))
-                if m0 < 1e-10:
-                    m0 = 1e-10
-                elif m0 > 1.0 - 1e-10:
-                    m0 = 1.0 - 1e-10
-                mu[i] = m0
-                if m0 > 1e-8 and m0 < 1.0 - 1e-8:
-                    extreme = False
-            if extreme:
-                return coef, cov, 2, it
-        else:
-            for i in range(n):
-                m0 = np.exp(eta[i])
-                if m0 < 1e-10:
-                    m0 = 1e-10
-                elif m0 > 1e250:
-                    m0 = 1e250
-                mu[i] = m0
-
-        if family == BINOMIAL:
-            for i in range(n):
-                w[i] = mu[i] * (1.0 - mu[i])
-        elif family == POISSON:
-            for i in range(n):
-                w[i] = mu[i]
-        else:
-            for i in range(n):
-                d0 = mu[i] + nb_size
-                w[i] = nb_size * mu[i] * (y[i] + nb_size) / (d0 * d0)
-
-        a = np.zeros((k, k))
-        for i in range(n):
-            wi = w[i]
-            for r in range(k):
-                dri = design[i, r] * wi
-                for s in range(r, k):
-                    a[r, s] += dri * design[i, s]
-        for r in range(k):
-            for s in range(r):
-                a[r, s] = a[s, r]
-        lo, ok = _chol_factor(a)
-        if not ok:
-            return coef, cov, 3, it
-        cov = _chol_inverse(lo)
-        return coef, cov, status, it
-
-    @deco
-    def _wald_block(coef, cov, p):
-        """Wald statistic for the coefficient block at positions 1..p.
-
-        |t| when p == 1, chi-square scale otherwise. A zero covariance
-        marks a perfect fit: the statistic is 0 when the tested block is
-        negligible relative to the other coefficients, STAT_CAP when not.
-        """
-        k = coef.shape[0]
-        maxc = 0.0
-        for r in range(k):
-            if abs(coef[r]) > maxc:
-                maxc = abs(coef[r])
-        if p == 1:
-            v = cov[1, 1]
-            if v <= 0.0:
-                if abs(coef[1]) <= 1e-8 * (1.0 + maxc):
-                    return 0.0
-                return STAT_CAP
-            t = abs(coef[1]) / np.sqrt(v)
-            if t > STAT_CAP:
-                return STAT_CAP
-            return t
-        sub = np.zeros((p, p))
-        b = np.zeros(p)
-        blockmax = 0.0
-        for r in range(p):
-            b[r] = coef[1 + r]
-            if abs(b[r]) > blockmax:
-                blockmax = abs(b[r])
-            for s in range(p):
-                sub[r, s] = cov[1 + r, 1 + s]
-        lo, ok = _chol_factor(sub)
-        if not ok:
-            if blockmax <= 1e-8 * (1.0 + maxc):
-                return 0.0
-            return STAT_CAP
-        x = _chol_solve(lo, b)
-        q = 0.0
-        for r in range(p):
-            q += b[r] * x[r]
-        if q > STAT_CAP:
-            return STAT_CAP
-        return q
-
-    @deco
-    def wald_pair_many(d_full, d_red, ymat, p, family, nb_size, max_iter, tol):
-        """Marginal and conditional Wald statistics for every response column.
-
-        Failed fits yield statistic 0 and the worst fit status in warn
-        (1 iteration limit, 2 separation, 3 singular), never NaN.
-        """
-        n = ymat.shape[0]
-        m = ymat.shape[1]
-        tm = np.zeros(m)
-        tc = np.zeros(m)
-        warn = np.zeros(m, dtype=np.int64)
-        y = np.zeros(n)
-        for j in range(m):
-            for i in range(n):
-                y[i] = ymat[i, j]
-            coef, cov, status, _it = glm_fit(d_full, y, family, nb_size, max_iter, tol)
-            if status == 0:
-                tc[j] = _wald_block(coef, cov, p)
-            elif status > warn[j]:
-                warn[j] = status
-            coef, cov, status, _it = glm_fit(d_red, y, family, nb_size, max_iter, tol)
-            if status == 0:
-                tm[j] = _wald_block(coef, cov, p)
-            elif status > warn[j]:
-                warn[j] = status
-        return tm, tc, warn
-
-    @deco
-    def pair_exceed_counts_sweep(tm, tc, t1, t2):
-        """Dominance counts by descending-t1 sweep over a binned t2 count.
-
-        Same contract as pair_exceed_counts_numpy; O(n log n + g1*g2).
-        """
-        n = tm.shape[0]
-        g1 = t1.shape[0]
-        g2 = t2.shape[0]
-        order = np.argsort(tm)
-        out = np.zeros((g1, g2), dtype=np.int64)
-        binc = np.zeros(g2 + 1, dtype=np.int64)
-        ptr = n - 1
-        for a in range(g1 - 1, -1, -1):
-            thr = t1[a]
-            while ptr >= 0 and tm[order[ptr]] >= thr:
-                v = tc[order[ptr]]
-                lo = 0
-                hi = g2
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    if t2[mid] <= v:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                binc[lo] += 1
-                ptr -= 1
-            s = 0
-            for b in range(g2 - 1, -1, -1):
-                s += binc[b + 1]
-                out[a, b] = s
-        return out
-
-    return SimpleNamespace(
-        glm_fit=glm_fit,
-        wald_pair_many=wald_pair_many,
-        pair_exceed_counts=pair_exceed_counts_sweep,
-        jitted=jit,
-    )
+    fitted = np.flatnonzero(status != 3)
+    mu = _mean(eta[fitted], family)
+    if family == BINOMIAL:
+        inner = (mu > 1e-8) & (mu < 1.0 - 1e-8)
+        separated = ~np.any(inner, axis=1)
+        status[fitted[separated]] = 2
+        fitted = fitted[~separated]
+        mu = mu[~separated]
+        w = mu * (1.0 - mu)
+    elif family == POISSON:
+        w = mu
+    else:
+        d0 = mu + nb_size
+        w = nb_size * mu * (y[fitted] + nb_size) / (d0 * d0)
+    lo, ok = _cholesky(_information(design, w))
+    status[fitted[~ok]] = 3
+    eye = np.broadcast_to(np.eye(k), (int(ok.sum()), k, k))
+    cov[fitted[ok]] = _cholesky_solve(lo[ok], eye)
+    return coef, cov, status, n_iter
 
 
-def build_kernel_set(jit):
-    """Kernel namespace for one lane; used by tests and the benchmark."""
-    if jit and not HAVE_NUMBA:
-        raise RuntimeError("numba lane requested but numba is unavailable or disabled")
-    kern = _build_kernels(jit)
-    if not jit:
-        # the vectorized count is the idiomatic numpy lane; the python
-        # sweep exists only so both lanes share one source for the tests
-        kern.pair_exceed_counts = pair_exceed_counts_numpy
-    return kern
+def wald_block(coef, cov, p):
+    """Wald statistics for the coefficient block at positions 1..p.
+
+    |t| when p == 1, chi-square scale otherwise. A zero covariance
+    marks a perfect fit: the statistic is 0 when the tested block is
+    negligible relative to the other coefficients, STAT_CAP when not.
+    """
+    maxc = np.max(np.abs(coef), axis=1)
+    b = coef[:, 1 : 1 + p]
+    negligible = np.max(np.abs(b), axis=1) <= 1e-8 * (1.0 + maxc)
+    degen = np.where(negligible, 0.0, STAT_CAP)
+    if p == 1:
+        v = cov[:, 1, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.abs(b[:, 0]) / np.sqrt(v)
+        return np.where(v <= 0.0, degen, np.minimum(t, STAT_CAP))
+    lo, ok = _cholesky(cov[:, 1 : 1 + p, 1 : 1 + p])
+    x = _cholesky_solve(lo, b[:, :, None])[:, :, 0]
+    q = np.einsum("mp,mp->m", b, x)
+    return np.where(ok, np.minimum(q, STAT_CAP), degen)
 
 
-_active = build_kernel_set(HAVE_NUMBA)
+def wald_pair_many(d_full, d_red, ymat, p, family, nb_size, max_iter, tol):
+    """Marginal and conditional Wald statistics for every response column.
 
-glm_fit = _active.glm_fit
-wald_pair_many = _active.wald_pair_many
-pair_exceed_counts = _active.pair_exceed_counts
+    Failed fits yield statistic 0 and the worst fit status in warn
+    (1 iteration limit, 2 separation, 3 singular), never NaN.
+    """
+    m = ymat.shape[1]
+    warn = np.zeros(m, dtype=np.int64)
+    out = []
+    for design in (d_full, d_red):
+        coef, cov, status, _ = glm_fit_many(design, ymat, family, nb_size, max_iter, tol)
+        ok = status == 0
+        stat = np.zeros(m)
+        stat[ok] = wald_block(coef[ok], cov[ok], p)
+        np.maximum(warn, status, out=warn)
+        out.append(stat)
+    tc, tm = out
+    return tm, tc, warn

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import stats as _sps
+from scipy import special as _special
 
 from . import _accel, glm
 
@@ -296,32 +296,30 @@ def model_pvalues(ymat, x, z, family, size=None, max_iter=50, tol=1e-8):
     full = np.column_stack([np.ones(n), x, z])
     k = full.shape[1]
     m = ymat.shape[1]
-    pvals = np.ones(m)
     bad = 0
-    for j in range(m):
-        yv = ymat[:, j]
-        if family == "gaussian":
+    if family == "gaussian":
+        w = np.empty(m)
+        for j in range(m):
             try:
-                coef, cov = _ols_coef_cov(full, yv)
+                coef, cov = _ols_coef_cov(full, ymat[:, j])
             except ValueError as err:
                 raise ValueError(f"feature {j}: {err}") from None
-        else:
-            try:
-                fit = glm.irls(full, yv, family, max_iter=max_iter, tol=tol, size=size)
-            except ValueError as err:
-                raise ValueError(f"feature {j}: {err}") from None
-            if not fit.converged:
-                bad += 1
-                continue
-            coef, cov = fit.coef, fit.cov
-        w = _wald_block_py(coef, cov, p)
-        if p == 1:
-            if family == "gaussian":
-                pvals[j] = 2.0 * _sps.t.sf(w, n - k)
-            else:
-                pvals[j] = 2.0 * _sps.norm.sf(w)
-        else:
-            pvals[j] = _sps.chi2.sf(w, p)
+            w[j] = _wald_block_py(coef, cov, p)
+    else:
+        coef, cov, status, _ = glm.irls_many(full, ymat, family, max_iter, tol, size)
+        if np.any(status == 3):
+            raise ValueError(f"feature {int(np.argmax(status == 3))}: singular design")
+        ok = status == 0
+        bad = m - int(np.count_nonzero(ok))
+        # a failed fit keeps statistic 0, whose p-value is exactly 1
+        w = np.zeros(m)
+        w[ok] = _accel.wald_block(coef[ok], cov[ok], p)
+    if p > 1:
+        pvals = _special.chdtrc(p, w)
+    elif family == "gaussian":
+        pvals = 2.0 * _special.stdtr(n - k, -w)
+    else:
+        pvals = 2.0 * _special.ndtr(-w)
     if bad:
         warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
     return pvals

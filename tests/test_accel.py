@@ -1,9 +1,14 @@
-"""Kernel lane equivalence: numba and numpy paths must agree exactly."""
+"""Kernel checks: dominance counts and the feature-batched GLM fits."""
+
+import json
+import os
 
 import numpy as np
 import pytest
 
 from fdr2d import _accel
+
+PIN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "glm_kernel_pin.json")
 
 
 def _brute_counts(tm, tc, t1, t2):
@@ -26,71 +31,35 @@ class TestPairExceedCounts:
             t1 = np.sort(np.concatenate([rng.normal(size=5), tm[: min(3, n)]]))
             t2 = np.sort(np.concatenate([np.abs(rng.normal(size=4)), tc[: min(2, n)]]))
             expected = _brute_counts(tm, tc, t1, t2)
-            got = _accel.pair_exceed_counts_numpy(tm, tc, t1, t2)
+            got = _accel.pair_exceed_counts(tm, tc, t1, t2)
             np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba lane unavailable")
-    def test_lanes_identical(self):
-        kern = _accel.build_kernel_set(True)
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = rng.integers(1, 600)
-            tm = rng.normal(size=n)
-            tc = np.abs(rng.normal(size=n))
-            t1 = np.sort(rng.choice(np.concatenate([tm, [0.0]]), size=12))
-            t2 = np.sort(rng.choice(np.concatenate([tc, [0.0]]), size=9))
-            a = _accel.pair_exceed_counts_numpy(tm, tc, t1, t2)
-            b = kern.pair_exceed_counts(tm, tc, t1, t2)
-            np.testing.assert_array_equal(a, b)
 
     def test_empty_pairs(self):
         tm = np.zeros(0)
         tc = np.zeros(0)
-        out = _accel.pair_exceed_counts_numpy(tm, tc, np.array([0.0]), np.array([0.0]))
+        out = _accel.pair_exceed_counts(tm, tc, np.array([0.0]), np.array([0.0]))
         assert out.shape == (1, 1) and out[0, 0] == 0
 
 
-class TestGlmFitLanes:
-    @pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba lane unavailable")
-    def test_all_families_agree(self):
-        jit = _accel.build_kernel_set(True)
-        ref = _accel.build_kernel_set(False)
-        rng = np.random.default_rng(3)
-        n = 60
-        for family in (0, 1, 2, 3):
-            for _ in range(5):
-                x = rng.normal(size=n)
-                z = rng.normal(size=n)
-                d = np.column_stack([np.ones(n), x, z])
-                eta = 0.3 * x - 0.5 * z
-                if family == 0:
-                    y = eta + rng.normal(size=n)
-                elif family == 1:
-                    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
-                elif family == 2:
-                    y = rng.poisson(np.exp(eta)).astype(float)
-                else:
-                    mu = np.exp(eta)
-                    y = rng.negative_binomial(3.0, 3.0 / (3.0 + mu)).astype(float)
-                out_a = ref.glm_fit(d, y, family, 3.0, 50, 1e-8)
-                out_b = jit.glm_fit(d, y, family, 3.0, 50, 1e-8)
-                np.testing.assert_allclose(out_a[0], out_b[0], rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(out_a[1], out_b[1], rtol=1e-12, atol=1e-12)
-                assert out_a[2] == out_b[2]
+def _pin_cases():
+    with open(PIN, "r", encoding="utf-8") as fh:
+        return json.load(fh)["cases"]
 
-    @pytest.mark.skipif(not _accel.HAVE_NUMBA, reason="numba lane unavailable")
-    def test_wald_pair_many_agree(self):
-        jit = _accel.build_kernel_set(True)
-        ref = _accel.build_kernel_set(False)
-        rng = np.random.default_rng(5)
-        n, m = 50, 12
-        x = rng.normal(size=n)
-        z = rng.normal(size=n)
-        d_full = np.column_stack([np.ones(n), x, z])
-        d_red = np.column_stack([np.ones(n), x])
-        ymat = rng.poisson(np.exp(0.2 * x[:, None] + 0.1 * z[:, None] + rng.normal(scale=0.1, size=(n, m)))).astype(float)
-        a = ref.wald_pair_many(d_full, d_red, ymat, 1, _accel.POISSON, 3.0, 50, 1e-8)
-        b = jit.wald_pair_many(d_full, d_red, ymat, 1, _accel.POISSON, 3.0, 50, 1e-8)
-        np.testing.assert_allclose(a[0], b[0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(a[1], b[1], rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(a[2], b[2])
+
+@pytest.mark.parametrize("case", _pin_cases(), ids=lambda c: c["name"])
+def test_wald_pair_many_matches_pin(case):
+    # the pin holds the per-feature scalar kernel's outputs (see
+    # tests/fixtures/pin_glm_kernel.py); fitting each column alone must
+    # give the batch's answer, so convergence masks cannot couple features
+    d_full = np.array(case["d_full"], dtype=float)
+    d_red = np.array(case["d_red"], dtype=float)
+    ymat = np.array(case["ymat"], dtype=float)
+    args = (case["p"], case["family"], case["nb_size"], case["max_iter"], case["tol"])
+    tm, tc, warn = _accel.wald_pair_many(d_full, d_red, ymat, *args)
+    np.testing.assert_array_equal(warn, case["warn"])
+    np.testing.assert_allclose(tm, case["tm"], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(tc, case["tc"], rtol=1e-9, atol=0.0)
+    for j in range(ymat.shape[1]):
+        one = _accel.wald_pair_many(d_full, d_red, ymat[:, j : j + 1], *args)
+        assert one[2][0] == warn[j]
+        np.testing.assert_allclose([one[0][0], one[1][0]], [tm[j], tc[j]], rtol=1e-12, atol=0.0)

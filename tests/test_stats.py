@@ -433,3 +433,25 @@ class TestEvaluators:
         assert pv.shape == (m,)
         assert np.all((pv >= 0) & (pv <= 1))
         assert abs(pv.mean() - 0.5) < 0.05
+
+    def test_model_pvalues_glm_batch_matches_single_fits(self):
+        # the batched fit must give each feature its own single-fit
+        # p-value, p = 1 on a failed fit, and name a singular feature
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(62)
+        n, m = 60, 8
+        z = rng.normal(size=n)
+        x = (rng.random(n) < 0.5).astype(float)
+        y = (rng.random((n, m)) < 1 / (1 + np.exp(-(0.8 * x[:, None] - 0.3 * z[:, None])))).astype(float)
+        y[:, 3] = 1.0  # every fitted probability pinned at 1: separation
+        with pytest.warns(UserWarning, match="1 model fits did not converge"):
+            pv = stats.model_pvalues(y, x, z, "binomial")
+        assert pv[3] == 1.0
+        design = np.column_stack([np.ones(n), x, z])
+        for j in set(range(m)) - {3}:
+            fit = glm.irls(design, y[:, j], "binomial")
+            expected = 2.0 * norm.sf(abs(fit.coef[1]) / fit.se[1])
+            np.testing.assert_allclose(pv[j], expected, rtol=1e-9)
+        with pytest.raises(ValueError, match="feature 0: singular design"):
+            stats.model_pvalues(y, x, x, "binomial")
