@@ -15,6 +15,7 @@ from .engine import (
     ResamplePlan,
     StatisticSpec,
     apply_method,
+    apply_methods,
     bh_procedure,
     build_tensor,
     default_path,
@@ -58,6 +59,7 @@ __all__ = [
     "StatisticSpec",
     "TruthMask",
     "apply_method",
+    "apply_methods",
     "bh_procedure",
     "build_tensor",
     "default_path",

@@ -22,21 +22,53 @@ NEGBINOM = 3
 HAVE_NUMBA = False
 
 
-def pair_exceed_counts(tm, tc, t1, t2):
+def exceed_bins(values, thresholds, order=None):
+    """Per value, the number of thresholds at or below it.
+
+    thresholds must be ascending. The values are sorted (order, their
+    argsort, may be passed in to be reused), each threshold is located
+    among them, and every run of values between two thresholds takes one
+    bin: no search per value.
+    """
+    if order is None:
+        order = np.argsort(values)
+    edges = np.searchsorted(values[order], thresholds, side="left")
+    sizes = np.diff(edges, prepend=0, append=values.shape[0])
+    bins = np.empty(values.shape[0], dtype=np.intp)
+    bins[order] = np.repeat(np.arange(thresholds.shape[0] + 1), sizes)
+    return bins
+
+
+def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
     """Count pairs dominating each grid point.
 
     out[a, b] = #{i : tm[i] >= t1[a] and tc[i] >= t2[b]}. Grids must be
-    sorted ascending. Runs in O(n + g1*g2) via binned suffix sums.
+    sorted ascending; orders may hold argsort(tm) and argsort(tc) (see
+    exceed_bins). Runs in O(n log n + g1*g2) via binned suffix sums.
     """
     g1 = t1.shape[0]
     g2 = t2.shape[0]
-    i = np.searchsorted(t1, tm, side="right")
-    j = np.searchsorted(t2, tc, side="right")
+    i = exceed_bins(tm, t1, orders[0])
+    j = exceed_bins(tc, t2, orders[1])
     flat = i * (g2 + 1) + j
     hist = np.bincount(flat, minlength=(g1 + 1) * (g2 + 1))
     hist = hist.reshape(g1 + 1, g2 + 1)
     suff = hist[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
     return np.ascontiguousarray(suff[1:, 1:], dtype=np.int64)
+
+
+def chain_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
+    """Count pairs dominating each step of a monotone chain.
+
+    out[s] = #{i : tm[i] >= t1[s] and tc[i] >= t2[s]} for nondecreasing
+    t1 and t2. With i and j binned as in pair_exceed_counts, pair i
+    dominates step s iff s < min(i, j), so the counts are a suffix sum
+    of one histogram: O(n log n + steps) time, O(n + steps) memory.
+    """
+    i = exceed_bins(tm, t1, orders[0])
+    j = exceed_bins(tc, t2, orders[1])
+    hist = np.bincount(np.minimum(i, j), minlength=t1.shape[0] + 1)
+    return hist[::-1].cumsum()[::-1][1:]
 
 
 def _cholesky(a):

@@ -295,12 +295,13 @@ def _cmd_analyze(args):
             ],
             "runtime_seconds": time.perf_counter() - started,
         }
+        shares = engine.fbar(tensor, np.arange(dataset.m), result.t1, result.t2).tolist()
         rows = [
             (
                 name,
                 tensor.pairs[0, j, 0],
                 tensor.pairs[0, j, 1],
-                engine.fbar(tensor, j, result.t1, result.t2),
+                shares[j],
                 int(j in rejected_set),
             )
             for j, name in enumerate(dataset.feature_names)

@@ -202,13 +202,6 @@ class StatTensor:
         return self.pairs[:, :, 1]
 
 
-def tensor_slice_feature(tensor, j):
-    """Copy of feature j's (B+1, 2) statistic trajectory."""
-    if not 0 <= j < tensor.m:
-        raise IndexError(f"feature index {j} out of range for m={tensor.m}")
-    return tensor.pairs[:, j, :].copy()
-
-
 @dataclass
 class TruthMask:
     """Ground truth for simulations: which features carry no signal."""

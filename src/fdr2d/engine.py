@@ -14,7 +14,8 @@ from observed rejection counts and can never be rejected.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -231,6 +232,29 @@ def build_tensor(dataset, plan, spec):
     )
 
 
+def _distinct(sorted_values):
+    """Distinct values of an ascending array, in order."""
+    keep = np.empty(sorted_values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=keep[1:])
+    return sorted_values[keep]
+
+
+def _inverted_cdf(sorted_values, levels):
+    """np.quantile(values, levels, method="inverted_cdf") for ascending
+    values: numpy's index rule ceil(n * level - 1), floored at 0, read
+    off directly. np.quantile partitions even sorted input, which costs
+    over 100 times as much on a pooled axis.
+    """
+    index = np.maximum(np.ceil(sorted_values.size * levels - 1), 0).astype(np.intp)
+    return sorted_values[index]
+
+
+def _sorted_axes(tensor):
+    # the pooled values of each axis, ascending
+    return [np.sort(tensor.pairs[:, :, k], axis=None) for k in (0, 1)]
+
+
 def make_grid(tensor, spec="quantile:100"):
     """Threshold grid from the pooled statistic values.
 
@@ -239,21 +263,18 @@ def make_grid(tensor, spec="quantile:100"):
     corner is always searchable.
     """
     token = str(spec).strip()
-    tm = tensor.pairs[:, :, 0].ravel()
-    tc = tensor.pairs[:, :, 1].ravel()
     if token == "observed":
-        t1 = np.unique(np.concatenate([[0.0], tm]))
-        t2 = np.unique(np.concatenate([[0.0], tc]))
+        t1, t2 = (np.unique(np.append(0.0, tensor.pairs[:, :, k])) for k in (0, 1))
         return Grid2D(t1, t2, "observed-values")
     if token.startswith("quantile:"):
         g = int(token.split(":", 1)[1])
         if g < 1:
             raise ValueError("quantile grid size must be at least 1")
         levels = np.arange(1, g + 1) / g
-        t1 = np.quantile(tm, levels, method="inverted_cdf")
-        t2 = np.quantile(tc, levels, method="inverted_cdf")
-        t1 = np.unique(np.concatenate([[0.0], t1]))
-        t2 = np.unique(np.concatenate([[0.0], t2]))
+        t1, t2 = (
+            np.unique(np.concatenate([[0.0], _inverted_cdf(s, levels)]))
+            for s in _sorted_axes(tensor)
+        )
         return Grid2D(t1, t2, "quantile")
     raise ValueError(f"unknown grid spec {spec!r}; expected 'observed' or 'quantile:<G>'")
 
@@ -266,18 +287,19 @@ def default_path(tensor, steps=100):
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    d1 = np.unique(tensor.pairs[:, :, 0])
-    d2 = np.unique(tensor.pairs[:, :, 1])
     levels = np.arange(1, steps + 1) / steps
-    t1 = np.quantile(d1, levels, method="inverted_cdf")
-    t2 = np.quantile(d2, levels, method="inverted_cdf")
+    t1, t2 = (_inverted_cdf(_distinct(s), levels) for s in _sorted_axes(tensor))
     return MonotonePath(t1=t1, t2=t2)
 
 
 def fbar(tensor, j, t1, t2):
-    """Share of draws (observed included) where feature j dominates (t1, t2)."""
+    """Share of draws (observed included) where feature j dominates (t1, t2).
+
+    For an index array j the shares come back as a vector, one per index.
+    """
     pj = tensor.pairs[:, j, :]
-    return float(np.mean((pj[:, 0] >= t1) & (pj[:, 1] >= t2)))
+    share = np.mean((pj[..., 0] >= t1) & (pj[..., 1] >= t2), axis=0)
+    return share if np.ndim(j) else float(share)
 
 
 def fdp_tilde(tensor, t1, t2, pi0=None):
@@ -324,31 +346,45 @@ def resolve_pi0(tensor, config):
     return storey_pi0(tensor, lam), lam
 
 
-def _grid_counts(tensor, grid):
-    p = tensor.pairs
-    tm_all = np.ascontiguousarray(p[:, :, 0].ravel())
-    tc_all = np.ascontiguousarray(p[:, :, 1].ravel())
-    counts_all = _accel.pair_exceed_counts(tm_all, tc_all, grid.t1_values, grid.t2_values)
+def _fdp(counts_all, robs, b1, pi0):
+    # same operation order as fdp_tilde, so the two agree bit for bit
+    return pi0 * (counts_all / float(b1)) / np.maximum(robs, 1)
+
+
+def _rejected(tensor, t1, t2):
+    obs = tensor.pairs[0]
     valid = ~tensor.zero_variance
-    tm0 = np.ascontiguousarray(p[0, valid, 0])
-    tc0 = np.ascontiguousarray(p[0, valid, 1])
-    robs = _accel.pair_exceed_counts(tm0, tc0, grid.t1_values, grid.t2_values)
-    return counts_all, robs
+    return np.flatnonzero(valid & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)).astype(np.int64)
 
 
-def _search(tensor, grid, q, pi0, mode):
+def _counts(tensor, kernel, t1, t2, orders):
+    # (pooled, observed) dominance counts of one _accel kernel; orders as
+    # in _accel.pair_exceed_counts, for the pooled values
+    p = tensor.pairs
+    valid = ~tensor.zero_variance
+    pooled = kernel(p[:, :, 0].ravel(), p[:, :, 1].ravel(), t1, t2, orders)
+    return pooled, kernel(p[0, valid, 0], p[0, valid, 1], t1, t2)
+
+
+def _grid_counts(tensor, grid, orders=(None, None)):
+    return _counts(tensor, _accel.pair_exceed_counts, grid.t1_values, grid.t2_values, orders)
+
+
+def _chain_counts(tensor, path, orders=(None, None)):
+    return _counts(tensor, _accel.chain_exceed_counts, path.t1, path.t2, orders)
+
+
+def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
     """Best feasible grid point: most rejections, then smallest criterion,
     then smallest t1, then smallest t2. The criterion is the estimated
     FDP for mode 'fdr' and pi0 times the summed dominance fraction
     (the family-wise error estimate) for mode 'fwer'.
     """
-    counts_all, robs = _grid_counts(tensor, grid)
     b1 = tensor.pairs.shape[0]
-    sumf = counts_all / float(b1)
     if mode == "fdr":
-        crit = pi0 * sumf / np.maximum(robs, 1)
+        crit = _fdp(counts_all, robs, b1, pi0)
     else:
-        crit = pi0 * sumf
+        crit = pi0 * (counts_all / float(b1))
     feas = crit <= q
     if not feas.any():
         return CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, pi0)
@@ -359,53 +395,43 @@ def _search(tensor, grid, q, pi0, mode):
     best_c = critmask.min()
     cand &= critmask == best_c
     flat = int(np.argmax(cand.ravel()))
-    a, c = divmod(flat, grid.t2_values.size)
-    t1s = float(grid.t1_values[a])
-    t2s = float(grid.t2_values[c])
-    obs = tensor.pairs[0]
-    valid = ~tensor.zero_variance
-    rejected = np.flatnonzero(valid & (obs[:, 0] >= t1s) & (obs[:, 1] >= t2s)).astype(
-        np.int64
-    )
-    return CutoffResult(t1s, t2s, rejected, float(crit[a, c]), pi0)
+    a, c = divmod(flat, t2v.size)
+    t1s = float(t1v[a])
+    t2s = float(t2v[c])
+    return CutoffResult(t1s, t2s, _rejected(tensor, t1s, t2s), float(crit[a, c]), pi0)
+
+
+def _search(tensor, grid, q, pi0, mode):
+    """Best feasible point of one grid, counted afresh (see _pick)."""
+    return _pick(tensor, grid.t1_values, grid.t2_values, *_grid_counts(tensor, grid), q, pi0, mode)
+
+
+def _first_feasible(tensor, path, counts_all, robs, q, pi0):
+    """First path step whose fdp_tilde is at most q, from per-step counts."""
+    mult = 1.0 if pi0 is None else float(pi0)
+    crit = _fdp(counts_all, robs, tensor.pairs.shape[0], mult)
+    hit = np.flatnonzero(crit <= q)
+    if hit.size == 0:
+        return CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, mult)
+    s = int(hit[0])
+    t1 = float(path.t1[s])
+    t2 = float(path.t2[s])
+    return CutoffResult(t1, t2, _rejected(tensor, t1, t2), float(crit[s]), mult)
 
 
 def optimal_cutoff(tensor, config):
     """Threshold pair maximizing rejections subject to fdp_tilde <= q."""
-    pi0, _ = resolve_pi0(tensor, config)
-    grid = make_grid(tensor, config.grid)
-    return _search(tensor, grid, config.q, pi0, "fdr")
+    return apply_methods(tensor, config, ["mf2d-fdr"])["mf2d-fdr"]
 
 
 def fwer_cutoff(tensor, config):
     """As optimal_cutoff but constraining the summed dominance fraction."""
-    pi0, _ = resolve_pi0(tensor, config)
-    grid = make_grid(tensor, config.grid)
-    return _search(tensor, grid, config.q, pi0, "fwer")
+    return apply_methods(tensor, config, ["mf2d-fwer"])["mf2d-fwer"]
 
 
 def one_dim_cutoff(tensor, config):
     """optimal_cutoff restricted to t1 = 0: conditional axis only."""
-    pi0, _ = resolve_pi0(tensor, config)
-    g = make_grid(tensor, config.grid)
-    grid = Grid2D(np.zeros(1), g.t2_values, g.construction)
-    return _search(tensor, grid, config.q, pi0, "fdr")
-
-
-def _walk(tensor, path, q, pi0):
-    mult = 1.0 if pi0 is None else float(pi0)
-    for s in range(path.t1.size):
-        t1 = float(path.t1[s])
-        t2 = float(path.t2[s])
-        crit = fdp_tilde(tensor, t1, t2, pi0)
-        if crit <= q:
-            obs = tensor.pairs[0]
-            valid = ~tensor.zero_variance
-            rejected = np.flatnonzero(
-                valid & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)
-            ).astype(np.int64)
-            return CutoffResult(t1, t2, rejected, float(crit), mult)
-    return CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, mult)
+    return apply_methods(tensor, config, ["mf1d"])["mf1d"]
 
 
 def exchangeable_path(tensor, path, q):
@@ -413,12 +439,12 @@ def exchangeable_path(tensor, path, q):
     drops to q; rejections happen there. No pi0 correction: the plain
     ratio is what carries the finite-sample guarantee.
     """
-    return _walk(tensor, path, q, None)
+    return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, None)
 
 
 def ordered_grid_procedure(tensor, path, q, pi0=None):
     """Smallest chain index whose fdp_tilde is at most q."""
-    return _walk(tensor, path, q, pi0)
+    return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, pi0)
 
 
 def bh_procedure(pvalues, q):
@@ -442,26 +468,80 @@ def grid_surface(tensor, grid, pi0=1.0):
     """(sum_fbar, observed rejections, fdp_tilde) arrays over the grid."""
     counts_all, robs = _grid_counts(tensor, grid)
     b1 = tensor.pairs.shape[0]
-    sumf = counts_all / float(b1)
-    crit = pi0 * sumf / np.maximum(robs, 1)
-    return sumf, robs, crit
+    return counts_all / float(b1), robs, _fdp(counts_all, robs, b1, pi0)
+
+
+_TENSOR_METHODS = tuple(m for m in METHODS if m != "bh")
+
+
+class _SearchPass:
+    """One search over one tensor, shared by every method that asks.
+
+    The argsort of each pooled axis, pi0, the grid with its counts and
+    the default path with its chain counts are each built on first use
+    and then reused.
+    """
+
+    def __init__(self, tensor, config):
+        self.tensor = tensor
+        self.config = config
+
+    @cached_property
+    def orders(self):
+        # one argsort per pooled axis serves the grid and the chain counts
+        return tuple(np.argsort(self.tensor.pairs[:, :, k], axis=None) for k in (0, 1))
+
+    @cached_property
+    def pi0(self):
+        return resolve_pi0(self.tensor, self.config)[0]
+
+    @cached_property
+    def grid(self):
+        return make_grid(self.tensor, self.config.grid)
+
+    @cached_property
+    def grid_counts(self):
+        return _grid_counts(self.tensor, self.grid, self.orders)
+
+    @cached_property
+    def path(self):
+        return default_path(self.tensor, self.config.path_steps)
+
+    @cached_property
+    def path_counts(self):
+        return _chain_counts(self.tensor, self.path, self.orders)
+
+    def run(self, method):
+        tensor, q = self.tensor, self.config.q
+        if method in ("mf2d-fdr", "mf2d-fwer"):
+            t1v, t2v = self.grid.t1_values, self.grid.t2_values
+            mode = "fdr" if method == "mf2d-fdr" else "fwer"
+            return _pick(tensor, t1v, t2v, *self.grid_counts, q, self.pi0, mode)
+        if method == "mf1d":
+            # every grid holds t1 = 0; its row is the 1-D search
+            a = int(np.searchsorted(self.grid.t1_values, 0.0))
+            counts_all, robs = (c[a : a + 1] for c in self.grid_counts)
+            t2v = self.grid.t2_values
+            return _pick(tensor, np.zeros(1), t2v, counts_all, robs, q, self.pi0, "fdr")
+        plain = method == "exchangeable-path" or self.config.pi0_lambda is None
+        pi0 = None if plain else self.pi0
+        return _first_feasible(tensor, self.path, *self.path_counts, q, pi0)
+
+
+def apply_methods(tensor, config, methods):
+    """Run several thresholding methods on one tensor in one search pass.
+
+    Returns {method: CutoffResult}, each equal to what apply_method gives
+    for that method; config.method is not read. The methods share one
+    argsort of each pooled axis, the grid counts and the path walk.
+    """
+    for method in methods:
+        if method not in _TENSOR_METHODS:
+            raise ValueError(f"method {method!r} does not run on a tensor")
+    search = _SearchPass(tensor, config)
+    return {method: search.run(method) for method in methods}
 
 
 def apply_method(tensor, config):
     """Run the configured thresholding method on a finished tensor."""
-    if config.method == "mf2d-fdr":
-        return optimal_cutoff(tensor, config)
-    if config.method == "mf2d-fwer":
-        return fwer_cutoff(tensor, config)
-    if config.method == "mf1d":
-        return one_dim_cutoff(tensor, config)
-    if config.method == "exchangeable-path":
-        return exchangeable_path(tensor, default_path(tensor, config.path_steps), config.q)
-    if config.method == "ordered-grid":
-        pi0 = None
-        if config.pi0_lambda is not None:
-            pi0, _ = resolve_pi0(tensor, config)
-        return ordered_grid_procedure(
-            tensor, default_path(tensor, config.path_steps), config.q, pi0
-        )
-    raise ValueError(f"method {config.method!r} does not run on a tensor")
+    return apply_methods(tensor, config, [config.method])[config.method]

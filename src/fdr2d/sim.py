@@ -344,29 +344,30 @@ def run_method_comparison(config, methods):
 
     Sharing the tensor makes the comparison paired: every method sees
     the same statistics and resamples, so rejection-count differences
-    are attributable to the decision rule alone.
+    are attributable to the decision rule alone. The tensor methods also
+    share one search pass (engine.apply_methods).
     """
     for method in methods:
         if method not in engine.METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {engine.METHODS}")
     rows = {method: ([], [], []) for method in methods}
-    need_tensor = any(m != "bh" for m in methods)
+    tensor_methods = [m for m in methods if m != "bh"]
     for r in range(config.reps):
         rep_seed = replication_seed(config.seed, r)
         data_rng = _rng.substream(rep_seed, "data")
         dataset, truth = gen_dataset(config, data_rng)
-        tensor = None
-        if need_tensor:
+        results = {}
+        if tensor_methods:
             plan = dataclasses.replace(
                 config.sampler, seed=_rng.substream_seed(rep_seed, "sampler")
             )
             tensor = engine.build_tensor(dataset, plan, config.statistic)
+            results = engine.apply_methods(tensor, config.procedure, tensor_methods)
         for method in methods:
             if method == "bh":
                 rejected = _bh_rejections(dataset, config.statistic, config.procedure.q)
             else:
-                proc = dataclasses.replace(config.procedure, method=method)
-                rejected = engine.apply_method(tensor, proc).rejected
+                rejected = results[method].rejected
             fdp, power = score_rejections(rejected, truth)
             rows[method][0].append(fdp)
             rows[method][1].append(power)

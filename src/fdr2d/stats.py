@@ -298,13 +298,7 @@ def model_pvalues(ymat, x, z, family, size=None, max_iter=50, tol=1e-8):
     m = ymat.shape[1]
     bad = 0
     if family == "gaussian":
-        w = np.empty(m)
-        for j in range(m):
-            try:
-                coef, cov = _ols_coef_cov(full, ymat[:, j])
-            except ValueError as err:
-                raise ValueError(f"feature {j}: {err}") from None
-            w[j] = _wald_block_py(coef, cov, p)
+        w, _ = _gaussian_wald_many(full, ymat, p, observed=True)
     else:
         coef, cov, status, _ = glm.irls_many(full, ymat, family, max_iter, tol, size)
         if np.any(status == 3):
@@ -449,7 +443,7 @@ def _gaussian_wald_many(design, ymat, p, observed):
     n, k = design.shape
     m = ymat.shape[1]
     if n <= k:
-        raise ValueError("not enough rows for the model design")
+        raise ValueError("singular design: no residual degrees of freedom")
     q, r = np.linalg.qr(design)
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():

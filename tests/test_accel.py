@@ -40,6 +40,25 @@ class TestPairExceedCounts:
         out = _accel.pair_exceed_counts(tm, tc, np.array([0.0]), np.array([0.0]))
         assert out.shape == (1, 1) and out[0, 0] == 0
 
+    def test_given_orders_and_chain_match_brute_force(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = rng.integers(1, 300)
+            # integer values: many ties among the data and with the thresholds
+            tm = rng.integers(-3, 4, size=n).astype(float)
+            tc = rng.integers(0, 5, size=n).astype(float)
+            t1 = np.sort(rng.integers(-4, 5, size=rng.integers(1, 8)).astype(float))
+            t2 = np.sort(rng.integers(-1, 6, size=t1.size).astype(float))
+            orders = (np.argsort(tm), np.argsort(tc))
+            want = _brute_counts(tm, tc, t1, t2)
+            np.testing.assert_array_equal(_accel.pair_exceed_counts(tm, tc, t1, t2, orders), want)
+            # a nondecreasing chain visits the diagonal of its own grid
+            diag = np.diagonal(want)
+            np.testing.assert_array_equal(_accel.chain_exceed_counts(tm, tc, t1, t2), diag)
+            np.testing.assert_array_equal(
+                _accel.chain_exceed_counts(tm, tc, t1, t2, orders), diag
+            )
+
 
 def _pin_cases():
     with open(PIN, "r", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ time. Its criterion uses the same arithmetic as the search
 float equality is required, not just closeness.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -177,6 +178,17 @@ class TestEstimators:
         assert engine.fbar(tensor, 0, 0.0, 0.0) == 1.0
         assert engine.fbar(tensor, 0, 100.0, 0.0) == 0.0
 
+    def test_fbar_vector_equals_scalar_calls(self):
+        rng = np.random.default_rng(112)
+        tensor = _random_tensor(rng, m=15, b=6)
+        idx = np.arange(tensor.m)
+        for t1, t2 in [(0.0, 0.0), (1.0, 1.5), (2.5, 0.5), (np.inf, np.inf)]:
+            vec = engine.fbar(tensor, idx, t1, t2)
+            assert vec.shape == (tensor.m,)
+            for j in idx:
+                one = engine.fbar(tensor, int(j), t1, t2)
+                assert isinstance(one, float) and vec[j] == one
+
     def test_fdp_tilde_hand_example(self):
         pairs = np.array(
             [[[3.0, 3.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]
@@ -232,6 +244,22 @@ class TestGrids:
         grid = engine.make_grid(tensor, "observed")
         want1 = np.unique(np.concatenate([[0.0], tensor.pairs[:, :, 0].ravel()]))
         np.testing.assert_array_equal(grid.t1_values, want1)
+
+    def test_grids_and_paths_equal_unsorted_quantiles(self):
+        # sorted-axis selection must equal numpy's inverted_cdf quantiles
+        rng = np.random.default_rng(123)
+        for trial in range(30):
+            tensor = _random_tensor(rng, style="ties" if trial % 2 else "smooth")
+            g = int(rng.integers(1, 60))
+            levels = np.arange(1, g + 1) / g
+            grid = engine.make_grid(tensor, f"quantile:{g}")
+            tm = tensor.pairs[:, :, 0].ravel()
+            picks = np.quantile(tm, levels, method="inverted_cdf")
+            want = np.unique(np.concatenate([[0.0], picks]))
+            np.testing.assert_array_equal(grid.t1_values, want)
+            path = engine.default_path(tensor, g)
+            want = np.quantile(np.unique(tm), levels, method="inverted_cdf")
+            np.testing.assert_array_equal(path.t1, want)
 
     def test_bad_spec_rejected(self):
         rng = np.random.default_rng(122)
@@ -488,3 +516,144 @@ class TestConfigValidation:
             assert isinstance(res, core.CutoffResult)
         with pytest.raises(ValueError, match="tensor"):
             engine.apply_method(tensor, engine.ProcedureConfig(method="bh"))
+
+
+def _stepwise_walk(tensor, path, q, pi0):
+    # reference walk: one full-tensor fdp_tilde per step
+    mult = 1.0 if pi0 is None else float(pi0)
+    for t1, t2 in zip(path.t1, path.t2):
+        crit = engine.fdp_tilde(tensor, float(t1), float(t2), pi0)
+        if crit <= q:
+            obs = tensor.pairs[0]
+            ok = ~tensor.zero_variance & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)
+            return core.CutoffResult(float(t1), float(t2), np.flatnonzero(ok), float(crit), mult)
+    return core.CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, mult)
+
+
+def _assert_same(got, want):
+    # bit-for-bit: the threshold pair, estimate and pi0, then the rejections
+    for key in ("t1", "t2", "fdp_estimate", "pi0"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes(), key
+    np.testing.assert_array_equal(got.rejected, want.rejected)
+    assert got.rejected.dtype == want.rejected.dtype
+
+
+def _reference(tensor, config, method):
+    # each method on its own: grid searches counted by pair_exceed_counts,
+    # path methods walked step by step
+    pi0, _ = engine.resolve_pi0(tensor, config)
+    grid = engine.make_grid(tensor, config.grid)
+    if method == "mf2d-fdr":
+        return engine._search(tensor, grid, config.q, pi0, "fdr")
+    if method == "mf2d-fwer":
+        return engine._search(tensor, grid, config.q, pi0, "fwer")
+    if method == "mf1d":
+        line = engine.Grid2D(np.zeros(1), grid.t2_values)
+        return engine._search(tensor, line, config.q, pi0, "fdr")
+    path = engine.default_path(tensor, config.path_steps)
+    if method == "exchangeable-path" or config.pi0_lambda is None:
+        return _stepwise_walk(tensor, path, config.q, None)
+    return _stepwise_walk(tensor, path, config.q, pi0)
+
+
+_TENSOR_METHODS = ("mf2d-fdr", "mf2d-fwer", "mf1d", "exchangeable-path", "ordered-grid")
+
+
+class TestApplyMethods:
+    def _tensors(self):
+        rng = np.random.default_rng(150)
+        # tie-heavy: integer-valued statistics
+        ties = rng.integers(0, 5, size=(8, 20, 2)).astype(float)
+        smooth = rng.gamma(2.0, size=(6, 25, 2))
+        smooth[0, :5] *= 4.0  # a few strong features
+        zero_var = rng.gamma(2.0, size=(5, 12, 2))
+        zv = np.zeros(12, dtype=bool)
+        zv[[1, 4, 7]] = True
+        zero_var[:, zv, :] = 0.0
+        return [
+            core.StatTensor(pairs=ties, zero_variance=np.zeros(20, bool)),
+            core.StatTensor(pairs=smooth, zero_variance=np.zeros(25, bool)),
+            core.StatTensor(pairs=zero_var, zero_variance=zv),
+        ]
+
+    def test_matches_per_method_runs(self):
+        for tensor in self._tensors():
+            distinct = int(np.unique(tensor.pairs).size)
+            for pi0 in (None, "auto", 0.05):
+                for grid in ("observed", "quantile:9"):
+                    for steps in (1, distinct + 7):
+                        for q in (1e-9, 0.1, 0.4):
+                            config = engine.ProcedureConfig(
+                                q=q, pi0_lambda=pi0, grid=grid, path_steps=steps
+                            )
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore")
+                                got = engine.apply_methods(tensor, config, _TENSOR_METHODS)
+                                assert list(got) == list(_TENSOR_METHODS)
+                                for method in _TENSOR_METHODS:
+                                    one = engine.ProcedureConfig(
+                                        q=q, method=method, pi0_lambda=pi0, grid=grid,
+                                        path_steps=steps,
+                                    )
+                                    _assert_same(got[method], engine.apply_method(tensor, one))
+                                    _assert_same(got[method], _reference(tensor, one, method))
+
+    def test_infeasible_level_gives_sentinels(self):
+        tensor = core.StatTensor(pairs=np.ones((3, 5, 2)), zero_variance=np.zeros(5, bool))
+        config = engine.ProcedureConfig(q=1e-9, grid="observed")
+        for res in engine.apply_methods(tensor, config, _TENSOR_METHODS).values():
+            assert np.isinf(res.t1) and np.isinf(res.t2) and res.n_rejected == 0
+
+    def test_bh_and_unknown_methods_rejected(self):
+        tensor = self._tensors()[0]
+        config = engine.ProcedureConfig()
+        for method in ("bh", "triple-dip"):
+            with pytest.raises(ValueError, match="tensor"):
+                engine.apply_methods(tensor, config, ["mf2d-fdr", method])
+        assert engine.apply_methods(tensor, config, []) == {}
+
+    def test_chain_walk_equals_stepwise_walk(self):
+        rng = np.random.default_rng(151)
+        for trial in range(30):
+            tensor = _random_tensor(rng, style="ties" if trial % 2 else "smooth")
+            b1 = tensor.pairs.shape[0]
+            if trial % 3:
+                path = engine.default_path(tensor, int(rng.integers(1, 50)))
+            else:
+                # off-tensor values and repeated steps
+                steps = int(rng.integers(1, 20))
+                path = engine.MonotonePath(
+                    t1=np.sort(rng.integers(0, 8, steps) / 2.5),
+                    t2=np.sort(rng.integers(0, 8, steps) / 2.5),
+                )
+            counts_all, robs = engine._chain_counts(tensor, path)
+            for pi0 in (None, 0.6):
+                mult = 1.0 if pi0 is None else pi0
+                crit = engine._fdp(counts_all, robs, b1, mult)
+                want = [
+                    engine.fdp_tilde(tensor, t1, t2, pi0) for t1, t2 in zip(path.t1, path.t2)
+                ]
+                assert crit.tolist() == want
+                for q in (0.05, 0.3):
+                    _assert_same(
+                        engine.ordered_grid_procedure(tensor, path, q, pi0),
+                        _stepwise_walk(tensor, path, q, pi0),
+                    )
+
+    def test_long_path_memory_is_linear_in_steps(self):
+        rng = np.random.default_rng(152)
+        tensor = core.StatTensor(
+            pairs=rng.gamma(2.0, size=(4, 6, 2)), zero_variance=np.zeros(6, bool)
+        )
+        steps = 100_000
+        config = engine.ProcedureConfig(q=0.2, path_steps=steps)
+        tracemalloc.start()
+        try:
+            engine.apply_methods(tensor, config, ["exchangeable-path", "ordered-grid"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a handful of length-steps arrays; a steps x steps table would be 80 GB
+        assert peak < 40 * 8 * steps
+

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdr2d import glm, stats
+from fdr2d import _accel, glm, stats
 
 
 def _oracle_kernel(v):
@@ -455,3 +455,31 @@ class TestEvaluators:
             np.testing.assert_allclose(pv[j], expected, rtol=1e-9)
         with pytest.raises(ValueError, match="feature 0: singular design"):
             stats.model_pvalues(y, x, x, "binomial")
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_model_pvalues_gaussian_batch_matches_single_fits(self, p):
+        # one batched QR for every feature must give each feature the
+        # statistic and p-value of its own fit, perfect fits included
+        from scipy import special
+
+        rng = np.random.default_rng(63 + p)
+        n, m = 50, 7
+        z = rng.normal(size=n)
+        x = rng.normal(size=(n, p)) + 0.4 * z[:, None]
+        y = 0.5 * x[:, :1] + 0.3 * z[:, None] + rng.normal(size=(n, m))
+        full = np.column_stack([np.ones(n), x, z])
+        y[:, 2] = full @ np.linspace(1.0, 2.0, full.shape[1])  # perfect fit
+        single = np.array(
+            [stats._wald_block_py(*stats._ols_coef_cov(full, y[:, j]), p) for j in range(m)]
+        )
+        batch, _ = stats._gaussian_wald_many(full, y, p, observed=True)
+        np.testing.assert_allclose(batch, single, rtol=1e-10)
+        assert single[2] == batch[2] == _accel.STAT_CAP
+        pv = stats.model_pvalues(y, x, z, "gaussian")
+        if p == 1:
+            want = 2.0 * special.stdtr(n - full.shape[1], -single)
+        else:
+            want = special.chdtrc(p, single)
+        np.testing.assert_allclose(pv, want, rtol=1e-10)
+        with pytest.raises(ValueError, match="singular"):
+            stats.model_pvalues(y, np.column_stack([x, z]), z, "gaussian")
