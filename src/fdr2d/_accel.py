@@ -21,6 +21,9 @@ NEGBINOM = 3
 # the kernels are numpy only; the benchmark records this as its lane
 HAVE_NUMBA = False
 
+# largest dominance-count histogram, (g1 + 1) * (g2 + 1) int64 cells: 128 MiB
+MAX_GRID_CELLS = 2**24
+
 
 def exceed_bins(values, thresholds, order=None):
     """Per value, the number of thresholds at or below it.
@@ -45,9 +48,16 @@ def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
     out[a, b] = #{i : tm[i] >= t1[a] and tc[i] >= t2[b]}. Grids must be
     sorted ascending; orders may hold argsort(tm) and argsort(tc) (see
     exceed_bins). Runs in O(n log n + g1*g2) via binned suffix sums.
+    A grid needing more than MAX_GRID_CELLS cells raises before any
+    allocation.
     """
     g1 = t1.shape[0]
     g2 = t2.shape[0]
+    if (g1 + 1) * (g2 + 1) > MAX_GRID_CELLS:
+        raise ValueError(
+            f"a {g1} x {g2} threshold grid exceeds the {MAX_GRID_CELLS}-cell count "
+            "limit; use a quantile:<G> grid with a smaller G"
+        )
     i = exceed_bins(tm, t1, orders[0])
     j = exceed_bins(tc, t2, orders[1])
     flat = i * (g2 + 1) + j

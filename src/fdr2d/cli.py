@@ -180,15 +180,10 @@ def _parse_pi0(raw):
 def _statistic_from(cfg):
     token = cfg["stat"]
     spline_df = cfg["spline_df"] if cfg["spline_df"] is not None else 5
-    spec = engine.StatisticSpec.from_token(
-        token, spline_df=spline_df, epsilon=cfg["epsilon"]
+    size = cfg["nb_size"] if token.strip() == "glm:negbinom" else None
+    return engine.StatisticSpec.from_token(
+        token, size=size, spline_df=spline_df, epsilon=cfg["epsilon"]
     )
-    if spec.kind == "glm" and spec.family == "negbinom":
-        spec = engine.StatisticSpec(
-            kind="glm", family="negbinom", size=cfg["nb_size"],
-            spline_df=spline_df, epsilon=cfg["epsilon"],
-        )
-    return spec
 
 
 def _plan_from(cfg, dataset=None):
@@ -211,18 +206,10 @@ def _plan_from(cfg, dataset=None):
     )
 
 
-_KIND_FOR_FAMILY = {
-    "gaussian": "continuous",
-    "binomial": "binary",
-    "poisson": "count",
-    "negbinom": "count",
-}
-
-
 def _load_analysis_dataset(cfg):
     _require_files(cfg, ("x", "y", "z"))
     spec = _statistic_from(cfg)
-    y_kind = _KIND_FOR_FAMILY.get(spec.family) if spec.kind == "glm" else None
+    y_kind = engine.Y_KIND_FOR_FAMILY.get(spec.family) if spec.kind == "glm" else None
     dataset = io.load_dataset(cfg["x"], cfg["y"], cfg["z"], y_kind=y_kind)
     return dataset, spec
 

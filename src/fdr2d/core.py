@@ -10,10 +10,12 @@ Z_KINDS = ("continuous", "binary")
 
 
 def _as_matrix(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    return a
+    out = np.asarray(a, dtype=float)
+    if out.ndim == 1:
+        out = out[:, None]
+    if out.ndim != 2:
+        raise ValueError("expected a vector or a 2-D matrix")
+    return out
 
 
 @dataclass

@@ -140,7 +140,8 @@ class MonotonePath:
             raise ValueError("path must be monotone nondecreasing in both coordinates")
 
 
-_FAMILY_FOR_KIND = {"gaussian": "continuous", "binomial": "binary", "poisson": "count", "negbinom": "count"}
+# outcome kind each glm family models
+Y_KIND_FOR_FAMILY = {"gaussian": "continuous", "binomial": "binary", "poisson": "count", "negbinom": "count"}
 
 
 def _check_compat(dataset, plan, spec):
@@ -161,7 +162,7 @@ def _check_compat(dataset, plan, spec):
         if any(k != "binary" for k in dataset.z_kinds):
             raise ValueError("categorical statistics need binary confounders")
     if spec.kind == "glm":
-        want = _FAMILY_FOR_KIND.get(spec.family)
+        want = Y_KIND_FOR_FAMILY.get(spec.family)
         if want is None:
             raise ValueError(f"unknown family {spec.family!r}")
         if dataset.y_kind != want:

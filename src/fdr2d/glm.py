@@ -6,10 +6,12 @@ rank-deficient design is an error the caller must see.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _accel
+from .core import _as_matrix
 
 FAMILIES = ("gaussian", "binomial", "poisson", "negbinom")
 _FAMILY_CODES = {
@@ -23,6 +25,22 @@ _FAMILY_CODES = {
 _RANK_TOL = 1e-10
 # rss below this fraction of the response sum of squares is a perfect fit
 _PERFECT_TOL = 1e-24
+
+
+class LeastSquares(NamedTuple):
+    """Least-squares fit of one design against every response column.
+
+    coef is (k, m), fitted and residuals (n, m). sigma2 (m,) is the
+    residual variance rss / (n - k), exactly 0.0 for a column the design
+    reproduces to float precision. ainv (k, k) is the unscaled
+    covariance (R'R)^-1 that every column shares.
+    """
+
+    coef: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    sigma2: np.ndarray
+    ainv: np.ndarray
 
 
 @dataclass
@@ -55,15 +73,15 @@ class GlmFit:
     family: str
 
 
-def ols(design, response):
-    """Ordinary least squares via QR.
+def ols_many(design, ymat):
+    """Least squares of one design against every column of ``ymat``.
 
-    Raises ValueError("singular design") when any R diagonal falls
-    below 1e-10 of the largest, or when there are no residual degrees
-    of freedom. No silent regularization.
+    One QR serves every column. Raises ValueError("singular design")
+    when any R diagonal falls below 1e-10 of the largest, or when there
+    are no residual degrees of freedom. No silent regularization.
     """
-    design = np.ascontiguousarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(ymat, dtype=float)
     n, k = design.shape
     if y.shape[0] != n:
         raise ValueError(f"response length {y.shape[0]} does not match design rows {n}")
@@ -73,16 +91,26 @@ def ols(design, response):
     diag = np.abs(np.diag(r))
     if diag.max() == 0.0 or diag.min() <= _RANK_TOL * diag.max():
         raise ValueError("singular design")
-    coef = np.linalg.solve(r, q.T @ y)
-    fitted = design @ coef
+    qty = q.T @ y
+    fitted = q @ qty
     residuals = y - fitted
-    rss = float(residuals @ residuals)
-    yss = float(y @ y)
-    sigma2 = 0.0 if rss <= _PERFECT_TOL * yss else rss / (n - k)
-    rinv = np.linalg.inv(r)
-    cov = sigma2 * (rinv @ rinv.T)
+    rinv = np.linalg.solve(r, np.eye(k))
+    rss = np.einsum("ij,ij->j", residuals, residuals)
+    yss = np.einsum("ij,ij->j", y, y)
+    sigma2 = np.where(rss <= _PERFECT_TOL * yss, 0.0, rss / (n - k))
+    return LeastSquares(rinv @ qty, fitted, residuals, sigma2, rinv @ rinv.T)
+
+
+def ols(design, response):
+    """Ordinary least squares of one response: ols_many with one column."""
+    y = np.asarray(response, dtype=float).ravel()
+    fit = ols_many(design, y[:, None])
+    sigma2 = float(fit.sigma2[0])
+    cov = sigma2 * fit.ainv
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return LinearFit(coef, se, sigma2, residuals, fitted, cov, n - k)
+    return LinearFit(
+        fit.coef[:, 0], se, sigma2, fit.residuals[:, 0], fit.fitted[:, 0], cov, y.size - cov.shape[0]
+    )
 
 
 def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
@@ -201,9 +229,7 @@ def confounder_design(z, spline_df=None, kinds=None):
     raw; continuous columns are replaced by their natural cubic spline
     basis when ``spline_df`` is given.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = _as_matrix(z)
     n, d = z.shape
     cols = [np.ones((n, 1))]
     for c in range(d):
@@ -226,9 +252,7 @@ def projection_complement(basis):
     Rank-deficient bases are handled through the SVD; the projector is
     exact for the column space actually present.
     """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim == 1:
-        basis = basis[:, None]
+    basis = _as_matrix(basis)
     n = basis.shape[0]
     if basis.shape[1] == 0:
         return np.eye(n)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glm
+from .core import _as_matrix
 
 STRATEGIES = ("residual-perm", "residual-boot", "parametric-logistic", "binned-perm")
 
@@ -38,27 +39,6 @@ class ConditionalModel:
         return self.fitted_mean.shape[0]
 
 
-def _as_matrix(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    return a
-
-
-def _z_design(z, spline_df=None, z_kinds=None):
-    return glm.confounder_design(_as_matrix(z), spline_df=spline_df, kinds=z_kinds)
-
-
-def _ols_multi(design, resp):
-    """Least squares for a matrix response; same rank rule as glm.ols."""
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
-        raise ValueError("singular design")
-    fitted = q @ (q.T @ resp)
-    return fitted, resp - fitted
-
-
 def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
     """Regress x on [1, z] (optionally spline-expanded) and keep residuals.
 
@@ -66,11 +46,11 @@ def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
     mean with permuted or resampled residual rows and never refit.
     """
     x = _as_matrix(x)
-    design = _z_design(z, spline_df, z_kinds)
+    design = glm.confounder_design(z, spline_df=spline_df, kinds=z_kinds)
     if design.shape[0] != x.shape[0]:
         raise ValueError("x and z row counts differ")
-    fitted, resid = _ols_multi(design, x)
-    return ConditionalModel("residual-linear", fitted_mean=fitted, residuals=resid)
+    fit = glm.ols_many(design, x)
+    return ConditionalModel("residual-linear", fitted_mean=fit.fitted, residuals=fit.residuals)
 
 
 def draw_residual_permutation(model, rng):
@@ -149,7 +129,9 @@ def fit_binned_residual(x, z, bin_column, bin_edges):
                 f"bin {b} holds {idx.size} rows; need more than {d + 1} to fit"
             )
         design = np.column_stack([np.ones(idx.size), z[idx]])
-        fitted[idx], resid[idx] = _ols_multi(design, x[idx])
+        fit = glm.ols_many(design, x[idx])
+        fitted[idx] = fit.fitted
+        resid[idx] = fit.residuals
     return ConditionalModel(
         "binned-residual", fitted_mean=fitted, residuals=resid, bins=labels
     )

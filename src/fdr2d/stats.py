@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special as _special
 
 from . import _accel, glm
+from .core import _as_matrix
 
 
 class StatPair(NamedTuple):
@@ -28,15 +29,6 @@ class StatPair(NamedTuple):
 class KernelMatrix:
     matrix: np.ndarray
     bandwidth: float
-
-
-def _as_matrix(a):
-    out = np.asarray(a, dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    if out.ndim != 2:
-        raise ValueError("expected a vector or a 2-D matrix")
-    return out
 
 
 def _all_rows_equal(a):
@@ -338,24 +330,6 @@ def _feature_basis_builder(values, count):
     return lambda v: sb.evaluate(np.asarray(v, dtype=float).ravel())
 
 
-def _basis_confounder_design(z, j2, kinds=None):
-    z = _as_matrix(z)
-    n, d = z.shape
-    cols = [np.ones((n, 1))]
-    for c in range(d):
-        col = z[:, c]
-        binary = (
-            kinds[c] == "binary"
-            if kinds is not None
-            else bool(np.all((col == 0.0) | (col == 1.0)))
-        )
-        if binary:
-            cols.append(col[:, None])
-        else:
-            cols.append(_feature_basis_builder(col, j2)(col))
-    return np.hstack(cols)
-
-
 def _qf_stat(qf, sigma2, yss):
     # perfect fits have sigma2 == 0 exactly; the statistic is 0 when the
     # quadratic form is negligible at the response scale, capped when not
@@ -378,7 +352,7 @@ def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
     n = yv.size
     zm = _as_matrix(z) if np.asarray(z).size else np.zeros((n, 0))
     bx = _feature_basis_builder(xm[:, 0], j1)(xm[:, 0])
-    dz = _basis_confounder_design(zm, j2, kinds=z_kinds)
+    dz = glm.confounder_design(zm, spline_df=j2, kinds=z_kinds)
     full = np.hstack([bx, dz])
     if n <= full.shape[1]:
         raise ValueError("not enough rows for the joint design")
@@ -437,45 +411,19 @@ class _GlmEvaluator:
 def _gaussian_wald_many(design, ymat, p, observed):
     """Vectorized gaussian Wald statistics, one design, every response.
 
-    Mirrors the per-fit kernel rules: relative-scale perfect-fit
-    detection, 0/cap resolution on zero variance, the same cap.
+    The fit is glm.ols_many and the Wald rule _accel.wald_block, given
+    sigma2 (R'R)^-1 for the leading intercept-and-exposure block only. A
+    singular design raises on observed data; on resampled draws every
+    statistic is 0 and each counts as a failed evaluation.
     """
-    n, k = design.shape
-    m = ymat.shape[1]
-    if n <= k:
-        raise ValueError("singular design: no residual degrees of freedom")
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
+    try:
+        fit = glm.ols_many(design, ymat)
+    except ValueError:
         if observed:
-            raise ValueError("singular design on observed data")
-        return np.zeros(m), m
-    qty = q.T @ ymat
-    rinv = np.linalg.solve(r, np.eye(k))
-    coefs = rinv @ qty
-    resid = ymat - q @ qty
-    rss = np.einsum("ij,ij->j", resid, resid)
-    yss = np.einsum("ij,ij->j", ymat, ymat)
-    sigma2 = np.where(rss <= 1e-24 * yss, 0.0, rss / (n - k))
-    ainv = rinv @ rinv.T
-    maxc = np.max(np.abs(coefs), axis=0)
-    cap = _accel.STAT_CAP
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if p == 1:
-            v = sigma2 * ainv[1, 1]
-            c1 = np.abs(coefs[1])
-            degen = np.where(c1 <= 1e-8 * (1.0 + maxc), 0.0, cap)
-            stats_ = np.where(v <= 0.0, degen, np.minimum(c1 / np.sqrt(v), cap))
-        else:
-            b = coefs[1 : 1 + p]
-            sol = np.linalg.solve(ainv[1 : 1 + p, 1 : 1 + p], b)
-            qf = np.einsum("pm,pm->m", b, sol) / sigma2
-            blockmax = np.max(np.abs(b), axis=0)
-            degen = np.where(blockmax <= 1e-8 * (1.0 + maxc), 0.0, cap)
-            stats_ = np.where(
-                sigma2 <= 0.0, degen, np.minimum(np.maximum(qf, 0.0), cap)
-            )
-    return stats_, 0
+            raise
+        return np.zeros(ymat.shape[1]), ymat.shape[1]
+    cov = fit.sigma2[:, None, None] * fit.ainv[: 1 + p, : 1 + p]
+    return _accel.wald_block(fit.coef.T, cov, p), 0
 
 
 class _RvEvaluator:
@@ -626,31 +574,24 @@ class _BasisWaldEvaluator:
         if dataset.x.shape[1] != 1:
             raise ValueError("basis statistics need a univariate exposure")
         self._builder = _feature_basis_builder(dataset.x[:, 0], j1)
-        self._dz = _basis_confounder_design(dataset.z, j2, kinds=dataset.z_kinds)
+        self._dz = glm.confounder_design(dataset.z, spline_df=j2, kinds=dataset.z_kinds)
         self._proj = glm.projection_complement(self._dz)
         self._y = dataset.y
         self._py = self._proj @ dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
-        n = dataset.n
-        if n <= j1 + self._dz.shape[1]:
-            raise ValueError("not enough rows for the joint design")
 
     def pairs(self, x, observed=False):
         bx = self._builder(_as_matrix(x)[:, 0])
         y = self._y
-        n = y.shape[0]
         m = y.shape[1]
         full = np.hstack([bx, self._dz])
-        q, r = np.linalg.qr(full)
-        diag = np.abs(np.diag(r))
-        if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
+        # both statistics share the residual variance of the joint model
+        try:
+            sigma2 = glm.ols_many(full, y).sigma2
+        except ValueError:
             if observed:
-                raise ValueError("singular joint design on observed data")
+                raise
             return np.zeros(m), np.zeros(m), m
-        qty = q.T @ y
-        resid = y - q @ qty
-        rss = np.einsum("ij,ij->j", resid, resid)
-        sigma2 = np.where(rss <= 1e-24 * self._yss, 0.0, rss / (n - full.shape[1]))
 
         mm = bx.T @ y
         mc = bx.T @ self._py

@@ -100,6 +100,14 @@ class TestAnalyze:
         assert cli.main(args) == 1
         assert "q" in capsys.readouterr().err
 
+    def test_oversized_observed_grid_is_validation_error(self, tmp_path, capsys):
+        # 50 features x 100 rows: a 5001 x 5001 grid is over the count limit
+        xp, yp, zp = _write_xyz(tmp_path, seed=5, m=50)
+        out = str(tmp_path / "big.json")
+        args = _analyze_args(xp, yp, zp, out, extra=["--b", "99", "--grid", "observed"])
+        assert cli.main(args) == 1
+        assert "quantile:<G>" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)
         args = _analyze_args(str(tmp_path / "nope.tsv"), yp, zp, str(tmp_path / "o.json"))

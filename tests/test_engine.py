@@ -657,3 +657,20 @@ class TestApplyMethods:
         # a handful of length-steps arrays; a steps x steps table would be 80 GB
         assert peak < 40 * 8 * steps
 
+    def test_oversized_observed_grid_raises_before_allocating(self):
+        rng = np.random.default_rng(153)
+        # 6000 distinct values per axis: a 6001 x 6001 observed grid
+        tensor = core.StatTensor(
+            pairs=rng.gamma(2.0, size=(60, 100, 2)), zero_variance=np.zeros(100, bool)
+        )
+        config = engine.ProcedureConfig(grid="observed")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="quantile:<G>"):
+                engine.apply_methods(tensor, config, ["mf2d-fdr"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int64 count histogram alone would take 288 MB
+        assert peak < 2**24
+

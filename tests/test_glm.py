@@ -44,6 +44,22 @@ class TestOlsOracle:
         with pytest.raises(ValueError, match="singular design"):
             glm.ols(design, np.arange(n, dtype=float))
 
+    def test_ols_many_columns_match_single_fits(self):
+        rng = np.random.default_rng(22)
+        n = 30
+        design = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        ymat = rng.normal(size=(n, 4))
+        ymat[:, 3] = design @ np.array([1.0, -2.0, 0.5])
+        fit = glm.ols_many(design, ymat)
+        for j in range(4):
+            one = glm.ols(design, ymat[:, j])
+            np.testing.assert_allclose(fit.coef[:, j], one.coef, rtol=1e-12)
+            np.testing.assert_allclose(fit.residuals[:, j], one.residuals, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(fit.sigma2[j] * fit.ainv, one.cov, rtol=1e-12)
+        np.testing.assert_allclose(fit.fitted + fit.residuals, ymat, rtol=1e-12, atol=1e-14)
+        # the perfect-fit rule is per column
+        assert fit.sigma2[3] == 0.0 and np.all(fit.sigma2[:3] > 0.0)
+
     def test_perfect_fit_sigma2_zero(self):
         x = np.linspace(-1, 1, 12)
         design = np.column_stack([np.ones(12), x])

@@ -80,6 +80,12 @@ class TestResidualLinear:
         with pytest.raises(ValueError, match="singular design"):
             samplers.fit_residual_linear(np.random.default_rng(0).normal(size=(n, 1)), z)
 
+    def test_no_residual_degrees_of_freedom(self):
+        # [1, z] with n = d + 1 reproduces x exactly; there is nothing to permute
+        x, z = _toy(n=3)
+        with pytest.raises(ValueError, match="no residual degrees of freedom"):
+            samplers.fit_residual_linear(x, z)
+
 
 class TestParametricLogistic:
     def test_probabilities_clamped(self):

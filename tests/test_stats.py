@@ -411,6 +411,12 @@ class TestEvaluators:
         assert tm.shape == (ds.m,) and np.all(tm >= 0) and np.all(np.isfinite(tm))
         assert tc.shape == (ds.m,) and np.all(tc >= 0) and np.all(np.isfinite(tc))
 
+    def test_basis_wald_confounder_spline_needs_df_three(self):
+        rng = np.random.default_rng(60)
+        ds = _toy_dataset(rng, n=60, m=4)
+        with pytest.raises(ValueError, match="df must be at least 3"):
+            stats.make_evaluator(ds, "basis-wald", j1=4, j2=2)
+
     def test_unknown_kind_rejected(self):
         rng = np.random.default_rng(59)
         ds = _toy_dataset(rng)
