@@ -1,11 +1,11 @@
-"""Numerical kernels: feature-batched GLM fits and grid dominance counts.
+"""Numerical kernels: draw- and feature-batched GLM fits and grid dominance counts.
 
 Two loops dominate runtime: per-feature IRLS fits when building
 statistic tensors, and the dominance count over a 2-D threshold grid
-during cutoff search. The fits solve every response column of one
-design at once: the normal equations are stacked over features and
-each feature carries its own convergence and failure state, so a
-column's result does not depend on the other columns in the batch.
+during cutoff search. The fits solve every (draw, response column)
+pair of a stack of designs at once: the normal equations are stacked
+over pairs and each pair carries its own convergence and failure
+state, so a fit's result does not depend on the others in the batch.
 """
 
 import numpy as np
@@ -124,48 +124,85 @@ def _mean(eta, family):
         return np.clip(np.exp(eta), 1e-10, 1e250)
 
 
-def _information(design, w):
-    # design.T @ diag(w) @ design for every row of w: (m, k, k)
-    return np.einsum("nr,mn,ns->mrs", design, w, design)
+def _per_draw(fits, m, nd):
+    """(draw, slice) of each draw's run in ``fits``, ascending flat
+    indices draw * m + column."""
+    cuts = np.searchsorted(fits, np.arange(nd + 1) * m).tolist()
+    return [(d, slice(cuts[d], cuts[d + 1])) for d in range(nd) if cuts[d] < cuts[d + 1]]
+
+
+def _per_draw_product(rows, segments, mats):
+    # rows[s] @ mats[d] for each draw's run s of fits: one GEMM per draw
+    out = np.empty((rows.shape[0], mats.shape[2]))
+    for d, s in segments:
+        out[s] = rows[s] @ mats[d]
+    return out
+
+
+def _normal_equations(eta, y, family, nb_size, segments, xs, prods):
+    """IRLS information X'WX (flattened to k * k) and right-hand side
+    X'Wz of fits at linear predictor eta with responses y (fits, n);
+    segments are the fits' (draw, slice) runs. y is overwritten."""
+    mu = _mean(eta, family)
+    if family == BINOMIAL:
+        w = mu * (1.0 - mu)
+        scale = w
+    else:
+        w = mu if family == POISSON else nb_size * mu / (mu + nb_size)
+        scale = mu
+    # w * z with the working response z = eta + (y - mu) / scale
+    wz = y
+    wz -= mu
+    wz /= scale
+    wz += eta
+    wz *= w
+    return _per_draw_product(w, segments, prods), _per_draw_product(wz, segments, xs)
 
 
 def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
-    """Fit one binomial, poisson or negbinom GLM per response column by IRLS.
+    """Fit one binomial, poisson or negbinom GLM per (draw, response column) by IRLS.
 
-    ``design`` is (n, k) and ``ymat`` (n, m). Returns (coef (m, k),
-    cov (m, k, k), status (m,), n_iter (m,)) with status 0 converged,
-    1 iteration limit, 2 separation, 3 singular or degenerate design.
-    cov is the inverse observed information at the returned
-    coefficients and is zero unless status is 0 or 1. A feature stops
-    iterating when max|delta| <= tol * (1 + max|coef|); its coefficients
-    are then frozen while the rest of the batch goes on.
+    ``design`` is one (n, k) design or a stack (D, n, k) of per-draw
+    designs, and ``ymat`` (n, m) is shared by every draw. Returns
+    (coef (..., m, k), cov (..., m, k, k), status (..., m), n_iter
+    (..., m)), where ``...`` is (D,) for a stack and empty for one
+    design; status 0 converged, 1 iteration limit, 2 separation,
+    3 singular or degenerate design. cov is the inverse observed
+    information at the returned coefficients and is zero unless status
+    is 0 or 1. A fit stops when max|delta| <= tol * (1 + max|coef|),
+    when its information is singular, or (binomial) when its linear
+    predictor puts every row on the side of its response, which proves
+    complete separation. A stopped fit's coefficients are frozen and
+    later iterations work on the fits still active only.
     """
+    xs = design if design.ndim == 3 else design[None]
+    nd, n, k = xs.shape
     y = np.ascontiguousarray(ymat.T, dtype=float)
     m = y.shape[0]
-    k = design.shape[1]
+    # x_r * x_s per row: the information matrices of every fit on one
+    # draw are then a single GEMM of their weights against these
+    prods = (xs[:, :, :, None] * xs[:, :, None, :]).reshape(nd, n, k * k)
     if family == BINOMIAL:
         m0 = (y + 0.5) / 2.0
         eta = np.log(m0 / (1.0 - m0))
+        side = 2.0 * y - 1.0
     else:
         eta = np.log(y + 0.5)
-    coef = np.zeros((m, k))
-    cov = np.zeros((m, k, k))
-    status = np.ones(m, dtype=np.int64)
-    n_iter = np.zeros(m, dtype=np.int64)
-    active = np.arange(m)
+    eta = np.tile(eta, (nd, 1))
+    fits = nd * m
+    coef = np.zeros((fits, k))
+    cov = np.zeros((fits, k, k))
+    status = np.ones(fits, dtype=np.int64)
+    n_iter = np.zeros(fits, dtype=np.int64)
+    active = np.arange(fits)
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        e = eta[active]
-        mu = _mean(e, family)
-        if family == BINOMIAL:
-            w = mu * (1.0 - mu)
-            z = e + (y[active] - mu) / w
-        else:
-            w = mu if family == POISSON else nb_size * mu / (mu + nb_size)
-            z = e + (y[active] - mu) / mu
-        lo, ok = _cholesky(_information(design, w))
-        new = _cholesky_solve(lo, ((w * z) @ design)[:, :, None])[:, :, 0]
+        info, rhs = _normal_equations(
+            eta[active], y[active % m], family, nb_size, _per_draw(active, m, nd), xs, prods
+        )
+        lo, ok = _cholesky(info.reshape(-1, k, k))
+        new = _cholesky_solve(lo, rhs[:, :, None])[:, :, 0]
         n_iter[active] = it
         status[active[~ok]] = 3
         keep = active[ok]
@@ -173,11 +210,16 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         delta = np.max(np.abs(new - coef[keep]), axis=1)
         done = delta <= tol * (1.0 + np.max(np.abs(new), axis=1))
         coef[keep] = new
-        eta[keep] = new @ design.T
+        ek = _per_draw_product(new, _per_draw(keep, m, nd), xs.transpose(0, 2, 1))
+        eta[keep] = ek
         status[keep[done]] = 0
+        if family == BINOMIAL:
+            separated = np.all(side[keep % m] * ek > 0.0, axis=1)
+            status[keep[separated]] = 2
+            done |= separated
         active = keep[~done]
 
-    fitted = np.flatnonzero(status != 3)
+    fitted = np.flatnonzero(status <= 1)
     mu = _mean(eta[fitted], family)
     if family == BINOMIAL:
         inner = (mu > 1e-8) & (mu < 1.0 - 1e-8)
@@ -190,12 +232,19 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         w = mu
     else:
         d0 = mu + nb_size
-        w = nb_size * mu * (y[fitted] + nb_size) / (d0 * d0)
-    lo, ok = _cholesky(_information(design, w))
+        w = nb_size * mu * (y[fitted % m] + nb_size) / (d0 * d0)
+    info = _per_draw_product(w, _per_draw(fitted, m, nd), prods)
+    lo, ok = _cholesky(info.reshape(-1, k, k))
     status[fitted[~ok]] = 3
     eye = np.broadcast_to(np.eye(k), (int(ok.sum()), k, k))
     cov[fitted[ok]] = _cholesky_solve(lo[ok], eye)
-    return coef, cov, status, n_iter
+    lead = xs.shape[:1] if design.ndim == 3 else ()
+    return (
+        coef.reshape(lead + (m, k)),
+        cov.reshape(lead + (m, k, k)),
+        status.reshape(lead + (m,)),
+        n_iter.reshape(lead + (m,)),
+    )
 
 
 def wald_block(coef, cov, p):
@@ -223,18 +272,17 @@ def wald_block(coef, cov, p):
 def wald_pair_many(d_full, d_red, ymat, p, family, nb_size, max_iter, tol):
     """Marginal and conditional Wald statistics for every response column.
 
-    Failed fits yield statistic 0 and the worst fit status in warn
+    The designs are (n, k) or stacks (D, n, k) of per-draw designs (see
+    glm_fit_many); the outputs are (m,) or (D, m) accordingly. Failed
+    fits yield statistic 0 and the worst fit status in warn
     (1 iteration limit, 2 separation, 3 singular), never NaN.
     """
-    m = ymat.shape[1]
-    warn = np.zeros(m, dtype=np.int64)
     out = []
     for design in (d_full, d_red):
         coef, cov, status, _ = glm_fit_many(design, ymat, family, nb_size, max_iter, tol)
         ok = status == 0
-        stat = np.zeros(m)
+        stat = np.zeros(status.shape)
         stat[ok] = wald_block(coef[ok], cov[ok], p)
-        np.maximum(warn, status, out=warn)
-        out.append(stat)
-    tc, tm = out
-    return tm, tc, warn
+        out.append((stat, status))
+    (tc, warn), (tm, status) = out
+    return tm, tc, np.maximum(warn, status)

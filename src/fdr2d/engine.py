@@ -23,6 +23,11 @@ import numpy as np
 from . import _accel, _rng, core, samplers, stats
 from .core import CutoffResult
 
+# most draws x features x rows scored by one evaluator call. A float64
+# array of that many cells is 4 MiB; the GLM fits of a full chunk hold
+# about seven such arrays at once.
+_CHUNK_CELLS = 2**19
+
 METHODS = (
     "mf2d-fdr",
     "mf2d-fwer",
@@ -174,10 +179,14 @@ def _check_compat(dataset, plan, spec):
 def build_tensor(dataset, plan, spec):
     """Statistic pairs for the observed exposure and B resampled copies.
 
-    Row 0 is the observed data; rows 1..B use draws from the plan's
-    conditional sampler, each on its own deterministic substream of the
-    plan seed. A statistic failure on the observed data aborts; on
-    resampled rows it becomes a zero pair, counted and reported once.
+    Row 0 is the observed data, scored in a call of its own; rows 1..B
+    use draws from the plan's conditional sampler, each made on its own
+    deterministic substream of the plan seed. The draws are scored in
+    chunks: each chunk's draws are stacked and go to the evaluator in
+    one call, and a chunk holds at most _CHUNK_CELLS draw x feature x
+    row cells, so working memory stays bounded as m, n and B grow. A
+    statistic failure on the observed data aborts; on resampled rows it
+    becomes a zero pair, counted and reported once.
     """
     violations = core.validate(dataset)
     if violations:
@@ -210,12 +219,18 @@ def build_tensor(dataset, plan, spec):
     tm, tc, warn_total = evaluator.pairs(dataset.x, observed=True)
     pairs[0, :, 0] = tm
     pairs[0, :, 1] = tc
-    for draw in range(1, b + 1):
-        rng = _rng.substream(plan.seed, draw)
-        xb = samplers.draw_for_strategy(plan.strategy, model, rng)
-        tm, tc, bad = evaluator.pairs(xb, observed=False)
-        pairs[draw, :, 0] = tm
-        pairs[draw, :, 1] = tc
+    chunk = max(1, _CHUNK_CELLS // (dataset.n * dataset.m))
+    for start in range(1, b + 1, chunk):
+        stop = min(start + chunk, b + 1)
+        xs = np.stack(
+            [
+                samplers.draw_for_strategy(plan.strategy, model, _rng.substream(plan.seed, draw))
+                for draw in range(start, stop)
+            ]
+        )
+        tm, tc, bad = evaluator.pairs(xs, observed=False)
+        pairs[start:stop, :, 0] = tm
+        pairs[start:stop, :, 1] = tc
         warn_total += bad
     zv = core.zero_variance_mask(dataset.y)
     pairs[:, zv, :] = 0.0

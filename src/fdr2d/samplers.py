@@ -76,9 +76,10 @@ def fit_parametric_logistic(x, z):
     x = np.asarray(x, dtype=float).ravel()
     z = _as_matrix(z)
     design = np.column_stack([np.ones(x.shape[0]), z])
-    # separation shows up as fitted probabilities pinned to {0, 1}, which
-    # takes hundreds of slow-growth iterations when a point sits near the
-    # boundary; the model is fit once, so the budget is cheap
+    # complete separation stops the fit as soon as an iterate's linear
+    # predictor splits the classes; other fits, nearly separated ones
+    # included, may need hundreds of slow-growth iterations. The model
+    # is fit once, so the budget is cheap
     fit = glm.irls(design, x, "binomial", max_iter=500)
     if fit.reason == "separation":
         raise ValueError(

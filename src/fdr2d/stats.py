@@ -4,9 +4,14 @@ Every statistic maps to a nonnegative float where larger means
 stronger dependence, and degenerate inputs give 0 with a warning
 rather than NaN, so downstream thresholding never sees missing
 values. The scalar functions are the reference forms; make_evaluator
-builds the vectorized per-draw versions used while assembling
-statistic tensors, sharing whatever does not change across draws
-(centered response kernels, confounder projectors, spline knots).
+builds the evaluators used while assembling statistic tensors. An
+evaluator scores every feature against one exposure (n, p) or against
+a stack (D, n, p) of resampled draws in one call, sharing whatever does
+not change across draws (centered response kernels, confounder
+projectors, spline knots). GLM fits for every (draw, feature) pair run
+as one IRLS batch, and the RV and categorical statistics are matrix
+products over all draws; the gaussian GLM, HSIC and basis Wald
+statistics go through the stack one draw at a time.
 """
 
 import warnings
@@ -29,6 +34,32 @@ class StatPair(NamedTuple):
 class KernelMatrix:
     matrix: np.ndarray
     bandwidth: float
+
+
+def _draw_stack(x):
+    # (draws, one_draw): a stack (D, n, p) as given, or one exposure
+    # (n, p) or (n,) as a stack of one
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 3:
+        return x, False
+    return _as_matrix(x)[None], True
+
+
+def _per_draw_pairs(pairs_one, x, observed):
+    """Evaluator output for one exposure or a stack, from a one-draw rule.
+
+    pairs_one(x (n, p), observed) -> (tm (m,), tc (m,), failed).
+    """
+    xs, one = _draw_stack(x)
+    outs = [pairs_one(xd, observed) for xd in xs]
+    tm = np.stack([o[0] for o in outs])
+    tc = np.stack([o[1] for o in outs])
+    return _unstack(tm, tc, sum(o[2] for o in outs), one)
+
+
+def _unstack(tm, tc, failed, one):
+    # (D, m) statistics back to (m,) when the input was one exposure
+    return (tm[0], tc[0], failed) if one else (tm, tc, failed)
 
 
 def _all_rows_equal(a):
@@ -388,24 +419,29 @@ class _GlmEvaluator:
             raise ValueError("negbinom family requires a positive size")
         self._max_iter = int(max_iter)
         self._tol = float(tol)
-        self._ones = np.ones((dataset.n, 1))
 
     def pairs(self, x, observed=False):
-        x = _as_matrix(x)
-        p = x.shape[1]
-        full = np.hstack([self._ones, x, self._z])
-        red = np.hstack([self._ones, x])
         if self._family == "gaussian":
-            tc, w1 = _gaussian_wald_many(full, self._y, p, observed)
-            tm, w2 = _gaussian_wald_many(red, self._y, p, observed)
-            return tm, tc, w1 + w2
+            return _per_draw_pairs(self._gaussian_pairs, x, observed)
+        xs, one = _draw_stack(x)
+        nd, n, p = xs.shape
+        ones = np.ones((nd, n, 1))
+        full = np.concatenate([ones, xs, np.broadcast_to(self._z, (nd,) + self._z.shape)], axis=2)
+        red = np.concatenate([ones, xs], axis=2)
         tm, tc, warn = _accel.wald_pair_many(
             full, red, self._y, p, self._code, self._size, self._max_iter, self._tol
         )
         if observed and np.any(warn == 3):
-            j = int(np.argmax(warn == 3))
+            j = int(np.nonzero(warn == 3)[-1][0])
             raise ValueError(f"singular model fit on observed data (feature index {j})")
-        return tm, tc, int(np.count_nonzero(warn))
+        return _unstack(tm, tc, int(np.count_nonzero(warn)), one)
+
+    def _gaussian_pairs(self, x, observed):
+        p = x.shape[1]
+        ones = np.ones((x.shape[0], 1))
+        tc, w1 = _gaussian_wald_many(np.hstack([ones, x, self._z]), self._y, p, observed)
+        tm, w2 = _gaussian_wald_many(np.hstack([ones, x]), self._y, p, observed)
+        return tm, tc, w1 + w2
 
 
 def _gaussian_wald_many(design, ymat, p, observed):
@@ -439,27 +475,28 @@ class _RvEvaluator:
         self._pyss = np.einsum("ij,ij->j", self._py, self._py)
 
     def pairs(self, x, observed=False):
-        x = _as_matrix(x)
-        xc = x - x.mean(axis=0)
-        px = self._proj @ x
+        xs, one = _draw_stack(x)
+        xc = xs - xs.mean(axis=1, keepdims=True)
+        px = self._proj @ xs
         tm, w1 = _rv_many(xc, self._yc, self._ycss)
         tc, w2 = _rv_many(px, self._py, self._pyss)
-        return tm, tc, w1 + w2
+        return _unstack(tm, tc, w1 + w2, one)
 
 
 def _rv_many(u, ymat, ycss):
     # univariate responses: tr(Svv^2) = (y'y)^2, so the RV ratio reduces
-    # to sum_a (u_a'y)^2 / (||U'U||_F y'y) feature by feature
-    uu = u.T @ u
-    unorm = float(np.sqrt(np.sum(uu * uu)))
-    if unorm <= 0.0:
-        return np.zeros(ymat.shape[1]), ymat.shape[1]
-    a = u.T @ ymat
-    num = np.einsum("pj,pj->j", a, a)
-    den = unorm * ycss
+    # to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature; u is a
+    # stack (D, n, p) and u'y for every draw is one (D p, n) @ (n, m) GEMM
+    nd, n, p = u.shape
+    ut = np.swapaxes(u, 1, 2)
+    uu = ut @ u
+    unorm = np.sqrt(np.einsum("dab,dab->d", uu, uu))
+    a = (ut.reshape(nd * p, n) @ ymat).reshape(nd, p, -1)
+    num = np.einsum("dpj,dpj->dj", a, a)
+    den = unorm[:, None] * ycss
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / den, 0.0)
-    return np.minimum(out, 1.0), 0
+    return np.minimum(out, 1.0), int(np.count_nonzero(unorm <= 0.0)) * ymat.shape[1]
 
 
 class _HsicEvaluator:
@@ -494,7 +531,9 @@ class _HsicEvaluator:
             )
 
     def pairs(self, x, observed=False):
-        x = _as_matrix(x)
+        return _per_draw_pairs(self._pairs_one, x, observed)
+
+    def _pairs_one(self, x, observed):
         m = self._ky.shape[0]
         try:
             kx = _center_kernel(gaussian_kernel(x).matrix)
@@ -526,45 +565,46 @@ class _CategoricalEvaluator:
             if d
             else np.zeros(n, dtype=np.int64)
         )
-        self._groups = [np.flatnonzero(codes == u) for u in np.unique(codes)]
-        self._y = dataset.y
+        y = dataset.y
+        # strata that can vary (two rows or more), with their rows of y
+        self._strata = []
+        for u in np.unique(codes):
+            idx = np.flatnonzero(codes == u)
+            if idx.size >= 2:
+                self._strata.append((idx, y[idx], y[idx].sum(axis=0)))
+        self._y = y
+        self._c1 = y.sum(axis=0)
         self._n = n
 
     def pairs(self, x, observed=False):
-        xv = _as_matrix(x)[:, 0]
-        y = self._y
+        # the sums are integer counts, exact in any summation order, and
+        # the rest is elementwise, so each draw's row is bit-identical to
+        # scoring that draw alone
+        xs, one = _draw_stack(x)
+        xv = xs[:, :, 0]
         n = float(self._n)
-        m = y.shape[1]
-        r1 = float(xv.sum())
+        r1 = xv.sum(axis=1)[:, None]
         r0 = n - r1
-        c1 = y.sum(axis=0)
+        c1 = self._c1
         c0 = n - c1
-        a = xv @ y
-        warn = 0
-        if r1 <= 0.0 or r0 <= 0.0:
-            tm = np.zeros(m)
-            warn += 1
-        else:
-            d0 = a * (n - r1 - c1 + a) - (r1 - a) * (c1 - a)
-            den = r1 * r0 * c1 * c0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tm = np.where(den > 0.0, n * d0 * d0 / den, 0.0)
+        a = xv @ self._y
+        flat = (r1[:, 0] <= 0.0) | (r0[:, 0] <= 0.0)
+        d0 = a * (n - r1 - c1 + a) - (r1 - a) * (c1 - a)
+        den = r1 * r0 * c1 * c0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tm = np.where(den > 0.0, n * d0 * d0 / den, 0.0)
 
-        num = np.zeros(m)
-        den2 = np.zeros(m)
-        for idx in self._groups:
+        num = np.zeros(a.shape)
+        den2 = np.zeros(a.shape)
+        for idx, ys, cs in self._strata:
             nk = idx.size
-            if nk < 2:
-                continue
-            xs = xv[idx]
-            ys = y[idx]
-            rs = float(xs.sum())
-            cs = ys.sum(axis=0)
-            num += xs @ ys - rs * cs / nk
+            xk = xv[:, idx]
+            rs = xk.sum(axis=1)[:, None]
+            num += xk @ ys - rs * cs / nk
             den2 += rs * (nk - rs) * cs * (nk - cs) / (nk * nk * (nk - 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             tc = np.where(den2 > 0.0, num * num / den2, 0.0)
-        return tm, tc, warn
+        return _unstack(tm, tc, int(np.count_nonzero(flat)), one)
 
 
 class _BasisWaldEvaluator:
@@ -581,7 +621,10 @@ class _BasisWaldEvaluator:
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
 
     def pairs(self, x, observed=False):
-        bx = self._builder(_as_matrix(x)[:, 0])
+        return _per_draw_pairs(self._pairs_one, x, observed)
+
+    def _pairs_one(self, x, observed):
+        bx = self._builder(x[:, 0])
         y = self._y
         m = y.shape[1]
         full = np.hstack([bx, self._dz])
@@ -629,12 +672,15 @@ def make_evaluator(
     max_iter=50,
     tol=1e-8,
 ):
-    """Vectorized statistic evaluator for one dataset.
+    """Statistic evaluator for one dataset, batched over draws.
 
-    The returned object computes (marginal, conditional, warn_count)
-    for an exposure matrix via .pairs(x, observed=...); observed=True
-    turns silent failures into errors so a broken fit on the real data
-    aborts instead of producing a zero row.
+    The returned object computes (marginal, conditional, failed) via
+    .pairs(x, observed=...). x is one exposure (n, p) or a stack
+    (D, n, p) of draws; marginal and conditional are (m,) or (D, m)
+    to match, and failed is the total count of failed evaluations, an
+    int. Each draw's row equals what .pairs gives for that draw alone.
+    observed=True turns silent failures into errors so a broken fit on
+    the real data aborts instead of producing a zero row.
     """
     if kind == "glm":
         if family is None:

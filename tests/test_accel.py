@@ -68,8 +68,11 @@ def _pin_cases():
 @pytest.mark.parametrize("case", _pin_cases(), ids=lambda c: c["name"])
 def test_wald_pair_many_matches_pin(case):
     # the pin holds the per-feature scalar kernel's outputs (see
-    # tests/fixtures/pin_glm_kernel.py); fitting each column alone must
-    # give the batch's answer, so convergence masks cannot couple features
+    # tests/fixtures/pin_glm_kernel.py) but for binomial-degenerate
+    # warn[0]: that column is separated by the exposure, which the
+    # kernel now detects inside the loop (2) instead of running into the
+    # iteration limit (1). Fitting each column alone must give the
+    # batch's answer, so convergence masks cannot couple features
     d_full = np.array(case["d_full"], dtype=float)
     d_red = np.array(case["d_red"], dtype=float)
     ymat = np.array(case["ymat"], dtype=float)

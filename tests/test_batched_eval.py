@@ -1,0 +1,245 @@
+"""Draw-batched evaluation.
+
+build_tensor scores its resampled draws in stacks, one evaluator call
+per chunk. Each row must still be what the evaluator gives for that
+draw alone, made on its own substream; one draw's failure must not
+touch the others; a fit stuck at the iteration limit must not change
+the fits batched with it; and memory must not grow with B beyond the
+tensor itself.
+"""
+
+import re
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from fdr2d import _accel, core, engine, samplers, stats
+from fdr2d._rng import substream
+
+CONTINUOUS_SAMPLERS = ("residual-perm", "residual-boot", "binned-perm")
+
+
+def _cases():
+    cases = []
+    for family in ("gaussian", "binomial", "poisson", "negbinom"):
+        for p in (1, 2):
+            cases += [(f"glm:{family}", s, p) for s in CONTINUOUS_SAMPLERS]
+        cases.append((f"glm:{family}", "parametric-logistic", 1))
+    cases += [("rv", s, 1) for s in CONTINUOUS_SAMPLERS + ("parametric-logistic",)]
+    cases.append(("rv", "residual-perm", 2))
+    cases += [("hsic", s, 1) for s in CONTINUOUS_SAMPLERS]
+    cases.append(("categorical", "parametric-logistic", 1))
+    cases += [("basis-wald", s, 1) for s in CONTINUOUS_SAMPLERS]
+    return cases
+
+
+def make_dataset(stat, sampler, p, n=40, m=7, seed=3, constant_last=True):
+    """A small seeded dataset of the kinds the statistic and sampler need."""
+    rng = np.random.default_rng(seed)
+    categorical = stat == "categorical"
+    z = (rng.random((n, 1)) < 0.5).astype(float) if categorical else rng.normal(size=(n, 1))
+    if sampler == "parametric-logistic":
+        x = (rng.random((n, 1)) < 1.0 / (1.0 + np.exp(-0.8 * z[:, :1]))).astype(float)
+        x_kind = "binary"
+    else:
+        x = 0.6 * z[:, :1] + rng.normal(size=(n, p))
+        x_kind = "continuous"
+    alpha = np.where(np.arange(m) < 2, 0.8, 0.0)
+    eta = 0.3 * x[:, :1] * alpha - 0.4 * z[:, :1] + 0.1
+    family = stat[4:] if stat.startswith("glm:") else None
+    if family == "binomial" or categorical:
+        y = (rng.random((n, m)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        y_kind = "binary"
+    elif family == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
+        y_kind = "count"
+    elif family == "negbinom":
+        mu = np.exp(eta)
+        y = rng.negative_binomial(3.0, 3.0 / (3.0 + mu)).astype(float)
+        y_kind = "count"
+    else:
+        y = eta + rng.normal(size=(n, m))
+        y_kind = "continuous"
+    if constant_last:
+        # a zero-variance feature, which the tensor zeroes in every row
+        y[:, -1] = y[0, -1]
+    return core.Dataset(x=x, y=y, z=z, x_kind=x_kind, y_kind=y_kind)
+
+
+def make_plan(sampler, b, seed=11):
+    binned = sampler == "binned-perm"
+    return engine.ResamplePlan(
+        strategy=sampler,
+        b_count=b,
+        seed=seed,
+        bin_column=0 if binned else None,
+        bin_edges=np.array([0.0]) if binned else None,
+    )
+
+
+def make_spec(stat):
+    return engine.StatisticSpec.from_token(stat, size=3.0 if stat == "glm:negbinom" else None)
+
+
+def _evaluator(dataset, spec):
+    return stats.make_evaluator(
+        dataset, spec.kind, family=spec.family, size=spec.size, spline_df=spec.spline_df,
+        epsilon=spec.epsilon, j1=spec.j1, j2=spec.j2, max_iter=spec.max_iter, tol=spec.tol,
+    )
+
+
+def _reported_failures(caught):
+    for w in caught:
+        hit = re.match(r"(\d+) statistic evaluations failed", str(w.message))
+        if hit:
+            return int(hit.group(1))
+    return 0
+
+
+def assert_close_rows(got, want, bitwise=False):
+    """rel 1e-10 with a floor of 1e-12 x the largest |value| of each
+    statistic axis, and an identical zero pattern."""
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    if bitwise:
+        np.testing.assert_array_equal(got, want)
+        return
+    for k in (0, 1):
+        floor = 1e-12 * float(np.max(np.abs(want[..., k])))
+        np.testing.assert_allclose(got[..., k], want[..., k], rtol=1e-10, atol=floor)
+
+
+@pytest.mark.parametrize("stat,sampler,p", _cases(), ids=lambda v: str(v))
+def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
+    # small chunks, so the tensor is made from several stacks and a
+    # partial last one
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * 40 * 7)
+    dataset = make_dataset(stat, sampler, p)
+    plan = make_plan(sampler, b=12)
+    spec = make_spec(stat)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tensor = engine.build_tensor(dataset, plan, spec)
+    evaluator = _evaluator(dataset, spec)
+    model = samplers.fit_for_strategy(
+        sampler, dataset.x, dataset.z, z_kinds=dataset.z_kinds,
+        bin_column=plan.bin_column, bin_edges=plan.bin_edges,
+    )
+    want = np.zeros_like(tensor.pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tm, tc, failed = evaluator.pairs(dataset.x, observed=True)
+        want[0, :, 0], want[0, :, 1] = tm, tc
+        for d in range(1, plan.b_count + 1):
+            draw = samplers.draw_for_strategy(sampler, model, substream(plan.seed, d))
+            tm, tc, bad = evaluator.pairs(draw)
+            assert tm.shape == tc.shape == (dataset.m,)
+            want[d, :, 0], want[d, :, 1] = tm, tc
+            failed += bad
+    want[:, tensor.zero_variance, :] = 0.0
+    assert_close_rows(tensor.pairs, want, bitwise=stat == "categorical")
+    assert _reported_failures(caught) == failed
+
+
+@pytest.mark.parametrize("stat", ["glm:binomial", "glm:poisson", "glm:gaussian", "rv", "categorical"])
+def test_singular_draw_fails_alone(stat):
+    categorical = stat == "categorical"
+    sampler = "parametric-logistic" if categorical else "residual-perm"
+    dataset = make_dataset(stat, sampler, 1, constant_last=False)
+    evaluator = _evaluator(dataset, make_spec(stat))
+    rng = np.random.default_rng(5)
+    shape = (4,) + dataset.x.shape
+    if categorical:
+        stack = (rng.random(shape) < 0.5).astype(float)
+    else:
+        stack = dataset.x[None] + rng.normal(scale=0.5, size=shape)
+    # draw 2 repeats the confounder (a singular GLM design) or is zero
+    # (nothing to correlate, an empty exposure margin)
+    stack[2] = dataset.z if stat.startswith("glm:") else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tm, tc, failed = evaluator.pairs(stack)
+        single = [evaluator.pairs(xd) for xd in stack]
+        clean = evaluator.pairs(np.delete(stack, 2, axis=0))
+    assert tm.shape == tc.shape == (4, dataset.m)
+    got = np.stack([tm, tc], axis=-1)
+    want = np.stack([np.stack(s[:2], axis=-1) for s in single])
+    assert [s[2] > 0 for s in single] == [False, False, True, False]
+    assert failed == single[2][2]
+    assert np.all(got[2, :, 1] == 0.0)
+    assert_close_rows(got, want)
+    # the other draws do not depend on the singular one being in the batch
+    np.testing.assert_array_equal(np.delete(got[..., 0], 2, axis=0), clean[0])
+    np.testing.assert_array_equal(np.delete(got[..., 1], 2, axis=0), clean[1])
+
+
+def _poisson_inputs(n=40, m=5, draws=3, seed=9):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n)
+    xs = rng.normal(size=(draws, n))
+    designs = np.stack([np.column_stack([np.ones(n), x, z]) for x in xs])
+    ymat = rng.poisson(np.exp(0.2 + 0.4 * z[:, None] + 0.1 * rng.normal(size=(n, m))))
+    return designs, ymat.astype(float)
+
+
+def test_stuck_fit_leaves_the_batch_unchanged():
+    designs, ymat = _poisson_inputs()
+    # an all-zero count column drives eta to -inf: every draw's fit of
+    # it runs to the iteration limit
+    stuck = np.column_stack([ymat, np.zeros(ymat.shape[0])])
+    with_stuck = _accel.glm_fit_many(designs, stuck, _accel.POISSON, 1.0, 50, 1e-8)
+    alone = _accel.glm_fit_many(designs, ymat, _accel.POISSON, 1.0, 50, 1e-8)
+    assert np.all(with_stuck[2][:, -1] == 1) and np.all(with_stuck[3][:, -1] == 50)
+    assert np.all(alone[2] == 0) and np.all(alone[3] < 50)
+    for got, want in zip(with_stuck, alone):
+        got = got[:, :-1]
+        if got.dtype.kind == "i":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # a one-design call is the one-draw stack
+    one = _accel.glm_fit_many(designs[1], ymat, _accel.POISSON, 1.0, 50, 1e-8)
+    for got, want in zip(one, alone):
+        np.testing.assert_allclose(got, want[1], rtol=1e-12, atol=0.0)
+
+
+def test_exposure_separated_column_stops_early_as_separation():
+    rng = np.random.default_rng(4)
+    n = 30
+    x = np.round(rng.normal(size=n), 4)
+    design = np.column_stack([np.ones(n), x, rng.normal(size=n)])
+    ymat = np.column_stack([(x > 0).astype(float), (rng.random(n) < 0.5).astype(float)])
+    coef, cov, status, n_iter = _accel.glm_fit_many(design, ymat, _accel.BINOMIAL, 1.0, 50, 1e-8)
+    assert status[0] == 2 and n_iter[0] < 50
+    assert np.all(cov[0] == 0.0)
+    assert status[1] == 0
+    tm, tc, warn = _accel.wald_pair_many(
+        design, design[:, :2], ymat, 1, _accel.BINOMIAL, 1.0, 50, 1e-8
+    )
+    assert warn[0] == 2 and tm[0] == 0.0 and tc[0] == 0.0
+
+
+def _peak_bytes(dataset, plan, spec):
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            engine.build_tensor(dataset, plan, spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_tensor_memory_is_tensor_plus_one_chunk(monkeypatch):
+    # ten draws per chunk: B = 50 already fills whole chunks, so B = 400
+    # may add only the larger tensor and at most one chunk's working set
+    n, m = 50, 40
+    cells = 10 * n * m
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", cells)
+    dataset = make_dataset("glm:binomial", "residual-perm", 1, n=n, m=m)
+    spec = make_spec("glm:binomial")
+    small = _peak_bytes(dataset, make_plan("residual-perm", 50), spec)
+    large = _peak_bytes(dataset, make_plan("residual-perm", 400), spec)
+    tensor_bytes = (400 + 1) * m * 2 * 8
+    assert large - small <= tensor_bytes + 8 * cells
