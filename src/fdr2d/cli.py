@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import engine, io, preprocess, sim, stats
+from . import engine, io, preprocess, sim
 
 _ANALYZE_DEFAULTS = {
     "stat": "glm:gaussian",
@@ -94,10 +94,11 @@ def _build_parser():
         p.add_argument("--spline-df", dest="spline_df", type=int)
         p.add_argument("--epsilon", type=float, help="conditional-kernel ridge")
         p.add_argument("--grid", help="quantile:<G>|observed")
-        p.add_argument("--bin-col", dest="bin_col", type=int,
-                       help="confounder column index for binned-perm")
-        p.add_argument("--bin-edges", dest="bin_edges",
-                       help="comma-separated bin edges for binned-perm")
+        if with_data:
+            p.add_argument("--bin-col", dest="bin_col", type=int,
+                           help="confounder column index for binned-perm")
+            p.add_argument("--bin-edges", dest="bin_edges",
+                           help="comma-separated bin edges for binned-perm")
         p.add_argument("--nb-size", dest="nb_size", type=float,
                        help="negative binomial size parameter")
         p.add_argument("--path-steps", dest="path_steps", type=int)
@@ -214,31 +215,18 @@ def _load_analysis_dataset(cfg):
     return dataset, spec
 
 
-def _echo_config(cfg):
-    keys = (
-        "x", "y", "z", "stat", "sampler", "b", "q", "method", "pi0_lambda",
-        "spline_df", "epsilon", "grid", "seed",
-    )
-    return {k: cfg.get(k) for k in keys}
-
-
 def _cmd_analyze(args):
     cfg = _merge_config(args, _ANALYZE_DEFAULTS)
-    if cfg["method"] not in engine.METHODS:
-        raise ValueError(f"unknown method {cfg['method']!r}; expected one of {engine.METHODS}")
     dataset, spec = _load_analysis_dataset(cfg)
+    engine.check_methods([cfg["method"]], spec)
+    echo = {k: cfg.get(k) for k in ("x", "y", "z", *_ANALYZE_DEFAULTS)}
     started = time.perf_counter()
     if cfg["method"] == "bh":
-        if spec.kind != "glm":
-            raise ValueError("bh needs model-based p-values; use a glm statistic")
-        pvals = stats.model_pvalues(
-            dataset.y, dataset.x, dataset.z, spec.family, size=spec.size
-        )
-        rejected = engine.bh_procedure(pvals, cfg["q"])
+        pvals, rejected = engine.bh_rejections(dataset, spec, cfg["q"])
         rejected_set = set(rejected.tolist())
         doc = {
             "method": "bh",
-            "config": _echo_config(cfg),
+            "config": echo,
             "n": dataset.n,
             "m": dataset.m,
             "q": cfg["q"],
@@ -266,7 +254,7 @@ def _cmd_analyze(args):
         rejected_set = set(result.rejected.tolist())
         doc = {
             "method": cfg["method"],
-            "config": _echo_config(cfg),
+            "config": echo,
             "n": dataset.n,
             "m": dataset.m,
             "q": cfg["q"],
@@ -349,9 +337,8 @@ def _floats(raw):
 def _cmd_simulate(args):
     cfg = _merge_config(args, _SIMULATE_DEFAULTS)
     methods = [m.strip() for m in str(cfg["method"]).split(",")]
-    for method in methods:
-        if method not in engine.METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {engine.METHODS}")
+    if cfg["sampler"] == "binned-perm":
+        raise ValueError("simulate cannot use the binned-perm sampler: it takes no bin edges")
     procedure = engine.ProcedureConfig(
         q=cfg["q"],
         method=methods[0],
@@ -360,11 +347,8 @@ def _cmd_simulate(args):
         path_steps=cfg["path_steps"],
     )
     statistic = _statistic_from(cfg) if cfg["stat"] else None
-    plan = None
-    if cfg["sampler"]:
-        plan = engine.ResamplePlan(
-            cfg["sampler"], b_count=cfg["b"], seed=0, spline_df=cfg["spline_df"]
-        )
+    # each replication reseeds the plan from its own substream
+    plan = _plan_from(cfg) if cfg["sampler"] else None
     rows = []
     for rho in _floats(cfg["rho"]):
         for pi in _floats(cfg["pi"]):
@@ -386,18 +370,18 @@ def _cmd_simulate(args):
                     ar1_errors=cfg["ar1"],
                     global_null=bool(cfg["global_null"]),
                 )
-                if scenario.sampler.b_count != cfg["b"]:
-                    scenario.sampler.b_count = cfg["b"]
+                scenario.sampler.b_count = cfg["b"]
                 table = sim.run_method_comparison(scenario, methods)
                 for method in methods:
                     s = table[method]
                     rows.append(
-                        (cfg["dgp"], rho, pi, l, method,
-                         s.fdr, s.fdr_se, s.power, s.power_se)
+                        (cfg["dgp"], rho, pi, l, method, s.fdr, s.fdr_se,
+                         s.power, s.power_se, s.reps_completed, s.reps_failed)
                     )
     io.save_table(
         cfg["out"],
-        ("dgp", "rho", "pi", "l", "method", "fdr", "fdr_se", "power", "power_se"),
+        ("dgp", "rho", "pi", "l", "method", "fdr", "fdr_se", "power", "power_se",
+         "reps_completed", "reps_failed"),
         rows,
     )
     return 0

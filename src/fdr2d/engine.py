@@ -480,6 +480,29 @@ def bh_procedure(pvalues, q):
     return np.sort(order[: k + 1]).astype(np.int64)
 
 
+def check_methods(methods, spec):
+    """Refuse unknown methods, and bh without a glm statistic."""
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if "bh" in methods and spec.kind != "glm":
+        raise ValueError("bh needs model-based p-values; use a glm statistic")
+
+
+def bh_rejections(dataset, spec, q):
+    """(p-values, bh rejections) from the spec's glm fit of every feature."""
+    pvalues = stats.model_pvalues(
+        dataset.y,
+        dataset.x,
+        dataset.z,
+        spec.family,
+        size=spec.size,
+        max_iter=spec.max_iter,
+        tol=spec.tol,
+    )
+    return pvalues, bh_procedure(pvalues, q)
+
+
 def grid_surface(tensor, grid, pi0=1.0):
     """(sum_fbar, observed rejections, fdp_tilde) arrays over the grid."""
     counts_all, robs = _grid_counts(tensor, grid)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _rng, core, engine, stats
+from . import _rng, core, engine
 
 _BINARY_X_DGPS = (5, 6, 7, 8)
 _DISCRETE_Y_DGPS = (9, 10, 11)
@@ -243,39 +243,34 @@ def replication_seed(root_seed, rep):
     return _rng.substream_seed(root_seed, "rep", rep)
 
 
-def _bh_rejections(dataset, statistic, q):
-    if statistic.kind != "glm":
-        raise ValueError("bh needs model-based p-values; use a glm statistic")
-    p = stats.model_pvalues(
-        dataset.y,
-        dataset.x,
-        dataset.z,
-        statistic.family,
-        size=statistic.size,
-        max_iter=statistic.max_iter,
-        tol=statistic.tol,
-    )
-    return engine.bh_procedure(p, q)
+def _replicate(config, rep_seed, methods):
+    """{method: (fdp, power, n_rejected)} on one synthetic dataset.
 
-
-def run_replication(config, rep_seed):
-    """(fdp, power, rejections) for one synthetic dataset.
-
-    Data and sampler use disjoint substreams of ``rep_seed`` so the
-    same data can be revisited with different procedure settings.
+    Data and sampler use disjoint substreams of ``rep_seed``, so every
+    method sees the same data, and the tensor methods share one tensor
+    and one search pass (engine.apply_methods).
     """
-    data_rng = _rng.substream(rep_seed, "data")
-    dataset, truth = gen_dataset(config, data_rng)
-    if config.procedure.method == "bh":
-        rejected = _bh_rejections(dataset, config.statistic, config.procedure.q)
-    else:
+    dataset, truth = gen_dataset(config, _rng.substream(rep_seed, "data"))
+    tensor_methods = [m for m in methods if m != "bh"]
+    rejected = {}
+    if tensor_methods:
         plan = dataclasses.replace(
             config.sampler, seed=_rng.substream_seed(rep_seed, "sampler")
         )
         tensor = engine.build_tensor(dataset, plan, config.statistic)
-        rejected = engine.apply_method(tensor, config.procedure).rejected
-    fdp, power = score_rejections(rejected, truth)
-    return fdp, power, int(rejected.size)
+        results = engine.apply_methods(tensor, config.procedure, tensor_methods)
+        rejected = {m: r.rejected for m, r in results.items()}
+    if "bh" in methods:
+        rejected["bh"] = engine.bh_rejections(dataset, config.statistic, config.procedure.q)[1]
+    return {m: (*score_rejections(rejected[m], truth), int(rejected[m].size)) for m in methods}
+
+
+def run_replication(config, rep_seed):
+    """(fdp, power, rejections) of the configured method for one
+    synthetic dataset; errors propagate."""
+    method = config.procedure.method
+    engine.check_methods([method], config.statistic)
+    return _replicate(config, rep_seed, [method])[method]
 
 
 @dataclass
@@ -287,6 +282,7 @@ class ExperimentSummary:
     fdr_se: float
     power_se: float
     reps_completed: int
+    reps_failed: int
     per_rep_fdp: np.ndarray
     per_rep_power: np.ndarray
     per_rep_rejections: np.ndarray
@@ -301,7 +297,8 @@ class ExperimentSummary:
         ]
 
 
-def _summarize(fdps, powers, rejections):
+def _summarize(rows, reps_failed):
+    fdps, powers, rejections = zip(*rows)
     fdps = np.asarray(fdps, dtype=float)
     powers = np.asarray(powers, dtype=float)
     rejections = np.asarray(rejections, dtype=np.int64)
@@ -309,11 +306,12 @@ def _summarize(fdps, powers, rejections):
     fdr_se = float(np.std(fdps, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
     power_se = float(np.std(powers, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
     return ExperimentSummary(
-        fdr=float(fdps.mean()) if k else 0.0,
-        power=float(powers.mean()) if k else 0.0,
+        fdr=float(fdps.mean()),
+        power=float(powers.mean()),
         fdr_se=fdr_se,
         power_se=power_se,
         reps_completed=int(k),
+        reps_failed=reps_failed,
         per_rep_fdp=fdps,
         per_rep_power=powers,
         per_rep_rejections=rejections,
@@ -323,53 +321,37 @@ def _summarize(fdps, powers, rejections):
 def run_experiment(config):
     """Replication loop for one scenario.
 
-    A failing replication is skipped with a warning; the summary
-    reports how many completed.
+    The one-method case of run_method_comparison, with its failure
+    policy: a failing replication is skipped with a warning, the
+    summary counts it in reps_failed, and if every replication fails
+    the first one's exception is raised.
     """
-    fdps, powers, rejections = [], [], []
-    for r in range(config.reps):
-        try:
-            fdp, power, nrej = run_replication(config, replication_seed(config.seed, r))
-        except Exception as exc:  # noqa: BLE001 - survive isolated rep failures
-            warnings.warn(f"replication {r} failed: {exc}")
-            continue
-        fdps.append(fdp)
-        powers.append(power)
-        rejections.append(nrej)
-    return _summarize(fdps, powers, rejections)
+    method = config.procedure.method
+    return run_method_comparison(config, [method])[method]
 
 
 def run_method_comparison(config, methods):
-    """Run several methods on identical data, one tensor per replication.
+    """Run several methods on identical data, once per replication.
 
-    Sharing the tensor makes the comparison paired: every method sees
-    the same statistics and resamples, so rejection-count differences
-    are attributable to the decision rule alone. The tensor methods also
-    share one search pass (engine.apply_methods).
+    Sharing the data and the tensor makes the comparison paired: every
+    method sees the same statistics and resamples, so rejection-count
+    differences are attributable to the decision rule alone.
+
+    Unknown methods, and bh without a glm statistic, are refused before
+    the first replication. A replication that raises is skipped with a
+    warning and counted in every method's reps_failed, so the methods
+    stay paired; the summaries average the completed replications. If
+    every replication fails, the first one's exception is raised.
     """
-    for method in methods:
-        if method not in engine.METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {engine.METHODS}")
-    rows = {method: ([], [], []) for method in methods}
-    tensor_methods = [m for m in methods if m != "bh"]
+    engine.check_methods(methods, config.statistic)
+    rows, failed, first_error = [], 0, None
     for r in range(config.reps):
-        rep_seed = replication_seed(config.seed, r)
-        data_rng = _rng.substream(rep_seed, "data")
-        dataset, truth = gen_dataset(config, data_rng)
-        results = {}
-        if tensor_methods:
-            plan = dataclasses.replace(
-                config.sampler, seed=_rng.substream_seed(rep_seed, "sampler")
-            )
-            tensor = engine.build_tensor(dataset, plan, config.statistic)
-            results = engine.apply_methods(tensor, config.procedure, tensor_methods)
-        for method in methods:
-            if method == "bh":
-                rejected = _bh_rejections(dataset, config.statistic, config.procedure.q)
-            else:
-                rejected = results[method].rejected
-            fdp, power = score_rejections(rejected, truth)
-            rows[method][0].append(fdp)
-            rows[method][1].append(power)
-            rows[method][2].append(int(rejected.size))
-    return {method: _summarize(*rows[method]) for method in methods}
+        try:
+            rows.append(_replicate(config, replication_seed(config.seed, r), methods))
+        except Exception as exc:  # noqa: BLE001 - survive isolated rep failures
+            warnings.warn(f"replication {r} failed: {exc}")
+            failed += 1
+            first_error = first_error or exc
+    if not rows:
+        raise first_error
+    return {m: _summarize([row[m] for row in rows], failed) for m in methods}

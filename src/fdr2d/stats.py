@@ -478,25 +478,35 @@ class _RvEvaluator:
         xs, one = _draw_stack(x)
         xc = xs - xs.mean(axis=1, keepdims=True)
         px = self._proj @ xs
-        tm, w1 = _rv_many(xc, self._yc, self._ycss)
-        tc, w2 = _rv_many(px, self._py, self._pyss)
+        # a centered or projected draw whose norm is within the rank
+        # tolerance of the raw draw's is rounding noise, not a direction
+        floor = glm._RANK_TOL**2 * np.einsum("dab,dab->d", xs, xs)
+        tm, w1 = _rv_many(xc, self._yc, self._ycss, floor)
+        tc, w2 = _rv_many(px, self._py, self._pyss, floor)
+        if observed and w1:
+            raise ValueError("constant exposure on observed data")
+        if observed and w2:
+            raise ValueError("exposure lies in the confounder span on observed data")
         return _unstack(tm, tc, w1 + w2, one)
 
 
-def _rv_many(u, ymat, ycss):
+def _rv_many(u, ymat, ycss, floor):
     # univariate responses: tr(Svv^2) = (y'y)^2, so the RV ratio reduces
     # to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature; u is a
-    # stack (D, n, p) and u'y for every draw is one (D p, n) @ (n, m) GEMM
+    # stack (D, n, p) and u'y for every draw is one (D p, n) @ (n, m)
+    # GEMM. A draw with ||U'U||_F at most floor scores 0 on every
+    # feature, each a failed evaluation.
     nd, n, p = u.shape
     ut = np.swapaxes(u, 1, 2)
     uu = ut @ u
     unorm = np.sqrt(np.einsum("dab,dab->d", uu, uu))
+    empty = unorm <= floor
     a = (ut.reshape(nd * p, n) @ ymat).reshape(nd, p, -1)
     num = np.einsum("dpj,dpj->dj", a, a)
-    den = unorm[:, None] * ycss
+    den = np.where(empty, 0.0, unorm)[:, None] * ycss
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / den, 0.0)
-    return np.minimum(out, 1.0), int(np.count_nonzero(unorm <= 0.0)) * ymat.shape[1]
+    return np.minimum(out, 1.0), int(np.count_nonzero(empty)) * ymat.shape[1]
 
 
 class _HsicEvaluator:

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from fdr2d import cli, io
+from fdr2d import cli, engine, io, sim
 
 
 def _write_xyz(tmp_path, seed=0, n=50, m=12, binary_x=False):
@@ -138,10 +138,14 @@ class TestAnalyze:
         out = str(tmp_path / "binned.json")
         args = _analyze_args(xp, yp, zp, out)
         args[args.index("--sampler") + 1] = "binned-perm"
-        args += ["--bin-edges", "0", "--bin-col", "0"]
+        args += ["--bin-edges", "0", "--bin-col", "0", "--path-steps", "7"]
         assert cli.main(args) == 0
         doc = json.loads((tmp_path / "binned.json").read_text())
         assert doc["config"]["sampler"] == "binned-perm"
+        # every analyze setting is echoed, so the run can be repeated
+        assert doc["config"]["bin_edges"] == "0" and doc["config"]["bin_col"] == 0
+        assert doc["config"]["path_steps"] == 7 and doc["config"]["nb_size"] == 3.0
+        assert set(doc["config"]) == set(cli._ANALYZE_DEFAULTS) | {"x", "y", "z"}
 
 
 class TestConfigFile:
@@ -183,6 +187,7 @@ class TestSimulate:
         lines = (tmp_path / "sim.tsv").read_text().splitlines()
         assert lines[0].split("\t") == [
             "dgp", "rho", "pi", "l", "method", "fdr", "fdr_se", "power", "power_se",
+            "reps_completed", "reps_failed",
         ]
         assert len(lines) == 1 + 2 * 2  # 2 rho x 2 methods
         for line in lines[1:]:
@@ -190,6 +195,40 @@ class TestSimulate:
             assert cells[0] == "1"
             assert 0.0 <= float(cells[5]) <= 1.0
             assert 0.0 <= float(cells[7]) <= 1.0
+            assert cells[9:] == ["2", "0"]
+
+    def test_partial_failure_counted_and_exits_zero(self, tmp_path, monkeypatch):
+        real = engine.build_tensor
+        calls = []
+
+        def build_tensor(dataset, plan, spec):
+            calls.append(plan.seed)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("forced failure")
+            return real(dataset, plan, spec)
+
+        monkeypatch.setattr(engine, "build_tensor", build_tensor)
+        out = tmp_path / "sim.tsv"
+        args = ["simulate", "--dgp", "1", "--n", "40", "--m", "15", "--reps", "3",
+                "--b", "10", "--method", "mf2d-fdr,bh", "--out", str(out)]
+        with pytest.warns(UserWarning, match="replication 1 failed: forced failure"):
+            assert cli.main(args) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split("\t")[-2:] for line in lines[1:]] == [["2", "1"], ["2", "1"]]
+
+    def test_binned_sampler_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
+        args = ["simulate", "--sampler", "binned-perm", "--reps", "1",
+                "--out", str(tmp_path / "s.tsv")]
+        assert cli.main(args) == 1
+        assert "binned-perm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--bin-edges", "--bin-col"])
+    def test_bin_flags_not_accepted(self, tmp_path, flag):
+        args = ["simulate", flag, "0", "--out", str(tmp_path / "s.tsv")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
 
     def test_bad_dgp_validation(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "19", "--out", str(tmp_path / "s.tsv"),

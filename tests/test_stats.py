@@ -389,6 +389,42 @@ class TestEvaluators:
                     rtol=1e-12, atol=1e-14,
                 )
 
+    @staticmethod
+    def _degenerate_exposure(ds, case):
+        # a constant, or a linear function of the confounders: centering
+        # or projecting leaves only rounding noise
+        if case == "constant":
+            return np.full((ds.n, 1), 0.37)
+        return (2.0 * ds.z[:, 0] - ds.z[:, 1] + 1.0)[:, None]
+
+    @pytest.mark.parametrize("case", ["constant", "confounder-span"])
+    def test_rv_degenerate_draw_scores_zero_and_fails(self, case):
+        rng = np.random.default_rng(61)
+        ds = _toy_dataset(rng)
+        ev = stats.make_evaluator(ds, "rv", spline_df=4)
+        stack = np.stack([ds.x, self._degenerate_exposure(ds, case), ds.x[::-1]])
+        tm, tc, failed = ev.pairs(stack)
+        clean_tm, clean_tc, clean_failed = ev.pairs(stack[[0, 2]])
+        assert clean_failed == 0
+        assert np.all(tc[1] == 0.0)
+        if case == "constant":
+            assert np.all(tm[1] == 0.0) and failed == 2 * ds.m
+        else:
+            assert np.all(tm[1] > 0.0) and failed == ds.m
+        np.testing.assert_array_equal(tm[[0, 2]], clean_tm)
+        np.testing.assert_array_equal(tc[[0, 2]], clean_tc)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("constant", "constant exposure"), ("confounder-span", "confounder span")],
+    )
+    def test_rv_degenerate_observed_exposure_raises(self, case, message):
+        rng = np.random.default_rng(62)
+        ds = _toy_dataset(rng)
+        ev = stats.make_evaluator(ds, "rv", spline_df=4)
+        with pytest.raises(ValueError, match=message):
+            ev.pairs(self._degenerate_exposure(ds, case), observed=True)
+
     def test_basis_wald_matches_scalar_at_observed(self):
         rng = np.random.default_rng(57)
         ds = _toy_dataset(rng, n=60, m=4)
