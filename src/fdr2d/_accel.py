@@ -5,7 +5,9 @@ statistic tensors, and the dominance count over a 2-D threshold grid
 during cutoff search. The fits solve every (draw, response column)
 pair of a stack of designs at once: the normal equations are stacked
 over pairs and each pair carries its own convergence and failure
-state, so a fit's result does not depend on the others in the batch.
+state. A fit's bits do not depend on the other draws in the batch;
+within a draw they match a fit made alone only to rounding, as BLAS
+rounds a row according to the row count of its GEMM.
 """
 
 import numpy as np
@@ -116,12 +118,14 @@ def _cholesky_solve(lo, b):
     return x
 
 
-def _mean(eta, family):
-    # inverse link with the clamps that keep the weights finite
+def _mean(eta, family, out):
+    # inverse link with the clamps that keep the weights finite, into out
     with np.errstate(over="ignore"):
         if family == BINOMIAL:
-            return np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-10, 1.0 - 1e-10)
-        return np.clip(np.exp(eta), 1e-10, 1e250)
+            np.exp(np.negative(eta, out=out), out=out)
+            out += 1.0
+            return np.clip(np.divide(1.0, out, out=out), 1e-10, 1.0 - 1e-10, out=out)
+        return np.clip(np.exp(eta, out=out), 1e-10, 1e250, out=out)
 
 
 def _per_draw(fits, m, nd):
@@ -131,32 +135,17 @@ def _per_draw(fits, m, nd):
     return [(d, slice(cuts[d], cuts[d + 1])) for d in range(nd) if cuts[d] < cuts[d + 1]]
 
 
-def _per_draw_product(rows, segments, mats):
-    # rows[s] @ mats[d] for each draw's run s of fits: one GEMM per draw
-    out = np.empty((rows.shape[0], mats.shape[2]))
+def _per_draw_product(rows, segments, mats, out):
+    # rows[s] @ mats[d] into out for each draw's run s of fits: one GEMM
+    # per draw. out has a row per fit, so when rows fill it every run is
+    # full and one batched matmul makes the same GEMMs
+    if rows.shape[0] == out.shape[0]:
+        nd = mats.shape[0]
+        np.matmul(rows.reshape(nd, -1, rows.shape[1]), mats, out=out.reshape(nd, -1, out.shape[1]))
+        return out
     for d, s in segments:
-        out[s] = rows[s] @ mats[d]
-    return out
-
-
-def _normal_equations(eta, y, family, nb_size, segments, xs, prods):
-    """IRLS information X'WX (flattened to k * k) and right-hand side
-    X'Wz of fits at linear predictor eta with responses y (fits, n);
-    segments are the fits' (draw, slice) runs. y is overwritten."""
-    mu = _mean(eta, family)
-    if family == BINOMIAL:
-        w = mu * (1.0 - mu)
-        scale = w
-    else:
-        w = mu if family == POISSON else nb_size * mu / (mu + nb_size)
-        scale = mu
-    # w * z with the working response z = eta + (y - mu) / scale
-    wz = y
-    wz -= mu
-    wz /= scale
-    wz += eta
-    wz *= w
-    return _per_draw_product(w, segments, prods), _per_draw_product(wz, segments, xs)
+        np.matmul(rows[s], mats[d], out=out[s])
+    return out[: rows.shape[0]]
 
 
 def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
@@ -174,6 +163,9 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     predictor puts every row on the side of its response, which proves
     complete separation. A stopped fit's coefficients are frozen and
     later iterations work on the fits still active only.
+
+    The (fits, n) working arrays are made once per call; each iteration
+    works in place in their leading rows, one per fit still active.
     """
     xs = design if design.ndim == 3 else design[None]
     nd, n, k = xs.shape
@@ -194,15 +186,32 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     cov = np.zeros((fits, k, k))
     status = np.ones(fits, dtype=np.int64)
     n_iter = np.zeros(fits, dtype=np.int64)
+    eta_buf, z_buf, mu_buf, w_buf = np.empty((4, fits, n))
+    info, rhs = np.empty((fits, k * k)), np.empty((fits, k))
     active = np.arange(fits)
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
-        info, rhs = _normal_equations(
-            eta[active], y[active % m], family, nb_size, _per_draw(active, m, nd), xs, prods
-        )
-        lo, ok = _cholesky(info.reshape(-1, k, k))
-        new = _cholesky_solve(lo, rhs[:, :, None])[:, :, 0]
+        a = active.size
+        eta_act = np.take(eta, active, axis=0, out=eta_buf[:a])
+        mu = _mean(eta_act, family, mu_buf[:a])
+        if family == BINOMIAL:
+            w = scale = np.subtract(1.0, mu, out=w_buf[:a])
+            w *= mu
+        elif family == POISSON:
+            w = scale = mu
+        else:
+            w, scale = np.add(mu, nb_size, out=w_buf[:a]), mu
+            np.divide(np.multiply(mu, nb_size, out=z_buf[:a]), w, out=w)
+        # w * z with the working response z = eta + (y - mu) / scale
+        z = np.take(y, active % m, axis=0, out=z_buf[:a])
+        z -= mu
+        z /= scale
+        z += eta_act
+        z *= w
+        segments = _per_draw(active, m, nd)
+        lo, ok = _cholesky(_per_draw_product(w, segments, prods, info).reshape(-1, k, k))
+        new = _cholesky_solve(lo, _per_draw_product(z, segments, xs, rhs)[:, :, None])[:, :, 0]
         n_iter[active] = it
         status[active[~ok]] = 3
         keep = active[ok]
@@ -210,30 +219,36 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         delta = np.max(np.abs(new - coef[keep]), axis=1)
         done = delta <= tol * (1.0 + np.max(np.abs(new), axis=1))
         coef[keep] = new
-        ek = _per_draw_product(new, _per_draw(keep, m, nd), xs.transpose(0, 2, 1))
+        ek = _per_draw_product(new, _per_draw(keep, m, nd), xs.transpose(0, 2, 1), eta_buf)
         eta[keep] = ek
         status[keep[done]] = 0
         if family == BINOMIAL:
-            separated = np.all(side[keep % m] * ek > 0.0, axis=1)
+            sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
+            separated = np.min(np.multiply(sided, ek, out=sided), axis=1) > 0.0
             status[keep[separated]] = 2
             done |= separated
         active = keep[~done]
 
     fitted = np.flatnonzero(status <= 1)
-    mu = _mean(eta[fitted], family)
+    f = fitted.size
+    mu = _mean(np.take(eta, fitted, axis=0, out=eta_buf[:f]), family, mu_buf[:f])
     if family == BINOMIAL:
-        inner = (mu > 1e-8) & (mu < 1.0 - 1e-8)
-        separated = ~np.any(inner, axis=1)
+        separated = ~np.any((mu > 1e-8) & (mu < 1.0 - 1e-8), axis=1)
         status[fitted[separated]] = 2
         fitted = fitted[~separated]
-        mu = mu[~separated]
-        w = mu * (1.0 - mu)
+        mu = np.compress(~separated, mu, axis=0, out=z_buf[: fitted.size])
+        w = np.subtract(1.0, mu, out=w_buf[: fitted.size])
+        w *= mu
     elif family == POISSON:
         w = mu
     else:
-        d0 = mu + nb_size
-        w = nb_size * mu * (y[fitted % m] + nb_size) / (d0 * d0)
-    info = _per_draw_product(w, _per_draw(fitted, m, nd), prods)
+        # nb_size * mu * (y + nb_size) / (mu + nb_size)^2; a mean near its
+        # upper clamp makes it non-finite, so the information is singular
+        yn = np.add(np.take(y, fitted % m, axis=0, out=z_buf[:f]), nb_size, out=z_buf[:f])
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.multiply(np.multiply(mu, nb_size, out=w_buf[:f]), yn, out=w_buf[:f])
+            w /= np.square(np.add(mu, nb_size, out=yn), out=yn)
+    info = _per_draw_product(w, _per_draw(fitted, m, nd), prods, info)
     lo, ok = _cholesky(info.reshape(-1, k, k))
     status[fitted[~ok]] = 3
     eye = np.broadcast_to(np.eye(k), (int(ok.sum()), k, k))

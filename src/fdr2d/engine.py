@@ -149,30 +149,31 @@ class MonotonePath:
 Y_KIND_FOR_FAMILY = {"gaussian": "continuous", "binomial": "binary", "poisson": "count", "negbinom": "count"}
 
 
-def _check_compat(dataset, plan, spec):
-    if plan.strategy == "parametric-logistic":
-        if dataset.x_kind != "binary":
+def _check_compat(kinds, plan, spec):
+    # kinds: the data's (x_kind, y_kind, z_kinds); plan None when no
+    # draws are made, so no sampler is checked
+    x_kind, y_kind, z_kinds = kinds
+    if plan is not None and plan.strategy == "parametric-logistic":
+        if x_kind != "binary":
             raise ValueError("parametric-logistic sampler needs a binary exposure")
-    elif dataset.x_kind != "continuous":
+    elif plan is not None and x_kind != "continuous":
         raise ValueError(f"{plan.strategy} sampler needs a continuous exposure")
-    if spec.kind == "hsic" and dataset.x_kind != "continuous":
+    if spec.kind == "hsic" and x_kind != "continuous":
         raise ValueError("hsic statistics need a continuous exposure")
-    if spec.kind == "basis-wald" and (
-        dataset.x_kind != "continuous" or dataset.y_kind != "continuous"
-    ):
+    if spec.kind == "basis-wald" and (x_kind != "continuous" or y_kind != "continuous"):
         raise ValueError("basis statistics need continuous exposure and outcomes")
     if spec.kind == "categorical":
-        if dataset.x_kind != "binary" or dataset.y_kind != "binary":
+        if x_kind != "binary" or y_kind != "binary":
             raise ValueError("categorical statistics need binary exposure and outcomes")
-        if any(k != "binary" for k in dataset.z_kinds):
+        if any(k != "binary" for k in z_kinds):
             raise ValueError("categorical statistics need binary confounders")
     if spec.kind == "glm":
         want = Y_KIND_FOR_FAMILY.get(spec.family)
         if want is None:
             raise ValueError(f"unknown family {spec.family!r}")
-        if dataset.y_kind != want:
+        if y_kind != want:
             raise ValueError(
-                f"family {spec.family} expects {want} outcomes, dataset has {dataset.y_kind}"
+                f"family {spec.family} expects {want} outcomes, dataset has {y_kind}"
             )
 
 
@@ -192,7 +193,7 @@ def build_tensor(dataset, plan, spec):
     if violations:
         head = "; ".join(str(v) for v in violations[:5])
         raise ValueError(f"invalid dataset: {head}")
-    _check_compat(dataset, plan, spec)
+    _check_compat((dataset.x_kind, dataset.y_kind, dataset.z_kinds), plan, spec)
     evaluator = stats.make_evaluator(
         dataset,
         spec.kind,

@@ -167,6 +167,13 @@ def _error_matrix(n, m, ar1, rng):
     return eps
 
 
+def _dgp_kinds(dgp):
+    """(x_kind, y_kind, z_kinds) of every dataset the generator makes."""
+    x_kind = "binary" if dgp in _BINARY_X_DGPS else "continuous"
+    y_kind = {9: "binary", 10: "count", 11: "count"}.get(dgp, "continuous")
+    return x_kind, y_kind, ("binary",) if dgp == 8 else ("continuous",)
+
+
 def gen_dataset(config, rng):
     """One draw of (Dataset, TruthMask) from the configured generator.
 
@@ -188,25 +195,20 @@ def gen_dataset(config, rng):
 
     if dgp in _BINARY_X_DGPS:
         x = (rng.random(n) < _sigmoid(config.rho * z)).astype(float)
-        x_kind = "binary"
     else:
         x = config.rho * _H[dgp](z) + rng.standard_normal(n)
         x = x / np.std(x, ddof=1)
-        x_kind = "continuous"
 
     if dgp in _DISCRETE_Y_DGPS:
         eta = np.outer(x, alpha) + np.outer(z, beta)
         if dgp == 9:
             y = (rng.random((n, m)) < _sigmoid(eta)).astype(float)
-            y_kind = "binary"
         elif dgp == 10:
             y = rng.poisson(np.exp(eta)).astype(float)
-            y_kind = "count"
         else:
             mu = np.exp(eta)
             size = 3.0
             y = rng.negative_binomial(size, size / (size + mu)).astype(float)
-            y_kind = "count"
     else:
         signal = np.outer(_F[dgp](x), alpha) + np.outer(_G[dgp](z), beta)
         if config.global_null:
@@ -214,9 +216,8 @@ def gen_dataset(config, rng):
             y = signal
         else:
             y = signal + _error_matrix(n, m, config.ar1_errors, rng)
-        y_kind = "continuous"
 
-    z_kinds = ("binary",) if dgp == 8 else ("continuous",)
+    x_kind, y_kind, z_kinds = _dgp_kinds(dgp)
     dataset = core.Dataset(
         x=x, y=y, z=z, x_kind=x_kind, y_kind=y_kind, z_kinds=z_kinds
     )
@@ -337,13 +338,17 @@ def run_method_comparison(config, methods):
     method sees the same statistics and resamples, so rejection-count
     differences are attributable to the decision rule alone.
 
-    Unknown methods, and bh without a glm statistic, are refused before
-    the first replication. A replication that raises is skipped with a
-    warning and counted in every method's reps_failed, so the methods
-    stay paired; the summaries average the completed replications. If
-    every replication fails, the first one's exception is raised.
+    Unknown methods, bh without a glm statistic, and a sampler or
+    statistic that cannot take the generator's exposure and outcome
+    kinds are refused before the first dataset is drawn. A replication
+    that raises is skipped with a warning and counted in every method's
+    reps_failed, so the methods stay paired; the summaries average the
+    completed replications. If every replication fails, the first one's
+    exception is raised.
     """
     engine.check_methods(methods, config.statistic)
+    plan = config.sampler if any(m != "bh" for m in methods) else None
+    engine._check_compat(_dgp_kinds(config.dgp), plan, config.statistic)
     rows, failed, first_error = [], 0, None
     for r in range(config.reps):
         try:

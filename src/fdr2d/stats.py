@@ -168,29 +168,47 @@ def rv_coefficient(u, v):
     """Matrix correlation tr(Suv Svu) / sqrt(tr(Suu^2) tr(Svv^2)) in [0, 1].
 
     For univariate inputs this is exactly the squared Pearson
-    correlation.
+    correlation. A constant input scores 0 with a warning.
     """
     u = _as_matrix(u)
     v = _as_matrix(v)
     if u.shape[0] != v.shape[0]:
         raise ValueError("u and v row counts differ")
+    return _rv(u, v, u, v)
+
+
+def conditional_rv(x, y, z, spline_df=5, z_kinds=None):
+    """RV coefficient after projecting out a spline basis in z. An input
+    in the span of the basis scores 0 with a warning."""
+    x = _as_matrix(x)
+    y = _as_matrix(y)
+    design = glm.confounder_design(_as_matrix(z), spline_df=spline_df, kinds=z_kinds)
+    proj = glm.projection_complement(design)
+    return _rv(proj @ x, proj @ y, x, y)
+
+
+def _rv(u, v, u_raw, v_raw):
+    # RV ratio of u and v, centered here, which are u_raw and v_raw or
+    # their projections. As in _RvEvaluator, a centered block whose
+    # ||.'.||_F is at most _RANK_TOL^2 times its raw block's squared
+    # norm is rounding noise, not a direction
     uc = u - u.mean(axis=0)
     vc = v - v.mean(axis=0)
     suv = uc.T @ vc
     suu = uc.T @ uc
     svv = vc.T @ vc
-    den = np.sqrt(float(np.sum(suu * suu)) * float(np.sum(svv * svv)))
-    if den <= 0.0:
+    suu2 = float(np.sum(suu * suu))
+    svv2 = float(np.sum(svv * svv))
+    den = np.sqrt(suu2 * svv2)
+    tol = glm._RANK_TOL**2
+    if (
+        den <= 0.0
+        or np.sqrt(suu2) <= tol * float(np.sum(u_raw * u_raw))
+        or np.sqrt(svv2) <= tol * float(np.sum(v_raw * v_raw))
+    ):
         warnings.warn("zero variance input: dependence statistic set to 0")
         return 0.0
     return float(min(1.0, max(0.0, float(np.sum(suv * suv)) / den)))
-
-
-def conditional_rv(x, y, z, spline_df=5, z_kinds=None):
-    """RV coefficient after projecting out a spline basis in z."""
-    design = glm.confounder_design(_as_matrix(z), spline_df=spline_df, kinds=z_kinds)
-    proj = glm.projection_complement(design)
-    return rv_coefficient(proj @ _as_matrix(x), proj @ _as_matrix(y))
 
 
 def pearson_chi_square(x, y):

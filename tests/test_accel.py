@@ -2,13 +2,19 @@
 
 import json
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fdr2d import _accel
 
-PIN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "glm_kernel_pin.json")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+PIN = os.path.join(FIXTURES, "glm_kernel_pin.json")
+BITS_PIN = os.path.join(FIXTURES, "irls_bits_pin.json")
+FAMILIES = {"binomial": _accel.BINOMIAL, "poisson": _accel.POISSON, "negbinom": _accel.NEGBINOM}
+FIELDS = ("coef", "cov", "status", "n_iter")
 
 
 def _brute_counts(tm, tc, t1, t2):
@@ -85,3 +91,107 @@ def test_wald_pair_many_matches_pin(case):
         one = _accel.wald_pair_many(d_full, d_red, ymat[:, j : j + 1], *args)
         assert one[2][0] == warn[j]
         np.testing.assert_allclose([one[0][0], one[1][0]], [tm[j], tc[j]], rtol=1e-12, atol=0.0)
+
+
+def _bits_cases():
+    with open(BITS_PIN, "r", encoding="utf-8") as fh:
+        return json.load(fh)["cases"]
+
+
+@pytest.mark.parametrize("case", _bits_cases(), ids=lambda c: c["name"])
+def test_glm_fit_many_matches_bit_pin(case):
+    # every field bit for bit (see tests/fixtures/pin_irls_bits.py): how
+    # the IRLS loop stores its working arrays must not move a single bit
+    got = _accel.glm_fit_many(
+        np.array(case["design"], dtype=float),
+        np.array(case["ymat"], dtype=float),
+        case["family"],
+        case["nb_size"],
+        case["max_iter"],
+        case["tol"],
+    )
+    for name, value in zip(FIELDS, got):
+        assert np.array_equal(value, np.array(case[name], dtype=value.dtype)), name
+
+
+def test_bit_pin_covers_every_status_and_staggered_stops():
+    cases = _bits_cases()
+    statuses = set()
+    for case in cases:
+        statuses.update(np.ravel(case["status"]).tolist())
+    assert statuses == {0, 1, 2, 3}
+    # within one call, fits stop at different iterations
+    assert any(len(set(np.ravel(case["n_iter"]).tolist())) > 2 for case in cases)
+
+
+def _stack(family, seed, draws=4, n=40, m=6):
+    # per-draw exposures, a shared confounder and one column that stops
+    # early: separated by draw 0's exposure (binomial) or all zero
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n)
+    design = np.stack([np.column_stack([np.ones(n), rng.normal(size=n), z]) for _ in range(draws)])
+    eta = 0.2 + 0.5 * z[:, None] + 0.3 * rng.normal(size=(n, m))
+    if family == _accel.BINOMIAL:
+        ymat = (rng.random((n, m)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        ymat[:, 0] = design[0, :, 1] > 0
+    else:
+        ymat = rng.poisson(np.exp(eta)).astype(float)
+        ymat[:, 0] = 0.0
+    return design, ymat
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_stacked_row_is_the_one_design_fit_bit_for_bit(family, seed):
+    design, ymat = _stack(family, seed)
+    stacked = _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)
+    for d in range(design.shape[0]):
+        alone = _accel.glm_fit_many(design[d], ymat, family, 3.0, 50, 1e-8)
+        for name, got, want in zip(FIELDS, stacked, alone):
+            assert np.array_equal(got[d], want), (d, name)
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_identical_draws_fit_to_identical_bits(family):
+    design, ymat = _stack(family, 5)
+    design[3] = design[1]
+    for name, got in zip(FIELDS, _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)):
+        assert np.array_equal(got[3], got[1]), name
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_degenerate_columns_raise_no_runtime_warning(family):
+    rng = np.random.default_rng(6)
+    n = 40
+    x = rng.normal(size=n)
+    base = np.column_stack([np.ones(n), x, rng.normal(size=n)])
+    # a large-scale exposure drives separated and all-zero fits to
+    # |eta| in the thousands, where exp overflows
+    design = np.stack([base, base * [1.0, 1e3, 1.0]])
+    zero = np.zeros(n)
+    if family == _accel.BINOMIAL:
+        cols = [x > 0, zero, zero + 1.0, rng.random(n) < 0.5]
+    else:
+        # counts of 1e20 and 1e200 push the mean to its upper clamp
+        spike = np.where(np.arange(n) < 2, 1.0, 0.0)
+        cols = [zero, 1e20 * spike, 1e200 * spike, np.round(np.exp(10.0 * x)), rng.poisson(2.0, n)]
+    ymat = np.column_stack(cols).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)[2]
+    assert np.all(status[:, -1] == 0) and np.any(status > 0)
+
+
+def test_fit_memory_is_a_few_working_arrays():
+    # the peak of one stacked call stays within a fixed number of
+    # (fits, n) float arrays however many iterations the fits take
+    for family in FAMILIES.values():
+        design, ymat = _stack(family, 7, draws=8, n=100, m=40)
+        unit = design.shape[0] * ymat.shape[1] * design.shape[1] * 8
+        tracemalloc.start()
+        try:
+            _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * unit, (family, peak / unit)

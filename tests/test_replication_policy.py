@@ -3,7 +3,9 @@
 A replication that raises is skipped with one warning and counted in
 every method's reps_failed, and the other replications are untouched;
 if every replication fails, the first one's error is raised; a
-configuration error is refused before any tensor is built.
+configuration error, including a sampler or statistic that the
+generator's data kinds rule out, is refused before any dataset is
+drawn.
 """
 
 import warnings
@@ -108,3 +110,37 @@ def test_bh_with_rv_experiment_raises_instead_of_reading_zero(monkeypatch):
     with pytest.raises(ValueError, match="glm statistic"):
         sim.run_replication(cfg, 0)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "dgp, sampler, family, methods, message",
+    [
+        (1, "parametric-logistic", None, METHODS, "needs a binary exposure"),
+        (5, "residual-perm", None, METHODS, "needs a continuous exposure"),
+        (1, "residual-perm", "poisson", METHODS, "expects count outcomes"),
+        (1, "residual-perm", "poisson", ("bh",), "expects count outcomes"),
+    ],
+)
+def test_incompatible_kinds_refused_before_any_dataset(
+    monkeypatch, dgp, sampler, family, methods, message
+):
+    # the generator fixes the exposure and outcome kinds, so a mismatch
+    # is one configuration error, not one failed replication per dataset
+    real = sim.gen_dataset
+    drawn = []
+    monkeypatch.setattr(sim, "gen_dataset", lambda config, rng: drawn.append(1) or real(config, rng))
+    extra = {"statistic": engine.StatisticSpec(kind="glm", family=family)} if family else {}
+    cfg = _config(dgp=dgp, sampler=engine.ResamplePlan(sampler, b_count=5, seed=0), **extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            sim.run_method_comparison(cfg, methods)
+    assert drawn == [] and _replication_warnings(caught) == []
+
+
+def test_bh_alone_does_not_check_the_unused_sampler():
+    # bh makes no draws, so a sampler the exposure cannot take is no error
+    cfg = _config(
+        dgp=5, reps=1, sampler=engine.ResamplePlan("residual-perm", b_count=5, seed=0)
+    )
+    assert sim.run_method_comparison(cfg, ["bh"])["bh"].reps_completed == 1

@@ -131,6 +131,25 @@ class TestRv:
         assert out == 0.0
         assert len(rec) == 1
 
+    def test_rounding_noise_scores_zero_with_a_warning(self):
+        # centering 0.1 or projecting 2 z + 1 out of a basis in z leaves
+        # ~1e-16 noise, which the exact den <= 0 rule scored (0.003 here)
+        rng = np.random.default_rng(14)
+        n = 60
+        z = rng.normal(size=n)
+        y = z + rng.normal(size=n)
+        for call in (
+            lambda: stats.rv_coefficient(np.full(n, 0.1), y),
+            lambda: stats.rv_coefficient(y, np.full(n, 0.1)),
+            lambda: stats.conditional_rv(2.0 * z + 1.0, y, z, spline_df=5),
+            lambda: stats.conditional_rv(y, 2.0 * z + 1.0, z, spline_df=5),
+        ):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                out = call()
+            assert out == 0.0
+            assert len(rec) == 1 and "zero variance" in str(rec[0].message)
+
     def test_multivariate_in_unit_interval(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
