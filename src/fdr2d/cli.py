@@ -8,6 +8,7 @@ success, 1 for validation problems, 2 for runtime failures.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,150 +18,113 @@ import numpy as np
 
 from . import engine, io, preprocess, sim
 
-_ANALYZE_DEFAULTS = {
-    "stat": "glm:gaussian",
-    "sampler": "residual-perm",
-    "b": 100,
-    "q": 0.05,
-    "method": "mf2d-fdr",
-    "pi0_lambda": None,
-    "spline_df": None,
-    "epsilon": 0.001,
-    "grid": "quantile:100",
-    "bin_col": 0,
-    "bin_edges": None,
-    "nb_size": 3.0,
-    "path_steps": 100,
-    "seed": 0,
-}
+# namespace entries that are not settings of a run: a config file may
+# not hold them and result.json does not echo them
+_NOT_SETTINGS = ("command", "config", "out")
 
-_SIMULATE_DEFAULTS = {
-    "dgp": 1,
-    "n": 100,
-    "m": 1000,
-    "rho": "1.0",
-    "pi": "0.1",
-    "l": "0.3",
-    "reps": 100,
-    "ar1": None,
-    "pi_alpha": None,
-    "pi_beta": None,
-    "global_null": False,
-    "stat": None,
-    "sampler": None,
-    "b": 100,
-    "q": 0.05,
-    "method": "mf2d-fdr",
-    "pi0_lambda": None,
-    "spline_df": None,
-    "epsilon": 0.001,
-    "grid": "quantile:100",
-    "nb_size": 3.0,
-    "path_steps": 100,
-    "seed": 0,
-}
 
-_PREPROCESS_DEFAULTS = {
-    "prevalence_min": 0.0,
-    "rarefy": False,
-    "clr": False,
-    "binarize": False,
-    "pseudocount": 0.5,
-    "seed": 0,
-}
+def _add_run_flags(p, stat, sampler, data):
+    """Flags that set one run of the procedure; data adds the input files
+    and the binned-perm bins. Each flag's default is declared here only."""
+    if data:
+        p.add_argument("--x", help="exposure matrix file")
+        p.add_argument("--y", help="outcome/feature matrix file")
+        p.add_argument("--z", help="confounder matrix file")
+    p.add_argument("--stat", default=stat, help="glm:<family>|rv|hsic|categorical|basis-wald")
+    p.add_argument(
+        "--sampler",
+        default=sampler,
+        help="residual-perm|residual-boot|parametric-logistic|binned-perm",
+    )
+    p.add_argument("--b", type=int, default=100, help="number of resampling draws")
+    p.add_argument("--q", type=float, default=engine.ProcedureConfig.q, help="target error level")
+    p.add_argument("--method", default=engine.ProcedureConfig.method, help="|".join(engine.METHODS))
+    p.add_argument("--pi0-lambda", dest="pi0_lambda", help="'auto' or a threshold")
+    p.add_argument("--spline-df", dest="spline_df", type=int)
+    p.add_argument("--epsilon", type=float, default=engine.StatisticSpec.epsilon,
+                   help="conditional-kernel ridge")
+    p.add_argument("--grid", default=engine.ProcedureConfig.grid, help="quantile:<G>|observed")
+    if data:
+        p.add_argument("--bin-col", dest="bin_col", type=int, default=0,
+                       help="confounder column index for binned-perm")
+        p.add_argument("--bin-edges", dest="bin_edges",
+                       help="comma-separated bin edges for binned-perm")
+    p.add_argument("--nb-size", dest="nb_size", type=float, default=3.0,
+                   help="negative binomial size parameter")
+    p.add_argument("--path-steps", dest="path_steps", type=int,
+                   default=engine.ProcedureConfig.path_steps)
+
+
+def _add_common_flags(p):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--out", required=True, help="output file path")
 
 
 def _build_parser():
+    """(parser, {command: subparser})."""
     parser = argparse.ArgumentParser(
         prog="fdr2d",
         description="Joint marginal/conditional threshold selection with FDR control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_data=True):
-        if with_data:
-            p.add_argument("--x", help="exposure matrix file")
-            p.add_argument("--y", help="outcome/feature matrix file")
-            p.add_argument("--z", help="confounder matrix file")
-        p.add_argument("--stat", help="glm:<family>|rv|hsic|categorical|basis-wald")
-        p.add_argument(
-            "--sampler",
-            help="residual-perm|residual-boot|parametric-logistic|binned-perm",
-        )
-        p.add_argument("--b", type=int, help="number of resampling draws")
-        p.add_argument("--q", type=float, help="target error level")
-        p.add_argument("--method", help="|".join(engine.METHODS))
-        p.add_argument("--pi0-lambda", dest="pi0_lambda", help="'auto' or a threshold")
-        p.add_argument("--spline-df", dest="spline_df", type=int)
-        p.add_argument("--epsilon", type=float, help="conditional-kernel ridge")
-        p.add_argument("--grid", help="quantile:<G>|observed")
-        if with_data:
-            p.add_argument("--bin-col", dest="bin_col", type=int,
-                           help="confounder column index for binned-perm")
-            p.add_argument("--bin-edges", dest="bin_edges",
-                           help="comma-separated bin edges for binned-perm")
-        p.add_argument("--nb-size", dest="nb_size", type=float,
-                       help="negative binomial size parameter")
-        p.add_argument("--path-steps", dest="path_steps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", required=True, help="output file path")
-
-    add_common(sub.add_parser("analyze", help="threshold selection on data files"))
-    add_common(sub.add_parser("grid-dump", help="decision surface as a long table"))
+    for p in (
+        sub.add_parser("analyze", help="threshold selection on data files"),
+        sub.add_parser("grid-dump", help="decision surface as a long table"),
+    ):
+        _add_run_flags(p, "glm:gaussian", "residual-perm", data=True)
+        _add_common_flags(p)
 
     psim = sub.add_parser("simulate", help="synthetic factor-grid experiments")
-    add_common(psim, with_data=False)
-    psim.add_argument("--dgp", type=int)
-    psim.add_argument("--n", type=int)
-    psim.add_argument("--m", type=int)
-    psim.add_argument("--rho", help="comma-separated confounding degrees")
-    psim.add_argument("--pi", help="comma-separated signal densities")
-    psim.add_argument("--l", help="comma-separated effect sizes")
-    psim.add_argument("--reps", type=int)
+    # --stat/--sampler default to None: each dgp's own statistic and sampler
+    _add_run_flags(psim, None, None, data=False)
+    _add_common_flags(psim)
+    psim.add_argument("--dgp", type=int, default=1)
+    psim.add_argument("--n", type=int, default=sim.SimConfig.n)
+    psim.add_argument("--m", type=int, default=sim.SimConfig.m)
+    psim.add_argument("--rho", default="1.0", help="comma-separated confounding degrees")
+    psim.add_argument("--pi", default="0.1", help="comma-separated signal densities")
+    psim.add_argument("--l", default="0.3", help="comma-separated effect sizes")
+    psim.add_argument("--reps", type=int, default=sim.SimConfig.reps)
     psim.add_argument("--ar1", type=float, help="AR(1) error coefficient")
     psim.add_argument("--pi-alpha", dest="pi_alpha", type=float)
     psim.add_argument("--pi-beta", dest="pi_beta", type=float)
-    psim.add_argument("--global-null", dest="global_null", action="store_true",
-                      default=None)
+    psim.add_argument("--global-null", dest="global_null", action="store_true")
 
     pprep = sub.add_parser("preprocess", help="count-matrix preparation")
     pprep.add_argument("--y", help="count matrix file")
-    pprep.add_argument("--prevalence-min", dest="prevalence_min", type=float)
-    pprep.add_argument("--rarefy", action="store_true", default=None)
-    pprep.add_argument("--clr", action="store_true", default=None)
-    pprep.add_argument("--binarize", action="store_true", default=None)
-    pprep.add_argument("--pseudocount", type=float)
-    pprep.add_argument("--seed", type=int)
-    pprep.add_argument("--config", help="JSON config file; flags override it")
-    pprep.add_argument("--out", required=True)
-    return parser
+    pprep.add_argument("--prevalence-min", dest="prevalence_min", type=float, default=0.0)
+    pprep.add_argument("--rarefy", action="store_true")
+    pprep.add_argument("--clr", action="store_true")
+    pprep.add_argument("--binarize", action="store_true")
+    pprep.add_argument("--pseudocount", type=float, default=0.5)
+    _add_common_flags(pprep)
+    return parser, sub.choices
 
 
-def _merge_config(args, defaults):
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        path = args.config
-        if not os.path.exists(path):
-            raise ValueError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                fromfile = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {path}: {exc}") from None
-        if not isinstance(fromfile, dict):
-            raise ValueError(f"config file {path}: expected a JSON object")
-        known = set(defaults) | {"x", "y", "z"}
-        unknown = sorted(set(fromfile) - known)
-        if unknown:
-            raise ValueError(f"config file {path}: unknown keys {', '.join(unknown)}")
-        merged.update(fromfile)
-    for key in list(defaults) + ["x", "y", "z", "out"]:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+def _settings(cfg):
+    return {k: v for k, v in cfg.items() if k not in _NOT_SETTINGS}
+
+
+def _with_config(parser, command, args, argv):
+    """Parse again with the --config file's settings as the command's
+    defaults, so defaults < config file < explicit flags."""
+    path = args.config
+    if not os.path.exists(path):
+        raise ValueError(f"config file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fromfile = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
+    if not isinstance(fromfile, dict):
+        raise ValueError(f"config file {path}: expected a JSON object")
+    unknown = sorted(set(fromfile) - set(_settings(vars(args))))
+    if unknown:
+        raise ValueError(f"config file {path}: unknown keys {', '.join(unknown)}")
+    command.set_defaults(**fromfile)
+    return parser.parse_args(argv)
 
 
 def _require_files(cfg, keys):
@@ -172,18 +136,22 @@ def _require_files(cfg, keys):
             raise ValueError(f"{key} file not found: {path}")
 
 
-def _parse_pi0(raw):
-    if raw is None or raw == "auto":
-        return raw
-    return float(raw)
-
-
 def _statistic_from(cfg):
     token = cfg["stat"]
-    spline_df = cfg["spline_df"] if cfg["spline_df"] is not None else 5
+    spline_df = cfg["spline_df"] if cfg["spline_df"] is not None else engine.StatisticSpec.spline_df
     size = cfg["nb_size"] if token.strip() == "glm:negbinom" else None
     return engine.StatisticSpec.from_token(
         token, size=size, spline_df=spline_df, epsilon=cfg["epsilon"]
+    )
+
+
+def _procedure_from(cfg, method):
+    return engine.ProcedureConfig(
+        q=cfg["q"],
+        method=method,
+        pi0_lambda=cfg["pi0_lambda"],
+        grid=cfg["grid"],
+        path_steps=cfg["path_steps"],
     )
 
 
@@ -215,18 +183,16 @@ def _load_analysis_dataset(cfg):
     return dataset, spec
 
 
-def _cmd_analyze(args):
-    cfg = _merge_config(args, _ANALYZE_DEFAULTS)
+def _cmd_analyze(cfg):
     dataset, spec = _load_analysis_dataset(cfg)
     engine.check_methods([cfg["method"]], spec)
-    echo = {k: cfg.get(k) for k in ("x", "y", "z", *_ANALYZE_DEFAULTS)}
     started = time.perf_counter()
     if cfg["method"] == "bh":
         pvals, rejected = engine.bh_rejections(dataset, spec, cfg["q"])
         rejected_set = set(rejected.tolist())
         doc = {
             "method": "bh",
-            "config": echo,
+            "config": _settings(cfg),
             "n": dataset.n,
             "m": dataset.m,
             "q": cfg["q"],
@@ -240,13 +206,7 @@ def _cmd_analyze(args):
         ]
         io.save_table(_features_path(cfg["out"]), ("feature", "pvalue", "rejected"), rows)
     else:
-        procedure = engine.ProcedureConfig(
-            q=cfg["q"],
-            method=cfg["method"],
-            pi0_lambda=_parse_pi0(cfg["pi0_lambda"]),
-            grid=cfg["grid"],
-            path_steps=cfg["path_steps"],
-        )
+        procedure = _procedure_from(cfg, cfg["method"])
         plan = _plan_from(cfg, dataset)
         tensor = engine.build_tensor(dataset, plan, spec)
         result = engine.apply_method(tensor, procedure)
@@ -254,7 +214,7 @@ def _cmd_analyze(args):
         rejected_set = set(result.rejected.tolist())
         doc = {
             "method": cfg["method"],
-            "config": echo,
+            "config": _settings(cfg),
             "n": dataset.n,
             "m": dataset.m,
             "q": cfg["q"],
@@ -307,18 +267,13 @@ def _write_json(path, doc):
     io._atomic_write(path, json.dumps(clean, indent=2) + "\n")
 
 
-def _cmd_grid_dump(args):
-    cfg = _merge_config(args, _ANALYZE_DEFAULTS)
+def _cmd_grid_dump(cfg):
     dataset, spec = _load_analysis_dataset(cfg)
+    procedure = _procedure_from(cfg, cfg["method"])
     plan = _plan_from(cfg, dataset)
     tensor = engine.build_tensor(dataset, plan, spec)
     grid = engine.make_grid(tensor, cfg["grid"])
-    pi0 = 1.0
-    if cfg["pi0_lambda"] is not None:
-        procedure = engine.ProcedureConfig(
-            q=cfg["q"], pi0_lambda=_parse_pi0(cfg["pi0_lambda"]), grid=cfg["grid"]
-        )
-        pi0, _ = engine.resolve_pi0(tensor, procedure)
+    pi0, _ = engine.resolve_pi0(tensor, procedure)
     sumf, robs, crit = engine.grid_surface(tensor, grid, pi0)
     rows = []
     for a, t1 in enumerate(grid.t1_values):
@@ -334,18 +289,11 @@ def _floats(raw):
     return [float(v) for v in str(raw).split(",")]
 
 
-def _cmd_simulate(args):
-    cfg = _merge_config(args, _SIMULATE_DEFAULTS)
+def _cmd_simulate(cfg):
     methods = [m.strip() for m in str(cfg["method"]).split(",")]
     if cfg["sampler"] == "binned-perm":
         raise ValueError("simulate cannot use the binned-perm sampler: it takes no bin edges")
-    procedure = engine.ProcedureConfig(
-        q=cfg["q"],
-        method=methods[0],
-        pi0_lambda=_parse_pi0(cfg["pi0_lambda"]),
-        grid=cfg["grid"],
-        path_steps=cfg["path_steps"],
-    )
+    procedure = _procedure_from(cfg, methods[0])
     statistic = _statistic_from(cfg) if cfg["stat"] else None
     # each replication reseeds the plan from its own substream
     plan = _plan_from(cfg) if cfg["sampler"] else None
@@ -368,9 +316,10 @@ def _cmd_simulate(args):
                     pi_alpha=cfg["pi_alpha"],
                     pi_beta=cfg["pi_beta"],
                     ar1_errors=cfg["ar1"],
-                    global_null=bool(cfg["global_null"]),
+                    global_null=cfg["global_null"],
                 )
-                scenario.sampler.b_count = cfg["b"]
+                # a new plan, so its checks refuse a bad --b before any data
+                scenario.sampler = dataclasses.replace(scenario.sampler, b_count=cfg["b"])
                 table = sim.run_method_comparison(scenario, methods)
                 for method in methods:
                     s = table[method]
@@ -387,16 +336,15 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_preprocess(args):
-    cfg = _merge_config(args, _PREPROCESS_DEFAULTS)
+def _cmd_preprocess(cfg):
     _require_files(cfg, ("y",))
     counts, names = io.load_matrix(cfg["y"])
     out, kept = preprocess.preprocess_counts(
         counts,
         prevalence_min=cfg["prevalence_min"],
-        rarefy=bool(cfg["rarefy"]),
-        clr=bool(cfg["clr"]),
-        binarize=bool(cfg["binarize"]),
+        rarefy=cfg["rarefy"],
+        clr=cfg["clr"],
+        binarize=cfg["binarize"],
         seed=cfg["seed"],
         pseudocount=cfg["pseudocount"],
     )
@@ -413,10 +361,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.config is not None:
+            args = _with_config(parser, commands[args.command], args, argv)
+        return _COMMANDS[args.command](vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

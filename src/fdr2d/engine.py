@@ -177,6 +177,15 @@ def _check_compat(kinds, plan, spec):
             )
 
 
+def _check_dataset(dataset, plan, spec):
+    # refuse invalid data, then kinds the statistic or sampler cannot use
+    violations = core.validate(dataset)
+    if violations:
+        head = "; ".join(str(v) for v in violations[:5])
+        raise ValueError(f"invalid dataset: {head}")
+    _check_compat((dataset.x_kind, dataset.y_kind, dataset.z_kinds), plan, spec)
+
+
 def build_tensor(dataset, plan, spec):
     """Statistic pairs for the observed exposure and B resampled copies.
 
@@ -189,11 +198,7 @@ def build_tensor(dataset, plan, spec):
     statistic failure on the observed data aborts; on resampled rows it
     becomes a zero pair, counted and reported once.
     """
-    violations = core.validate(dataset)
-    if violations:
-        head = "; ".join(str(v) for v in violations[:5])
-        raise ValueError(f"invalid dataset: {head}")
-    _check_compat((dataset.x_kind, dataset.y_kind, dataset.z_kinds), plan, spec)
+    _check_dataset(dataset, plan, spec)
     evaluator = stats.make_evaluator(
         dataset,
         spec.kind,
@@ -492,6 +497,7 @@ def check_methods(methods, spec):
 
 def bh_rejections(dataset, spec, q):
     """(p-values, bh rejections) from the spec's glm fit of every feature."""
+    _check_dataset(dataset, None, spec)
     pvalues = stats.model_pvalues(
         dataset.y,
         dataset.x,

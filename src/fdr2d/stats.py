@@ -459,7 +459,8 @@ class _GlmEvaluator:
         ones = np.ones((x.shape[0], 1))
         tc, w1 = _gaussian_wald_many(np.hstack([ones, x, self._z]), self._y, p, observed)
         tm, w2 = _gaussian_wald_many(np.hstack([ones, x]), self._y, p, observed)
-        return tm, tc, w1 + w2
+        # a feature whose pair a failure zeroed counts once
+        return tm, tc, max(w1, w2)
 
 
 def _gaussian_wald_many(design, ymat, p, observed):
@@ -499,13 +500,14 @@ class _RvEvaluator:
         # a centered or projected draw whose norm is within the rank
         # tolerance of the raw draw's is rounding noise, not a direction
         floor = glm._RANK_TOL**2 * np.einsum("dab,dab->d", xs, xs)
-        tm, w1 = _rv_many(xc, self._yc, self._ycss, floor)
-        tc, w2 = _rv_many(px, self._py, self._pyss, floor)
-        if observed and w1:
+        tm, e1 = _rv_many(xc, self._yc, self._ycss, floor)
+        tc, e2 = _rv_many(px, self._py, self._pyss, floor)
+        if observed and e1.any():
             raise ValueError("constant exposure on observed data")
-        if observed and w2:
+        if observed and e2.any():
             raise ValueError("exposure lies in the confounder span on observed data")
-        return _unstack(tm, tc, w1 + w2, one)
+        # every feature of a draw with an empty block is one failure
+        return _unstack(tm, tc, int(np.count_nonzero(e1 | e2)) * self._yc.shape[1], one)
 
 
 def _rv_many(u, ymat, ycss, floor):
@@ -513,7 +515,7 @@ def _rv_many(u, ymat, ycss, floor):
     # to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature; u is a
     # stack (D, n, p) and u'y for every draw is one (D p, n) @ (n, m)
     # GEMM. A draw with ||U'U||_F at most floor scores 0 on every
-    # feature, each a failed evaluation.
+    # feature; returns (statistics, mask of those empty draws).
     nd, n, p = u.shape
     ut = np.swapaxes(u, 1, 2)
     uu = ut @ u
@@ -524,7 +526,7 @@ def _rv_many(u, ymat, ycss, floor):
     den = np.where(empty, 0.0, unorm)[:, None] * ycss
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / den, 0.0)
-    return np.minimum(out, 1.0), int(np.count_nonzero(empty)) * ymat.shape[1]
+    return np.minimum(out, 1.0), empty
 
 
 class _HsicEvaluator:
@@ -632,7 +634,8 @@ class _CategoricalEvaluator:
             den2 += rs * (nk - rs) * cs * (nk - cs) / (nk * nk * (nk - 1.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             tc = np.where(den2 > 0.0, num * num / den2, 0.0)
-        return _unstack(tm, tc, int(np.count_nonzero(flat)), one)
+        # a flat draw scores 0 on every feature, each a failure
+        return _unstack(tm, tc, int(np.count_nonzero(flat)) * self._y.shape[1], one)
 
 
 class _BasisWaldEvaluator:
@@ -705,8 +708,9 @@ def make_evaluator(
     The returned object computes (marginal, conditional, failed) via
     .pairs(x, observed=...). x is one exposure (n, p) or a stack
     (D, n, p) of draws; marginal and conditional are (m,) or (D, m)
-    to match, and failed is the total count of failed evaluations, an
-    int. Each draw's row equals what .pairs gives for that draw alone.
+    to match, and failed is the number of (draw, feature) pairs a
+    failure set to 0, an int. Each draw's row equals what .pairs gives
+    for that draw alone.
     observed=True turns silent failures into errors so a broken fit on
     the real data aborts instead of producing a zero row.
     """

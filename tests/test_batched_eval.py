@@ -142,6 +142,31 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     assert _reported_failures(caught) == failed
 
 
+@pytest.mark.parametrize(
+    "stat",
+    ["glm:gaussian", "glm:binomial", "glm:poisson", "glm:negbinom", "rv", "hsic",
+     "categorical", "basis-wald"],
+)
+def test_constant_draw_counts_each_feature_once(stat):
+    # a constant draw zeroes both statistics of every feature: m
+    # failures, whatever the statistic, however many fits it runs
+    categorical = stat == "categorical"
+    sampler = "parametric-logistic" if categorical else "residual-perm"
+    dataset = make_dataset(stat, sampler, 1, constant_last=False)
+    evaluator = _evaluator(dataset, make_spec(stat))
+    rng = np.random.default_rng(8)
+    if categorical:
+        stack = (rng.random((3,) + dataset.x.shape) < 0.5).astype(float)
+    else:
+        stack = dataset.x[None] + rng.normal(scale=0.5, size=(3,) + dataset.x.shape)
+    stack[1] = 0.0 if categorical else 0.37
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tm, tc, failed = evaluator.pairs(stack)
+    assert np.all(tm[1] == 0.0) and np.all(tc[1] == 0.0)
+    assert failed == dataset.m
+
+
 @pytest.mark.parametrize("stat", ["glm:binomial", "glm:poisson", "glm:gaussian", "rv", "categorical"])
 def test_singular_draw_fails_alone(stat):
     categorical = stat == "categorical"

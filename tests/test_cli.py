@@ -6,6 +6,7 @@ documented column layouts.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestAnalyze:
         assert cli.main(args) == 1
         assert "nope.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["mf2d-fdr", "bh"])
+    def test_non_finite_outcome_located(self, tmp_path, capsys, method):
+        # bh checks the data as the tensor methods do, before any fit
+        xp, yp, zp = _write_xyz(tmp_path)
+        y, names = io.load_matrix(yp)
+        y[3, 2] = np.nan
+        io.save_matrix(yp, y, names)
+        args = _analyze_args(xp, yp, zp, str(tmp_path / "o.json"), extra=["--method", method])
+        assert cli.main(args) == 1
+        assert "invalid dataset: y[3,2]: non-finite" in capsys.readouterr().err
+
     def test_incompatible_stat_rejected(self, tmp_path, capsys):
         # hsic needs a continuous exposure
         xp, yp, zp = _write_xyz(tmp_path, binary_x=True)
@@ -145,7 +157,11 @@ class TestAnalyze:
         # every analyze setting is echoed, so the run can be repeated
         assert doc["config"]["bin_edges"] == "0" and doc["config"]["bin_col"] == 0
         assert doc["config"]["path_steps"] == 7 and doc["config"]["nb_size"] == 3.0
-        assert set(doc["config"]) == set(cli._ANALYZE_DEFAULTS) | {"x", "y", "z"}
+        assert list(doc["config"]) == [
+            "x", "y", "z", "stat", "sampler", "b", "q", "method", "pi0_lambda",
+            "spline_df", "epsilon", "grid", "bin_col", "bin_edges", "nb_size",
+            "path_steps", "seed",
+        ]
 
 
 class TestConfigFile:
@@ -172,6 +188,54 @@ class TestConfigFile:
                 "--config", str(cfg), "--out", str(tmp_path / "o.json")]
         assert cli.main(args) == 1
         assert "quantiles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("analyze", "dgp"), ("simulate", "x"), ("preprocess", "z"), ("analyze", "out")],
+    )
+    def test_key_of_another_command_rejected(self, tmp_path, capsys, monkeypatch, command, key):
+        # only the command's own settings: a key that is another
+        # command's flag, or --out, is refused before any work
+        monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: 1}))
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1
+        assert f"unknown keys {key}" in capsys.readouterr().err
+
+    def test_simulate_file_with_flag_override(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(
+            {"reps": 2, "b": 7, "global_null": True, "n": 40, "m": 12, "l": "0.9"}
+        ))
+        out = tmp_path / "sim.tsv"
+        args = ["simulate", "--config", str(cfg), "--reps", "3",
+                "--method", "mf2d-fdr,mf1d", "--out", str(out)]
+        seen = []
+        real = sim.run_method_comparison
+
+        def spy(config, methods):
+            seen.append(config)
+            return real(config, methods)
+
+        monkeypatch.setattr(sim, "run_method_comparison", spy)
+        assert cli.main(args) == 0
+        (config,) = seen
+        assert config.reps == 3  # flag wins
+        assert config.sampler.b_count == 7 and config.global_null is True
+        assert (config.n, config.m, config.l) == (40, 12, 0.9)
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [(float(r[3]), r[9]) for r in rows] == [(0.9, "3")] * 2
+
+    def test_preprocess_file_sets_binarize(self, tmp_path):
+        cp = tmp_path / "c.tsv"
+        io.save_matrix(cp, np.array([[0.0, 2.0], [5.0, 1.0]]), ["a", "b"])
+        cfg = tmp_path / "prep.json"
+        cfg.write_text(json.dumps({"binarize": True, "y": str(cp)}))
+        out = str(tmp_path / "bin.tsv")
+        assert cli.main(["preprocess", "--config", str(cfg), "--out", out]) == 0
+        values, _ = io.load_matrix(out)
+        np.testing.assert_array_equal(values, [[0.0, 1.0], [1.0, 1.0]])
 
 
 class TestSimulate:
@@ -229,6 +293,23 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2
+
+    def test_zero_draws_refused_before_any_data(self, tmp_path, capsys, monkeypatch):
+        real = sim.gen_dataset
+        calls = []
+
+        def gen_dataset(config, rng):
+            calls.append(config)
+            return real(config, rng)
+
+        monkeypatch.setattr(sim, "gen_dataset", gen_dataset)
+        args = ["simulate", "--dgp", "1", "--n", "40", "--m", "10", "--reps", "4",
+                "--b", "0", "--out", str(tmp_path / "s.tsv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == 1
+        assert calls == [] and caught == []
+        assert "b_count must be at least 1" in capsys.readouterr().err
 
     def test_bad_dgp_validation(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "19", "--out", str(tmp_path / "s.tsv"),

@@ -427,7 +427,7 @@ class TestEvaluators:
         assert clean_failed == 0
         assert np.all(tc[1] == 0.0)
         if case == "constant":
-            assert np.all(tm[1] == 0.0) and failed == 2 * ds.m
+            assert np.all(tm[1] == 0.0) and failed == ds.m
         else:
             assert np.all(tm[1] > 0.0) and failed == ds.m
         np.testing.assert_array_equal(tm[[0, 2]], clean_tm)
