@@ -283,21 +283,3 @@ def wald_block(coef, cov, p):
     q = np.einsum("mp,mp->m", b, x)
     return np.where(ok, np.minimum(q, STAT_CAP), degen)
 
-
-def wald_pair_many(d_full, d_red, ymat, p, family, nb_size, max_iter, tol):
-    """Marginal and conditional Wald statistics for every response column.
-
-    The designs are (n, k) or stacks (D, n, k) of per-draw designs (see
-    glm_fit_many); the outputs are (m,) or (D, m) accordingly. Failed
-    fits yield statistic 0 and the worst fit status in warn
-    (1 iteration limit, 2 separation, 3 singular), never NaN.
-    """
-    out = []
-    for design in (d_full, d_red):
-        coef, cov, status, _ = glm_fit_many(design, ymat, family, nb_size, max_iter, tol)
-        ok = status == 0
-        stat = np.zeros(status.shape)
-        stat[ok] = wald_block(coef[ok], cov[ok], p)
-        out.append((stat, status))
-    (tc, warn), (tm, status) = out
-    return tm, tc, np.maximum(warn, status)

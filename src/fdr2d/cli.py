@@ -123,8 +123,37 @@ def _with_config(parser, command, args, argv):
     unknown = sorted(set(fromfile) - set(_settings(vars(args))))
     if unknown:
         raise ValueError(f"config file {path}: unknown keys {', '.join(unknown)}")
+    actions = {action.dest: action for action in command._actions}
+    for key, value in fromfile.items():
+        try:
+            fromfile[key] = _config_value(actions[key], value)
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {key}: {exc}") from None
     command.set_defaults(**fromfile)
     return parser.parse_args(argv)
+
+
+def _config_value(action, value):
+    """A config file's value for one flag, as the flag would parse it: a
+    bool for a store_true flag, null where the flag defaults to None, and
+    otherwise text or a number that the flag's type takes exactly."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"expected true or false, got {json.dumps(value)}")
+    if value is None and action.default is None:
+        return None
+    kind = action.type or str
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            typed = kind(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            # a number must come through unchanged: 2.5 is no int
+            if isinstance(value, str) or kind is str or typed == value:
+                return typed
+    raise ValueError(f"expected {kind.__name__}, got {json.dumps(value)}")
 
 
 def _require_files(cfg, keys):

@@ -40,17 +40,15 @@ METHODS = (
 
 @dataclass(frozen=True)
 class StatisticSpec:
-    """Which dependence statistic to compute, with its knobs."""
+    """Which dependence statistic to compute, with its knobs: the glm
+    family and negbinom size, the confounder-spline df of rv and
+    basis-wald, and the hsic ridge epsilon."""
 
     kind: str
     family: Optional[str] = None
     size: Optional[float] = None
     spline_df: int = 5
     epsilon: float = 0.001
-    j1: int = 5
-    j2: int = 5
-    max_iter: int = 50
-    tol: float = 1e-8
 
     @property
     def token(self):
@@ -206,10 +204,6 @@ def build_tensor(dataset, plan, spec):
         size=spec.size,
         spline_df=spec.spline_df,
         epsilon=spec.epsilon,
-        j1=spec.j1,
-        j2=spec.j2,
-        max_iter=spec.max_iter,
-        tol=spec.tol,
     )
     model = samplers.fit_for_strategy(
         plan.strategy,
@@ -498,15 +492,7 @@ def check_methods(methods, spec):
 def bh_rejections(dataset, spec, q):
     """(p-values, bh rejections) from the spec's glm fit of every feature."""
     _check_dataset(dataset, None, spec)
-    pvalues = stats.model_pvalues(
-        dataset.y,
-        dataset.x,
-        dataset.z,
-        spec.family,
-        size=spec.size,
-        max_iter=spec.max_iter,
-        tol=spec.tol,
-    )
+    pvalues = stats.model_pvalues(dataset.y, dataset.x, dataset.z, spec.family, size=spec.size)
     return pvalues, bh_procedure(pvalues, q)
 
 

@@ -21,22 +21,15 @@ STRATEGIES = ("residual-perm", "residual-boot", "parametric-logistic", "binned-p
 class ConditionalModel:
     """Fitted representation of x given z, ready to draw from.
 
-    kind selects which fields are populated: residual models carry
-    fitted_mean + residuals, the logistic model carries success_prob,
-    and the binned model additionally carries per-row bin labels.
+    Residual models carry fitted_mean + residuals, the logistic model
+    carries success_prob, and the binned model additionally carries
+    per-row bin labels.
     """
 
-    kind: str
     fitted_mean: np.ndarray = None
     residuals: np.ndarray = None
     success_prob: np.ndarray = None
     bins: np.ndarray = None
-
-    @property
-    def n(self):
-        if self.success_prob is not None:
-            return self.success_prob.shape[0]
-        return self.fitted_mean.shape[0]
 
 
 def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
@@ -50,7 +43,7 @@ def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
     if design.shape[0] != x.shape[0]:
         raise ValueError("x and z row counts differ")
     fit = glm.ols_many(design, x)
-    return ConditionalModel("residual-linear", fitted_mean=fit.fitted, residuals=fit.residuals)
+    return ConditionalModel(fitted_mean=fit.fitted, residuals=fit.residuals)
 
 
 def draw_residual_permutation(model, rng):
@@ -90,7 +83,7 @@ def fit_parametric_logistic(x, z):
         warnings.warn("logistic exposure model did not converge; using last iterate")
     eta = design @ fit.coef
     prob = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-8, 1.0 - 1e-8)
-    return ConditionalModel("parametric-logistic", success_prob=prob)
+    return ConditionalModel(success_prob=prob)
 
 
 def draw_parametric_bernoulli(model, rng):
@@ -133,9 +126,7 @@ def fit_binned_residual(x, z, bin_column, bin_edges):
         fit = glm.ols_many(design, x[idx])
         fitted[idx] = fit.fitted
         resid[idx] = fit.residuals
-    return ConditionalModel(
-        "binned-residual", fitted_mean=fitted, residuals=resid, bins=labels
-    )
+    return ConditionalModel(fitted_mean=fitted, residuals=resid, bins=labels)
 
 
 def draw_binned_permutation(model, rng):

@@ -8,9 +8,11 @@ builds the evaluators used while assembling statistic tensors. An
 evaluator scores every feature against one exposure (n, p) or against
 a stack (D, n, p) of resampled draws in one call, sharing whatever does
 not change across draws (centered response kernels, confounder
-projectors, spline knots). GLM fits for every (draw, feature) pair run
-as one IRLS batch, and the RV and categorical statistics are matrix
-products over all draws; the gaussian GLM, HSIC and basis Wald
+projectors, spline knots). Every GLM Wald statistic, the evaluator's
+pairs and the p-values behind bh alike, comes from _glm_wald, which
+also returns a fit status per (draw, feature) pair. Its non-gaussian
+fits run as one IRLS batch, and the RV and categorical statistics are
+matrix products over all draws; the gaussian GLM, HSIC and basis Wald
 statistics go through the stack one draw at a time.
 """
 
@@ -23,6 +25,13 @@ from scipy import special as _special
 
 from . import _accel, glm
 from .core import _as_matrix
+
+
+# iteration limit and convergence tolerance of every IRLS fit here
+_MAX_ITER = 50
+_TOL = 1e-8
+# columns of the basis-wald exposure spline
+_BASIS_DF = 5
 
 
 class StatPair(NamedTuple):
@@ -284,7 +293,7 @@ def _wald_block_py(coef, cov, p):
     return float(min(_accel.STAT_CAP, q))
 
 
-def model_stat_pair(y, x, z, family, size=None, max_iter=50, tol=1e-8):
+def model_stat_pair(y, x, z, family, size=None, max_iter=_MAX_ITER, tol=_TOL):
     """(marginal, conditional) Wald statistics from two model fits.
 
     The conditional statistic tests the exposure block in the model
@@ -323,7 +332,7 @@ def _ols_coef_cov(design, yv):
     return fit.coef, fit.cov
 
 
-def model_pvalues(ymat, x, z, family, size=None, max_iter=50, tol=1e-8):
+def model_pvalues(ymat, x, z, family, size=None):
     """Two-sided p-values for the exposure block, one per response column.
 
     Gaussian, univariate exposure uses the t reference; other families
@@ -335,26 +344,15 @@ def model_pvalues(ymat, x, z, family, size=None, max_iter=50, tol=1e-8):
     z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
     n, p = x.shape
     full = np.column_stack([np.ones(n), x, z])
-    k = full.shape[1]
-    m = ymat.shape[1]
-    bad = 0
-    if family == "gaussian":
-        w, _ = _gaussian_wald_many(full, ymat, p, observed=True)
-    else:
-        coef, cov, status, _ = glm.irls_many(full, ymat, family, max_iter, tol, size)
-        if np.any(status == 3):
-            raise ValueError(f"feature {int(np.argmax(status == 3))}: singular design")
-        ok = status == 0
-        bad = m - int(np.count_nonzero(ok))
-        # a failed fit keeps statistic 0, whose p-value is exactly 1
-        w = np.zeros(m)
-        w[ok] = _accel.wald_block(coef[ok], cov[ok], p)
+    # a failed fit keeps statistic 0, whose p-value is exactly 1
+    w, status = _glm_wald(full, ymat, p, family, size, observed=True)
     if p > 1:
         pvals = _special.chdtrc(p, w)
     elif family == "gaussian":
-        pvals = 2.0 * _special.stdtr(n - k, -w)
+        pvals = 2.0 * _special.stdtr(n - full.shape[1], -w)
     else:
         pvals = 2.0 * _special.ndtr(-w)
+    bad = int(np.count_nonzero(status))
     if bad:
         warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
     return pvals
@@ -422,68 +420,75 @@ def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
     return StatPair(t_m=_qf_stat(qf_m, sigma2, yss), t_c=_qf_stat(qf_c, sigma2, yss))
 
 
-class _GlmEvaluator:
-    kind = "glm"
+def _glm_family(family, size):
+    # kernel code and negbinom size of a family, refusing what cannot be fit
+    if family not in glm.FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {glm.FAMILIES}")
+    if family == "negbinom" and (size is None or size <= 0):
+        raise ValueError("negbinom family requires a positive size")
+    return glm._FAMILY_CODES[family], float(size if size is not None else 1.0)
 
-    def __init__(self, dataset, family, size, max_iter, tol):
-        if family not in glm.FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {glm.FAMILIES}")
+
+def _glm_wald(design, ymat, p, family, size, observed):
+    """Wald statistics of the exposure block, columns 1..p, for every
+    (draw, response column) pair.
+
+    design is one (n, k) design or a stack (D, n, k) of per-draw
+    designs; returns (stat, status), each (m,) or (D, m) to match.
+    status is 0 fitted, 1 iteration limit, 2 separation, 3 singular
+    design (see _accel.glm_fit_many), and a failed fit's statistic is 0.
+    Gaussian fits are glm.ols_many, one draw at a time, with the Wald
+    rule given sigma2 (R'R)^-1 of the leading intercept-and-exposure
+    block; a draw whose design is singular gets status 3 on every
+    feature. Other families fit every pair in one _accel.glm_fit_many
+    call. observed=True raises on any singular fit.
+    """
+    code, size = _glm_family(family, size)
+    xs = design if design.ndim == 3 else design[None]
+    if code == _accel.GAUSSIAN:
+        stat = np.zeros((xs.shape[0], ymat.shape[1]))
+        status = np.zeros(stat.shape, dtype=np.int64)
+        for d, xd in enumerate(xs):
+            try:
+                fit = glm.ols_many(xd, ymat)
+            except ValueError:
+                status[d] = 3
+                continue
+            cov = fit.sigma2[:, None, None] * fit.ainv[: 1 + p, : 1 + p]
+            stat[d] = _accel.wald_block(fit.coef.T, cov, p)
+    else:
+        coef, cov, status, _ = _accel.glm_fit_many(xs, ymat, code, size, _MAX_ITER, _TOL)
+        ok = status == 0
+        stat = np.zeros(status.shape)
+        stat[ok] = _accel.wald_block(coef[ok], cov[ok], p)
+    if observed and np.any(status == 3):
+        j = int(np.nonzero(status == 3)[1][0])
+        raise ValueError(f"feature {j}: singular design on observed data")
+    return (stat, status) if design.ndim == 3 else (stat[0], status[0])
+
+
+class _GlmEvaluator:
+    def __init__(self, dataset, family, size):
+        _glm_family(family, size)
         self._y = dataset.y
         self._z = dataset.z
         self._family = family
-        self._code = glm._FAMILY_CODES[family]
-        self._size = float(size if size is not None else 1.0)
-        if family == "negbinom" and (size is None or size <= 0):
-            raise ValueError("negbinom family requires a positive size")
-        self._max_iter = int(max_iter)
-        self._tol = float(tol)
+        self._size = size
 
     def pairs(self, x, observed=False):
-        if self._family == "gaussian":
-            return _per_draw_pairs(self._gaussian_pairs, x, observed)
         xs, one = _draw_stack(x)
         nd, n, p = xs.shape
-        ones = np.ones((nd, n, 1))
-        full = np.concatenate([ones, xs, np.broadcast_to(self._z, (nd,) + self._z.shape)], axis=2)
-        red = np.concatenate([ones, xs], axis=2)
-        tm, tc, warn = _accel.wald_pair_many(
-            full, red, self._y, p, self._code, self._size, self._max_iter, self._tol
-        )
-        if observed and np.any(warn == 3):
-            j = int(np.nonzero(warn == 3)[-1][0])
-            raise ValueError(f"singular model fit on observed data (feature index {j})")
-        return _unstack(tm, tc, int(np.count_nonzero(warn)), one)
-
-    def _gaussian_pairs(self, x, observed):
-        p = x.shape[1]
-        ones = np.ones((x.shape[0], 1))
-        tc, w1 = _gaussian_wald_many(np.hstack([ones, x, self._z]), self._y, p, observed)
-        tm, w2 = _gaussian_wald_many(np.hstack([ones, x]), self._y, p, observed)
-        # a feature whose pair a failure zeroed counts once
-        return tm, tc, max(w1, w2)
-
-
-def _gaussian_wald_many(design, ymat, p, observed):
-    """Vectorized gaussian Wald statistics, one design, every response.
-
-    The fit is glm.ols_many and the Wald rule _accel.wald_block, given
-    sigma2 (R'R)^-1 for the leading intercept-and-exposure block only. A
-    singular design raises on observed data; on resampled draws every
-    statistic is 0 and each counts as a failed evaluation.
-    """
-    try:
-        fit = glm.ols_many(design, ymat)
-    except ValueError:
-        if observed:
-            raise
-        return np.zeros(ymat.shape[1]), ymat.shape[1]
-    cov = fit.sigma2[:, None, None] * fit.ainv[: 1 + p, : 1 + p]
-    return _accel.wald_block(fit.coef.T, cov, p), 0
+        red = np.concatenate([np.ones((nd, n, 1)), xs], axis=2)
+        full = np.concatenate([red, np.broadcast_to(self._z, (nd,) + self._z.shape)], axis=2)
+        args = (self._y, p, self._family, self._size, observed)
+        tc, full_status = _glm_wald(full, *args)
+        tm, red_status = _glm_wald(red, *args)
+        # a feature whose pair any failure zeroed counts once
+        failed = int(np.count_nonzero(np.maximum(full_status, red_status)))
+        return _unstack(tm, tc, failed, one)
 
 
 class _RvEvaluator:
-    kind = "rv"
-
     def __init__(self, dataset, spline_df):
         design = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
         self._proj = glm.projection_complement(design)
@@ -530,8 +535,6 @@ def _rv_many(u, ymat, ycss, floor):
 
 
 class _HsicEvaluator:
-    kind = "hsic"
-
     def __init__(self, dataset, epsilon):
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
@@ -583,8 +586,6 @@ class _HsicEvaluator:
 
 
 class _CategoricalEvaluator:
-    kind = "categorical"
-
     def __init__(self, dataset):
         z = dataset.z
         n, d = z.shape
@@ -639,13 +640,11 @@ class _CategoricalEvaluator:
 
 
 class _BasisWaldEvaluator:
-    kind = "basis-wald"
-
-    def __init__(self, dataset, j1, j2):
+    def __init__(self, dataset, spline_df):
         if dataset.x.shape[1] != 1:
             raise ValueError("basis statistics need a univariate exposure")
-        self._builder = _feature_basis_builder(dataset.x[:, 0], j1)
-        self._dz = glm.confounder_design(dataset.z, spline_df=j2, kinds=dataset.z_kinds)
+        self._builder = _feature_basis_builder(dataset.x[:, 0], _BASIS_DF)
+        self._dz = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
         self._proj = glm.projection_complement(self._dz)
         self._y = dataset.y
         self._py = self._proj @ dataset.y
@@ -692,16 +691,7 @@ def _qf_stat_many(qf, sigma2, yss):
 
 
 def make_evaluator(
-    dataset,
-    kind,
-    family: Optional[str] = None,
-    size=None,
-    spline_df=5,
-    epsilon=0.001,
-    j1=5,
-    j2=5,
-    max_iter=50,
-    tol=1e-8,
+    dataset, kind, family: Optional[str] = None, size=None, spline_df=5, epsilon=0.001
 ):
     """Statistic evaluator for one dataset, batched over draws.
 
@@ -713,11 +703,14 @@ def make_evaluator(
     for that draw alone.
     observed=True turns silent failures into errors so a broken fit on
     the real data aborts instead of producing a zero row.
+    spline_df is the natural-spline df of the confounder adjustment of
+    rv and basis-wald; basis-wald expands the exposure in a fixed
+    _BASIS_DF-column spline.
     """
     if kind == "glm":
         if family is None:
             raise ValueError("glm statistics need a family")
-        return _GlmEvaluator(dataset, family, size, max_iter, tol)
+        return _GlmEvaluator(dataset, family, size)
     if kind == "rv":
         return _RvEvaluator(dataset, spline_df)
     if kind == "hsic":
@@ -725,7 +718,7 @@ def make_evaluator(
     if kind == "categorical":
         return _CategoricalEvaluator(dataset)
     if kind == "basis-wald":
-        return _BasisWaldEvaluator(dataset, j1, j2)
+        return _BasisWaldEvaluator(dataset, spline_df)
     raise ValueError(
         f"unknown statistic kind {kind!r}; expected glm, rv, hsic, categorical or basis-wald"
     )

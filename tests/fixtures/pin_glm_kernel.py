@@ -6,10 +6,11 @@ Run from the repository root against the kernel to pin:
 
 It writes tests/fixtures/glm_kernel_pin.json: the inputs of every case
 (designs rounded to four decimals, integer responses) and the
-marginal/conditional statistics and worst fit status that
-``_accel.wald_pair_many`` returns for them. tests/test_accel.py
-compares the current kernel against the file. Regenerate it only when
-a change to the fitting rules is intended, and say why in CHANGES.md.
+marginal/conditional statistics that ``stats._glm_wald`` returns for
+them on the reduced and full designs, with the worse of the two fit
+statuses. tests/test_accel.py compares the current kernel against the
+file. Regenerate it only when a change to the fitting rules is
+intended, and say why in CHANGES.md.
 """
 
 import json
@@ -17,13 +18,14 @@ import os
 
 import numpy as np
 
-from fdr2d import _accel
+from fdr2d import _accel, stats
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "glm_kernel_pin.json")
 
 N, M = 30, 6
 NB_SIZE = 3.0
+FAMILY_NAMES = {_accel.BINOMIAL: "binomial", _accel.POISSON: "poisson", _accel.NEGBINOM: "negbinom"}
 
 
 def _responses(rng, eta, family):
@@ -35,7 +37,7 @@ def _responses(rng, eta, family):
     return rng.negative_binomial(NB_SIZE, NB_SIZE / (NB_SIZE + mu)).astype(float)
 
 
-def _case(name, rng, family, p, max_iter=50, tol=1e-8, edit=None):
+def _case(name, rng, family, p, max_iter=50, edit=None):
     x = np.round(rng.normal(size=(N, p)), 4)
     z = np.round(0.5 * x[:, :1] + rng.normal(size=(N, 1)), 4)
     eta = 0.2 + 0.6 * x[:, :1] - 0.4 * z + rng.normal(scale=0.3, size=(N, M))
@@ -44,16 +46,19 @@ def _case(name, rng, family, p, max_iter=50, tol=1e-8, edit=None):
     d_red = np.column_stack([np.ones(N), x])
     if edit is not None:
         d_full, d_red, ymat = edit(d_full, d_red, ymat)
-    tm, tc, warn = _accel.wald_pair_many(
-        d_full, d_red, ymat, p, family, NB_SIZE, max_iter, tol
-    )
+    # the IRLS iteration limit is a module constant; one case lowers it
+    stats._MAX_ITER = max_iter
+    args = (ymat, p, FAMILY_NAMES[family], NB_SIZE, False)
+    tc, full_status = stats._glm_wald(d_full, *args)
+    tm, red_status = stats._glm_wald(d_red, *args)
+    warn = np.maximum(full_status, red_status)
     return {
         "name": name,
         "family": family,
         "p": p,
         "nb_size": NB_SIZE,
         "max_iter": max_iter,
-        "tol": tol,
+        "tol": stats._TOL,
         "d_full": d_full.tolist(),
         "d_red": d_red.tolist(),
         "ymat": ymat.astype(int).tolist(),

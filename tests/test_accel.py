@@ -8,12 +8,13 @@ import warnings
 import numpy as np
 import pytest
 
-from fdr2d import _accel
+from fdr2d import _accel, stats
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 PIN = os.path.join(FIXTURES, "glm_kernel_pin.json")
 BITS_PIN = os.path.join(FIXTURES, "irls_bits_pin.json")
 FAMILIES = {"binomial": _accel.BINOMIAL, "poisson": _accel.POISSON, "negbinom": _accel.NEGBINOM}
+NAMES = {code: name for name, code in FAMILIES.items()}
 FIELDS = ("coef", "cov", "status", "n_iter")
 
 
@@ -72,23 +73,34 @@ def _pin_cases():
 
 
 @pytest.mark.parametrize("case", _pin_cases(), ids=lambda c: c["name"])
-def test_wald_pair_many_matches_pin(case):
+def test_wald_pair_many_matches_pin(monkeypatch, case):
     # the pin holds the per-feature scalar kernel's outputs (see
     # tests/fixtures/pin_glm_kernel.py) but for binomial-degenerate
     # warn[0]: that column is separated by the exposure, which the
     # kernel now detects inside the loop (2) instead of running into the
-    # iteration limit (1). Fitting each column alone must give the
+    # iteration limit (1). The conditional and marginal statistics are
+    # stats._glm_wald on the full and reduced designs, and warn is the
+    # larger of their statuses. Fitting each column alone must give the
     # batch's answer, so convergence masks cannot couple features
     d_full = np.array(case["d_full"], dtype=float)
     d_red = np.array(case["d_red"], dtype=float)
     ymat = np.array(case["ymat"], dtype=float)
-    args = (case["p"], case["family"], case["nb_size"], case["max_iter"], case["tol"])
-    tm, tc, warn = _accel.wald_pair_many(d_full, d_red, ymat, *args)
+    family = NAMES[case["family"]]
+    assert case["tol"] == stats._TOL
+    monkeypatch.setattr(stats, "_MAX_ITER", case["max_iter"])
+
+    def pair(y):
+        args = (y, case["p"], family, case["nb_size"], False)
+        tc, full_status = stats._glm_wald(d_full, *args)
+        tm, red_status = stats._glm_wald(d_red, *args)
+        return tm, tc, np.maximum(full_status, red_status)
+
+    tm, tc, warn = pair(ymat)
     np.testing.assert_array_equal(warn, case["warn"])
     np.testing.assert_allclose(tm, case["tm"], rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(tc, case["tc"], rtol=1e-9, atol=0.0)
     for j in range(ymat.shape[1]):
-        one = _accel.wald_pair_many(d_full, d_red, ymat[:, j : j + 1], *args)
+        one = pair(ymat[:, j : j + 1])
         assert one[2][0] == warn[j]
         np.testing.assert_allclose([one[0][0], one[1][0]], [tm[j], tc[j]], rtol=1e-12, atol=0.0)
 

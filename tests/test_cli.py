@@ -203,6 +203,38 @@ class TestConfigFile:
         assert cli.main(args) == 1
         assert f"unknown keys {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("analyze", "b", 2.5),
+            ("analyze", "b", "ten"),
+            ("analyze", "q", [0.1]),
+            ("simulate", "global_null", 1),
+            ("preprocess", "binarize", "true"),
+        ],
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
+        # a value must be what the flag's type makes of it and a switch
+        # takes true or false; anything else is a config error naming
+        # the key, refused before any work
+        monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 1
+        assert f"config file {cfg}: {key}: expected" in capsys.readouterr().err
+
+    def test_values_take_the_flag_types(self, tmp_path):
+        xp, yp, zp = _write_xyz(tmp_path, seed=5)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"q": 1, "b": "9", "pi0_lambda": 0.5}))
+        out = str(tmp_path / "r.json")
+        args = ["analyze", "--x", xp, "--y", yp, "--z", zp, "--config", str(cfg), "--out", out]
+        assert cli.main(args) == 0
+        config = json.loads((tmp_path / "r.json").read_text())["config"]
+        assert (config["q"], config["b"], config["pi0_lambda"]) == (1.0, 9, "0.5")
+        assert isinstance(config["q"], float)
+
     def test_simulate_file_with_flag_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fdr2d import _accel, glm, stats
+from fdr2d import _accel, engine, glm, stats
+from fdr2d.core import Dataset
 
 
 def _oracle_kernel(v):
@@ -447,12 +448,12 @@ class TestEvaluators:
     def test_basis_wald_matches_scalar_at_observed(self):
         rng = np.random.default_rng(57)
         ds = _toy_dataset(rng, n=60, m=4)
-        ev = stats.make_evaluator(ds, "basis-wald", j1=4, j2=4)
+        ev = stats.make_evaluator(ds, "basis-wald", spline_df=4)
         tm, tc, warn = ev.pairs(ds.x, observed=True)
         assert warn == 0
         for j in range(ds.m):
             ref = stats.basis_wald_pair(
-                ds.y[:, j], ds.x, ds.z, j1=4, j2=4, z_kinds=ds.z_kinds
+                ds.y[:, j], ds.x, ds.z, j1=5, j2=4, z_kinds=ds.z_kinds
             )
             np.testing.assert_allclose(tm[j], ref.t_m, rtol=1e-9)
             np.testing.assert_allclose(tc[j], ref.t_c, rtol=1e-9)
@@ -460,7 +461,7 @@ class TestEvaluators:
     def test_basis_wald_knots_frozen_across_draws(self):
         rng = np.random.default_rng(58)
         ds = _toy_dataset(rng, n=60, m=4)
-        ev = stats.make_evaluator(ds, "basis-wald", j1=4, j2=4)
+        ev = stats.make_evaluator(ds, "basis-wald", spline_df=4)
         draw = 0.6 * ds.z[:, 0] + rng.normal(size=ds.n)
         tm, tc, warn = ev.pairs(draw[:, None])
         assert tm.shape == (ds.m,) and np.all(tm >= 0) and np.all(np.isfinite(tm))
@@ -470,7 +471,22 @@ class TestEvaluators:
         rng = np.random.default_rng(60)
         ds = _toy_dataset(rng, n=60, m=4)
         with pytest.raises(ValueError, match="df must be at least 3"):
-            stats.make_evaluator(ds, "basis-wald", j1=4, j2=2)
+            stats.make_evaluator(ds, "basis-wald", spline_df=2)
+
+    def test_basis_wald_confounder_spline_reads_spline_df(self):
+        # build_tensor hands StatisticSpec.spline_df to the confounder
+        # spline; the exposure basis keeps its five columns
+        rng = np.random.default_rng(64)
+        ds = _toy_dataset(rng, n=60, m=4)
+        plan = engine.ResamplePlan("residual-perm", b_count=3, seed=1)
+        df3, df5 = (
+            engine.build_tensor(ds, plan, engine.StatisticSpec(kind="basis-wald", spline_df=df))
+            for df in (3, 5)
+        )
+        assert not np.array_equal(df3.pairs, df5.pairs)
+        for j in range(ds.m):
+            ref = stats.basis_wald_pair(ds.y[:, j], ds.x, ds.z, j1=5, j2=3, z_kinds=ds.z_kinds)
+            np.testing.assert_allclose(df3.pairs[0, j], ref, rtol=1e-9)
 
     def test_unknown_kind_rejected(self):
         rng = np.random.default_rng(59)
@@ -533,7 +549,8 @@ class TestEvaluators:
         single = np.array(
             [stats._wald_block_py(*stats._ols_coef_cov(full, y[:, j]), p) for j in range(m)]
         )
-        batch, _ = stats._gaussian_wald_many(full, y, p, observed=True)
+        batch, status = stats._glm_wald(full, y, p, "gaussian", None, observed=True)
+        assert np.all(status == 0)
         np.testing.assert_allclose(batch, single, rtol=1e-10)
         assert single[2] == batch[2] == _accel.STAT_CAP
         pv = stats.model_pvalues(y, x, z, "gaussian")
@@ -544,3 +561,74 @@ class TestEvaluators:
         np.testing.assert_allclose(pv, want, rtol=1e-10)
         with pytest.raises(ValueError, match="singular"):
             stats.model_pvalues(y, np.column_stack([x, z]), z, "gaussian")
+
+
+def _glm_dataset(family, p, seed, m=6, n=60):
+    # exposure block of p columns, one confounder, outcomes of the family
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 1))
+    x = 0.5 * z + rng.normal(size=(n, p))
+    eta = 0.2 + 0.4 * x[:, :1] - 0.4 * z + 0.3 * rng.normal(size=(n, m))
+    if family == "gaussian":
+        y = eta + rng.normal(size=(n, m))
+    elif family == "binomial":
+        y = (rng.random((n, m)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    elif family == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
+    else:
+        mu = np.exp(eta)
+        y = rng.negative_binomial(3.0, 3.0 / (3.0 + mu)).astype(float)
+    return Dataset(x=x, y=y, z=z)
+
+
+GLM_FAMILIES = ("gaussian", "binomial", "poisson", "negbinom")
+
+
+class TestOneWaldPath:
+    """The evaluator and the bh p-values get their Wald statistics from
+    one function, so they agree bit for bit and fail alike."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("family", GLM_FAMILIES)
+    def test_pvalue_statistic_is_the_observed_conditional_row(self, monkeypatch, family, p):
+        from scipy import special
+
+        ds = _glm_dataset(family, p, seed=70 + p)
+        size = 3.0 if family == "negbinom" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, tc, _ = stats.make_evaluator(ds, "glm", family=family, size=size).pairs(
+                ds.x, observed=True
+            )
+            seen = []
+            real = stats._glm_wald
+
+            def spy(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.append(out[0])
+                return out
+
+            monkeypatch.setattr(stats, "_glm_wald", spy)
+            pv = stats.model_pvalues(ds.y, ds.x, ds.z, family, size=size)
+        (stat,) = seen
+        np.testing.assert_array_equal(stat, tc)
+        if p > 1:
+            want = special.chdtrc(p, tc)
+        elif family == "gaussian":
+            want = 2.0 * special.stdtr(ds.n - 3, -tc)
+        else:
+            want = 2.0 * special.ndtr(-tc)
+        np.testing.assert_array_equal(pv, want)
+
+    @pytest.mark.parametrize("family", GLM_FAMILIES)
+    def test_singular_observed_fit_raises_one_message(self, family):
+        ds = _glm_dataset(family, 1, seed=75)
+        ds = Dataset(x=ds.z.copy(), y=ds.y, z=ds.z)  # the exposure repeats the confounder
+        size = 3.0 if family == "negbinom" else None
+        evaluator = stats.make_evaluator(ds, "glm", family=family, size=size)
+        with pytest.raises(ValueError) as from_evaluator:
+            evaluator.pairs(ds.x, observed=True)
+        with pytest.raises(ValueError) as from_pvalues:
+            stats.model_pvalues(ds.y, ds.x, ds.z, family, size=size)
+        message = "feature 0: singular design on observed data"
+        assert str(from_evaluator.value) == str(from_pvalues.value) == message
