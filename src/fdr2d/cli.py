@@ -322,6 +322,9 @@ def _cmd_simulate(cfg):
     methods = [m.strip() for m in str(cfg["method"]).split(",")]
     if cfg["sampler"] == "binned-perm":
         raise ValueError("simulate cannot use the binned-perm sampler: it takes no bin edges")
+    if cfg["spline_df"] is not None and not (cfg["stat"] or cfg["sampler"]):
+        # each dgp's default statistic and sampler carry their own spline df
+        raise ValueError("--spline-df needs --stat or --sampler in simulate")
     procedure = _procedure_from(cfg, methods[0])
     statistic = _statistic_from(cfg) if cfg["stat"] else None
     # each replication reseeds the plan from its own substream

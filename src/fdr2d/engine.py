@@ -13,6 +13,7 @@ contribute to the pooled numerator (conservative) but are excluded
 from observed rejection counts and can never be rejected.
 """
 
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,6 +106,7 @@ class ProcedureConfig:
                 raise ValueError("pi0_lambda must be 'auto' or a finite positive number")
         if self.path_steps < 1:
             raise ValueError("path_steps must be at least 1")
+        _grid_size(self.grid)
 
 
 @dataclass
@@ -271,6 +273,19 @@ def _sorted_axes(tensor):
     return [np.sort(tensor.pairs[:, :, k], axis=None) for k in (0, 1)]
 
 
+def _grid_size(spec):
+    # G of a 'quantile:<G>' grid spec, None for 'observed'; others raise
+    token = str(spec).strip()
+    if token == "observed":
+        return None
+    match = re.fullmatch(r"quantile:\s*([+-]?\d+)", token)
+    if match is None:
+        raise ValueError(f"unknown grid spec {spec!r}; expected 'observed' or 'quantile:<G>'")
+    if int(match.group(1)) < 1:
+        raise ValueError("quantile grid size must be at least 1")
+    return int(match.group(1))
+
+
 def make_grid(tensor, spec="quantile:100"):
     """Threshold grid from the pooled statistic values.
 
@@ -278,21 +293,16 @@ def make_grid(tensor, spec="quantile:100"):
     equally spaced pooled quantiles. Both prepend 0 so the loosest
     corner is always searchable.
     """
-    token = str(spec).strip()
-    if token == "observed":
+    g = _grid_size(spec)
+    if g is None:
         t1, t2 = (np.unique(np.append(0.0, tensor.pairs[:, :, k])) for k in (0, 1))
         return Grid2D(t1, t2, "observed-values")
-    if token.startswith("quantile:"):
-        g = int(token.split(":", 1)[1])
-        if g < 1:
-            raise ValueError("quantile grid size must be at least 1")
-        levels = np.arange(1, g + 1) / g
-        t1, t2 = (
-            np.unique(np.concatenate([[0.0], _inverted_cdf(s, levels)]))
-            for s in _sorted_axes(tensor)
-        )
-        return Grid2D(t1, t2, "quantile")
-    raise ValueError(f"unknown grid spec {spec!r}; expected 'observed' or 'quantile:<G>'")
+    levels = np.arange(1, g + 1) / g
+    t1, t2 = (
+        np.unique(np.concatenate([[0.0], _inverted_cdf(s, levels)]))
+        for s in _sorted_axes(tensor)
+    )
+    return Grid2D(t1, t2, "quantile")
 
 
 def default_path(tensor, steps=100):

@@ -11,9 +11,9 @@ not change across draws (centered response kernels, confounder
 projectors, spline knots). Every GLM Wald statistic, the evaluator's
 pairs and the p-values behind bh alike, comes from _glm_wald, which
 also returns a fit status per (draw, feature) pair. Its non-gaussian
-fits run as one IRLS batch, and the RV and categorical statistics are
-matrix products over all draws; the gaussian GLM, HSIC and basis Wald
-statistics go through the stack one draw at a time.
+fits run as one IRLS batch; the gaussian GLM and basis Wald statistics
+share one batched least-squares routine, _linear_block_stack; the RV,
+categorical and HSIC statistics are matrix products over all draws.
 """
 
 import warnings
@@ -32,6 +32,12 @@ _MAX_ITER = 50
 _TOL = 1e-8
 # columns of the basis-wald exposure spline
 _BASIS_DF = 5
+# share of the residualised response below which _linear_block_stack
+# sums a pair's rss from its residuals
+_NEAR_PERFECT = 1e-3
+# most kernel cells (two n x n kernels per draw) the hsic evaluator
+# holds for a stack of draws at once: 32 MiB
+_KERNEL_CELLS = 2**22
 
 
 class StatPair(NamedTuple):
@@ -52,18 +58,6 @@ def _draw_stack(x):
     if x.ndim == 3:
         return x, False
     return _as_matrix(x)[None], True
-
-
-def _per_draw_pairs(pairs_one, x, observed):
-    """Evaluator output for one exposure or a stack, from a one-draw rule.
-
-    pairs_one(x (n, p), observed) -> (tm (m,), tc (m,), failed).
-    """
-    xs, one = _draw_stack(x)
-    outs = [pairs_one(xd, observed) for xd in xs]
-    tm = np.stack([o[0] for o in outs])
-    tc = np.stack([o[1] for o in outs])
-    return _unstack(tm, tc, sum(o[2] for o in outs), one)
 
 
 def _unstack(tm, tc, failed, one):
@@ -304,32 +298,13 @@ def model_stat_pair(y, x, z, family, size=None, max_iter=_MAX_ITER, tol=_TOL):
     x = _as_matrix(x)
     z = _as_matrix(z) if np.asarray(z).size else np.zeros((yv.size, 0))
     n, p = x.shape
-    full = np.column_stack([np.ones(n), x, z])
-    red = np.column_stack([np.ones(n), x])
-    t_m = t_c = 0.0
-    bad = False
-    if family == "gaussian":
-        t_c = _wald_block_py(*_ols_coef_cov(full, yv), p)
-        t_m = _wald_block_py(*_ols_coef_cov(red, yv), p)
-    else:
-        fit = glm.irls(full, yv, family, max_iter=max_iter, tol=tol, size=size)
-        if fit.converged:
-            t_c = _wald_block_py(fit.coef, fit.cov, p)
-        else:
-            bad = True
-        fit = glm.irls(red, yv, family, max_iter=max_iter, tol=tol, size=size)
-        if fit.converged:
-            t_m = _wald_block_py(fit.coef, fit.cov, p)
-        else:
-            bad = True
-    if bad:
+    pair = []
+    for design in (np.column_stack([np.ones(n), x]), np.column_stack([np.ones(n), x, z])):
+        fit = glm.irls(design, yv, family, max_iter=max_iter, tol=tol, size=size)
+        pair.append(_wald_block_py(fit.coef, fit.cov, p) if fit.converged else None)
+    if None in pair:
         warnings.warn("model fit did not converge: statistic set to 0")
-    return StatPair(t_m=float(t_m), t_c=float(t_c))
-
-
-def _ols_coef_cov(design, yv):
-    fit = glm.ols(design, yv)
-    return fit.coef, fit.cov
+    return StatPair(*(0.0 if t is None else t for t in pair))
 
 
 def model_pvalues(ymat, x, z, family, size=None):
@@ -429,6 +404,41 @@ def _glm_family(family, size):
     return glm._FAMILY_CODES[family], float(size if size is not None else 1.0)
 
 
+def _linear_block_stack(design, block, ymat):
+    """Least-squares share of an exposure block, per (draw, response column).
+
+    design (D, n, k) stacks joint designs whose columns outside the slice
+    block are one fixed block C. By Frisch-Waugh-Lovell, the response is
+    residualised on C once (r), each draw's block once, and one batched
+    QR (Q, R) of those blocks serves every column. Returns qf = ||Q'r||^2
+    and the joint sigma2 as glm.ols_many defines it, each (D, m), and
+    singular (D,), the glm.ols_many rank rule on the joint R diagonal in
+    [C, block] order, |diag R_C| with |diag R|. rss is ||r||^2 - qf, or
+    ||r - QQ'r||^2 where the block leaves under _NEAR_PERFECT of r and
+    the difference cancels. A column C alone fits has qf = sigma2 = 0.
+    """
+    nd, n, k = design.shape
+    qc, rc = np.linalg.qr(np.delete(design[0], block, axis=1))
+    r_y = ymat - qc @ (qc.T @ ymat)
+    xb = design[:, :, block]
+    q, r = np.linalg.qr(xb - qc @ (qc.T @ xb))
+    diag = np.abs(np.hstack([np.broadcast_to(np.diag(rc), (nd, rc.shape[0])),
+                             np.diagonal(r, axis1=1, axis2=2)]))
+    top = diag.max(axis=1)
+    singular = (top == 0.0) | (diag.min(axis=1) <= glm._RANK_TOL * top) | (n <= k)
+    qty = np.swapaxes(q, 1, 2) @ r_y
+    qf = np.einsum("dpj,dpj->dj", qty, qty)
+    ryss = np.einsum("ij,ij->j", r_y, r_y)
+    tol = glm._PERFECT_TOL * np.einsum("ij,ij->j", ymat, ymat)
+    spanned = ryss <= tol
+    qf[:, spanned] = 0.0
+    rss = np.where(spanned, 0.0, ryss - qf)
+    d, j = np.nonzero((rss <= np.maximum(_NEAR_PERFECT * ryss, tol)) & ~spanned)
+    resid = r_y[:, j].T - np.einsum("knp,kp->kn", q[d], qty[d, :, j])
+    rss[d, j] = np.einsum("kn,kn->k", resid, resid)
+    return qf, np.where(rss <= tol, 0.0, rss / (n - k)), singular
+
+
 def _glm_wald(design, ymat, p, family, size, observed):
     """Wald statistics of the exposure block, columns 1..p, for every
     (draw, response column) pair.
@@ -437,25 +447,26 @@ def _glm_wald(design, ymat, p, family, size, observed):
     designs; returns (stat, status), each (m,) or (D, m) to match.
     status is 0 fitted, 1 iteration limit, 2 separation, 3 singular
     design (see _accel.glm_fit_many), and a failed fit's statistic is 0.
-    Gaussian fits are glm.ols_many, one draw at a time, with the Wald
-    rule given sigma2 (R'R)^-1 of the leading intercept-and-exposure
-    block; a draw whose design is singular gets status 3 on every
+    Gaussian stacks (columns outside the block the same in every draw)
+    go through _linear_block_stack: sqrt(qf / sigma2) for p = 1, else
+    qf / sigma2, and a perfect fit with qf > 0 takes the zero-covariance
+    rule of _accel.wald_block; a singular draw gets status 3 on every
     feature. Other families fit every pair in one _accel.glm_fit_many
     call. observed=True raises on any singular fit.
     """
     code, size = _glm_family(family, size)
     xs = design if design.ndim == 3 else design[None]
     if code == _accel.GAUSSIAN:
-        stat = np.zeros((xs.shape[0], ymat.shape[1]))
-        status = np.zeros(stat.shape, dtype=np.int64)
-        for d, xd in enumerate(xs):
-            try:
-                fit = glm.ols_many(xd, ymat)
-            except ValueError:
-                status[d] = 3
-                continue
-            cov = fit.sigma2[:, None, None] * fit.ainv[: 1 + p, : 1 + p]
-            stat[d] = _accel.wald_block(fit.coef.T, cov, p)
+        qf, sigma2, singular = _linear_block_stack(xs, slice(1, 1 + p), ymat)
+        k = xs.shape[2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wald = np.where(qf > 0.0, qf / sigma2, 0.0)
+            stat = np.minimum(np.sqrt(wald) if p == 1 else wald, _accel.STAT_CAP)
+        for d, j in zip(*np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])):
+            coef = np.linalg.lstsq(xs[d], ymat[:, j], rcond=None)[0]
+            stat[d, j] = _accel.wald_block(coef[None], np.zeros((1, k, k)), p)[0]
+        stat[singular] = 0.0
+        status = np.repeat(np.where(singular, 3, 0)[:, None], ymat.shape[1], axis=1)
     else:
         coef, cov, status, _ = _accel.glm_fit_many(xs, ymat, code, size, _MAX_ITER, _TOL)
         ok = status == 0
@@ -538,51 +549,45 @@ class _HsicEvaluator:
     def __init__(self, dataset, epsilon):
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        y = dataset.y
-        z = dataset.z
-        n, m = y.shape
-        self._n = n
         self._eps = float(epsilon)
-        self._zstd = _standardize_columns(z)
-        self._ky = np.zeros((m, n, n))
-        self._kyz = np.zeros((m, n, n))
-        ok = np.ones(m, dtype=bool)
-        for j in range(m):
-            col = y[:, j]
+        self._zstd = _standardize_columns(dataset.z)
+        self._ky, bad = self._kernels(dataset.y.T[:, :, None], observed=False)
+        if bad:
+            warnings.warn(f"{bad} features have degenerate kernels; statistics set to 0")
+
+    def _kernels(self, vs, observed):
+        # (2, len(vs), n^2): each v's centered kernel and the regularized
+        # kernel of [v, z], raveled, zero where v is degenerate; and the
+        # count of degenerate vs
+        out = np.zeros((2, vs.shape[0], vs.shape[1] ** 2))
+        bad = 0
+        for i, v in enumerate(vs):
             try:
-                self._ky[j] = _center_kernel(gaussian_kernel(col).matrix)
-                yz = np.hstack([_standardize_columns(col[:, None]), self._zstd])
-                self._kyz[j] = _regularized(
-                    _center_kernel(gaussian_kernel(yz).matrix), self._eps
-                )
+                out[0, i] = _center_kernel(gaussian_kernel(v).matrix).ravel()
+                vz = np.hstack([_standardize_columns(v), self._zstd])
+                kvz = _regularized(_center_kernel(gaussian_kernel(vz).matrix), self._eps)
+                out[1, i] = kvz.ravel()
             except ValueError:
-                ok[j] = False
-        self._ok = ok
-        if not ok.all():
-            warnings.warn(
-                f"{int((~ok).sum())} features have degenerate kernels; statistics set to 0"
-            )
+                if observed:
+                    raise
+                out[:, i] = 0.0
+                bad += 1
+        return out, bad
 
     def pairs(self, x, observed=False):
-        return _per_draw_pairs(self._pairs_one, x, observed)
-
-    def _pairs_one(self, x, observed):
-        m = self._ky.shape[0]
-        try:
-            kx = _center_kernel(gaussian_kernel(x).matrix)
-            xz = np.hstack([_standardize_columns(x), self._zstd])
-            kxz = _regularized(_center_kernel(gaussian_kernel(xz).matrix), self._eps)
-        except ValueError:
-            if observed:
-                raise
-            return np.zeros(m), np.zeros(m), m
-        tm = np.einsum("ij,mij->m", kx, self._ky) / self._n
-        tc = np.einsum("ij,mij->m", kxz, self._kyz) / self._n
-        np.maximum(tm, 0.0, out=tm)
-        np.maximum(tc, 0.0, out=tc)
-        tm[~self._ok] = 0.0
-        tc[~self._ok] = 0.0
-        return tm, tc, 0
+        # one (draws, n^2) @ (n^2, m) product per statistic, for at most
+        # _KERNEL_CELLS kernel cells of draws at a time
+        xs, one = _draw_stack(x)
+        n = xs.shape[1]
+        step = max(1, _KERNEL_CELLS // (2 * n * n))
+        rows, bad = [], 0
+        for start in range(0, xs.shape[0], step):
+            kx, b = self._kernels(xs[start : start + step], observed)
+            rows.append(np.maximum(kx @ np.swapaxes(self._ky, 1, 2) / n, 0.0))
+            bad += b
+        tm, tc = np.concatenate(rows, axis=1)
+        # a degenerate draw scores 0 on every feature, each a failure
+        return _unstack(tm, tc, bad * self._ky.shape[1], one)
 
 
 class _CategoricalEvaluator:
@@ -645,41 +650,26 @@ class _BasisWaldEvaluator:
             raise ValueError("basis statistics need a univariate exposure")
         self._builder = _feature_basis_builder(dataset.x[:, 0], _BASIS_DF)
         self._dz = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
-        self._proj = glm.projection_complement(self._dz)
         self._y = dataset.y
-        self._py = self._proj @ dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
 
     def pairs(self, x, observed=False):
-        return _per_draw_pairs(self._pairs_one, x, observed)
-
-    def _pairs_one(self, x, observed):
-        bx = self._builder(x[:, 0])
-        y = self._y
-        m = y.shape[1]
-        full = np.hstack([bx, self._dz])
+        xs, one = _draw_stack(x)
+        bx = np.stack([self._builder(xd[:, 0]) for xd in xs])
+        dz = np.broadcast_to(self._dz, (bx.shape[0],) + self._dz.shape)
+        block = slice(0, bx.shape[2])
         # both statistics share the residual variance of the joint model
-        try:
-            sigma2 = glm.ols_many(full, y).sigma2
-        except ValueError:
-            if observed:
-                raise
-            return np.zeros(m), np.zeros(m), m
-
-        mm = bx.T @ y
-        mc = bx.T @ self._py
-        try:
-            qf_m = np.einsum("pj,pj->j", mm, np.linalg.solve(bx.T @ bx, mm))
-            qf_c = np.einsum(
-                "pj,pj->j", mc, np.linalg.solve(bx.T @ (self._proj @ bx), mc)
-            )
-        except np.linalg.LinAlgError:
-            if observed:
-                raise ValueError("singular exposure basis on observed data") from None
-            return np.zeros(m), np.zeros(m), m
+        # [bx, dz]; the marginal one is the share of bx alone
+        qf_c, sigma2, bad = _linear_block_stack(np.concatenate([bx, dz], axis=2), block, self._y)
+        qf_m, _, bad_m = _linear_block_stack(bx, block, self._y)
+        bad |= bad_m
+        if observed and bad.any():
+            raise ValueError("singular basis-wald design on observed data")
         tm = _qf_stat_many(qf_m, sigma2, self._yss)
         tc = _qf_stat_many(qf_c, sigma2, self._yss)
-        return tm, tc, 0
+        tm[bad] = tc[bad] = 0.0
+        # every feature of a singular draw is one failure
+        return _unstack(tm, tc, int(np.count_nonzero(bad)) * self._y.shape[1], one)
 
 
 def _qf_stat_many(qf, sigma2, yss):
@@ -700,7 +690,9 @@ def make_evaluator(
     (D, n, p) of draws; marginal and conditional are (m,) or (D, m)
     to match, and failed is the number of (draw, feature) pairs a
     failure set to 0, an int. Each draw's row equals what .pairs gives
-    for that draw alone.
+    for that draw alone. glm:gaussian and basis-wald score the stack
+    through _linear_block_stack, hsic through one product of the draws'
+    kernels with the response kernels.
     observed=True turns silent failures into errors so a broken fit on
     the real data aborts instead of producing a zero row.
     spline_df is the natural-spline df of the confounder adjustment of

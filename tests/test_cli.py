@@ -109,6 +109,16 @@ class TestAnalyze:
         assert cli.main(args) == 1
         assert "quantile:<G>" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["quantile:0", "bogus", "quantile:ten"])
+    def test_bad_grid_refused_before_the_tensor(self, tmp_path, capsys, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(engine, "build_tensor", lambda *args: calls.append(args))
+        xp, yp, zp = _write_xyz(tmp_path)
+        args = _analyze_args(xp, yp, zp, str(tmp_path / "o.json"), extra=["--grid", grid])
+        assert cli.main(args) == 1
+        assert calls == []
+        assert "grid" in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)
         args = _analyze_args(str(tmp_path / "nope.tsv"), yp, zp, str(tmp_path / "o.json"))
@@ -318,6 +328,15 @@ class TestSimulate:
                 "--out", str(tmp_path / "s.tsv")]
         assert cli.main(args) == 1
         assert "binned-perm" in capsys.readouterr().err
+
+    def test_spline_df_without_stat_or_sampler_refused(self, tmp_path, capsys, monkeypatch):
+        # the dgp's default statistic and sampler carry their own df, so
+        # the flag would do nothing
+        monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
+        args = ["simulate", "--dgp", "2", "--n", "60", "--m", "20", "--reps", "1",
+                "--b", "5", "--spline-df", "3", "--out", str(tmp_path / "s.tsv")]
+        assert cli.main(args) == 1
+        assert "--spline-df" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--bin-edges", "--bin-col"])
     def test_bin_flags_not_accepted(self, tmp_path, flag):

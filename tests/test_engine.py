@@ -429,11 +429,10 @@ class TestBuildTensor:
 
     def test_identity_draw_duplicates_observed_row(self, monkeypatch):
         # If the sampler returns x unchanged, every row must equal row 0.
+        # (fitted_mean + residuals is x only to rounding, not bit for bit.)
         ds = _tensor_dataset(5)
         monkeypatch.setattr(
-            engine.samplers,
-            "draw_for_strategy",
-            lambda strategy, model, rng: model.fitted_mean + model.residuals,
+            engine.samplers, "draw_for_strategy", lambda strategy, model, rng: ds.x.copy()
         )
         plan = engine.ResamplePlan("residual-perm", 3, seed=1)
         tensor = engine.build_tensor(

@@ -383,6 +383,22 @@ class TestEvaluators:
                 atol=1e-12,
             )
 
+    def test_hsic_stack_split_by_kernel_budget(self, monkeypatch):
+        # two draws' kernels per product: a stack of five is scored in
+        # three parts, the last partial, with a constant draw in the middle
+        rng = np.random.default_rng(57)
+        ds = _toy_dataset(rng, n=30, m=4)
+        monkeypatch.setattr(stats, "_KERNEL_CELLS", 2 * 2 * 30 * 30)
+        ev = stats.make_evaluator(ds, "hsic", epsilon=0.001)
+        stack = ds.x[None] + rng.normal(scale=0.5, size=(5,) + ds.x.shape)
+        stack[2] = 0.25
+        tm, tc, failed = ev.pairs(stack)
+        assert failed == ds.m and np.all(tm[2] == 0.0) and np.all(tc[2] == 0.0)
+        for d in range(5):
+            single = ev.pairs(stack[d])
+            np.testing.assert_allclose(tm[d], single[0], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(tc[d], single[1], rtol=1e-12, atol=0.0)
+
     def test_categorical_matches_scalar(self):
         from fdr2d.core import Dataset
 
@@ -546,9 +562,8 @@ class TestEvaluators:
         y = 0.5 * x[:, :1] + 0.3 * z[:, None] + rng.normal(size=(n, m))
         full = np.column_stack([np.ones(n), x, z])
         y[:, 2] = full @ np.linspace(1.0, 2.0, full.shape[1])  # perfect fit
-        single = np.array(
-            [stats._wald_block_py(*stats._ols_coef_cov(full, y[:, j]), p) for j in range(m)]
-        )
+        fits = [glm.ols(full, y[:, j]) for j in range(m)]
+        single = np.array([stats._wald_block_py(f.coef, f.cov, p) for f in fits])
         batch, status = stats._glm_wald(full, y, p, "gaussian", None, observed=True)
         assert np.all(status == 0)
         np.testing.assert_allclose(batch, single, rtol=1e-10)
