@@ -27,28 +27,33 @@ HAVE_NUMBA = False
 MAX_GRID_CELLS = 2**24
 
 
-def exceed_bins(values, thresholds, order=None):
+def exceed_bins(values, thresholds, order=None, sorted_values=None):
     """Per value, the number of thresholds at or below it.
 
-    thresholds must be ascending. The values are sorted (order, their
-    argsort, may be passed in to be reused), each threshold is located
-    among them, and every run of values between two thresholds takes one
-    bin: no search per value.
+    thresholds must be ascending. The values are put in ascending order,
+    each threshold is located among them, and every run of values between
+    two thresholds takes one bin, scattered back through the order: no
+    search per value. A caller that bins one axis several times may hand
+    in its argsort as order and, with it, the gathered values[order] as
+    sorted_values, so the axis is sorted and gathered once, not per call.
     """
     if order is None:
         order = np.argsort(values)
-    edges = np.searchsorted(values[order], thresholds, side="left")
+    if sorted_values is None:
+        sorted_values = values[order]
+    edges = np.searchsorted(sorted_values, thresholds, side="left")
     sizes = np.diff(edges, prepend=0, append=values.shape[0])
     bins = np.empty(values.shape[0], dtype=np.intp)
     bins[order] = np.repeat(np.arange(thresholds.shape[0] + 1), sizes)
     return bins
 
 
-def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
+def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None), sorted_axes=(None, None)):
     """Count pairs dominating each grid point.
 
     out[a, b] = #{i : tm[i] >= t1[a] and tc[i] >= t2[b]}. Grids must be
-    sorted ascending; orders may hold argsort(tm) and argsort(tc) (see
+    sorted ascending; orders may hold argsort(tm) and argsort(tc), and
+    sorted_axes, next to them, tm and tc gathered in those orders (see
     exceed_bins). Runs in O(n log n + g1*g2) via binned suffix sums.
     A grid needing more than MAX_GRID_CELLS cells raises before any
     allocation.
@@ -60,8 +65,8 @@ def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
             f"a {g1} x {g2} threshold grid exceeds the {MAX_GRID_CELLS}-cell count "
             "limit; use a quantile:<G> grid with a smaller G"
         )
-    i = exceed_bins(tm, t1, orders[0])
-    j = exceed_bins(tc, t2, orders[1])
+    i = exceed_bins(tm, t1, orders[0], sorted_axes[0])
+    j = exceed_bins(tc, t2, orders[1], sorted_axes[1])
     flat = i * (g2 + 1) + j
     hist = np.bincount(flat, minlength=(g1 + 1) * (g2 + 1))
     hist = hist.reshape(g1 + 1, g2 + 1)
@@ -69,16 +74,17 @@ def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
     return np.ascontiguousarray(suff[1:, 1:], dtype=np.int64)
 
 
-def chain_exceed_counts(tm, tc, t1, t2, orders=(None, None)):
+def chain_exceed_counts(tm, tc, t1, t2, orders=(None, None), sorted_axes=(None, None)):
     """Count pairs dominating each step of a monotone chain.
 
     out[s] = #{i : tm[i] >= t1[s] and tc[i] >= t2[s]} for nondecreasing
-    t1 and t2. With i and j binned as in pair_exceed_counts, pair i
-    dominates step s iff s < min(i, j), so the counts are a suffix sum
-    of one histogram: O(n log n + steps) time, O(n + steps) memory.
+    t1 and t2; orders and sorted_axes as in pair_exceed_counts. With i
+    and j binned as there, pair i dominates step s iff s < min(i, j), so
+    the counts are a suffix sum of one histogram: O(n log n + steps)
+    time, O(n + steps) memory.
     """
-    i = exceed_bins(tm, t1, orders[0])
-    j = exceed_bins(tc, t2, orders[1])
+    i = exceed_bins(tm, t1, orders[0], sorted_axes[0])
+    j = exceed_bins(tc, t2, orders[1], sorted_axes[1])
     hist = np.bincount(np.minimum(i, j), minlength=t1.shape[0] + 1)
     return hist[::-1].cumsum()[::-1][1:]
 

@@ -213,6 +213,8 @@ def _load_analysis_dataset(cfg):
 
 
 def _cmd_analyze(cfg):
+    # every echoed setting is checked, also those bh does not read
+    procedure = _procedure_from(cfg, cfg["method"])
     dataset, spec = _load_analysis_dataset(cfg)
     engine.check_methods([cfg["method"]], spec)
     started = time.perf_counter()
@@ -235,7 +237,6 @@ def _cmd_analyze(cfg):
         ]
         io.save_table(_features_path(cfg["out"]), ("feature", "pvalue", "rejected"), rows)
     else:
-        procedure = _procedure_from(cfg, cfg["method"])
         plan = _plan_from(cfg, dataset)
         tensor = engine.build_tensor(dataset, plan, spec)
         result = engine.apply_method(tensor, procedure)

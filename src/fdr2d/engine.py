@@ -273,6 +273,35 @@ def _sorted_axes(tensor):
     return [np.sort(tensor.pairs[:, :, k], axis=None) for k in (0, 1)]
 
 
+def _with_zero(distinct):
+    """An ascending distinct array with 0 in its place: equal to
+    np.unique(np.append(0.0, distinct))."""
+    at = int(np.searchsorted(distinct, 0.0))
+    if at < distinct.size and distinct[at] == 0.0:
+        return distinct
+    return np.insert(distinct, at, 0.0)
+
+
+def _grid_from_sorted(sorted_axes, spec):
+    # make_grid from the ascending pooled values of each axis
+    g = _grid_size(spec)
+    if g is None:
+        t1, t2 = (_with_zero(_distinct(s)) for s in sorted_axes)
+        return Grid2D(t1, t2, "observed-values")
+    levels = np.arange(1, g + 1) / g
+    t1, t2 = (np.unique(np.concatenate([[0.0], _inverted_cdf(s, levels)])) for s in sorted_axes)
+    return Grid2D(t1, t2, "quantile")
+
+
+def _path_from_sorted(sorted_axes, steps):
+    # default_path from the ascending pooled values of each axis
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    levels = np.arange(1, steps + 1) / steps
+    t1, t2 = (_inverted_cdf(_distinct(s), levels) for s in sorted_axes)
+    return MonotonePath(t1=t1, t2=t2)
+
+
 def _grid_size(spec):
     # G of a 'quantile:<G>' grid spec, None for 'observed'; others raise
     token = str(spec).strip()
@@ -290,32 +319,21 @@ def make_grid(tensor, spec="quantile:100"):
     """Threshold grid from the pooled statistic values.
 
     'observed' uses every distinct pooled value; 'quantile:<G>' the G
-    equally spaced pooled quantiles. Both prepend 0 so the loosest
-    corner is always searchable.
+    equally spaced pooled quantiles (inverted-CDF rule). Both prepend 0
+    so the loosest corner is always searchable. Sorts each pooled axis;
+    a search pass derives the same grid from the sort it already holds.
     """
-    g = _grid_size(spec)
-    if g is None:
-        t1, t2 = (np.unique(np.append(0.0, tensor.pairs[:, :, k])) for k in (0, 1))
-        return Grid2D(t1, t2, "observed-values")
-    levels = np.arange(1, g + 1) / g
-    t1, t2 = (
-        np.unique(np.concatenate([[0.0], _inverted_cdf(s, levels)]))
-        for s in _sorted_axes(tensor)
-    )
-    return Grid2D(t1, t2, "quantile")
+    return _grid_from_sorted(_sorted_axes(tensor), spec)
 
 
 def default_path(tensor, steps=100):
     """Diagonal quantile path over the distinct pooled values per axis.
 
     steps equal to the distinct-value count makes the path visit every
-    value of that axis.
+    value of that axis. Sorts each pooled axis; a search pass derives
+    the same path from the sort it already holds.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    levels = np.arange(1, steps + 1) / steps
-    t1, t2 = (_inverted_cdf(_distinct(s), levels) for s in _sorted_axes(tensor))
-    return MonotonePath(t1=t1, t2=t2)
+    return _path_from_sorted(_sorted_axes(tensor), steps)
 
 
 def fbar(tensor, j, t1, t2):
@@ -383,21 +401,25 @@ def _rejected(tensor, t1, t2):
     return np.flatnonzero(valid & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)).astype(np.int64)
 
 
-def _counts(tensor, kernel, t1, t2, orders):
-    # (pooled, observed) dominance counts of one _accel kernel; orders as
-    # in _accel.pair_exceed_counts, for the pooled values
+def _counts(tensor, kernel, t1, t2, axes=None):
+    # (pooled, observed) dominance counts of one _accel kernel. axes, as
+    # _SearchPass.axes, hands the kernel each pooled axis with its argsort
+    # and sorted values; without it the kernel sorts the axes itself
     p = tensor.pairs
     valid = ~tensor.zero_variance
-    pooled = kernel(p[:, :, 0].ravel(), p[:, :, 1].ravel(), t1, t2, orders)
+    if axes is None:
+        axes = [(p[:, :, k].ravel(), None, None) for k in (0, 1)]
+    (tm, tc), orders, sorted_axes = zip(*axes)
+    pooled = kernel(tm, tc, t1, t2, orders, sorted_axes)
     return pooled, kernel(p[0, valid, 0], p[0, valid, 1], t1, t2)
 
 
-def _grid_counts(tensor, grid, orders=(None, None)):
-    return _counts(tensor, _accel.pair_exceed_counts, grid.t1_values, grid.t2_values, orders)
+def _grid_counts(tensor, grid, axes=None):
+    return _counts(tensor, _accel.pair_exceed_counts, grid.t1_values, grid.t2_values, axes)
 
 
-def _chain_counts(tensor, path, orders=(None, None)):
-    return _counts(tensor, _accel.chain_exceed_counts, path.t1, path.t2, orders)
+def _chain_counts(tensor, path, axes=None):
+    return _counts(tensor, _accel.chain_exceed_counts, path.t1, path.t2, axes)
 
 
 def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
@@ -519,9 +541,13 @@ _TENSOR_METHODS = tuple(m for m in METHODS if m != "bh")
 class _SearchPass:
     """One search over one tensor, shared by every method that asks.
 
-    The argsort of each pooled axis, pi0, the grid with its counts and
-    the default path with its chain counts are each built on first use
-    and then reused.
+    Each pooled axis is argsorted once, and its values gathered once in
+    that order. The grid, the default path and every pooled dominance
+    count are derived from those sorted values, so they equal make_grid,
+    default_path and the unsorted counts bit for bit. The sort, pi0, the
+    grid with its counts and the path with its chain counts are each
+    built on first use, reused by later methods, and dropped with the
+    pass.
     """
 
     def __init__(self, tensor, config):
@@ -529,9 +555,14 @@ class _SearchPass:
         self.config = config
 
     @cached_property
-    def orders(self):
-        # one argsort per pooled axis serves the grid and the chain counts
-        return tuple(np.argsort(self.tensor.pairs[:, :, k], axis=None) for k in (0, 1))
+    def axes(self):
+        # per pooled axis: (values, their argsort, values in that order)
+        out = []
+        for k in (0, 1):
+            values = self.tensor.pairs[:, :, k].ravel()
+            order = np.argsort(values)
+            out.append((values, order, values[order]))
+        return out
 
     @cached_property
     def pi0(self):
@@ -539,19 +570,19 @@ class _SearchPass:
 
     @cached_property
     def grid(self):
-        return make_grid(self.tensor, self.config.grid)
+        return _grid_from_sorted([s for _, _, s in self.axes], self.config.grid)
 
     @cached_property
     def grid_counts(self):
-        return _grid_counts(self.tensor, self.grid, self.orders)
+        return _grid_counts(self.tensor, self.grid, self.axes)
 
     @cached_property
     def path(self):
-        return default_path(self.tensor, self.config.path_steps)
+        return _path_from_sorted([s for _, _, s in self.axes], self.config.path_steps)
 
     @cached_property
     def path_counts(self):
-        return _chain_counts(self.tensor, self.path, self.orders)
+        return _chain_counts(self.tensor, self.path, self.axes)
 
     def run(self, method):
         tensor, q = self.tensor, self.config.q
@@ -575,7 +606,8 @@ def apply_methods(tensor, config, methods):
 
     Returns {method: CutoffResult}, each equal to what apply_method gives
     for that method; config.method is not read. The methods share one
-    argsort of each pooled axis, the grid counts and the path walk.
+    argsort of each pooled axis, from which the grid, the default path,
+    the grid counts and the path walk are all derived (see _SearchPass).
     """
     for method in methods:
         if method not in _TENSOR_METHODS:

@@ -124,31 +124,13 @@ def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
     if family == "gaussian":
         fit = ols(design, response)
         return GlmFit(fit.coef, fit.se, True, 1, None, fit.cov, family)
-    y = np.asarray(response, dtype=float).ravel()
-    coef, cov, status, n_iter = irls_many(design, y[:, None], family, max_iter, tol, size)
-    if status[0] == 3:
-        raise ValueError("singular design")
-    se = np.sqrt(np.clip(np.diag(cov[0]), 0.0, None))
-    reason = {0: None, 1: "max_iter", 2: "separation"}[int(status[0])]
-    return GlmFit(coef[0], se, status[0] == 0, int(n_iter[0]), reason, cov[0], family)
-
-
-def irls_many(design, ymat, family, max_iter=50, tol=1e-8, size=None):
-    """IRLS fits of one design against every column of ``ymat``.
-
-    Non-gaussian families only. Returns (coef (m, k), cov (m, k, k),
-    status (m,), n_iter (m,)) with status 0 converged, 1 max_iter,
-    2 separation, 3 singular design; see ``_accel.glm_fit_many``.
-    """
     if family not in _FAMILY_CODES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "gaussian":
-        raise ValueError("gaussian fits are least squares; use ols")
     if family == "negbinom":
         if size is None or size <= 0:
             raise ValueError("negbinom family requires a positive size")
     design = np.ascontiguousarray(design, dtype=float)
-    y = np.asarray(ymat, dtype=float)
+    y = np.asarray(response, dtype=float).ravel()
     n = design.shape[0]
     if y.shape[0] != n:
         raise ValueError(f"response length {y.shape[0]} does not match design rows {n}")
@@ -156,9 +138,14 @@ def irls_many(design, ymat, family, max_iter=50, tol=1e-8, size=None):
         raise ValueError("binomial family requires a 0/1 response")
     if family in ("poisson", "negbinom") and (np.any(y < 0) or np.any(y != np.floor(y))):
         raise ValueError(f"{family} family requires a non-negative integer response")
-    return _accel.glm_fit_many(
-        design, y, _FAMILY_CODES[family], float(size or 1.0), int(max_iter), float(tol)
+    coef, cov, status, n_iter = _accel.glm_fit_many(
+        design, y[:, None], _FAMILY_CODES[family], float(size or 1.0), int(max_iter), float(tol)
     )
+    if status[0] == 3:
+        raise ValueError("singular design")
+    se = np.sqrt(np.clip(np.diag(cov[0]), 0.0, None))
+    reason = {0: None, 1: "max_iter", 2: "separation"}[int(status[0])]
+    return GlmFit(coef[0], se, status[0] == 0, int(n_iter[0]), reason, cov[0], family)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import special as _special
 
 from . import _accel, glm
 from .core import _as_matrix
@@ -130,17 +129,6 @@ def _regularized(kc, epsilon):
     lam = np.maximum(lam, 0.0)
     scale = (epsilon * epsilon) * lam / (lam + epsilon) ** 2
     return (vec * scale) @ vec.T
-
-
-def _joint_trace_unregularized(x, y, z):
-    # the epsilon -> infinity limit of chsic; kept separate for tests
-    x = _as_matrix(x)
-    z = _as_matrix(z)
-    xz = np.hstack([_standardize_columns(x), _standardize_columns(z)])
-    yz = np.hstack([_standardize_columns(_as_matrix(y)), _standardize_columns(z)])
-    kx = _center_kernel(gaussian_kernel(xz).matrix)
-    ky = _center_kernel(gaussian_kernel(yz).matrix)
-    return max(0.0, float(np.sum(kx * ky)) / x.shape[0])
 
 
 def chsic(x, y, z, epsilon=0.001):
@@ -314,6 +302,10 @@ def model_pvalues(ymat, x, z, family, size=None):
     use the normal; multivariate blocks fall back to chi-square. Fits
     that fail give p = 1 with a warning.
     """
+    # imported here, not with the module: only bh needs p-values, and
+    # scipy.special is most of the package's import time
+    from scipy import special
+
     ymat = _as_matrix(ymat)
     x = _as_matrix(x)
     z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
@@ -322,11 +314,11 @@ def model_pvalues(ymat, x, z, family, size=None):
     # a failed fit keeps statistic 0, whose p-value is exactly 1
     w, status = _glm_wald(full, ymat, p, family, size, observed=True)
     if p > 1:
-        pvals = _special.chdtrc(p, w)
+        pvals = special.chdtrc(p, w)
     elif family == "gaussian":
-        pvals = 2.0 * _special.stdtr(n - full.shape[1], -w)
+        pvals = 2.0 * special.stdtr(n - full.shape[1], -w)
     else:
-        pvals = 2.0 * _special.ndtr(-w)
+        pvals = 2.0 * special.ndtr(-w)
     bad = int(np.count_nonzero(status))
     if bad:
         warnings.warn(f"{bad} model fits did not converge: p-values set to 1")

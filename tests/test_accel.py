@@ -65,6 +65,15 @@ class TestPairExceedCounts:
             np.testing.assert_array_equal(
                 _accel.chain_exceed_counts(tm, tc, t1, t2, orders), diag
             )
+            # with the sorted values handed in too, nothing is sorted or
+            # gathered again and the counts stay the same
+            sorted_axes = (tm[orders[0]], tc[orders[1]])
+            np.testing.assert_array_equal(
+                _accel.pair_exceed_counts(tm, tc, t1, t2, orders, sorted_axes), want
+            )
+            np.testing.assert_array_equal(
+                _accel.chain_exceed_counts(tm, tc, t1, t2, orders, sorted_axes), diag
+            )
 
 
 def _pin_cases():

@@ -6,11 +6,15 @@ documented column layouts.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import fdr2d
 from fdr2d import cli, engine, io, sim
 
 
@@ -118,6 +122,20 @@ class TestAnalyze:
         assert cli.main(args) == 1
         assert calls == []
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, word",
+        [("--grid", "bogus", "grid"), ("--path-steps", "0", "path_steps"),
+         ("--pi0-lambda", "-1", "pi0_lambda")],
+    )
+    def test_bh_refuses_bad_search_settings(self, tmp_path, capsys, flag, value, word):
+        # bh reads none of these, but result.json echoes them all
+        xp, yp, zp = _write_xyz(tmp_path)
+        out = tmp_path / "bh.json"
+        args = _analyze_args(xp, yp, zp, str(out), extra=["--method", "bh", flag, value])
+        assert cli.main(args) == 1
+        assert word in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "bh.features.tsv").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)
@@ -428,3 +446,18 @@ class TestPreprocess:
                 "--out", str(tmp_path / "o.tsv")]
         assert cli.main(args) == 1
         assert "binarize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["fdr2d", "fdr2d.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # scipy serves only bh's p-values; a run that does not ask for them
+    # should not pay for its import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdr2d.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -570,10 +570,20 @@ class TestApplyMethods:
         zv = np.zeros(12, dtype=bool)
         zv[[1, 4, 7]] = True
         zero_var[:, zv, :] = 0.0
+        # one value everywhere: a single distinct value per axis, no 0
+        flat = np.full((4, 6, 2), 1.5)
+        # 0 among the pooled values, so no 0 is prepended to the grid
+        with_zero = rng.gamma(2.0, size=(5, 10, 2))
+        with_zero[rng.random((5, 10, 2)) < 0.2] = 0.0
+        # every value distinct within each axis
+        no_ties = rng.permutation(np.arange(1.0, 2 * 7 * 9 + 1)).reshape(7, 9, 2) / 8.0
         return [
             core.StatTensor(pairs=ties, zero_variance=np.zeros(20, bool)),
             core.StatTensor(pairs=smooth, zero_variance=np.zeros(25, bool)),
             core.StatTensor(pairs=zero_var, zero_variance=zv),
+            core.StatTensor(pairs=flat, zero_variance=np.zeros(6, bool)),
+            core.StatTensor(pairs=with_zero, zero_variance=np.zeros(10, bool)),
+            core.StatTensor(pairs=no_ties, zero_variance=np.zeros(9, bool)),
         ]
 
     def test_matches_per_method_runs(self):
@@ -597,6 +607,61 @@ class TestApplyMethods:
                                     )
                                     _assert_same(got[method], engine.apply_method(tensor, one))
                                     _assert_same(got[method], _reference(tensor, one, method))
+
+    def test_pass_grid_and_path_equal_the_public_ones(self):
+        # the pass derives both from its own argsort; make_grid and
+        # default_path sort afresh. Equal bits, including the sign of 0
+        rng = np.random.default_rng(154)
+        tensors = self._tensors() + [
+            _random_tensor(rng, style="ties" if k % 2 else "smooth") for k in range(6)
+        ]
+        for tensor in tensors:
+            distinct = max(np.unique(tensor.pairs[:, :, k]).size for k in (0, 1))
+            for grid in ("observed", "quantile:1", "quantile:9", "quantile:100"):
+                for steps in (1, 3, distinct, distinct + 5, 100):
+                    config = engine.ProcedureConfig(grid=grid, path_steps=steps)
+                    search = engine._SearchPass(tensor, config)
+                    want = engine.make_grid(tensor, grid)
+                    assert search.grid.construction == want.construction
+                    for got_axis, want_axis in (
+                        (search.grid.t1_values, want.t1_values),
+                        (search.grid.t2_values, want.t2_values),
+                    ):
+                        assert got_axis.tobytes() == want_axis.tobytes()
+                    if grid == "observed":
+                        # make_grid's own derivation against np.unique
+                        for k, axis in enumerate((want.t1_values, want.t2_values)):
+                            unique = np.unique(np.append(0.0, tensor.pairs[:, :, k]))
+                            assert axis.tobytes() == unique.tobytes()
+                    path = engine.default_path(tensor, steps)
+                    assert search.path.t1.tobytes() == path.t1.tobytes()
+                    assert search.path.t2.tobytes() == path.t2.tobytes()
+
+    def test_one_sort_per_pooled_axis(self, monkeypatch):
+        # every full-length sort, argsort or unique of a pooled axis is
+        # recorded; the five methods must share one per axis
+        rng = np.random.default_rng(155)
+        tensor = core.StatTensor(
+            pairs=rng.gamma(2.0, size=(21, 40, 2)), zero_variance=np.zeros(40, bool)
+        )
+        pooled = tensor.pairs[:, :, 0].size
+        sizes = []
+        for name in ("argsort", "sort", "unique"):
+            original = getattr(np, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                sizes.append(np.asarray(a).size)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, recording)
+        for grid in ("quantile:100", "observed"):
+            for pi0 in (None, "auto"):
+                sizes.clear()
+                config = engine.ProcedureConfig(q=0.3, grid=grid, pi0_lambda=pi0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    engine.apply_methods(tensor, config, _TENSOR_METHODS)
+                assert [size for size in sizes if size >= pooled] == [pooled, pooled], (grid, pi0)
 
     def test_infeasible_level_gives_sentinels(self):
         tensor = core.StatTensor(pairs=np.ones((3, 5, 2)), zero_variance=np.zeros(5, bool))

@@ -88,6 +88,16 @@ class TestHsic:
             assert stats.hsic(rng.normal(size=15), rng.normal(size=15)) >= 0.0
 
 
+def _joint_trace_unregularized(x, y, z):
+    # the epsilon -> infinity limit of chsic: the plain joint-kernel trace
+    sz = stats._standardize_columns(z)
+    xz = np.hstack([stats._standardize_columns(x), sz])
+    yz = np.hstack([stats._standardize_columns(y), sz])
+    kx = stats._center_kernel(stats.gaussian_kernel(xz).matrix)
+    ky = stats._center_kernel(stats.gaussian_kernel(yz).matrix)
+    return max(0.0, float(np.sum(kx * ky)) / xz.shape[0])
+
+
 class TestChsic:
     def test_large_epsilon_approaches_marginal_joint_trace(self):
         # as epsilon grows the regularizer tends to the centered kernel,
@@ -98,7 +108,7 @@ class TestChsic:
         z = rng.normal(size=n)
         y = 0.3 * z + rng.normal(size=n)
         small = stats.chsic(x, y, z, epsilon=1e6)
-        ref = stats._joint_trace_unregularized(x, y, z)
+        ref = _joint_trace_unregularized(x, y, z)
         assert abs(small - ref) <= 0.01 * max(1.0, abs(ref))
 
     def test_nonnegative_and_finite(self):
