@@ -92,18 +92,17 @@ def chain_exceed_counts(tm, tc, t1, t2, orders=(None, None), sorted_axes=(None, 
 def _cholesky(a):
     """Lower Cholesky factors of a stack of (k, k) matrices.
 
-    Returns (lo, ok). A matrix fails when its largest diagonal is not
-    positive or a pivot falls to 1e-12 of it; its factor is then
-    garbage and only ``ok`` is meaningful. Unlike np.linalg.cholesky,
-    one failing matrix does not stop the others.
+    Returns (lo, ok). A matrix fails when a pivot is at most 1e-12 of its
+    own diagonal (pivot / a_ii is the squared equilibrated R diagonal:
+    glm.rank_deficient in normal-equations form); its factor is then
+    garbage. Unlike np.linalg.cholesky, one failure does not stop the others.
     """
     k = a.shape[1]
     lo = np.zeros_like(a)
-    maxd = np.max(np.diagonal(a, axis1=1, axis2=2), axis=1)
-    ok = maxd > 0.0
+    ok = np.ones(a.shape[0], dtype=bool)
     for i in range(k):
         s = a[:, i, i] - np.einsum("mt,mt->m", lo[:, i, :i], lo[:, i, :i])
-        ok &= s > 1e-12 * maxd
+        ok &= s > 1e-12 * a[:, i, i]
         piv = np.sqrt(np.where(ok, s, 1.0))
         lo[:, i, i] = piv
         below = a[:, i + 1 :, i] - np.einsum("mjt,mt->mj", lo[:, i + 1 :, :i], lo[:, i, :i])
@@ -161,8 +160,9 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     designs, and ``ymat`` (n, m) is shared by every draw. Returns
     (coef (..., m, k), cov (..., m, k, k), status (..., m), n_iter
     (..., m)), where ``...`` is (D,) for a stack and empty for one
-    design; status 0 converged, 1 iteration limit, 2 separation,
-    3 singular or degenerate design. cov is the inverse observed
+    design; status 0 converged, 1 iteration limit or a mean at _mean's
+    upper clamp (a diverging log-link fit), 2 separation, 3 singular
+    or degenerate design. cov is the inverse observed
     information at the returned coefficients and is zero unless status
     is 0 or 1. A fit stops when max|delta| <= tol * (1 + max|coef|),
     when its information is singular, or (binomial) when its linear
@@ -238,6 +238,8 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     fitted = np.flatnonzero(status <= 1)
     f = fitted.size
     mu = _mean(np.take(eta, fitted, axis=0, out=eta_buf[:f]), family, mu_buf[:f])
+    # a mean at _mean's upper clamp (never a binomial one) is a diverging fit
+    status[fitted[np.max(mu, axis=1) >= 1e250]] = 1
     if family == BINOMIAL:
         separated = ~np.any((mu > 1e-8) & (mu < 1.0 - 1e-8), axis=1)
         status[fitted[separated]] = 2

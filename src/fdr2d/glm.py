@@ -2,7 +2,8 @@
 
 Everything downstream (statistics, samplers) builds designs and hands
 them here. Fits never fall back to ridge or pseudo-inverse tricks; a
-rank-deficient design is an error the caller must see.
+rank-deficient design, by the one scale-free rule of rank_deficient, is
+an error the caller must see.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ _FAMILY_CODES = {
     "negbinom": _accel.NEGBINOM,
 }
 
-# relative R-diagonal threshold for declaring a design singular
+# an R diagonal at most this share of its raw column's norm is rank deficient
 _RANK_TOL = 1e-10
 # rss below this fraction of the response sum of squares is a perfect fit
 _PERFECT_TOL = 1e-24
@@ -73,12 +74,34 @@ class GlmFit:
     family: str
 
 
+def family_code(family, size):
+    """Kernel code and negbinom size of a family, refusing what cannot be fit."""
+    if family not in _FAMILY_CODES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family == "negbinom" and (size is None or size <= 0):
+        raise ValueError("negbinom family requires a positive size")
+    return _FAMILY_CODES[family], float(size if size is not None else 1.0)
+
+
+def rank_deficient(r, raw):
+    """Whether each block of the stack raw (..., n, k) is rank deficient.
+
+    r is the QR factor of the block residualised on any fixed columns
+    through their own QR. Deficient: some |R_ii| <= _RANK_TOL * ||raw_i||
+    (so any zero column), or more columns than rows. As R(XD) = R D, this
+    is the rule on the column-equilibrated R, free of column scale.
+    """
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    tol = _RANK_TOL * np.linalg.norm(raw[..., : diag.shape[-1]], axis=-2)
+    return np.any(diag <= tol, axis=-1) | (diag.shape[-1] < raw.shape[-1])
+
+
 def ols_many(design, ymat):
     """Least squares of one design against every column of ``ymat``.
 
     One QR serves every column. Raises ValueError("singular design")
-    when any R diagonal falls below 1e-10 of the largest, or when there
-    are no residual degrees of freedom. No silent regularization.
+    when rank_deficient refuses the design, or when there are no
+    residual degrees of freedom. No silent regularization.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(ymat, dtype=float)
@@ -88,8 +111,7 @@ def ols_many(design, ymat):
     if n <= k:
         raise ValueError("singular design: no residual degrees of freedom")
     q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= _RANK_TOL * diag.max():
+    if rank_deficient(r, design):
         raise ValueError("singular design")
     qty = q.T @ y
     fitted = q @ qty
@@ -121,25 +143,20 @@ def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
     Dispersion is never estimated. A non-converged fit is returned,
     not raised; ``reason`` is "max_iter" or "separation".
     """
-    if family == "gaussian":
+    code, size = family_code(family, size)
+    if code == _accel.GAUSSIAN:
         fit = ols(design, response)
         return GlmFit(fit.coef, fit.se, True, 1, None, fit.cov, family)
-    if family not in _FAMILY_CODES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "negbinom":
-        if size is None or size <= 0:
-            raise ValueError("negbinom family requires a positive size")
     design = np.ascontiguousarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
-    n = design.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"response length {y.shape[0]} does not match design rows {n}")
+    if y.shape[0] != design.shape[0]:
+        raise ValueError(f"response length {y.shape[0]} does not match design rows {design.shape[0]}")
     if family == "binomial" and not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("binomial family requires a 0/1 response")
     if family in ("poisson", "negbinom") and (np.any(y < 0) or np.any(y != np.floor(y))):
         raise ValueError(f"{family} family requires a non-negative integer response")
     coef, cov, status, n_iter = _accel.glm_fit_many(
-        design, y[:, None], _FAMILY_CODES[family], float(size or 1.0), int(max_iter), float(tol)
+        design, y[:, None], code, size, int(max_iter), float(tol)
     )
     if status[0] == 3:
         raise ValueError("singular design")

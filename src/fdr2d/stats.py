@@ -180,9 +180,9 @@ def conditional_rv(x, y, z, spline_df=5, z_kinds=None):
 
 def _rv(u, v, u_raw, v_raw):
     # RV ratio of u and v, centered here, which are u_raw and v_raw or
-    # their projections. As in _RvEvaluator, a centered block whose
-    # ||.'.||_F is at most _RANK_TOL^2 times its raw block's squared
-    # norm is rounding noise, not a direction
+    # their projections. A centered block whose ||.'.||_F is at most
+    # _RANK_TOL^2 times its raw block's squared norm is rounding noise,
+    # not a direction: for one column, _RvEvaluator's rank rule
     uc = u - u.mean(axis=0)
     vc = v - v.mean(axis=0)
     suv = uc.T @ vc
@@ -387,15 +387,6 @@ def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
     return StatPair(t_m=_qf_stat(qf_m, sigma2, yss), t_c=_qf_stat(qf_c, sigma2, yss))
 
 
-def _glm_family(family, size):
-    # kernel code and negbinom size of a family, refusing what cannot be fit
-    if family not in glm.FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {glm.FAMILIES}")
-    if family == "negbinom" and (size is None or size <= 0):
-        raise ValueError("negbinom family requires a positive size")
-    return glm._FAMILY_CODES[family], float(size if size is not None else 1.0)
-
-
 def _linear_block_stack(design, block, ymat):
     """Least-squares share of an exposure block, per (draw, response column).
 
@@ -404,20 +395,18 @@ def _linear_block_stack(design, block, ymat):
     residualised on C once (r), each draw's block once, and one batched
     QR (Q, R) of those blocks serves every column. Returns qf = ||Q'r||^2
     and the joint sigma2 as glm.ols_many defines it, each (D, m), and
-    singular (D,), the glm.ols_many rank rule on the joint R diagonal in
-    [C, block] order, |diag R_C| with |diag R|. rss is ||r||^2 - qf, or
+    singular (D,): glm.rank_deficient of C's R against C, or of R against
+    the raw block, or no residual degrees of freedom. rss is ||r||^2 - qf, or
     ||r - QQ'r||^2 where the block leaves under _NEAR_PERFECT of r and
     the difference cancels. A column C alone fits has qf = sigma2 = 0.
     """
-    nd, n, k = design.shape
-    qc, rc = np.linalg.qr(np.delete(design[0], block, axis=1))
+    _, n, k = design.shape
+    fixed = np.delete(design[0], block, axis=1)
+    qc, rc = np.linalg.qr(fixed)
     r_y = ymat - qc @ (qc.T @ ymat)
     xb = design[:, :, block]
     q, r = np.linalg.qr(xb - qc @ (qc.T @ xb))
-    diag = np.abs(np.hstack([np.broadcast_to(np.diag(rc), (nd, rc.shape[0])),
-                             np.diagonal(r, axis1=1, axis2=2)]))
-    top = diag.max(axis=1)
-    singular = (top == 0.0) | (diag.min(axis=1) <= glm._RANK_TOL * top) | (n <= k)
+    singular = glm.rank_deficient(r, xb) | glm.rank_deficient(rc, fixed) | (n <= k)
     qty = np.swapaxes(q, 1, 2) @ r_y
     qf = np.einsum("dpj,dpj->dj", qty, qty)
     ryss = np.einsum("ij,ij->j", r_y, r_y)
@@ -446,7 +435,7 @@ def _glm_wald(design, ymat, p, family, size, observed):
     feature. Other families fit every pair in one _accel.glm_fit_many
     call. observed=True raises on any singular fit.
     """
-    code, size = _glm_family(family, size)
+    code, size = glm.family_code(family, size)
     xs = design if design.ndim == 3 else design[None]
     if code == _accel.GAUSSIAN:
         qf, sigma2, singular = _linear_block_stack(xs, slice(1, 1 + p), ymat)
@@ -472,7 +461,7 @@ def _glm_wald(design, ymat, p, family, size, observed):
 
 class _GlmEvaluator:
     def __init__(self, dataset, family, size):
-        _glm_family(family, size)
+        glm.family_code(family, size)
         self._y = dataset.y
         self._z = dataset.z
         self._family = family
@@ -505,11 +494,10 @@ class _RvEvaluator:
         xs, one = _draw_stack(x)
         xc = xs - xs.mean(axis=1, keepdims=True)
         px = self._proj @ xs
-        # a centered or projected draw whose norm is within the rank
-        # tolerance of the raw draw's is rounding noise, not a direction
-        floor = glm._RANK_TOL**2 * np.einsum("dab,dab->d", xs, xs)
-        tm, e1 = _rv_many(xc, self._yc, self._ycss, floor)
-        tc, e2 = _rv_many(px, self._py, self._pyss, floor)
+        # a centered or projected draw the rank rule refuses is rounding noise
+        e1, e2 = glm.rank_deficient(np.linalg.qr(np.stack([xc, px]), mode="r"), xs)
+        tm = _rv_many(xc, self._yc, self._ycss, e1)
+        tc = _rv_many(px, self._py, self._pyss, e2)
         if observed and e1.any():
             raise ValueError("constant exposure on observed data")
         if observed and e2.any():
@@ -518,23 +506,21 @@ class _RvEvaluator:
         return _unstack(tm, tc, int(np.count_nonzero(e1 | e2)) * self._yc.shape[1], one)
 
 
-def _rv_many(u, ymat, ycss, floor):
+def _rv_many(u, ymat, ycss, empty):
     # univariate responses: tr(Svv^2) = (y'y)^2, so the RV ratio reduces
     # to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature; u is a
     # stack (D, n, p) and u'y for every draw is one (D p, n) @ (n, m)
-    # GEMM. A draw with ||U'U||_F at most floor scores 0 on every
-    # feature; returns (statistics, mask of those empty draws).
+    # GEMM. A draw marked empty scores 0 on every feature.
     nd, n, p = u.shape
     ut = np.swapaxes(u, 1, 2)
     uu = ut @ u
     unorm = np.sqrt(np.einsum("dab,dab->d", uu, uu))
-    empty = unorm <= floor
     a = (ut.reshape(nd * p, n) @ ymat).reshape(nd, p, -1)
     num = np.einsum("dpj,dpj->dj", a, a)
     den = np.where(empty, 0.0, unorm)[:, None] * ycss
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(den > 0.0, num / den, 0.0)
-    return np.minimum(out, 1.0), empty
+    return np.minimum(out, 1.0)
 
 
 class _HsicEvaluator:

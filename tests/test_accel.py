@@ -216,3 +216,38 @@ def test_fit_memory_is_a_few_working_arrays():
         finally:
             tracemalloc.stop()
         assert peak <= 10 * unit, (family, peak / unit)
+
+
+def test_cholesky_verdict_is_free_of_column_scale():
+    # Gram matrices of well-conditioned designs and of designs with a
+    # column 1e-9 of its norm (or exactly) in the span of the others;
+    # D A D rescales the columns by 1e-6 to 1e6
+    rng = np.random.default_rng(8)
+    grams = []
+    for gap in (1.0, 1e-2, 1e-9, 0.0) * 3:
+        x = rng.normal(size=(30, 4))
+        x[:, 3] = x[:, 0] - 2.0 * x[:, 1] + gap * rng.normal(size=30)
+        grams.append(x.T @ x)
+    a = np.stack(grams)
+    d = 10.0 ** rng.uniform(-6.0, 6.0, size=(a.shape[0], 4))
+    d[:, 0], d[:, 3] = 1e-6, 1e6
+    ok = _accel._cholesky(a)[1]
+    assert ok.tolist() == [True, True, False, False] * 3
+    assert np.array_equal(_accel._cholesky(d[:, :, None] * a * d[:, None, :])[1], ok)
+
+
+def test_diverging_log_link_fit_is_not_converged():
+    # one column of two equal counts and 38 zeros: negbinom diverges
+    # and its mean reaches the clamp, where the stop rule alone would
+    # accept its huge coefficients; poisson converges on the same column
+    rng = np.random.default_rng(6)
+    n = 40
+    design = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
+    spike = np.where(np.arange(n) < 2, 1.0, 0.0)
+    for c in (1e6, 1e10, 1e20):
+        status = _accel.glm_fit_many(design, c * spike[:, None], _accel.NEGBINOM, 3.0, 50, 1e-8)[2]
+        assert status[0] != 0, c
+    for c, want in ((1e6, 8.355), (1e10, 17.565)):
+        coef, _, status, _ = _accel.glm_fit_many(design, c * spike[:, None], _accel.POISSON, 3.0, 50, 1e-8)
+        assert status[0] == 0 and np.all(np.isfinite(coef))
+        np.testing.assert_allclose(coef[0], [want, 2.5496, 0.01066], rtol=1e-3)

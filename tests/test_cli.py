@@ -461,3 +461,25 @@ def test_import_leaves_scipy_unloaded(module):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_rejections_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # GEMMs round by their blocking, so tensor bits may differ between
+    # thread counts; thresholds and rejection sets may not
+    fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdr2d.__file__)))
+    docs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.json"
+        x, y, z = (os.path.join(fixtures, f) for f in ("exposure.tsv", "otu_counts.tsv", "confounders.tsv"))
+        subprocess.run(
+            [sys.executable, "-m", "fdr2d.cli", "analyze", "--x", x, "--y", y, "--z", z, "--stat", "glm:poisson",
+             "--sampler", "parametric-logistic", "--b", "19", "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["rejected_features"] == docs[1]["rejected_features"]
+    for key in ("t1", "t2", "fdp_estimate"):
+        np.testing.assert_allclose(float(docs[1][key]), float(docs[0][key]), rtol=1e-12)

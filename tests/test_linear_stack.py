@@ -3,10 +3,10 @@ draw stack.
 
 Both score every draw through stats._linear_block_stack: one
 residualisation on the fixed block and one batched QR, with the rank
-rule on the joint design's R diagonal in [C, block] order and the
-residual sum of squares summed from the residuals where the block fits
-near-perfectly. These tests hold the edge cases to the scalar
-reference forms, which fit the joint design with their own QR.
+rule glm.rank_deficient on each R diagonal against its raw column's
+norm, and the residual sum of squares summed from the residuals where
+the block fits near-perfectly. These tests hold the edge cases to the
+scalar reference forms, which fit the joint design with their own QR.
 """
 
 import warnings
@@ -37,8 +37,8 @@ def _inputs(seed, n=50, m=6, x=None):
 @pytest.mark.parametrize("kind", KINDS)
 def test_draw_singular_only_jointly(kind):
     # draw 1 is the confounder plus noise at 1e-11: residualised on the
-    # confounders it is a small but well-conditioned column, and only the
-    # joint design's R diagonal shows the draw is singular
+    # confounders it is a small but well-conditioned column, and only its
+    # R diagonal against the raw draw's norm shows the draw is singular
     x, y, z, rng = _inputs(11)
     ds = core.Dataset(x=x, y=y, z=z)
     evaluator = _evaluator(ds, kind)
@@ -147,10 +147,9 @@ def test_near_perfect_gaussian_wald_is_accurate():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rank_verdict_does_not_depend_on_the_responses(kind):
-    # x = 1000 z + 1e-6 noise is at the rank limit in [1, x, z] order
-    # (R diagonal ratio about 1e-12) but not in the stack's [C, block]
-    # order (about 1e-6); adding a column the draw fits near-perfectly
-    # must not change whether the draw is scored
+    # x = 1000 z + 1e-6 noise lies about 1e-9 of its norm from the span
+    # of [1, z], eight times the rank tolerance; adding a column the draw
+    # fits near-perfectly must not change whether the draw is scored
     rng = np.random.default_rng(14)
     n = 60
     z = rng.normal(size=(n, 1))
