@@ -184,13 +184,33 @@ def _procedure_from(cfg, method):
     )
 
 
+def _check_settings(cfg):
+    """Refuse an invalid statistic or sampler setting whether or not the
+    run reads it: result.json echoes every setting."""
+    for key in ("epsilon", "nb_size"):
+        if not (np.isfinite(cfg[key]) and cfg[key] > 0.0):
+            raise ValueError(f"--{key.replace('_', '-')} must be a finite positive number")
+    if cfg.get("bin_edges") is not None:
+        _bin_edges(cfg["bin_edges"])
+
+
+def _bin_edges(raw):
+    try:
+        edges = np.array(_floats(raw))
+    except ValueError:
+        raise ValueError(f"--bin-edges {raw!r} is not a comma-separated list of numbers") from None
+    if not np.all(np.diff(edges) > 0.0):
+        raise ValueError("--bin-edges must be strictly increasing")
+    return edges
+
+
 def _plan_from(cfg, dataset=None):
     edges = None
     column = None
     if cfg["sampler"] == "binned-perm":
         if not cfg["bin_edges"]:
             raise ValueError("binned-perm sampler needs --bin-edges")
-        edges = np.array([float(v) for v in str(cfg["bin_edges"]).split(",")])
+        edges = _bin_edges(cfg["bin_edges"])
         column = int(cfg["bin_col"])
         if dataset is not None and not 0 <= column < dataset.d:
             raise ValueError(f"bin-col {column} out of range for {dataset.d} confounders")
@@ -213,7 +233,8 @@ def _load_analysis_dataset(cfg):
 
 
 def _cmd_analyze(cfg):
-    # every echoed setting is checked, also those bh does not read
+    # every echoed setting is checked, also those the run does not read
+    _check_settings(cfg)
     procedure = _procedure_from(cfg, cfg["method"])
     dataset, spec = _load_analysis_dataset(cfg)
     engine.check_methods([cfg["method"]], spec)
@@ -298,6 +319,7 @@ def _write_json(path, doc):
 
 
 def _cmd_grid_dump(cfg):
+    _check_settings(cfg)
     dataset, spec = _load_analysis_dataset(cfg)
     procedure = _procedure_from(cfg, cfg["method"])
     plan = _plan_from(cfg, dataset)
@@ -321,6 +343,7 @@ def _floats(raw):
 
 def _cmd_simulate(cfg):
     methods = [m.strip() for m in str(cfg["method"]).split(",")]
+    _check_settings(cfg)
     if cfg["sampler"] == "binned-perm":
         raise ValueError("simulate cannot use the binned-perm sampler: it takes no bin edges")
     if cfg["spline_df"] is not None and not (cfg["stat"] or cfg["sampler"]):

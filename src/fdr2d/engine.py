@@ -24,9 +24,9 @@ import numpy as np
 from . import _accel, _rng, core, samplers, stats
 from .core import CutoffResult
 
-# most draws x features x rows scored by one evaluator call. A float64
-# array of that many cells is 4 MiB; the GLM fits of a full chunk hold
-# about seven such arrays at once.
+# most cells, summed over one evaluator call's draws, of the largest
+# per-draw array (the evaluator's draw_cells): 4 MiB of float64; the
+# GLM fits of a full chunk hold about seven such arrays at once.
 _CHUNK_CELLS = 2**19
 
 METHODS = (
@@ -193,8 +193,8 @@ def build_tensor(dataset, plan, spec):
     use draws from the plan's conditional sampler, each made on its own
     deterministic substream of the plan seed. The draws are scored in
     chunks: each chunk's draws are stacked and go to the evaluator in
-    one call, and a chunk holds at most _CHUNK_CELLS draw x feature x
-    row cells, so working memory stays bounded as m, n and B grow. A
+    one call, and a chunk holds _CHUNK_CELLS // draw_cells draws (at
+    least one), so working memory stays bounded as m, n and B grow. A
     statistic failure on the observed data aborts; on resampled rows it
     becomes a zero pair, counted and reported once.
     """
@@ -221,7 +221,7 @@ def build_tensor(dataset, plan, spec):
     tm, tc, warn_total = evaluator.pairs(dataset.x, observed=True)
     pairs[0, :, 0] = tm
     pairs[0, :, 1] = tc
-    chunk = max(1, _CHUNK_CELLS // (dataset.n * dataset.m))
+    chunk = max(1, _CHUNK_CELLS // evaluator.draw_cells)
     for start in range(1, b + 1, chunk):
         stop = min(start + chunk, b + 1)
         xs = np.stack(

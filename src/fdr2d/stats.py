@@ -34,9 +34,6 @@ _BASIS_DF = 5
 # share of the residualised response below which _linear_block_stack
 # sums a pair's rss from its residuals
 _NEAR_PERFECT = 1e-3
-# most kernel cells (two n x n kernels per draw) the hsic evaluator
-# holds for a stack of draws at once: 32 MiB
-_KERNEL_CELLS = 2**22
 
 
 class StatPair(NamedTuple):
@@ -462,6 +459,8 @@ def _glm_wald(design, ymat, p, family, size, observed):
 class _GlmEvaluator:
     def __init__(self, dataset, family, size):
         glm.family_code(family, size)
+        # the IRLS working arrays hold (features, rows) per draw
+        self.draw_cells = dataset.n * dataset.m
         self._y = dataset.y
         self._z = dataset.z
         self._family = family
@@ -489,6 +488,8 @@ class _RvEvaluator:
         self._ycss = np.einsum("ij,ij->j", self._yc, self._yc)
         self._py = self._proj @ y
         self._pyss = np.einsum("ij,ij->j", self._py, self._py)
+        # the centered and projected draw (2, n, p), or its products u'y (p, m)
+        self.draw_cells = max(2 * dataset.n, dataset.m) * dataset.x.shape[1]
 
     def pairs(self, x, observed=False):
         xs, one = _draw_stack(x)
@@ -528,6 +529,8 @@ class _HsicEvaluator:
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         self._eps = float(epsilon)
+        # the draw's two kernels (2, n^2), or its two statistic rows (2, m)
+        self.draw_cells = 2 * max(dataset.n**2, dataset.m)
         self._zstd = _standardize_columns(dataset.z)
         self._ky, bad = self._kernels(dataset.y.T[:, :, None], observed=False)
         if bad:
@@ -553,17 +556,10 @@ class _HsicEvaluator:
         return out, bad
 
     def pairs(self, x, observed=False):
-        # one (draws, n^2) @ (n^2, m) product per statistic, for at most
-        # _KERNEL_CELLS kernel cells of draws at a time
+        # one (draws, n^2) @ (n^2, m) product per statistic
         xs, one = _draw_stack(x)
-        n = xs.shape[1]
-        step = max(1, _KERNEL_CELLS // (2 * n * n))
-        rows, bad = [], 0
-        for start in range(0, xs.shape[0], step):
-            kx, b = self._kernels(xs[start : start + step], observed)
-            rows.append(np.maximum(kx @ np.swapaxes(self._ky, 1, 2) / n, 0.0))
-            bad += b
-        tm, tc = np.concatenate(rows, axis=1)
+        kx, bad = self._kernels(xs, observed)
+        tm, tc = np.maximum(kx @ np.swapaxes(self._ky, 1, 2) / xs.shape[1], 0.0)
         # a degenerate draw scores 0 on every feature, each a failure
         return _unstack(tm, tc, bad * self._ky.shape[1], one)
 
@@ -589,6 +585,8 @@ class _CategoricalEvaluator:
         self._y = y
         self._c1 = y.sum(axis=0)
         self._n = n
+        # the draw (n,), or its rows of counts and statistics (m,)
+        self.draw_cells = max(n, dataset.m)
 
     def pairs(self, x, observed=False):
         # the sums are integer counts, exact in any summation order, and
@@ -630,6 +628,8 @@ class _BasisWaldEvaluator:
         self._dz = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
         self._y = dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
+        # the joint design [bx, dz] (n, k), or the products Q'r (_BASIS_DF, m)
+        self.draw_cells = max(dataset.n * (_BASIS_DF + self._dz.shape[1]), _BASIS_DF * dataset.m)
 
     def pairs(self, x, observed=False):
         xs, one = _draw_stack(x)
@@ -668,9 +668,8 @@ def make_evaluator(
     (D, n, p) of draws; marginal and conditional are (m,) or (D, m)
     to match, and failed is the number of (draw, feature) pairs a
     failure set to 0, an int. Each draw's row equals what .pairs gives
-    for that draw alone. glm:gaussian and basis-wald score the stack
-    through _linear_block_stack, hsic through one product of the draws'
-    kernels with the response kernels.
+    for that draw alone. .draw_cells is the number of cells in the
+    largest array .pairs makes per draw, which sizes the stacks.
     observed=True turns silent failures into errors so a broken fit on
     the real data aborts instead of producing a zero row.
     spline_df is the natural-spline df of the confounder adjustment of

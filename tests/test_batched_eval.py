@@ -110,18 +110,41 @@ def assert_close_rows(got, want, bitwise=False):
         np.testing.assert_allclose(got[..., k], want[..., k], rtol=1e-10, atol=floor)
 
 
+def _counting_evaluators(monkeypatch):
+    """Make build_tensor's evaluators record the shape of every input
+    their pairs is called with, into the returned list."""
+    shapes = []
+    real = stats.make_evaluator
+
+    def make_evaluator(*args, **kwargs):
+        evaluator = real(*args, **kwargs)
+        pairs = evaluator.pairs
+
+        def counted(x, observed=False):
+            shapes.append(np.shape(x))
+            return pairs(x, observed=observed)
+
+        evaluator.pairs = counted
+        return evaluator
+
+    monkeypatch.setattr(stats, "make_evaluator", make_evaluator)
+    return shapes
+
+
 @pytest.mark.parametrize("stat,sampler,p", _cases(), ids=lambda v: str(v))
 def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
-    # small chunks, so the tensor is made from several stacks and a
-    # partial last one
-    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * 40 * 7)
+    # five draws per chunk by the evaluator's own count, so the twelve
+    # draws come in three stacks, the last one partial
     dataset = make_dataset(stat, sampler, p)
     plan = make_plan(sampler, b=12)
     spec = make_spec(stat)
+    evaluator = _evaluator(dataset, spec)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * evaluator.draw_cells)
+    shapes = _counting_evaluators(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tensor = engine.build_tensor(dataset, plan, spec)
-    evaluator = _evaluator(dataset, spec)
+    assert shapes == [(dataset.n, p)] + [(d, dataset.n, p) for d in (5, 5, 2)]
     model = samplers.fit_for_strategy(
         sampler, dataset.x, dataset.z, z_kinds=dataset.z_kinds,
         bin_column=plan.bin_column, bin_edges=plan.bin_edges,
@@ -244,26 +267,60 @@ def test_exposure_separated_column_stops_early_as_separation():
     assert full_status[0] == red_status[0] == 2 and tm[0] == 0.0 and tc[0] == 0.0
 
 
-def _peak_bytes(dataset, plan, spec):
+def _peak_bytes(call, *args):
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            engine.build_tensor(dataset, plan, spec)
+            call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_build_tensor_memory_is_tensor_plus_one_chunk(monkeypatch):
+def _assert_tensor_plus_one_chunk(monkeypatch, stat, n, m):
     # ten draws per chunk: B = 50 already fills whole chunks, so B = 400
     # may add only the larger tensor and at most one chunk's working set
-    n, m = 50, 40
-    cells = 10 * n * m
+    dataset = make_dataset(stat, "residual-perm", 1, n=n, m=m)
+    spec = make_spec(stat)
+    cells = 10 * _evaluator(dataset, spec).draw_cells
     monkeypatch.setattr(engine, "_CHUNK_CELLS", cells)
-    dataset = make_dataset("glm:binomial", "residual-perm", 1, n=n, m=m)
-    spec = make_spec("glm:binomial")
-    small = _peak_bytes(dataset, make_plan("residual-perm", 50), spec)
-    large = _peak_bytes(dataset, make_plan("residual-perm", 400), spec)
+    small = _peak_bytes(engine.build_tensor, dataset, make_plan("residual-perm", 50), spec)
+    large = _peak_bytes(engine.build_tensor, dataset, make_plan("residual-perm", 400), spec)
     tensor_bytes = (400 + 1) * m * 2 * 8
     assert large - small <= tensor_bytes + 8 * cells
+
+
+def test_build_tensor_memory_is_tensor_plus_one_chunk(monkeypatch):
+    _assert_tensor_plus_one_chunk(monkeypatch, "glm:binomial", 50, 40)
+
+
+@pytest.mark.parametrize("stat,n,m", [("rv", 50, 40), ("hsic", 120, 3)])
+def test_build_tensor_memory_is_tensor_plus_one_chunk_per_stat(monkeypatch, stat, n, m):
+    # hsic at n >> m makes two n x n kernels per draw, far more than n m
+    _assert_tensor_plus_one_chunk(monkeypatch, stat, n, m)
+
+
+def _stack(dataset, draws, seed=2):
+    # draws near the observed exposure, or coin flips for a binary one
+    rng = np.random.default_rng(seed)
+    shape = (draws,) + dataset.x.shape
+    if dataset.x_kind == "binary":
+        return (rng.random(shape) < 0.5).astype(float)
+    return dataset.x[None] + rng.normal(scale=0.5, size=shape)
+
+
+@pytest.mark.parametrize("n,m", [(100, 1000), (200, 20)])
+@pytest.mark.parametrize(
+    "stat", ["glm:binomial", "glm:gaussian", "rv", "hsic", "categorical", "basis-wald"]
+)
+def test_draw_cells_bound_the_footprint_of_a_draw(stat, n, m):
+    # twenty more draws in one call may add at most twelve float64
+    # arrays of draw_cells cells per draw, so that _CHUNK_CELLS bounds
+    # the working memory of every chunk
+    sampler = "parametric-logistic" if stat == "categorical" else "residual-perm"
+    dataset = make_dataset(stat, sampler, 1, n=n, m=m, constant_last=False)
+    evaluator = _evaluator(dataset, make_spec(stat))
+    stack = _stack(dataset, 40)
+    grown = _peak_bytes(evaluator.pairs, stack) - _peak_bytes(evaluator.pairs, stack[:20])
+    assert grown <= 12 * 8 * 20 * evaluator.draw_cells

@@ -411,6 +411,46 @@ class TestGridDump:
             assert np.all(diffs <= 1e-12)
 
 
+class TestUnreadSettings:
+    """A setting the run does not read is still checked, since result.json
+    echoes it: each bad value exits 1 and writes no result file."""
+
+    @staticmethod
+    def _run(tmp_path, command, extra):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = str(outdir / ("r.json" if command == "analyze" else "r.tsv"))
+        if command == "simulate":
+            args = ["simulate", "--dgp", "1", "--n", "40", "--m", "10", "--reps", "1",
+                    "--b", "5", "--out", out]
+        else:
+            xp, yp, zp = _write_xyz(tmp_path, n=60, m=20)
+            args = [command, "--x", xp, "--y", yp, "--z", zp, "--b", "5", "--out", out]
+        code = cli.main(args + list(extra))
+        return code, os.listdir(outdir)
+
+    @pytest.mark.parametrize("command", ["analyze", "grid-dump", "simulate"])
+    def test_epsilon_must_be_positive(self, tmp_path, capsys, command):
+        # rv, and the dgp's own gaussian GLM, have no ridge
+        stat = [] if command == "simulate" else ["--stat", "rv"]
+        assert self._run(tmp_path, command, stat + ["--epsilon", "-1"]) == (1, [])
+        assert "--epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "grid-dump", "simulate"])
+    def test_nb_size_must_be_positive(self, tmp_path, capsys, command):
+        stat = [] if command == "simulate" else ["--stat", "rv"]
+        assert self._run(tmp_path, command, stat + ["--nb-size", "-2"]) == (1, [])
+        assert "--nb-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "grid-dump"])
+    @pytest.mark.parametrize("edges", ["abc", "1,0", "0,0"])
+    def test_bin_edges_must_be_increasing_numbers(self, tmp_path, capsys, command, edges):
+        # residual-perm takes no bins
+        extra = ["--sampler", "residual-perm", "--bin-edges", edges]
+        assert self._run(tmp_path, command, extra) == (1, [])
+        assert "--bin-edges" in capsys.readouterr().err
+
+
 class TestPreprocess:
     def test_pipeline_to_file(self, tmp_path):
         rng = np.random.default_rng(9)

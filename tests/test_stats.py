@@ -393,12 +393,11 @@ class TestEvaluators:
                 atol=1e-12,
             )
 
-    def test_hsic_stack_split_by_kernel_budget(self, monkeypatch):
-        # two draws' kernels per product: a stack of five is scored in
-        # three parts, the last partial, with a constant draw in the middle
+    def test_hsic_stack_rows_equal_single_draws(self):
+        # a stack of five scored in one product, with a constant draw in
+        # the middle; build_tensor's chunks split stacks (test_batched_eval)
         rng = np.random.default_rng(57)
         ds = _toy_dataset(rng, n=30, m=4)
-        monkeypatch.setattr(stats, "_KERNEL_CELLS", 2 * 2 * 30 * 30)
         ev = stats.make_evaluator(ds, "hsic", epsilon=0.001)
         stack = ds.x[None] + rng.normal(scale=0.5, size=(5,) + ds.x.shape)
         stack[2] = 0.25
