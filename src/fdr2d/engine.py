@@ -218,9 +218,9 @@ def build_tensor(dataset, plan, spec):
     )
     b = plan.b_count
     pairs = np.zeros((b + 1, dataset.m, 2))
-    tm, tc, warn_total = evaluator.pairs(dataset.x, observed=True)
-    pairs[0, :, 0] = tm
-    pairs[0, :, 1] = tc
+    tm, tc, warn_total = evaluator.pairs(dataset.x[None], observed=True)
+    pairs[:1, :, 0] = tm
+    pairs[:1, :, 1] = tc
     chunk = max(1, _CHUNK_CELLS // evaluator.draw_cells)
     for start in range(1, b + 1, chunk):
         stop = min(start + chunk, b + 1)

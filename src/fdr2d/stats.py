@@ -5,15 +5,16 @@ stronger dependence, and degenerate inputs give 0 with a warning
 rather than NaN, so downstream thresholding never sees missing
 values. The scalar functions are the reference forms; make_evaluator
 builds the evaluators used while assembling statistic tensors. An
-evaluator scores every feature against one exposure (n, p) or against
-a stack (D, n, p) of resampled draws in one call, sharing whatever does
+evaluator scores every feature against a stack (D, n, p) of exposures
+in one call (the observed one is a stack of one), sharing whatever does
 not change across draws (centered response kernels, confounder
 projectors, spline knots). Every GLM Wald statistic, the evaluator's
-pairs and the p-values behind bh alike, comes from _glm_wald, which
-also returns a fit status per (draw, feature) pair. Its non-gaussian
-fits run as one IRLS batch; the gaussian GLM and basis Wald statistics
-share one batched least-squares routine, _linear_block_stack; the RV,
-categorical and HSIC statistics are matrix products over all draws.
+pairs and the p-values behind bh alike, comes from _glm_wald, the one
+place that lays out [1, x, z], which also returns a fit status per
+(draw, feature) pair. Its non-gaussian fits run as one IRLS batch; the
+gaussian GLM and basis Wald statistics share one batched least-squares
+routine, _linear_block_stack; the RV, categorical and HSIC statistics
+are matrix products over all draws.
 """
 
 import warnings
@@ -45,20 +46,6 @@ class StatPair(NamedTuple):
 class KernelMatrix:
     matrix: np.ndarray
     bandwidth: float
-
-
-def _draw_stack(x):
-    # (draws, one_draw): a stack (D, n, p) as given, or one exposure
-    # (n, p) or (n,) as a stack of one
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 3:
-        return x, False
-    return _as_matrix(x)[None], True
-
-
-def _unstack(tm, tc, failed, one):
-    # (D, m) statistics back to (m,) when the input was one exposure
-    return (tm[0], tc[0], failed) if one else (tm, tc, failed)
 
 
 def _all_rows_equal(a):
@@ -307,13 +294,12 @@ def model_pvalues(ymat, x, z, family, size=None):
     x = _as_matrix(x)
     z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
     n, p = x.shape
-    full = np.column_stack([np.ones(n), x, z])
     # a failed fit keeps statistic 0, whose p-value is exactly 1
-    w, status = _glm_wald(full, ymat, p, family, size, observed=True)
+    (w,), (status,) = _glm_wald(x[None], z, ymat, family, size, observed=True)
     if p > 1:
         pvals = special.chdtrc(p, w)
     elif family == "gaussian":
-        pvals = 2.0 * special.stdtr(n - full.shape[1], -w)
+        pvals = 2.0 * special.stdtr(n - 1 - p - z.shape[1], -w)
     else:
         pvals = 2.0 * special.ndtr(-w)
     bad = int(np.count_nonzero(status))
@@ -384,26 +370,25 @@ def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
     return StatPair(t_m=_qf_stat(qf_m, sigma2, yss), t_c=_qf_stat(qf_c, sigma2, yss))
 
 
-def _linear_block_stack(design, block, ymat):
+def _linear_block_stack(fixed, block, ymat):
     """Least-squares share of an exposure block, per (draw, response column).
 
-    design (D, n, k) stacks joint designs whose columns outside the slice
-    block are one fixed block C. By Frisch-Waugh-Lovell, the response is
-    residualised on C once (r), each draw's block once, and one batched
-    QR (Q, R) of those blocks serves every column. Returns qf = ||Q'r||^2
-    and the joint sigma2 as glm.ols_many defines it, each (D, m), and
-    singular (D,): glm.rank_deficient of C's R against C, or of R against
-    the raw block, or no residual degrees of freedom. rss is ||r||^2 - qf, or
+    The joint model is [C, block]: fixed (n, kc) holds the columns C
+    every draw shares and block (D, n, p) the draws' exposure blocks. By
+    Frisch-Waugh-Lovell, the response is residualised on C once (r), each
+    draw's block once, and one batched QR (Q, R) of those blocks serves
+    every column. Returns qf = ||Q'r||^2 and the joint sigma2 as
+    glm.ols_many defines it, each (D, m), and singular (D,):
+    glm.rank_deficient of C's R against C, or of R against the raw
+    block, or no residual degrees of freedom. rss is ||r||^2 - qf, or
     ||r - QQ'r||^2 where the block leaves under _NEAR_PERFECT of r and
     the difference cancels. A column C alone fits has qf = sigma2 = 0.
     """
-    _, n, k = design.shape
-    fixed = np.delete(design[0], block, axis=1)
+    n, k = fixed.shape[0], fixed.shape[1] + block.shape[2]
     qc, rc = np.linalg.qr(fixed)
     r_y = ymat - qc @ (qc.T @ ymat)
-    xb = design[:, :, block]
-    q, r = np.linalg.qr(xb - qc @ (qc.T @ xb))
-    singular = glm.rank_deficient(r, xb) | glm.rank_deficient(rc, fixed) | (n <= k)
+    q, r = np.linalg.qr(block - qc @ (qc.T @ block))
+    singular = glm.rank_deficient(r, block) | glm.rank_deficient(rc, fixed) | (n <= k)
     qty = np.swapaxes(q, 1, 2) @ r_y
     qf = np.einsum("dpj,dpj->dj", qty, qty)
     ryss = np.einsum("ij,ij->j", r_y, r_y)
@@ -417,66 +402,68 @@ def _linear_block_stack(design, block, ymat):
     return qf, np.where(rss <= tol, 0.0, rss / (n - k)), singular
 
 
-def _glm_wald(design, ymat, p, family, size, observed):
-    """Wald statistics of the exposure block, columns 1..p, for every
-    (draw, response column) pair.
-
-    design is one (n, k) design or a stack (D, n, k) of per-draw
-    designs; returns (stat, status), each (m,) or (D, m) to match.
-    status is 0 fitted, 1 iteration limit, 2 separation, 3 singular
-    design (see _accel.glm_fit_many), and a failed fit's statistic is 0.
-    Gaussian stacks (columns outside the block the same in every draw)
-    go through _linear_block_stack: sqrt(qf / sigma2) for p = 1, else
-    qf / sigma2, and a perfect fit with qf > 0 takes the zero-covariance
-    rule of _accel.wald_block; a singular draw gets status 3 on every
-    feature. Other families fit every pair in one _accel.glm_fit_many
-    call. observed=True raises on any singular fit.
+def _glm_wald(xs, z, ymat, family, size, observed):
+    """Wald statistics of x in the model [1, x, z] for every (draw,
+    response column) pair: xs is the exposure stack (D, n, p), and z
+    (n, kz) is shared by every draw, with no columns for the marginal
+    model. Returns (stat, status), each (D, m). status is 0 fitted, 1
+    iteration limit, 2 separation, 3 singular design (see
+    _accel.glm_fit_many), and a failed fit's statistic is 0. The gaussian
+    family goes through _linear_block_stack with fixed columns [1, z]:
+    sqrt(qf / sigma2) for p = 1, else qf / sigma2, and a perfect fit with
+    qf > 0 takes the zero-covariance rule of _accel.wald_block; a
+    singular draw gets status 3 on every feature. Other families fit
+    every pair in one _accel.glm_fit_many call. observed=True raises on
+    any singular fit.
     """
     code, size = glm.family_code(family, size)
-    xs = design if design.ndim == 3 else design[None]
+    n, p = xs.shape[1:]
+
+    def joint(xd):  # [1, x, z] for each draw of the stack xd
+        ones = np.ones(xd.shape[:2] + (1,))
+        return np.concatenate([ones, xd, np.broadcast_to(z, xd.shape[:1] + z.shape)], axis=2)
+
     if code == _accel.GAUSSIAN:
-        qf, sigma2, singular = _linear_block_stack(xs, slice(1, 1 + p), ymat)
-        k = xs.shape[2]
+        qf, sigma2, singular = _linear_block_stack(np.column_stack([np.ones(n), z]), xs, ymat)
+        k = 1 + p + z.shape[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             wald = np.where(qf > 0.0, qf / sigma2, 0.0)
             stat = np.minimum(np.sqrt(wald) if p == 1 else wald, _accel.STAT_CAP)
         for d, j in zip(*np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])):
-            coef = np.linalg.lstsq(xs[d], ymat[:, j], rcond=None)[0]
+            coef = np.linalg.lstsq(joint(xs[d : d + 1])[0], ymat[:, j], rcond=None)[0]
             stat[d, j] = _accel.wald_block(coef[None], np.zeros((1, k, k)), p)[0]
         stat[singular] = 0.0
         status = np.repeat(np.where(singular, 3, 0)[:, None], ymat.shape[1], axis=1)
     else:
-        coef, cov, status, _ = _accel.glm_fit_many(xs, ymat, code, size, _MAX_ITER, _TOL)
+        coef, cov, status, _ = _accel.glm_fit_many(joint(xs), ymat, code, size, _MAX_ITER, _TOL)
         ok = status == 0
         stat = np.zeros(status.shape)
         stat[ok] = _accel.wald_block(coef[ok], cov[ok], p)
     if observed and np.any(status == 3):
         j = int(np.nonzero(status == 3)[1][0])
         raise ValueError(f"feature {j}: singular design on observed data")
-    return (stat, status) if design.ndim == 3 else (stat[0], status[0])
+    return stat, status
 
 
 class _GlmEvaluator:
     def __init__(self, dataset, family, size):
-        glm.family_code(family, size)
-        # the IRLS working arrays hold (features, rows) per draw
-        self.draw_cells = dataset.n * dataset.m
+        gaussian = glm.family_code(family, size)[0] == _accel.GAUSSIAN
+        # per draw: the gaussian block's Q (n, p) and its products Q'r
+        # (p, m), or the IRLS working arrays (m, n)
+        wide = max(dataset.n, dataset.m) * dataset.x.shape[1]
+        self.draw_cells = wide if gaussian else dataset.n * dataset.m
         self._y = dataset.y
         self._z = dataset.z
         self._family = family
         self._size = size
 
-    def pairs(self, x, observed=False):
-        xs, one = _draw_stack(x)
-        nd, n, p = xs.shape
-        red = np.concatenate([np.ones((nd, n, 1)), xs], axis=2)
-        full = np.concatenate([red, np.broadcast_to(self._z, (nd,) + self._z.shape)], axis=2)
-        args = (self._y, p, self._family, self._size, observed)
-        tc, full_status = _glm_wald(full, *args)
-        tm, red_status = _glm_wald(red, *args)
+    def pairs(self, xs, observed=False):
+        # the conditional model [1, x, z], then the marginal [1, x]
+        args = (self._y, self._family, self._size, observed)
+        tc, full_status = _glm_wald(xs, self._z, *args)
+        tm, red_status = _glm_wald(xs, self._z[:, :0], *args)
         # a feature whose pair any failure zeroed counts once
-        failed = int(np.count_nonzero(np.maximum(full_status, red_status)))
-        return _unstack(tm, tc, failed, one)
+        return tm, tc, int(np.count_nonzero(np.maximum(full_status, red_status)))
 
 
 class _RvEvaluator:
@@ -491,8 +478,7 @@ class _RvEvaluator:
         # the centered and projected draw (2, n, p), or its products u'y (p, m)
         self.draw_cells = max(2 * dataset.n, dataset.m) * dataset.x.shape[1]
 
-    def pairs(self, x, observed=False):
-        xs, one = _draw_stack(x)
+    def pairs(self, xs, observed=False):
         xc = xs - xs.mean(axis=1, keepdims=True)
         px = self._proj @ xs
         # a centered or projected draw the rank rule refuses is rounding noise
@@ -504,7 +490,7 @@ class _RvEvaluator:
         if observed and e2.any():
             raise ValueError("exposure lies in the confounder span on observed data")
         # every feature of a draw with an empty block is one failure
-        return _unstack(tm, tc, int(np.count_nonzero(e1 | e2)) * self._yc.shape[1], one)
+        return tm, tc, int(np.count_nonzero(e1 | e2)) * self._yc.shape[1]
 
 
 def _rv_many(u, ymat, ycss, empty):
@@ -519,9 +505,15 @@ def _rv_many(u, ymat, ycss, empty):
     a = (ut.reshape(nd * p, n) @ ymat).reshape(nd, p, -1)
     num = np.einsum("dpj,dpj->dj", a, a)
     den = np.where(empty, 0.0, unorm)[:, None] * ycss
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(den > 0.0, num / den, 0.0)
-    return np.minimum(out, 1.0)
+    return np.minimum(_ratio_or_zero(num, den), 1.0, out=num)
+
+
+def _ratio_or_zero(num, den):
+    # num / den where den > 0, else 0, written into num
+    pos = den > 0.0
+    np.divide(num, den, out=num, where=pos)
+    num[~pos] = 0.0
+    return num
 
 
 class _HsicEvaluator:
@@ -555,13 +547,12 @@ class _HsicEvaluator:
                 bad += 1
         return out, bad
 
-    def pairs(self, x, observed=False):
+    def pairs(self, xs, observed=False):
         # one (draws, n^2) @ (n^2, m) product per statistic
-        xs, one = _draw_stack(x)
         kx, bad = self._kernels(xs, observed)
         tm, tc = np.maximum(kx @ np.swapaxes(self._ky, 1, 2) / xs.shape[1], 0.0)
         # a degenerate draw scores 0 on every feature, each a failure
-        return _unstack(tm, tc, bad * self._ky.shape[1], one)
+        return tm, tc, bad * self._ky.shape[1]
 
 
 class _CategoricalEvaluator:
@@ -588,36 +579,44 @@ class _CategoricalEvaluator:
         # the draw (n,), or its rows of counts and statistics (m,)
         self.draw_cells = max(n, dataset.m)
 
-    def pairs(self, x, observed=False):
+    def pairs(self, xs, observed=False):
         # the sums are integer counts, exact in any summation order, and
         # the rest is elementwise, so each draw's row is bit-identical to
-        # scoring that draw alone
-        xs, one = _draw_stack(x)
+        # scoring that draw alone. Four (D, m) buffers hold every row,
+        # each computed in place in the operation order of the scalar forms
         xv = xs[:, :, 0]
+        shape = (xv.shape[0], self._y.shape[1])
+        num, den, prod, part = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
+        for idx, ys, cs in self._strata:
+            nk = idx.size
+            xk = xv[:, idx]
+            rs = xk.sum(axis=1)[:, None]
+            # num += xk'ys - rs cs / nk
+            np.divide(np.multiply(rs, cs, out=part), nk, out=part)
+            num += np.subtract(np.matmul(xk, ys, out=prod), part, out=prod)
+            # den += rs (nk - rs) cs (nk - cs) / (nk^2 (nk - 1))
+            np.multiply(np.multiply(rs * (nk - rs), cs, out=part), nk - cs, out=part)
+            den += np.divide(part, nk * nk * (nk - 1.0), out=part)
+        tc = _ratio_or_zero(np.multiply(num, num, out=num), den)
+
         n = float(self._n)
         r1 = xv.sum(axis=1)[:, None]
         r0 = n - r1
         c1 = self._c1
         c0 = n - c1
-        a = xv @ self._y
+        a = np.matmul(xv, self._y, out=prod)
         flat = (r1[:, 0] <= 0.0) | (r0[:, 0] <= 0.0)
-        d0 = a * (n - r1 - c1 + a) - (r1 - a) * (c1 - a)
-        den = r1 * r0 * c1 * c0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tm = np.where(den > 0.0, n * d0 * d0 / den, 0.0)
-
-        num = np.zeros(a.shape)
-        den2 = np.zeros(a.shape)
-        for idx, ys, cs in self._strata:
-            nk = idx.size
-            xk = xv[:, idx]
-            rs = xk.sum(axis=1)[:, None]
-            num += xk @ ys - rs * cs / nk
-            den2 += rs * (nk - rs) * cs * (nk - cs) / (nk * nk * (nk - 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tc = np.where(den2 > 0.0, num * num / den2, 0.0)
+        # d0 = a (n - r1 - c1 + a) - (r1 - a) (c1 - a)
+        d0 = np.subtract(n - r1, c1, out=den)
+        d0 += a
+        d0 *= a
+        bc = np.subtract(r1, a, out=part)
+        d0 -= np.multiply(bc, np.subtract(c1, a, out=a), out=bc)
+        # tm = n d0 d0 / (r1 r0 c1 c0)
+        margins = np.multiply(np.multiply(r1 * r0, c1, out=bc), c0, out=bc)
+        tm = _ratio_or_zero(np.multiply(np.multiply(n, d0, out=a), d0, out=a), margins)
         # a flat draw scores 0 on every feature, each a failure
-        return _unstack(tm, tc, int(np.count_nonzero(flat)) * self._y.shape[1], one)
+        return tm, tc, int(np.count_nonzero(flat)) * self._y.shape[1]
 
 
 class _BasisWaldEvaluator:
@@ -628,18 +627,16 @@ class _BasisWaldEvaluator:
         self._dz = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
         self._y = dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
-        # the joint design [bx, dz] (n, k), or the products Q'r (_BASIS_DF, m)
-        self.draw_cells = max(dataset.n * (_BASIS_DF + self._dz.shape[1]), _BASIS_DF * dataset.m)
+        # per draw, as for the gaussian GLM: the block's Q (n, _BASIS_DF)
+        # and its products Q'r (_BASIS_DF, m)
+        self.draw_cells = max(dataset.n, dataset.m) * _BASIS_DF
 
-    def pairs(self, x, observed=False):
-        xs, one = _draw_stack(x)
+    def pairs(self, xs, observed=False):
         bx = np.stack([self._builder(xd[:, 0]) for xd in xs])
-        dz = np.broadcast_to(self._dz, (bx.shape[0],) + self._dz.shape)
-        block = slice(0, bx.shape[2])
         # both statistics share the residual variance of the joint model
-        # [bx, dz]; the marginal one is the share of bx alone
-        qf_c, sigma2, bad = _linear_block_stack(np.concatenate([bx, dz], axis=2), block, self._y)
-        qf_m, _, bad_m = _linear_block_stack(bx, block, self._y)
+        # [dz, bx]; the marginal one is the share of bx alone
+        qf_c, sigma2, bad = _linear_block_stack(self._dz, bx, self._y)
+        qf_m, _, bad_m = _linear_block_stack(self._dz[:, :0], bx, self._y)
         bad |= bad_m
         if observed and bad.any():
             raise ValueError("singular basis-wald design on observed data")
@@ -647,7 +644,7 @@ class _BasisWaldEvaluator:
         tc = _qf_stat_many(qf_c, sigma2, self._yss)
         tm[bad] = tc[bad] = 0.0
         # every feature of a singular draw is one failure
-        return _unstack(tm, tc, int(np.count_nonzero(bad)) * self._y.shape[1], one)
+        return tm, tc, int(np.count_nonzero(bad)) * self._y.shape[1]
 
 
 def _qf_stat_many(qf, sigma2, yss):
@@ -664,12 +661,13 @@ def make_evaluator(
     """Statistic evaluator for one dataset, batched over draws.
 
     The returned object computes (marginal, conditional, failed) via
-    .pairs(x, observed=...). x is one exposure (n, p) or a stack
-    (D, n, p) of draws; marginal and conditional are (m,) or (D, m)
-    to match, and failed is the number of (draw, feature) pairs a
-    failure set to 0, an int. Each draw's row equals what .pairs gives
-    for that draw alone. .draw_cells is the number of cells in the
-    largest array .pairs makes per draw, which sizes the stacks.
+    .pairs(xs, observed=...). xs is a stack (D, n, p) of exposures (the
+    observed one alone is dataset.x[None]); marginal and conditional are
+    (D, m), and failed is the number of (draw, feature) pairs a failure
+    set to 0, an int. Each draw's row equals what .pairs gives for that
+    draw alone. .draw_cells is the number of cells in the largest array
+    .pairs makes per draw (for the gaussian GLM and basis-wald, the
+    block's Q and Q'r: no joint design is built), which sizes the stacks.
     observed=True turns silent failures into errors so a broken fit on
     the real data aborts instead of producing a zero row.
     spline_df is the natural-spline df of the confounder adjustment of

@@ -8,9 +8,11 @@ It writes tests/fixtures/glm_kernel_pin.json: the inputs of every case
 (designs rounded to four decimals, integer responses) and the
 marginal/conditional statistics that ``stats._glm_wald`` returns for
 them on the reduced and full designs, with the worse of the two fit
-statuses. tests/test_accel.py compares the current kernel against the
-file. Regenerate it only when a change to the fitting rules is
-intended, and say why in CHANGES.md.
+statuses. The full design is [1, x, z] and the reduced one [1, x], so
+_glm_wald is handed the exposure columns x with and without z.
+tests/test_accel.py compares the current kernel against the file.
+Regenerate it only when a change to the fitting rules is intended, and
+say why in CHANGES.md.
 """
 
 import json
@@ -48,10 +50,12 @@ def _case(name, rng, family, p, max_iter=50, edit=None):
         d_full, d_red, ymat = edit(d_full, d_red, ymat)
     # the IRLS iteration limit is a module constant; one case lowers it
     stats._MAX_ITER = max_iter
-    args = (ymat, p, FAMILY_NAMES[family], NB_SIZE, False)
-    tc, full_status = stats._glm_wald(d_full, *args)
-    tm, red_status = stats._glm_wald(d_red, *args)
-    warn = np.maximum(full_status, red_status)
+    assert np.array_equal(d_red, d_full[:, : 1 + p])
+    xs, zc = d_full[None, :, 1 : 1 + p], d_full[:, 1 + p :]
+    args = (ymat, FAMILY_NAMES[family], NB_SIZE, False)
+    tc, full_status = stats._glm_wald(xs, zc, *args)
+    tm, red_status = stats._glm_wald(xs, zc[:, :0], *args)
+    tm, tc, warn = tm[0], tc[0], np.maximum(full_status, red_status)[0]
     return {
         "name": name,
         "family": family,

@@ -87,22 +87,26 @@ def test_wald_pair_many_matches_pin(monkeypatch, case):
     # tests/fixtures/pin_glm_kernel.py) but for binomial-degenerate
     # warn[0]: that column is separated by the exposure, which the
     # kernel now detects inside the loop (2) instead of running into the
-    # iteration limit (1). The conditional and marginal statistics are
-    # stats._glm_wald on the full and reduced designs, and warn is the
-    # larger of their statuses. Fitting each column alone must give the
-    # batch's answer, so convergence masks cannot couple features
+    # iteration limit (1). The pinned designs are [1, x, z] and [1, x];
+    # the conditional and marginal statistics are stats._glm_wald of x
+    # with and without z, and warn is the larger of their statuses.
+    # Fitting each column alone must give the batch's answer, so
+    # convergence masks cannot couple features
     d_full = np.array(case["d_full"], dtype=float)
     d_red = np.array(case["d_red"], dtype=float)
     ymat = np.array(case["ymat"], dtype=float)
+    p = case["p"]
+    np.testing.assert_array_equal(d_red, d_full[:, : 1 + p])
+    x, z = d_full[None, :, 1 : 1 + p], d_full[:, 1 + p :]
     family = NAMES[case["family"]]
     assert case["tol"] == stats._TOL
     monkeypatch.setattr(stats, "_MAX_ITER", case["max_iter"])
 
     def pair(y):
-        args = (y, case["p"], family, case["nb_size"], False)
-        tc, full_status = stats._glm_wald(d_full, *args)
-        tm, red_status = stats._glm_wald(d_red, *args)
-        return tm, tc, np.maximum(full_status, red_status)
+        args = (y, family, case["nb_size"], False)
+        tc, full_status = stats._glm_wald(x, z, *args)
+        tm, red_status = stats._glm_wald(x, z[:, :0], *args)
+        return tm[0], tc[0], np.maximum(full_status, red_status)[0]
 
     tm, tc, warn = pair(ymat)
     np.testing.assert_array_equal(warn, case["warn"])

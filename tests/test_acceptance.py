@@ -370,7 +370,7 @@ def test_criterion_6_glm_numerics():
     y = rng.standard_normal((n, m))
     ds = core.Dataset(x=x, y=y, z=z)
     ev = stats.make_evaluator(ds, "basis-wald", spline_df=5)
-    _, tc, _ = ev.pairs(ds.x, observed=True)
+    _, (tc,), _ = ev.pairs(ds.x[None], observed=True)
     mean_tc = float(np.mean(tc))
     ok = abs(mean_tc - 5.0) <= 0.5
     elapsed = time.perf_counter() - started

@@ -144,7 +144,7 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tensor = engine.build_tensor(dataset, plan, spec)
-    assert shapes == [(dataset.n, p)] + [(d, dataset.n, p) for d in (5, 5, 2)]
+    assert shapes == [(1, dataset.n, p)] + [(d, dataset.n, p) for d in (5, 5, 2)]
     model = samplers.fit_for_strategy(
         sampler, dataset.x, dataset.z, z_kinds=dataset.z_kinds,
         bin_column=plan.bin_column, bin_edges=plan.bin_edges,
@@ -152,11 +152,11 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     want = np.zeros_like(tensor.pairs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tm, tc, failed = evaluator.pairs(dataset.x, observed=True)
+        (tm,), (tc,), failed = evaluator.pairs(dataset.x[None], observed=True)
         want[0, :, 0], want[0, :, 1] = tm, tc
         for d in range(1, plan.b_count + 1):
             draw = samplers.draw_for_strategy(sampler, model, substream(plan.seed, d))
-            tm, tc, bad = evaluator.pairs(draw)
+            (tm,), (tc,), bad = evaluator.pairs(draw[None])
             assert tm.shape == tc.shape == (dataset.m,)
             want[d, :, 0], want[d, :, 1] = tm, tc
             failed += bad
@@ -208,11 +208,11 @@ def test_singular_draw_fails_alone(stat):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tm, tc, failed = evaluator.pairs(stack)
-        single = [evaluator.pairs(xd) for xd in stack]
+        single = [evaluator.pairs(xd[None]) for xd in stack]
         clean = evaluator.pairs(np.delete(stack, 2, axis=0))
     assert tm.shape == tc.shape == (4, dataset.m)
     got = np.stack([tm, tc], axis=-1)
-    want = np.stack([np.stack(s[:2], axis=-1) for s in single])
+    want = np.concatenate([np.stack(s[:2], axis=-1) for s in single])
     assert [s[2] > 0 for s in single] == [False, False, True, False]
     assert failed == single[2][2]
     assert np.all(got[2, :, 1] == 0.0)
@@ -262,8 +262,9 @@ def test_exposure_separated_column_stops_early_as_separation():
     assert status[0] == 2 and n_iter[0] < 50
     assert np.all(cov[0] == 0.0)
     assert status[1] == 0
-    tc, full_status = stats._glm_wald(design, ymat, 1, "binomial", None, observed=True)
-    tm, red_status = stats._glm_wald(design[:, :2], ymat, 1, "binomial", None, observed=True)
+    xs, z = design[None, :, 1:2], design[:, 2:]
+    (tc,), (full_status,) = stats._glm_wald(xs, z, ymat, "binomial", None, observed=True)
+    (tm,), (red_status,) = stats._glm_wald(xs, z[:, :0], ymat, "binomial", None, observed=True)
     assert full_status[0] == red_status[0] == 2 and tm[0] == 0.0 and tc[0] == 0.0
 
 
@@ -310,17 +311,31 @@ def _stack(dataset, draws, seed=2):
     return dataset.x[None] + rng.normal(scale=0.5, size=shape)
 
 
+# float64 arrays of draw_cells cells that one more draw may add: rv and
+# categorical update their (D, m) rows in place
+_DRAW_ARRAYS = {"rv": 5, "categorical": 5}
+
+
 @pytest.mark.parametrize("n,m", [(100, 1000), (200, 20)])
 @pytest.mark.parametrize(
     "stat", ["glm:binomial", "glm:gaussian", "rv", "hsic", "categorical", "basis-wald"]
 )
 def test_draw_cells_bound_the_footprint_of_a_draw(stat, n, m):
-    # twenty more draws in one call may add at most twelve float64
-    # arrays of draw_cells cells per draw, so that _CHUNK_CELLS bounds
-    # the working memory of every chunk
+    # twenty more draws in one call may add at most _DRAW_ARRAYS (else
+    # twelve) float64 arrays of draw_cells cells per draw, so that
+    # _CHUNK_CELLS bounds the working memory of every chunk
     sampler = "parametric-logistic" if stat == "categorical" else "residual-perm"
     dataset = make_dataset(stat, sampler, 1, n=n, m=m, constant_last=False)
     evaluator = _evaluator(dataset, make_spec(stat))
     stack = _stack(dataset, 40)
     grown = _peak_bytes(evaluator.pairs, stack) - _peak_bytes(evaluator.pairs, stack[:20])
-    assert grown <= 12 * 8 * 20 * evaluator.draw_cells
+    assert grown <= _DRAW_ARRAYS.get(stat, 12) * 8 * 20 * evaluator.draw_cells
+
+
+def test_default_gaussian_tensor_is_scored_in_two_calls():
+    # the gaussian route's largest per-draw arrays are the block's Q
+    # (n, p) and Q'r (p, m), not the IRLS working arrays (n, m), so the
+    # hundred draws of a default tensor fit in one chunk
+    dataset = make_dataset("glm:gaussian", "residual-perm", 1, n=100, m=1000)
+    evaluator = _evaluator(dataset, make_spec("glm:gaussian"))
+    assert engine._CHUNK_CELLS // evaluator.draw_cells >= 100

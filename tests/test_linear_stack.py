@@ -1,12 +1,15 @@
 """The least-squares statistics (gaussian GLM Wald, basis Wald) on a
 draw stack.
 
-Both score every draw through stats._linear_block_stack: one
-residualisation on the fixed block and one batched QR, with the rank
-rule glm.rank_deficient on each R diagonal against its raw column's
-norm, and the residual sum of squares summed from the residuals where
-the block fits near-perfectly. These tests hold the edge cases to the
-scalar reference forms, which fit the joint design with their own QR.
+Both score every draw through stats._linear_block_stack, which takes
+the fixed columns ([1, z] for the gaussian GLM, the confounder basis for
+basis Wald) apart from the stack of exposure blocks: one residualisation
+on the fixed columns and one batched QR, with the rank rule
+glm.rank_deficient on each R diagonal against its raw column's norm, and
+the residual sum of squares summed from the residuals where the block
+fits near-perfectly. The evaluators score stacks only, so one exposure
+is a stack of one. These tests hold the edge cases to the scalar
+reference forms, which fit the joint design with their own QR.
 """
 
 import warnings
@@ -50,16 +53,16 @@ def test_draw_singular_only_jointly(kind):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tm, tc, failed = evaluator.pairs(stack)
-        single = [evaluator.pairs(xd) for xd in stack]
+        single = [evaluator.pairs(xd[None]) for xd in stack]
     assert np.all(tc[1] == 0.0)
     assert failed == ds.m
     assert [s[2] for s in single] == [0, ds.m, 0]
     for d in (0, 2):
-        np.testing.assert_allclose(tm[d], single[d][0], rtol=1e-12)
-        np.testing.assert_allclose(tc[d], single[d][1], rtol=1e-12)
+        np.testing.assert_allclose(tm[d], single[d][0][0], rtol=1e-12)
+        np.testing.assert_allclose(tc[d], single[d][1][0], rtol=1e-12)
     observed = core.Dataset(x=stack[1].copy(), y=y, z=z)
     with pytest.raises(ValueError, match="singular"):
-        _evaluator(observed, kind).pairs(observed.x, observed=True)
+        _evaluator(observed, kind).pairs(observed.x[None], observed=True)
 
 
 def test_gaussian_glm_block_singular_only_jointly():
@@ -71,10 +74,10 @@ def test_gaussian_glm_block_singular_only_jointly():
     full = np.column_stack([np.ones(x.shape[0]), block, z])
     resid = glm.ols_many(np.delete(full, [1, 2], axis=1), block).residuals
     glm.ols_many(resid, y)
-    stat, status = stats._glm_wald(full[None], y, 2, "gaussian", None, observed=False)
+    stat, status = stats._glm_wald(block[None], z, y, "gaussian", None, observed=False)
     assert np.all(stat == 0.0) and np.all(status == 3)
     with pytest.raises(ValueError, match="feature 0: singular design on observed data"):
-        stats._glm_wald(full, y, 2, "gaussian", None, observed=True)
+        stats._glm_wald(block[None], z, y, "gaussian", None, observed=True)
 
 
 def _reference(kind, y, x, z):
@@ -112,7 +115,7 @@ def test_near_perfect_and_exact_fits_match_the_scalar_forms(kind):
     x, y, z = ds.x, ds.y, ds.z
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tm, tc, failed = _evaluator(ds, kind).pairs(x, observed=True)
+        (tm,), (tc,), failed = _evaluator(ds, kind).pairs(x[None], observed=True)
         want = np.array([_reference(kind, y[:, j], x, z) for j in range(ds.m)])
     got = np.column_stack([tm, tc])
     assert failed == 0
@@ -132,7 +135,7 @@ def test_near_perfect_gaussian_wald_is_accurate():
     # rounding stays at the eps / 1e-9 level
     mpmath = pytest.importorskip("mpmath")
     ds = _near_perfect_inputs()
-    tc = _evaluator(ds, "glm:gaussian").pairs(ds.x, observed=True)[1]
+    (tc,) = _evaluator(ds, "glm:gaussian").pairs(ds.x[None], observed=True)[1]
     full = np.column_stack([np.ones(ds.n), ds.x, ds.z])
     with mpmath.workdps(60):
         design = mpmath.matrix(full.tolist())
@@ -161,7 +164,7 @@ def test_rank_verdict_does_not_depend_on_the_responses(kind):
         ds = core.Dataset(x=x, y=ymat, z=z)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tm, tc, failed = _evaluator(ds, kind).pairs(x)
+            (tm,), (tc,), failed = _evaluator(ds, kind).pairs(x[None])
         runs.append((tm[:4], tc[:4], failed // ds.m))
     assert runs[0][2] == runs[1][2]
     np.testing.assert_allclose(runs[1][0], runs[0][0], rtol=1e-12, atol=0.0)
@@ -169,5 +172,5 @@ def test_rank_verdict_does_not_depend_on_the_responses(kind):
     if kind == "glm:gaussian":
         assert runs[0][2] == 0
         ds = core.Dataset(x=x, y=np.column_stack([y, near]), z=z)
-        tc = _evaluator(ds, "glm:gaussian").pairs(x, observed=True)[1]
+        (tc,) = _evaluator(ds, "glm:gaussian").pairs(x[None], observed=True)[1]
         assert np.all(np.isfinite(tc)) and tc[-1] > 0.0

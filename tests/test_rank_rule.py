@@ -50,7 +50,8 @@ def test_nearly_collinear_design_fits_in_either_column_order():
     one = np.ones((n, 1))
     fits = [glm.ols_many(np.hstack(cols), y) for cols in ((one, x, z), (one, z, x))]
     np.testing.assert_allclose(fits[0].sigma2, fits[1].sigma2, rtol=1e-6)
-    tm, tc, failed = _evaluator(core.Dataset(x=x, y=y, z=z), "glm:gaussian").pairs(x, observed=True)
+    evaluator = _evaluator(core.Dataset(x=x, y=y, z=z), "glm:gaussian")
+    (tm,), (tc,), failed = evaluator.pairs(x[None], observed=True)
     assert failed == 0 and np.all(np.isfinite(tc)) and np.all(tc > 0.0)
 
 
@@ -73,7 +74,7 @@ def test_rescaling_the_exposure_changes_no_verdict_or_statistic(stat, seed):
         evaluator = _evaluator(scaled, stat)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            evaluator.pairs(scaled.x, observed=True)
+            evaluator.pairs(scaled.x[None], observed=True)
             runs.append(evaluator.pairs(scale * stack))
     # negbinom's log link is not canonical, so its IRLS converges
     # linearly and stops within tol * (1 + max|coef|) of the fit, a

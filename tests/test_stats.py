@@ -329,7 +329,7 @@ class TestEvaluators:
         rng = np.random.default_rng(51)
         ds = _toy_dataset(rng)
         ev = stats.make_evaluator(ds, "glm", family="gaussian")
-        tm, tc, warn = ev.pairs(ds.x, observed=True)
+        (tm,), (tc,), warn = ev.pairs(ds.x[None], observed=True)
         assert warn == 0
         for j in range(ds.m):
             ref = stats.model_stat_pair(ds.y[:, j], ds.x, ds.z, "gaussian")
@@ -346,7 +346,7 @@ class TestEvaluators:
 
         ds2 = Dataset(x=ds.x, y=y, z=ds.z)
         ev = stats.make_evaluator(ds2, "glm", family="gaussian")
-        tm, tc, _ = ev.pairs(ds2.x, observed=True)
+        (tm,), (tc,), _ = ev.pairs(ds2.x[None], observed=True)
         assert tc[0] == 0.0
         assert tc[1] == 1e12 and tm[1] == 1e12
 
@@ -354,7 +354,7 @@ class TestEvaluators:
         rng = np.random.default_rng(53)
         ds = _toy_dataset(rng, y_kind="count")
         ev = stats.make_evaluator(ds, "glm", family="poisson")
-        tm, tc, warn = ev.pairs(ds.x, observed=True)
+        (tm,), (tc,), warn = ev.pairs(ds.x[None], observed=True)
         for j in range(ds.m):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -366,7 +366,7 @@ class TestEvaluators:
         rng = np.random.default_rng(54)
         ds = _toy_dataset(rng)
         ev = stats.make_evaluator(ds, "rv", spline_df=4)
-        tm, tc, _ = ev.pairs(ds.x, observed=True)
+        (tm,), (tc,), _ = ev.pairs(ds.x[None], observed=True)
         for j in range(ds.m):
             np.testing.assert_allclose(
                 tm[j], stats.rv_coefficient(ds.x, ds.y[:, j]), rtol=1e-12, atol=1e-14
@@ -382,7 +382,7 @@ class TestEvaluators:
         rng = np.random.default_rng(55)
         ds = _toy_dataset(rng, n=30, m=4)
         ev = stats.make_evaluator(ds, "hsic", epsilon=0.001)
-        tm, tc, _ = ev.pairs(ds.x, observed=True)
+        (tm,), (tc,), _ = ev.pairs(ds.x[None], observed=True)
         for j in range(ds.m):
             np.testing.assert_allclose(
                 tm[j], stats.hsic(ds.x, ds.y[:, j]), rtol=1e-9, atol=1e-12
@@ -404,9 +404,9 @@ class TestEvaluators:
         tm, tc, failed = ev.pairs(stack)
         assert failed == ds.m and np.all(tm[2] == 0.0) and np.all(tc[2] == 0.0)
         for d in range(5):
-            single = ev.pairs(stack[d])
-            np.testing.assert_allclose(tm[d], single[0], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(tc[d], single[1], rtol=1e-12, atol=0.0)
+            (single_tm,), (single_tc,), _ = ev.pairs(stack[d : d + 1])
+            np.testing.assert_allclose(tm[d], single_tm, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(tc[d], single_tc, rtol=1e-12, atol=0.0)
 
     def test_categorical_matches_scalar(self):
         from fdr2d.core import Dataset
@@ -420,7 +420,7 @@ class TestEvaluators:
         )
         ds = Dataset(x=x, y=y, z=z, x_kind="binary", y_kind="binary")
         ev = stats.make_evaluator(ds, "categorical")
-        tm, tc, _ = ev.pairs(ds.x, observed=True)
+        (tm,), (tc,), _ = ev.pairs(ds.x[None], observed=True)
         codes = ds.z[:, 0].astype(int) + 2 * ds.z[:, 1].astype(int)
         for j in range(ds.m):
             with warnings.catch_warnings():
@@ -468,13 +468,13 @@ class TestEvaluators:
         ds = _toy_dataset(rng)
         ev = stats.make_evaluator(ds, "rv", spline_df=4)
         with pytest.raises(ValueError, match=message):
-            ev.pairs(self._degenerate_exposure(ds, case), observed=True)
+            ev.pairs(self._degenerate_exposure(ds, case)[None], observed=True)
 
     def test_basis_wald_matches_scalar_at_observed(self):
         rng = np.random.default_rng(57)
         ds = _toy_dataset(rng, n=60, m=4)
         ev = stats.make_evaluator(ds, "basis-wald", spline_df=4)
-        tm, tc, warn = ev.pairs(ds.x, observed=True)
+        (tm,), (tc,), warn = ev.pairs(ds.x[None], observed=True)
         assert warn == 0
         for j in range(ds.m):
             ref = stats.basis_wald_pair(
@@ -488,7 +488,7 @@ class TestEvaluators:
         ds = _toy_dataset(rng, n=60, m=4)
         ev = stats.make_evaluator(ds, "basis-wald", spline_df=4)
         draw = 0.6 * ds.z[:, 0] + rng.normal(size=ds.n)
-        tm, tc, warn = ev.pairs(draw[:, None])
+        (tm,), (tc,), warn = ev.pairs(draw[None, :, None])
         assert tm.shape == (ds.m,) and np.all(tm >= 0) and np.all(np.isfinite(tm))
         assert tc.shape == (ds.m,) and np.all(tc >= 0) and np.all(np.isfinite(tc))
 
@@ -573,7 +573,9 @@ class TestEvaluators:
         y[:, 2] = full @ np.linspace(1.0, 2.0, full.shape[1])  # perfect fit
         fits = [glm.ols(full, y[:, j]) for j in range(m)]
         single = np.array([stats._wald_block_py(f.coef, f.cov, p) for f in fits])
-        batch, status = stats._glm_wald(full, y, p, "gaussian", None, observed=True)
+        (batch,), (status,) = stats._glm_wald(
+            x[None], z[:, None], y, "gaussian", None, observed=True
+        )
         assert np.all(status == 0)
         np.testing.assert_allclose(batch, single, rtol=1e-10)
         assert single[2] == batch[2] == _accel.STAT_CAP
@@ -621,15 +623,15 @@ class TestOneWaldPath:
         size = 3.0 if family == "negbinom" else None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, tc, _ = stats.make_evaluator(ds, "glm", family=family, size=size).pairs(
-                ds.x, observed=True
+            _, (tc,), _ = stats.make_evaluator(ds, "glm", family=family, size=size).pairs(
+                ds.x[None], observed=True
             )
             seen = []
             real = stats._glm_wald
 
             def spy(*args, **kwargs):
                 out = real(*args, **kwargs)
-                seen.append(out[0])
+                seen.append(out[0][0])  # row 0 of the stack of one
                 return out
 
             monkeypatch.setattr(stats, "_glm_wald", spy)
@@ -651,7 +653,7 @@ class TestOneWaldPath:
         size = 3.0 if family == "negbinom" else None
         evaluator = stats.make_evaluator(ds, "glm", family=family, size=size)
         with pytest.raises(ValueError) as from_evaluator:
-            evaluator.pairs(ds.x, observed=True)
+            evaluator.pairs(ds.x[None], observed=True)
         with pytest.raises(ValueError) as from_pvalues:
             stats.model_pvalues(ds.y, ds.x, ds.z, family, size=size)
         message = "feature 0: singular design on observed data"
