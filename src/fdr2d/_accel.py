@@ -133,23 +133,20 @@ def _mean(eta, family, out):
         return np.clip(np.exp(eta, out=out), 1e-10, 1e250, out=out)
 
 
-def _per_draw(fits, m, nd):
-    """(draw, slice) of each draw's run in ``fits``, ascending flat
-    indices draw * m + column."""
-    cuts = np.searchsorted(fits, np.arange(nd + 1) * m).tolist()
-    return [(d, slice(cuts[d], cuts[d + 1])) for d in range(nd) if cuts[d] < cuts[d + 1]]
-
-
-def _per_draw_product(rows, segments, mats, out):
-    # rows[s] @ mats[d] into out for each draw's run s of fits: one GEMM
-    # per draw. out has a row per fit, so when rows fill it every run is
-    # full and one batched matmul makes the same GEMMs
+def _per_draw_product(rows, fits, mats, out):
+    # rows[s] @ mats[d] into out for each draw d's run s of rows, row i
+    # being fit fits[i] (ascending flat indices draw * m + column): one
+    # GEMM per draw. out has a row per fit, so when rows fill it every
+    # run is full and one batched matmul makes the same GEMMs
+    nd = mats.shape[0]
     if rows.shape[0] == out.shape[0]:
-        nd = mats.shape[0]
         np.matmul(rows.reshape(nd, -1, rows.shape[1]), mats, out=out.reshape(nd, -1, out.shape[1]))
         return out
-    for d, s in segments:
-        np.matmul(rows[s], mats[d], out=out[s])
+    cuts = np.searchsorted(fits, np.arange(nd + 1) * (out.shape[0] // nd)).tolist()
+    for d in range(nd):
+        if cuts[d] < cuts[d + 1]:
+            s = slice(cuts[d], cuts[d + 1])
+            np.matmul(rows[s], mats[d], out=out[s])
     return out[: rows.shape[0]]
 
 
@@ -171,7 +168,11 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     later iterations work on the fits still active only.
 
     The (fits, n) working arrays are made once per call; each iteration
-    works in place in their leading rows, one per fit still active.
+    works in place in their leading rows, one per fit still active. While
+    every fit is active an iteration gathers nothing: it reads eta in
+    place, takes y - mu and the separation sides by broadcasting over the
+    draws and writes the new linear predictors straight into eta: the
+    same arithmetic as the gathered rows.
     """
     xs = design if design.ndim == 3 else design[None]
     nd, n, k = xs.shape
@@ -199,7 +200,8 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         if active.size == 0:
             break
         a = active.size
-        eta_act = np.take(eta, active, axis=0, out=eta_buf[:a])
+        full = a == fits
+        eta_act = eta if full else np.take(eta, active, axis=0, out=eta_buf[:a])
         mu = _mean(eta_act, family, mu_buf[:a])
         if family == BINOMIAL:
             w = scale = np.subtract(1.0, mu, out=w_buf[:a])
@@ -210,27 +212,36 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
             w, scale = np.add(mu, nb_size, out=w_buf[:a]), mu
             np.divide(np.multiply(mu, nb_size, out=z_buf[:a]), w, out=w)
         # w * z with the working response z = eta + (y - mu) / scale
-        z = np.take(y, active % m, axis=0, out=z_buf[:a])
-        z -= mu
+        if full:
+            z = z_buf
+            np.subtract(y, mu.reshape(nd, m, n), out=z.reshape(nd, m, n))
+        else:
+            z = np.take(y, active % m, axis=0, out=z_buf[:a])
+            z -= mu
         z /= scale
         z += eta_act
         z *= w
-        segments = _per_draw(active, m, nd)
-        lo, ok = _cholesky(_per_draw_product(w, segments, prods, info).reshape(-1, k, k))
-        new = _cholesky_solve(lo, _per_draw_product(z, segments, xs, rhs)[:, :, None])[:, :, 0]
+        lo, ok = _cholesky(_per_draw_product(w, active, prods, info).reshape(-1, k, k))
+        new = _cholesky_solve(lo, _per_draw_product(z, active, xs, rhs)[:, :, None])[:, :, 0]
         n_iter[active] = it
         status[active[~ok]] = 3
         keep = active[ok]
+        kept_all = keep.size == fits
         new = new[ok]
         delta = np.max(np.abs(new - coef[keep]), axis=1)
         done = delta <= tol * (1.0 + np.max(np.abs(new), axis=1))
         coef[keep] = new
-        ek = _per_draw_product(new, _per_draw(keep, m, nd), xs.transpose(0, 2, 1), eta_buf)
-        eta[keep] = ek
+        ek = _per_draw_product(new, keep, xs.transpose(0, 2, 1), eta if kept_all else eta_buf)
+        if not kept_all:
+            eta[keep] = ek
         status[keep[done]] = 0
         if family == BINOMIAL:
-            sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
-            separated = np.min(np.multiply(sided, ek, out=sided), axis=1) > 0.0
+            if kept_all:
+                sided = np.multiply(side, ek.reshape(nd, m, n), out=mu_buf.reshape(nd, m, n))
+            else:
+                sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
+                sided *= ek
+            separated = np.min(sided.reshape(keep.size, n), axis=1) > 0.0
             status[keep[separated]] = 2
             done |= separated
         active = keep[~done]
@@ -256,7 +267,7 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.multiply(np.multiply(mu, nb_size, out=w_buf[:f]), yn, out=w_buf[:f])
             w /= np.square(np.add(mu, nb_size, out=yn), out=yn)
-    info = _per_draw_product(w, _per_draw(fitted, m, nd), prods, info)
+    info = _per_draw_product(w, fitted, prods, info)
     lo, ok = _cholesky(info.reshape(-1, k, k))
     status[fitted[~ok]] = 3
     eye = np.broadcast_to(np.eye(k), (int(ok.sum()), k, k))

@@ -189,14 +189,16 @@ def _check_dataset(dataset, plan, spec):
 def build_tensor(dataset, plan, spec):
     """Statistic pairs for the observed exposure and B resampled copies.
 
-    Row 0 is the observed data, scored in a call of its own; rows 1..B
-    use draws from the plan's conditional sampler, each made on its own
-    deterministic substream of the plan seed. The draws are scored in
-    chunks: each chunk's draws are stacked and go to the evaluator in
-    one call, and a chunk holds _CHUNK_CELLS // draw_cells draws (at
-    least one), so working memory stays bounded as m, n and B grow. A
-    statistic failure on the observed data aborts; on resampled rows it
-    becomes a zero pair, counted and reported once.
+    Row 0 is the observed data; rows 1..B use draws from the plan's
+    conditional sampler, each made on its own deterministic substream of
+    the plan seed. The rows are scored in chunks: each chunk's exposures
+    are stacked and go to the evaluator in one call, and a chunk holds
+    _CHUNK_CELLS // draw_cells rows (at least one), so working memory
+    stays bounded as m, n and B grow. The first chunk stacks the
+    observed exposure ahead of its draws and is scored with
+    observed=True, so a statistic failure on the observed data aborts
+    before any later chunk is drawn; on resampled rows a failure becomes
+    a zero pair, counted and reported once.
     """
     _check_dataset(dataset, plan, spec)
     evaluator = stats.make_evaluator(
@@ -218,19 +220,16 @@ def build_tensor(dataset, plan, spec):
     )
     b = plan.b_count
     pairs = np.zeros((b + 1, dataset.m, 2))
-    tm, tc, warn_total = evaluator.pairs(dataset.x[None], observed=True)
-    pairs[:1, :, 0] = tm
-    pairs[:1, :, 1] = tc
+    warn_total = 0
     chunk = max(1, _CHUNK_CELLS // evaluator.draw_cells)
-    for start in range(1, b + 1, chunk):
+    for start in range(0, b + 1, chunk):
         stop = min(start + chunk, b + 1)
-        xs = np.stack(
-            [
-                samplers.draw_for_strategy(plan.strategy, model, _rng.substream(plan.seed, draw))
-                for draw in range(start, stop)
-            ]
-        )
-        tm, tc, bad = evaluator.pairs(xs, observed=False)
+        rows = [dataset.x] if start == 0 else []
+        rows += [
+            samplers.draw_for_strategy(plan.strategy, model, _rng.substream(plan.seed, draw))
+            for draw in range(max(start, 1), stop)
+        ]
+        tm, tc, bad = evaluator.pairs(np.stack(rows), observed=start == 0)
         pairs[start:stop, :, 0] = tm
         pairs[start:stop, :, 1] = tc
         warn_total += bad
@@ -368,9 +367,14 @@ def fdp_tilde(tensor, t1, t2, pi0=None):
 def storey_pi0(tensor, lam):
     """Null-proportion estimate from the low end of the conditional axis."""
     tc = tensor.pairs[:, :, 1]
-    b1 = tc.shape[0]
+    return _storey(tensor, lam, np.count_nonzero(tc <= lam))
+
+
+def _storey(tensor, lam, pooled):
+    # storey_pi0 given the pooled count of conditional values <= lam
+    tc = tensor.pairs[:, :, 1]
     num = int(np.count_nonzero(tc[0] <= lam))
-    den = np.count_nonzero(tc <= lam) / b1
+    den = pooled / tc.shape[0]
     if num == 0 or den == 0.0:
         warnings.warn("no statistics at or below lambda; null proportion set to 1")
         return 1.0
@@ -566,7 +570,17 @@ class _SearchPass:
 
     @cached_property
     def pi0(self):
-        return resolve_pi0(self.tensor, self.config)[0]
+        # resolve_pi0 read off the sorted conditional axis: np.median's
+        # arithmetic on its middle values, and one search for the count
+        lam = self.config.pi0_lambda
+        if lam is None:
+            return 1.0
+        s = self.axes[1][2]
+        if lam == "auto":
+            half = s.size // 2
+            lam = 0.5 * (s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2)
+        lam = float(lam)
+        return _storey(self.tensor, lam, int(np.searchsorted(s, lam, "right")))
 
     @cached_property
     def grid(self):

@@ -6,15 +6,16 @@ rather than NaN, so downstream thresholding never sees missing
 values. The scalar functions are the reference forms; make_evaluator
 builds the evaluators used while assembling statistic tensors. An
 evaluator scores every feature against a stack (D, n, p) of exposures
-in one call (the observed one is a stack of one), sharing whatever does
-not change across draws (centered response kernels, confounder
-projectors, spline knots). Every GLM Wald statistic, the evaluator's
-pairs and the p-values behind bh alike, comes from _glm_wald, the one
-place that lays out [1, x, z], which also returns a fit status per
-(draw, feature) pair. Its non-gaussian fits run as one IRLS batch; the
-gaussian GLM and basis Wald statistics share one batched least-squares
-routine, _linear_block_stack; the RV, categorical and HSIC statistics
-are matrix products over all draws.
+in one call, sharing whatever does not change across draws (centered
+response kernels, confounder projectors, spline knots). The observed
+exposure is row 0 of the first stack a tensor scores, ahead of its
+first draws; only a failure in that row raises. Every GLM Wald
+statistic, the evaluator's pairs and the p-values behind bh alike,
+comes from _glm_wald, the one place that lays out [1, x, z], which also
+returns a fit status per (draw, feature) pair. Its non-gaussian fits
+run as one IRLS batch; the gaussian GLM and basis Wald statistics share
+one batched least-squares routine, _linear_block_stack; the RV,
+categorical and HSIC statistics are matrix products over all draws.
 """
 
 import warnings
@@ -395,11 +396,16 @@ def _linear_block_stack(fixed, block, ymat):
     tol = glm._PERFECT_TOL * np.einsum("ij,ij->j", ymat, ymat)
     spanned = ryss <= tol
     qf[:, spanned] = 0.0
-    rss = np.where(spanned, 0.0, ryss - qf)
+    rss = np.subtract(ryss, qf)
+    rss[:, spanned] = 0.0
     d, j = np.nonzero((rss <= np.maximum(_NEAR_PERFECT * ryss, tol)) & ~spanned)
     resid = r_y[:, j].T - np.einsum("knp,kp->kn", q[d], qty[d, :, j])
     rss[d, j] = np.einsum("kn,kn->k", resid, resid)
-    return qf, np.where(rss <= tol, 0.0, rss / (n - k)), singular
+    # sigma2, written over rss
+    perfect = rss <= tol
+    rss /= n - k
+    rss[perfect] = 0.0
+    return qf, rss, singular
 
 
 def _glm_wald(xs, z, ymat, family, size, observed):
@@ -414,7 +420,7 @@ def _glm_wald(xs, z, ymat, family, size, observed):
     qf > 0 takes the zero-covariance rule of _accel.wald_block; a
     singular draw gets status 3 on every feature. Other families fit
     every pair in one _accel.glm_fit_many call. observed=True raises on
-    any singular fit.
+    a singular fit in row 0, the observed exposure.
     """
     code, size = glm.family_code(family, size)
     n, p = xs.shape[1:]
@@ -426,21 +432,26 @@ def _glm_wald(xs, z, ymat, family, size, observed):
     if code == _accel.GAUSSIAN:
         qf, sigma2, singular = _linear_block_stack(np.column_stack([np.ones(n), z]), xs, ymat)
         k = 1 + p + z.shape[1]
+        perfect = np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])
+        # qf / sigma2, its root for p = 1, capped, all written over qf,
+        # which is 0 wherever it is not positive
         with np.errstate(divide="ignore", invalid="ignore"):
-            wald = np.where(qf > 0.0, qf / sigma2, 0.0)
-            stat = np.minimum(np.sqrt(wald) if p == 1 else wald, _accel.STAT_CAP)
-        for d, j in zip(*np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])):
+            stat = np.divide(qf, sigma2, out=qf, where=qf > 0.0)
+            if p == 1:
+                np.sqrt(stat, out=stat)
+            np.minimum(stat, _accel.STAT_CAP, out=stat)
+        for d, j in zip(*perfect):
             coef = np.linalg.lstsq(joint(xs[d : d + 1])[0], ymat[:, j], rcond=None)[0]
             stat[d, j] = _accel.wald_block(coef[None], np.zeros((1, k, k)), p)[0]
         stat[singular] = 0.0
-        status = np.repeat(np.where(singular, 3, 0)[:, None], ymat.shape[1], axis=1)
+        status = np.broadcast_to(np.where(singular, 3, 0)[:, None], stat.shape)
     else:
         coef, cov, status, _ = _accel.glm_fit_many(joint(xs), ymat, code, size, _MAX_ITER, _TOL)
         ok = status == 0
         stat = np.zeros(status.shape)
         stat[ok] = _accel.wald_block(coef[ok], cov[ok], p)
-    if observed and np.any(status == 3):
-        j = int(np.nonzero(status == 3)[1][0])
+    if observed and np.any(status[0] == 3):
+        j = int(np.argmax(status[0] == 3))
         raise ValueError(f"feature {j}: singular design on observed data")
     return stat, status
 
@@ -485,9 +496,9 @@ class _RvEvaluator:
         e1, e2 = glm.rank_deficient(np.linalg.qr(np.stack([xc, px]), mode="r"), xs)
         tm = _rv_many(xc, self._yc, self._ycss, e1)
         tc = _rv_many(px, self._py, self._pyss, e2)
-        if observed and e1.any():
+        if observed and e1[0]:
             raise ValueError("constant exposure on observed data")
-        if observed and e2.any():
+        if observed and e2[0]:
             raise ValueError("exposure lies in the confounder span on observed data")
         # every feature of a draw with an empty block is one failure
         return tm, tc, int(np.count_nonzero(e1 | e2)) * self._yc.shape[1]
@@ -541,7 +552,7 @@ class _HsicEvaluator:
                 kvz = _regularized(_center_kernel(gaussian_kernel(vz).matrix), self._eps)
                 out[1, i] = kvz.ravel()
             except ValueError:
-                if observed:
+                if observed and i == 0:
                     raise
                 out[:, i] = 0.0
                 bad += 1
@@ -638,7 +649,7 @@ class _BasisWaldEvaluator:
         qf_c, sigma2, bad = _linear_block_stack(self._dz, bx, self._y)
         qf_m, _, bad_m = _linear_block_stack(self._dz[:, :0], bx, self._y)
         bad |= bad_m
-        if observed and bad.any():
+        if observed and bad[0]:
             raise ValueError("singular basis-wald design on observed data")
         tm = _qf_stat_many(qf_m, sigma2, self._yss)
         tc = _qf_stat_many(qf_c, sigma2, self._yss)
@@ -661,15 +672,18 @@ def make_evaluator(
     """Statistic evaluator for one dataset, batched over draws.
 
     The returned object computes (marginal, conditional, failed) via
-    .pairs(xs, observed=...). xs is a stack (D, n, p) of exposures (the
-    observed one alone is dataset.x[None]); marginal and conditional are
-    (D, m), and failed is the number of (draw, feature) pairs a failure
-    set to 0, an int. Each draw's row equals what .pairs gives for that
-    draw alone. .draw_cells is the number of cells in the largest array
-    .pairs makes per draw (for the gaussian GLM and basis-wald, the
-    block's Q and Q'r: no joint design is built), which sizes the stacks.
-    observed=True turns silent failures into errors so a broken fit on
-    the real data aborts instead of producing a zero row.
+    .pairs(xs, observed=...). xs is a stack (D, n, p) of exposures;
+    marginal and conditional are (D, m), and failed is the number of
+    (draw, feature) pairs a failure set to 0, an int. Each draw's row
+    equals what .pairs gives for that draw alone. .draw_cells is the
+    number of cells in the largest array .pairs makes per draw (for the
+    gaussian GLM and basis-wald, the block's Q and Q'r: no joint design
+    is built), which sizes the stacks.
+    observed=True marks row 0 as the observed exposure (build_tensor
+    stacks it ahead of its first draws): a failure in that row raises, so
+    a broken fit on the real data aborts instead of producing a zero
+    row, while failures in the other rows stay counted zeros. A stack of
+    one, such as dataset.x[None], is the observed exposure alone.
     spline_df is the natural-spline df of the confounder adjustment of
     rv and basis-wald; basis-wald expands the exposure in a fixed
     _BASIS_DF-column spline.

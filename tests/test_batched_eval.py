@@ -133,8 +133,8 @@ def _counting_evaluators(monkeypatch):
 
 @pytest.mark.parametrize("stat,sampler,p", _cases(), ids=lambda v: str(v))
 def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
-    # five draws per chunk by the evaluator's own count, so the twelve
-    # draws come in three stacks, the last one partial
+    # five rows per chunk by the evaluator's own count, so the observed
+    # row and the twelve draws come in three stacks, the last one partial
     dataset = make_dataset(stat, sampler, p)
     plan = make_plan(sampler, b=12)
     spec = make_spec(stat)
@@ -144,7 +144,7 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tensor = engine.build_tensor(dataset, plan, spec)
-    assert shapes == [(1, dataset.n, p)] + [(d, dataset.n, p) for d in (5, 5, 2)]
+    assert shapes == [(d, dataset.n, p) for d in (5, 5, 3)]
     model = samplers.fit_for_strategy(
         sampler, dataset.x, dataset.z, z_kinds=dataset.z_kinds,
         bin_column=plan.bin_column, bin_edges=plan.bin_edges,
@@ -172,7 +172,21 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
 )
 def test_constant_draw_counts_each_feature_once(stat):
     # a constant draw zeroes both statistics of every feature: m
-    # failures, whatever the statistic, however many fits it runs
+    # failures, whatever the statistic, however many fits it runs. With
+    # observed=True only row 0 is the observed exposure, so a constant
+    # row 1 still fails alone instead of raising
+    evaluator, stack, m = _stack_with_constant_row(stat, 1)
+    for observed in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tm, tc, failed = evaluator.pairs(stack, observed=observed)
+        assert np.all(tm[1] == 0.0) and np.all(tc[1] == 0.0)
+        assert failed == m
+
+
+def _stack_with_constant_row(stat, row):
+    # (evaluator, a stack of three exposures whose given row is constant,
+    # m) on a dataset with no zero-variance feature
     categorical = stat == "categorical"
     sampler = "parametric-logistic" if categorical else "residual-perm"
     dataset = make_dataset(stat, sampler, 1, constant_last=False)
@@ -182,12 +196,84 @@ def test_constant_draw_counts_each_feature_once(stat):
         stack = (rng.random((3,) + dataset.x.shape) < 0.5).astype(float)
     else:
         stack = dataset.x[None] + rng.normal(scale=0.5, size=(3,) + dataset.x.shape)
-    stack[1] = 0.0 if categorical else 0.37
+    stack[row] = 0.0 if categorical else 0.37
+    return evaluator, stack, dataset.m
+
+
+# what each evaluator raises on a constant observed exposure; the
+# categorical statistic scores a flat exposure as counted zeros instead
+_OBSERVED_ERRORS = {
+    "glm:gaussian": "feature 0: singular design on observed data",
+    "glm:binomial": "feature 0: singular design on observed data",
+    "glm:poisson": "feature 0: singular design on observed data",
+    "glm:negbinom": "feature 0: singular design on observed data",
+    "rv": "constant exposure on observed data",
+    "hsic": "degenerate bandwidth",
+    "basis-wald": "singular basis-wald design on observed data",
+}
+
+
+@pytest.mark.parametrize("stat", list(_OBSERVED_ERRORS))
+def test_constant_observed_row_raises(stat):
+    # a constant row 0 raises with observed=True, in a stack of three as
+    # alone, and fails as a counted zero row without it
+    evaluator, stack, m = _stack_with_constant_row(stat, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        for xs in (stack, stack[:1]):
+            with pytest.raises(ValueError, match=_OBSERVED_ERRORS[stat]):
+                evaluator.pairs(xs, observed=True)
         tm, tc, failed = evaluator.pairs(stack)
-    assert np.all(tm[1] == 0.0) and np.all(tc[1] == 0.0)
-    assert failed == dataset.m
+    assert np.all(tm[0] == 0.0) and np.all(tc[0] == 0.0)
+    assert failed == m
+
+
+@pytest.mark.parametrize(
+    "stat,error",
+    [
+        ("glm:binomial", "singular design on observed data"),
+        ("glm:gaussian", "singular design on observed data"),
+        ("rv", "exposure lies in the confounder span on observed data"),
+    ],
+)
+def test_observed_error_comes_before_a_second_chunk_is_drawn(monkeypatch, stat, error):
+    # an exposure affine in the confounder: the first chunk (the observed
+    # row and four draws) raises, so no draw of a later chunk is made
+    dataset = make_dataset(stat, "residual-perm", 1)
+    dataset.x = 2.0 * dataset.z + 1.0
+    spec = make_spec(stat)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * _evaluator(dataset, spec).draw_cells)
+    draws = []
+    real = samplers.draw_for_strategy
+
+    def draw_for_strategy(strategy, model, rng):
+        draws.append(strategy)
+        return real(strategy, model, rng)
+
+    monkeypatch.setattr(samplers, "draw_for_strategy", draw_for_strategy)
+    with pytest.raises(ValueError, match=error):
+        engine.build_tensor(dataset, make_plan("residual-perm", b=12), spec)
+    assert len(draws) <= 4
+
+
+@pytest.mark.parametrize("family", ["binomial", "poisson", "negbinom"])
+def test_observed_row_is_its_stack_of_one_bit_for_bit(family):
+    # the observed row shares its IRLS calls with the first draws, and a
+    # fit's bits do not depend on the other draws: row 0 is the
+    # observed exposure scored alone, and its conditional statistic is
+    # the one behind bh's p-values
+    stat = f"glm:{family}"
+    dataset = make_dataset(stat, "residual-perm", 1)
+    spec = make_spec(stat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tensor = engine.build_tensor(dataset, make_plan("residual-perm", b=12), spec)
+        (tm,), (tc,), _ = _evaluator(dataset, spec).pairs(dataset.x[None], observed=True)
+        (w,), _ = stats._glm_wald(dataset.x[None], dataset.z, dataset.y, family, spec.size, True)
+    valid = ~tensor.zero_variance
+    assert tensor.pairs[0, valid, 0].tobytes() == tm[valid].tobytes()
+    assert tensor.pairs[0, valid, 1].tobytes() == tc[valid].tobytes()
+    assert tensor.pairs[0, valid, 1].tobytes() == w[valid].tobytes()
 
 
 @pytest.mark.parametrize("stat", ["glm:binomial", "glm:poisson", "glm:gaussian", "rv", "categorical"])
@@ -312,8 +398,9 @@ def _stack(dataset, draws, seed=2):
 
 
 # float64 arrays of draw_cells cells that one more draw may add: rv and
-# categorical update their (D, m) rows in place
-_DRAW_ARRAYS = {"rv": 5, "categorical": 5}
+# categorical update their (D, m) rows in place, and the gaussian GLM
+# writes its statistics over qf and sigma2 over rss
+_DRAW_ARRAYS = {"rv": 5, "categorical": 5, "glm:gaussian": 4}
 
 
 @pytest.mark.parametrize("n,m", [(100, 1000), (200, 20)])
@@ -332,10 +419,32 @@ def test_draw_cells_bound_the_footprint_of_a_draw(stat, n, m):
     assert grown <= _DRAW_ARRAYS.get(stat, 12) * 8 * 20 * evaluator.draw_cells
 
 
-def test_default_gaussian_tensor_is_scored_in_two_calls():
+def test_default_gaussian_tensor_is_scored_in_one_call():
     # the gaussian route's largest per-draw arrays are the block's Q
     # (n, p) and Q'r (p, m), not the IRLS working arrays (n, m), so the
-    # hundred draws of a default tensor fit in one chunk
+    # observed row and the hundred draws of a default tensor fit in one
+    # chunk
     dataset = make_dataset("glm:gaussian", "residual-perm", 1, n=100, m=1000)
     evaluator = _evaluator(dataset, make_spec("glm:gaussian"))
-    assert engine._CHUNK_CELLS // evaluator.draw_cells >= 100
+    assert engine._CHUNK_CELLS // evaluator.draw_cells >= 101
+
+
+def test_default_binomial_analyze_tensor_call_counts(monkeypatch):
+    # the analyze-size binomial tensor (n = 100, m = 30, B = 19) fits in
+    # one chunk: one evaluator call, whose conditional and marginal fits
+    # are one IRLS batch each
+    dataset = make_dataset("glm:binomial", "residual-perm", 1, n=100, m=30)
+    shapes = _counting_evaluators(monkeypatch)
+    fits = []
+    real = _accel.glm_fit_many
+
+    def glm_fit_many(design, *args):
+        fits.append(design.shape)
+        return real(design, *args)
+
+    monkeypatch.setattr(_accel, "glm_fit_many", glm_fit_many)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        engine.build_tensor(dataset, make_plan("residual-perm", b=19), make_spec("glm:binomial"))
+    assert shapes == [(20, 100, 1)]
+    assert fits == [(20, 100, 3), (20, 100, 2)]

@@ -637,16 +637,72 @@ class TestApplyMethods:
                     assert search.path.t1.tobytes() == path.t1.tobytes()
                     assert search.path.t2.tobytes() == path.t2.tobytes()
 
+    def test_pass_pi0_equals_resolve_pi0(self):
+        # the pass reads lambda and the pooled count off its sorted
+        # conditional axis; resolve_pi0 takes np.median of the unsorted
+        # axis and counts afresh. Equal bits on odd and even pooled sizes,
+        # with ties at the median (the integer-valued tensors) and lambdas
+        # that land on pooled values
+        rng = np.random.default_rng(156)
+        tensors = self._tensors()
+        for trial in range(120):
+            b1, m = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+            style = "ties" if trial % 2 else "smooth"
+            tensors.append(_random_tensor(rng, m=m, b=b1 - 1, style=style))
+        assert {t.pairs[:, :, 1].size % 2 for t in tensors} == {0, 1}
+        below_one = 0
+        for tensor in tensors:
+            for lam in ("auto", 0.5, 1.0, 1.75):
+                config = engine.ProcedureConfig(pi0_lambda=lam)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = engine.resolve_pi0(tensor, config)[0]
+                    got = engine._SearchPass(tensor, config).pi0
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), lam
+                below_one += want < 1.0
+        assert below_one > 100
+
+    def test_pass_pi0_reads_the_median_off_the_sorted_axis(self):
+        def tensor(tc):
+            tc = np.array(tc)
+            pairs = np.stack([np.ones_like(tc), tc], axis=-1)
+            return core.StatTensor(pairs=pairs, zero_variance=np.zeros(tc.shape[1], bool))
+
+        config = engine.ProcedureConfig(pi0_lambda="auto")
+        # 16 pooled values, even: the median is (1.75 + 2.25) / 2, so lambda
+        # is exactly 1.0, a pooled value, and five values count against the
+        # observed 1.0: pi0 = 1 / (5 / 4). Either middle value alone, or a
+        # count that left out values equal to lambda, would give 1 or 2/3
+        even = tensor(
+            [[1.0, 3.0, 5.0, 6.0], [0.2, 1.1, 2.25, 4.0], [0.4, 1.5, 3.0, 4.0],
+             [0.6, 0.8, 1.75, 5.0]]
+        )
+        # 9 pooled values, odd: the median is the fifth, 2.0, so lambda is
+        # 1.0 again and four values count: pi0 = 1 / (4 / 3)
+        odd = tensor([[1.0, 5.0, 6.0], [0.2, 2.0, 3.0], [0.4, 0.6, 4.0]])
+        for t, want in ((even, 0.8), (odd, 0.75)):
+            assert engine.resolve_pi0(t, config) == (want, 1.0)
+            assert engine._SearchPass(t, config).pi0 == want
+        # no observed value at or below lambda: both warn and give 1
+        none_below = tensor([[3.0, 4.0], [0.5, 1.0]])
+        for pi0 in (
+            lambda: engine.resolve_pi0(none_below, config)[0],
+            lambda: engine._SearchPass(none_below, config).pi0,
+        ):
+            with pytest.warns(UserWarning, match="no statistics at or below lambda"):
+                assert pi0() == 1.0
+
     def test_one_sort_per_pooled_axis(self, monkeypatch):
-        # every full-length sort, argsort or unique of a pooled axis is
-        # recorded; the five methods must share one per axis
+        # every full-length sort, argsort, unique, partition or median of
+        # a pooled axis is recorded; the five methods must share one sort
+        # per axis, pi0_lambda="auto" included
         rng = np.random.default_rng(155)
         tensor = core.StatTensor(
             pairs=rng.gamma(2.0, size=(21, 40, 2)), zero_variance=np.zeros(40, bool)
         )
         pooled = tensor.pairs[:, :, 0].size
         sizes = []
-        for name in ("argsort", "sort", "unique"):
+        for name in ("argsort", "sort", "unique", "partition", "median"):
             original = getattr(np, name)
 
             def recording(a, *args, _original=original, **kwargs):
