@@ -96,17 +96,23 @@ def _cholesky(a):
     own diagonal (pivot / a_ii is the squared equilibrated R diagonal:
     glm.rank_deficient in normal-equations form); its factor is then
     garbage. Unlike np.linalg.cholesky, one failure does not stop the others.
+    Column 0 subtracts nothing and column k - 1 has nothing below it, so
+    neither runs an empty contraction.
     """
     k = a.shape[1]
     lo = np.zeros_like(a)
     ok = np.ones(a.shape[0], dtype=bool)
     for i in range(k):
-        s = a[:, i, i] - np.einsum("mt,mt->m", lo[:, i, :i], lo[:, i, :i])
+        row = lo[:, i, :i]
+        s = a[:, i, i] - np.einsum("mt,mt->m", row, row) if i else a[:, i, i]
         ok &= s > 1e-12 * a[:, i, i]
         piv = np.sqrt(np.where(ok, s, 1.0))
         lo[:, i, i] = piv
-        below = a[:, i + 1 :, i] - np.einsum("mjt,mt->mj", lo[:, i + 1 :, :i], lo[:, i, :i])
-        lo[:, i + 1 :, i] = below / piv[:, None]
+        if i + 1 < k:
+            below = a[:, i + 1 :, i]
+            if i:
+                below = below - np.einsum("mjt,mt->mj", lo[:, i + 1 :, :i], row)
+            lo[:, i + 1 :, i] = below / piv[:, None]
     return lo, ok
 
 
@@ -115,10 +121,12 @@ def _cholesky_solve(lo, b):
     k = lo.shape[1]
     x = b.copy()
     for i in range(k):
-        x[:, i] -= np.einsum("mt,mtr->mr", lo[:, i, :i], x[:, :i])
+        if i:
+            x[:, i] -= np.einsum("mt,mtr->mr", lo[:, i, :i], x[:, :i])
         x[:, i] /= lo[:, i, i, None]
     for i in range(k - 1, -1, -1):
-        x[:, i] -= np.einsum("mt,mtr->mr", lo[:, i + 1 :, i], x[:, i + 1 :])
+        if i + 1 < k:
+            x[:, i] -= np.einsum("mt,mtr->mr", lo[:, i + 1 :, i], x[:, i + 1 :])
         x[:, i] /= lo[:, i, i, None]
     return x
 
@@ -137,10 +145,12 @@ def _per_draw_product(rows, fits, mats, out):
     # rows[s] @ mats[d] into out for each draw d's run s of rows, row i
     # being fit fits[i] (ascending flat indices draw * m + column): one
     # GEMM per draw. out has a row per fit, so when rows fill it every
-    # run is full and one batched matmul makes the same GEMMs
+    # run is full and one batched matmul makes the same GEMMs; rows may
+    # also come as a (draws, m, n) stack, such as a broadcast view of one
+    # (m, n) block that every draw shares
     nd = mats.shape[0]
-    if rows.shape[0] == out.shape[0]:
-        np.matmul(rows.reshape(nd, -1, rows.shape[1]), mats, out=out.reshape(nd, -1, out.shape[1]))
+    if rows.ndim == 3 or rows.shape[0] == out.shape[0]:
+        np.matmul(rows.reshape(nd, -1, rows.shape[-1]), mats, out=out.reshape(nd, -1, out.shape[1]))
         return out
     cuts = np.searchsorted(fits, np.arange(nd + 1) * (out.shape[0] // nd)).tolist()
     for d in range(nd):
@@ -167,12 +177,18 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     complete separation. A stopped fit's coefficients are frozen and
     later iterations work on the fits still active only.
 
-    The (fits, n) working arrays are made once per call; each iteration
-    works in place in their leading rows, one per fit still active. While
-    every fit is active an iteration gathers nothing: it reads eta in
-    place, takes y - mu and the separation sides by broadcasting over the
-    draws and writes the new linear predictors straight into eta: the
-    same arithmetic as the gathered rows.
+    Every fit starts from the linear predictor eta0(y) of its response
+    column, so iteration 1's mean, weights and working response are
+    those of the (m, n) response block, computed once and handed to each
+    draw's GEMMs as a broadcast view: the same (m, n) operands, so the
+    same bits, as D copies of the block. The (fits, n) working arrays
+    are made once per call; each later iteration works in place in their
+    leading rows, one per fit still active. While every fit is active an
+    iteration gathers nothing: it reads eta in place, takes y - mu and
+    the separation sides by broadcasting over the draws and writes the
+    new linear predictors straight into eta, and while every fit is also
+    kept (no singular information) it neither gathers nor scatters the
+    coefficients: the same arithmetic as the gathered rows.
     """
     xs = design if design.ndim == 3 else design[None]
     nd, n, k = xs.shape
@@ -183,11 +199,11 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     prods = (xs[:, :, :, None] * xs[:, :, None, :]).reshape(nd, n, k * k)
     if family == BINOMIAL:
         m0 = (y + 0.5) / 2.0
-        eta = np.log(m0 / (1.0 - m0))
+        eta0 = np.log(m0 / (1.0 - m0))
         side = 2.0 * y - 1.0
     else:
-        eta = np.log(y + 0.5)
-    eta = np.tile(eta, (nd, 1))
+        eta0 = np.log(y + 0.5)
+    eta = np.tile(eta0, (nd, 1))
     fits = nd * m
     coef = np.zeros((fits, k))
     cov = np.zeros((fits, k, k))
@@ -201,36 +217,49 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
             break
         a = active.size
         full = a == fits
-        eta_act = eta if full else np.take(eta, active, axis=0, out=eta_buf[:a])
-        mu = _mean(eta_act, family, mu_buf[:a])
+        if it == 1:
+            eta_act = eta0
+        elif full:
+            eta_act = eta
+        else:
+            eta_act = np.take(eta, active, axis=0, out=eta_buf[:a])
+        r = eta_act.shape[0]
+        mu = _mean(eta_act, family, mu_buf[:r])
         if family == BINOMIAL:
-            w = scale = np.subtract(1.0, mu, out=w_buf[:a])
+            w = scale = np.subtract(1.0, mu, out=w_buf[:r])
             w *= mu
         elif family == POISSON:
             w = scale = mu
         else:
-            w, scale = np.add(mu, nb_size, out=w_buf[:a]), mu
-            np.divide(np.multiply(mu, nb_size, out=z_buf[:a]), w, out=w)
+            w, scale = np.add(mu, nb_size, out=w_buf[:r]), mu
+            np.divide(np.multiply(mu, nb_size, out=z_buf[:r]), w, out=w)
         # w * z with the working response z = eta + (y - mu) / scale
         if full:
-            z = z_buf
-            np.subtract(y, mu.reshape(nd, m, n), out=z.reshape(nd, m, n))
+            z = z_buf[:r]
+            np.subtract(y, mu.reshape(-1, m, n), out=z.reshape(-1, m, n))
         else:
             z = np.take(y, active % m, axis=0, out=z_buf[:a])
             z -= mu
         z /= scale
         z += eta_act
         z *= w
+        if it == 1:
+            w, z = (np.broadcast_to(v, (nd, m, n)) for v in (w, z))
         lo, ok = _cholesky(_per_draw_product(w, active, prods, info).reshape(-1, k, k))
         new = _cholesky_solve(lo, _per_draw_product(z, active, xs, rhs)[:, :, None])[:, :, 0]
         n_iter[active] = it
-        status[active[~ok]] = 3
-        keep = active[ok]
+        if ok.all():
+            keep = active
+        else:
+            status[active[~ok]] = 3
+            keep, new = active[ok], new[ok]
         kept_all = keep.size == fits
-        new = new[ok]
-        delta = np.max(np.abs(new - coef[keep]), axis=1)
+        delta = np.max(np.abs(new - (coef if kept_all else coef[keep])), axis=1)
         done = delta <= tol * (1.0 + np.max(np.abs(new), axis=1))
-        coef[keep] = new
+        if kept_all:
+            coef = new
+        else:
+            coef[keep] = new
         ek = _per_draw_product(new, keep, xs.transpose(0, 2, 1), eta if kept_all else eta_buf)
         if not kept_all:
             eta[keep] = ek
@@ -248,25 +277,30 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
 
     fitted = np.flatnonzero(status <= 1)
     f = fitted.size
-    mu = _mean(np.take(eta, fitted, axis=0, out=eta_buf[:f]), family, mu_buf[:f])
-    # a mean at _mean's upper clamp (never a binomial one) is a diverging fit
-    status[fitted[np.max(mu, axis=1) >= 1e250]] = 1
+    eta_fit = eta if f == fits else np.take(eta, fitted, axis=0, out=eta_buf[:f])
+    mu = _mean(eta_fit, family, mu_buf[:f])
     if family == BINOMIAL:
         separated = ~np.any((mu > 1e-8) & (mu < 1.0 - 1e-8), axis=1)
-        status[fitted[separated]] = 2
-        fitted = fitted[~separated]
-        mu = np.compress(~separated, mu, axis=0, out=z_buf[: fitted.size])
+        if separated.any():
+            status[fitted[separated]] = 2
+            fitted = fitted[~separated]
+            mu = np.compress(~separated, mu, axis=0, out=z_buf[: fitted.size])
         w = np.subtract(1.0, mu, out=w_buf[: fitted.size])
         w *= mu
-    elif family == POISSON:
-        w = mu
     else:
-        # nb_size * mu * (y + nb_size) / (mu + nb_size)^2; a mean near its
-        # upper clamp makes it non-finite, so the information is singular
-        yn = np.add(np.take(y, fitted % m, axis=0, out=z_buf[:f]), nb_size, out=z_buf[:f])
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.multiply(np.multiply(mu, nb_size, out=w_buf[:f]), yn, out=w_buf[:f])
-            w /= np.square(np.add(mu, nb_size, out=yn), out=yn)
+        # a mean at _mean's upper clamp is a diverging fit; _mean clips a
+        # binomial mean below 1, so only the log links can reach it
+        status[fitted[np.max(mu, axis=1) >= 1e250]] = 1
+        if family == POISSON:
+            w = mu
+        else:
+            # nb_size * mu * (y + nb_size) / (mu + nb_size)^2; a mean near
+            # its upper clamp makes it non-finite, so the information is
+            # singular
+            yn = np.add(np.take(y, fitted % m, axis=0, out=z_buf[:f]), nb_size, out=z_buf[:f])
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.multiply(np.multiply(mu, nb_size, out=w_buf[:f]), yn, out=w_buf[:f])
+                w /= np.square(np.add(mu, nb_size, out=yn), out=yn)
     info = _per_draw_product(w, fitted, prods, info)
     lo, ok = _cholesky(info.reshape(-1, k, k))
     status[fitted[~ok]] = 3

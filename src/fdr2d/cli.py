@@ -61,45 +61,52 @@ def _add_common_flags(p):
     p.add_argument("--out", required=True, help="output file path")
 
 
-def _build_parser():
-    """(parser, {command: subparser})."""
+def _add_data_command_flags(p):
+    _add_run_flags(p, "glm:gaussian", "residual-perm", data=True)
+    _add_common_flags(p)
+
+
+def _add_simulate_flags(p):
+    # --stat/--sampler default to None: each dgp's own statistic and sampler
+    _add_run_flags(p, None, None, data=False)
+    _add_common_flags(p)
+    p.add_argument("--dgp", type=int, default=1)
+    p.add_argument("--n", type=int, default=sim.SimConfig.n)
+    p.add_argument("--m", type=int, default=sim.SimConfig.m)
+    p.add_argument("--rho", default="1.0", help="comma-separated confounding degrees")
+    p.add_argument("--pi", default="0.1", help="comma-separated signal densities")
+    p.add_argument("--l", default="0.3", help="comma-separated effect sizes")
+    p.add_argument("--reps", type=int, default=sim.SimConfig.reps)
+    p.add_argument("--ar1", type=float, help="AR(1) error coefficient")
+    p.add_argument("--pi-alpha", dest="pi_alpha", type=float)
+    p.add_argument("--pi-beta", dest="pi_beta", type=float)
+    p.add_argument("--global-null", dest="global_null", action="store_true")
+
+
+def _add_preprocess_flags(p):
+    p.add_argument("--y", help="count matrix file")
+    p.add_argument("--prevalence-min", dest="prevalence_min", type=float, default=0.0)
+    p.add_argument("--rarefy", action="store_true")
+    p.add_argument("--clr", action="store_true")
+    p.add_argument("--binarize", action="store_true")
+    p.add_argument("--pseudocount", type=float, default=0.5)
+    _add_common_flags(p)
+
+
+def _build_parser(command):
+    """(parser, {command: subparser}). Every subcommand is listed, but only
+    the named one gets its flags and its -h: each add_argument builds a
+    help formatter, which probes the terminal, so flags nobody parses
+    are not built."""
     parser = argparse.ArgumentParser(
         prog="fdr2d",
         description="Joint marginal/conditional threshold selection with FDR control",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for p in (
-        sub.add_parser("analyze", help="threshold selection on data files"),
-        sub.add_parser("grid-dump", help="decision surface as a long table"),
-    ):
-        _add_run_flags(p, "glm:gaussian", "residual-perm", data=True)
-        _add_common_flags(p)
-
-    psim = sub.add_parser("simulate", help="synthetic factor-grid experiments")
-    # --stat/--sampler default to None: each dgp's own statistic and sampler
-    _add_run_flags(psim, None, None, data=False)
-    _add_common_flags(psim)
-    psim.add_argument("--dgp", type=int, default=1)
-    psim.add_argument("--n", type=int, default=sim.SimConfig.n)
-    psim.add_argument("--m", type=int, default=sim.SimConfig.m)
-    psim.add_argument("--rho", default="1.0", help="comma-separated confounding degrees")
-    psim.add_argument("--pi", default="0.1", help="comma-separated signal densities")
-    psim.add_argument("--l", default="0.3", help="comma-separated effect sizes")
-    psim.add_argument("--reps", type=int, default=sim.SimConfig.reps)
-    psim.add_argument("--ar1", type=float, help="AR(1) error coefficient")
-    psim.add_argument("--pi-alpha", dest="pi_alpha", type=float)
-    psim.add_argument("--pi-beta", dest="pi_beta", type=float)
-    psim.add_argument("--global-null", dest="global_null", action="store_true")
-
-    pprep = sub.add_parser("preprocess", help="count-matrix preparation")
-    pprep.add_argument("--y", help="count matrix file")
-    pprep.add_argument("--prevalence-min", dest="prevalence_min", type=float, default=0.0)
-    pprep.add_argument("--rarefy", action="store_true")
-    pprep.add_argument("--clr", action="store_true")
-    pprep.add_argument("--binarize", action="store_true")
-    pprep.add_argument("--pseudocount", type=float, default=0.5)
-    _add_common_flags(pprep)
+    for name, (text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, add_help=name == command)
+    if command in _SUBCOMMANDS:
+        _SUBCOMMANDS[command][1](sub.choices[command])
     return parser, sub.choices
 
 
@@ -261,7 +268,6 @@ def _cmd_analyze(cfg):
         plan = _plan_from(cfg, dataset)
         tensor = engine.build_tensor(dataset, plan, spec)
         result = engine.apply_method(tensor, procedure)
-        _, lam = engine.resolve_pi0(tensor, procedure)
         rejected_set = set(result.rejected.tolist())
         doc = {
             "method": cfg["method"],
@@ -273,7 +279,7 @@ def _cmd_analyze(cfg):
             "t2": result.t2,
             "fdp_estimate": result.fdp_estimate,
             "pi0": result.pi0,
-            "pi0_lambda": lam,
+            "pi0_lambda": result.pi0_lambda,
             "n_rejected": result.n_rejected,
             "rejected_features": [dataset.feature_names[j] for j in result.rejected],
             "zero_variance_features": [
@@ -408,21 +414,25 @@ def _cmd_preprocess(cfg):
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "grid-dump": _cmd_grid_dump,
-    "simulate": _cmd_simulate,
-    "preprocess": _cmd_preprocess,
+# subcommand: (help line, the function that adds its flags, the command)
+_SUBCOMMANDS = {
+    "analyze": ("threshold selection on data files", _add_data_command_flags, _cmd_analyze),
+    "grid-dump": ("decision surface as a long table", _add_data_command_flags, _cmd_grid_dump),
+    "simulate": ("synthetic factor-grid experiments", _add_simulate_flags, _cmd_simulate),
+    "preprocess": ("count-matrix preparation", _add_preprocess_flags, _cmd_preprocess),
 }
 
 
 def main(argv=None):
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option but -h, so the first word
+    # that is not an option names the subcommand
+    parser, commands = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
             args = _with_config(parser, commands[args.command], args, argv)
-        return _COMMANDS[args.command](vars(args))
+        return _SUBCOMMANDS[args.command][2](vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Shared data model: datasets, statistic tensors, cutoff results."""
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -227,7 +228,9 @@ class CutoffResult:
     """Chosen threshold pair and the features it rejects.
 
     An infeasible search yields t1 = t2 = +inf with no rejections and
-    fdp_estimate 0.0.
+    fdp_estimate 0.0. pi0_lambda is the Storey threshold the config
+    resolves to (engine.resolve_pi0), None when it asks for no
+    correction; exchangeable-path reports it but applies no pi0.
     """
 
     t1: float
@@ -235,6 +238,7 @@ class CutoffResult:
     rejected: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     fdp_estimate: float = 0.0
     pi0: float = 1.0
+    pi0_lambda: Optional[float] = None
 
     def __post_init__(self):
         self.rejected = np.asarray(self.rejected, dtype=np.int64)

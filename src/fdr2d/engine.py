@@ -548,10 +548,10 @@ class _SearchPass:
     Each pooled axis is argsorted once, and its values gathered once in
     that order. The grid, the default path and every pooled dominance
     count are derived from those sorted values, so they equal make_grid,
-    default_path and the unsorted counts bit for bit. The sort, pi0, the
-    grid with its counts and the path with its chain counts are each
-    built on first use, reused by later methods, and dropped with the
-    pass.
+    default_path and the unsorted counts bit for bit. The sort, lambda,
+    pi0, the grid with its counts and the path with its chain counts are
+    each built on first use, reused by later methods, and dropped with
+    the pass.
     """
 
     def __init__(self, tensor, config):
@@ -569,18 +569,24 @@ class _SearchPass:
         return out
 
     @cached_property
-    def pi0(self):
-        # resolve_pi0 read off the sorted conditional axis: np.median's
-        # arithmetic on its middle values, and one search for the count
+    def pi0_lambda(self):
+        # resolve_pi0's lambda, "auto" read off the sorted conditional
+        # axis with np.median's arithmetic on its middle values
         lam = self.config.pi0_lambda
-        if lam is None:
-            return 1.0
-        s = self.axes[1][2]
         if lam == "auto":
+            s = self.axes[1][2]
             half = s.size // 2
             lam = 0.5 * (s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2)
-        lam = float(lam)
-        return _storey(self.tensor, lam, int(np.searchsorted(s, lam, "right")))
+        return None if lam is None else float(lam)
+
+    @cached_property
+    def pi0(self):
+        # resolve_pi0's pi0, with one search of the sorted conditional
+        # axis for the pooled count
+        lam = self.pi0_lambda
+        if lam is None:
+            return 1.0
+        return _storey(self.tensor, lam, int(np.searchsorted(self.axes[1][2], lam, "right")))
 
     @cached_property
     def grid(self):
@@ -622,12 +628,17 @@ def apply_methods(tensor, config, methods):
     for that method; config.method is not read. The methods share one
     argsort of each pooled axis, from which the grid, the default path,
     the grid counts and the path walk are all derived (see _SearchPass).
+    Each result carries the pass's lambda as pi0_lambda, equal to
+    resolve_pi0(tensor, config)[1] bit for bit.
     """
     for method in methods:
         if method not in _TENSOR_METHODS:
             raise ValueError(f"method {method!r} does not run on a tensor")
     search = _SearchPass(tensor, config)
-    return {method: search.run(method) for method in methods}
+    results = {method: search.run(method) for method in methods}
+    for result in results.values():
+        result.pi0_lambda = search.pi0_lambda
+    return results
 
 
 def apply_method(tensor, config):

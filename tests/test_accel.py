@@ -168,12 +168,41 @@ def _stack(family, seed, draws=4, n=40, m=6):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
 def test_stacked_row_is_the_one_design_fit_bit_for_bit(family, seed):
+    # one more draw whose exposure equals z is singular from iteration 1,
+    # so not every fit of the shared first iteration is kept; stopping
+    # after 1 and 2 iterations also pins the eta that iteration writes
+    # and the closing information step read from it
     design, ymat = _stack(family, seed)
-    stacked = _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)
-    for d in range(design.shape[0]):
-        alone = _accel.glm_fit_many(design[d], ymat, family, 3.0, 50, 1e-8)
-        for name, got, want in zip(FIELDS, stacked, alone):
-            assert np.array_equal(got[d], want), (d, name)
+    singular = design[:1].copy()
+    singular[0, :, 1] = singular[0, :, 2]
+    design = np.concatenate([design[:2], singular, design[2:]])
+    for max_iter in (1, 2, 50):
+        stacked = _accel.glm_fit_many(design, ymat, family, 3.0, max_iter, 1e-8)
+        assert np.all(stacked[2][2] == 3) and np.all(stacked[3][2] == 1)
+        for d in range(design.shape[0]):
+            alone = _accel.glm_fit_many(design[d], ymat, family, 3.0, max_iter, 1e-8)
+            for name, got, want in zip(FIELDS, stacked, alone):
+                assert np.array_equal(got[d], want), (max_iter, d, name)
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_first_iteration_is_shared_by_every_draw(monkeypatch, family):
+    # every fit starts from eta0(y), so iteration 1 takes the mean of the
+    # (m, n) response block once; later calls see at most a row per fit
+    design, ymat = _stack(family, 4, draws=5)
+    (nd, n, _), m = design.shape, ymat.shape[1]
+    rows = []
+    mean = _accel._mean
+
+    def spy(eta, code, out):
+        rows.append(eta.shape)
+        return mean(eta, code, out)
+
+    monkeypatch.setattr(_accel, "_mean", spy)
+    _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)
+    assert rows[0] == (m, n) and len(rows) > 2
+    assert max(r[0] for r in rows) <= nd * m
+
 
 
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())

@@ -98,6 +98,24 @@ class TestAnalyze:
         assert 0.0 < doc["pi0"] <= 1.0
         assert doc["pi0_lambda"] is not None
 
+    @pytest.mark.parametrize("lam", [None, "auto", "0.4"])
+    @pytest.mark.parametrize("method", ["mf2d-fdr", "exchangeable-path"])
+    def test_pi0_lambda_echo_comes_from_the_search(self, tmp_path, monkeypatch, method, lam):
+        # the echoed lambda is the one the search pass resolved, bit for
+        # bit resolve_pi0's on the same tensor, which analyze never calls
+        tensors, calls = [], []
+        build, resolve = engine.build_tensor, engine.resolve_pi0
+        monkeypatch.setattr(engine, "build_tensor", lambda *a: tensors.append(build(*a)) or tensors[-1])
+        monkeypatch.setattr(engine, "resolve_pi0", lambda *a: calls.append(a) or resolve(*a))
+        xp, yp, zp = _write_xyz(tmp_path, seed=3)
+        out = str(tmp_path / "s.json")
+        extra = ["--method", method] + ([] if lam is None else ["--pi0-lambda", lam])
+        assert cli.main(_analyze_args(xp, yp, zp, out, extra=extra)) == 0
+        assert calls == [] and len(tensors) == 1
+        want = resolve(tensors[0], engine.ProcedureConfig(pi0_lambda=lam))[1]
+        got = json.loads((tmp_path / "s.json").read_text())["pi0_lambda"]
+        assert got == want and (want is None) == (lam is None)
+
     def test_bad_q_is_validation_error(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)
         args = _analyze_args(xp, yp, zp, str(tmp_path / "o.json"))
@@ -486,6 +504,41 @@ class TestPreprocess:
                 "--out", str(tmp_path / "o.tsv")]
         assert cli.main(args) == 1
         assert "binarize" in capsys.readouterr().err
+
+
+# a flag only that subcommand has
+_OWN_FLAG = {"analyze": "--bin-edges", "grid-dump": "--bin-edges", "simulate": "--dgp",
+             "preprocess": "--prevalence-min"}
+
+
+class TestParser:
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in _OWN_FLAG)
+
+    @pytest.mark.parametrize("command", _OWN_FLAG)
+    def test_subcommand_help_shows_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert _OWN_FLAG[command] in out and "--out" in out and "--config" in out
+        others = {flag for other, flag in _OWN_FLAG.items() if flag != _OWN_FLAG[command]}
+        assert not any(flag in out for flag in others)
+
+    @pytest.mark.parametrize("command", _OWN_FLAG)
+    def test_only_the_invoked_subcommand_gets_flags(self, command):
+        _, subparsers = cli._build_parser(command)
+        assert list(subparsers) == list(_OWN_FLAG)
+        for name, sub in subparsers.items():
+            flags = {opt for action in sub._actions for opt in action.option_strings}
+            if name == command:
+                assert {_OWN_FLAG[command], "-h", "--out", "--config"} <= flags
+            else:
+                assert flags == set()
 
 
 @pytest.mark.parametrize("module", ["fdr2d", "fdr2d.cli"])

@@ -8,6 +8,7 @@ time. Its criterion uses the same arithmetic as the search
 float equality is required, not just closeness.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -691,6 +692,36 @@ class TestApplyMethods:
         ):
             with pytest.warns(UserWarning, match="no statistics at or below lambda"):
                 assert pi0() == 1.0
+
+    def test_result_lambda_equals_resolve_pi0(self):
+        # every tensor method's result carries the lambda the pass read
+        # off its sorted conditional axis, bit for bit the one resolve_pi0
+        # takes: with auto, with a number and with none, on odd and even
+        # pooled sizes; exchangeable-path reports it but applies no pi0
+        rng = np.random.default_rng(157)
+        tensors = self._tensors()
+        for trial in range(40):
+            b1, m = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+            style = "ties" if trial % 2 else "smooth"
+            tensors.append(_random_tensor(rng, m=m, b=b1 - 1, style=style))
+        assert {t.pairs[:, :, 1].size % 2 for t in tensors} == {0, 1}
+        for tensor in tensors:
+            for lam in ("auto", 0.5, 1.75, None):
+                config = engine.ProcedureConfig(q=0.3, pi0_lambda=lam, path_steps=9)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = engine.resolve_pi0(tensor, config)[1]
+                    results = engine.apply_methods(tensor, config, _TENSOR_METHODS)
+                    alone = engine.apply_method(
+                        tensor, dataclasses.replace(config, method="exchangeable-path")
+                    )
+                for method, res in [*results.items(), ("alone", alone)]:
+                    got = res.pi0_lambda
+                    if want is None:
+                        assert got is None, method
+                    else:
+                        assert type(got) is float, method
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes(), method
 
     def test_one_sort_per_pooled_axis(self, monkeypatch):
         # every full-length sort, argsort, unique, partition or median of
