@@ -330,9 +330,10 @@ def _cmd_grid_dump(cfg):
     procedure = _procedure_from(cfg, cfg["method"])
     plan = _plan_from(cfg, dataset)
     tensor = engine.build_tensor(dataset, plan, spec)
-    grid = engine.make_grid(tensor, cfg["grid"])
-    pi0, _ = engine.resolve_pi0(tensor, procedure)
-    sumf, robs, crit = engine.grid_surface(tensor, grid, pi0)
+    # the grid, pi0 and counts of the search pass analyze makes
+    search = engine._SearchPass(tensor, procedure)
+    grid = search.grid
+    sumf, robs, crit = search.surface()
     rows = []
     for a, t1 in enumerate(grid.t1_values):
         for c, t2 in enumerate(grid.t2_values):

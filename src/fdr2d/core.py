@@ -196,14 +196,6 @@ class StatTensor:
     def m(self):
         return self.pairs.shape[1]
 
-    @property
-    def marginal(self):
-        return self.pairs[:, :, 0]
-
-    @property
-    def conditional(self):
-        return self.pairs[:, :, 1]
-
 
 @dataclass
 class TruthMask:
@@ -215,10 +207,6 @@ class TruthMask:
         self.is_null = np.asarray(self.is_null, dtype=bool)
 
     @property
-    def n_null(self):
-        return int(self.is_null.sum())
-
-    @property
     def n_signal(self):
         return int((~self.is_null).sum())
 
@@ -228,9 +216,10 @@ class CutoffResult:
     """Chosen threshold pair and the features it rejects.
 
     An infeasible search yields t1 = t2 = +inf with no rejections and
-    fdp_estimate 0.0. pi0_lambda is the Storey threshold the config
-    resolves to (engine.resolve_pi0), None when it asks for no
-    correction; exchangeable-path reports it but applies no pi0.
+    fdp_estimate 0.0. pi0_lambda is the Storey threshold of the search
+    pass: the configured number, or half the median pooled conditional
+    value for "auto"; None when no correction is asked for.
+    exchangeable-path reports it but applies no pi0.
     """
 
     t1: float

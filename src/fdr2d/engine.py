@@ -267,9 +267,22 @@ def _inverted_cdf(sorted_values, levels):
     return sorted_values[index]
 
 
-def _sorted_axes(tensor):
-    # the pooled values of each axis, ascending
-    return [np.sort(tensor.pairs[:, :, k], axis=None) for k in (0, 1)]
+def _pooled_axis(tensor, k):
+    """Pooled axis k (0 marginal, 1 conditional): its (B+1)·m values,
+    their argsort and the values in that order. Every grid, path, lambda
+    and pooled count reads these; a search pass makes them once."""
+    values = tensor.pairs[:, :, k].ravel()
+    order = np.argsort(values)
+    return values, order, values[order]
+
+
+def _pooled_axes(tensor):
+    return [_pooled_axis(tensor, k) for k in (0, 1)]
+
+
+def _ascending(axes):
+    # the sorted values of each of _pooled_axes
+    return [s for _, _, s in axes]
 
 
 def _with_zero(distinct):
@@ -319,20 +332,20 @@ def make_grid(tensor, spec="quantile:100"):
 
     'observed' uses every distinct pooled value; 'quantile:<G>' the G
     equally spaced pooled quantiles (inverted-CDF rule). Both prepend 0
-    so the loosest corner is always searchable. Sorts each pooled axis;
-    a search pass derives the same grid from the sort it already holds.
+    so the loosest corner is always searchable. The grid a search pass
+    makes, from the same sorted axes.
     """
-    return _grid_from_sorted(_sorted_axes(tensor), spec)
+    return _grid_from_sorted(_ascending(_pooled_axes(tensor)), spec)
 
 
 def default_path(tensor, steps=100):
     """Diagonal quantile path over the distinct pooled values per axis.
 
     steps equal to the distinct-value count makes the path visit every
-    value of that axis. Sorts each pooled axis; a search pass derives
-    the same path from the sort it already holds.
+    value of that axis. The path a search pass makes, from the same
+    sorted axes.
     """
-    return _path_from_sorted(_sorted_axes(tensor), steps)
+    return _path_from_sorted(_ascending(_pooled_axes(tensor)), steps)
 
 
 def fbar(tensor, j, t1, t2):
@@ -351,27 +364,25 @@ def fdp_tilde(tensor, t1, t2, pi0=None):
     Pooled dominance count over all draws and features (divided by
     B + 1), scaled by pi0 when given, over the observed rejection
     count floored at 1. Zero-variance features count in the numerator
-    but never as rejections.
+    but never as rejections. The counts are the search's chain counts on
+    a one-step path, so this equals the grid surface and the path walks
+    bit for bit.
     """
-    p = tensor.pairs
-    b1 = p.shape[0]
-    total = int(np.count_nonzero((p[:, :, 0] >= t1) & (p[:, :, 1] >= t2)))
-    valid = ~tensor.zero_variance
-    robs = int(
-        np.count_nonzero((p[0, valid, 0] >= t1) & (p[0, valid, 1] >= t2))
-    )
+    path = MonotonePath(t1=[t1], t2=[t2])
+    counts_all, robs = _chain_counts(tensor, path, _pooled_axes(tensor))
     mult = 1.0 if pi0 is None else float(pi0)
-    return mult * (total / b1) / max(1, robs)
+    return float(_fdp(counts_all, robs, tensor.pairs.shape[0], mult)[0])
 
 
 def storey_pi0(tensor, lam):
     """Null-proportion estimate from the low end of the conditional axis."""
-    tc = tensor.pairs[:, :, 1]
-    return _storey(tensor, lam, np.count_nonzero(tc <= lam))
+    return _storey(tensor, lam, _pooled_axis(tensor, 1)[2])
 
 
-def _storey(tensor, lam, pooled):
-    # storey_pi0 given the pooled count of conditional values <= lam
+def _storey(tensor, lam, sorted_tc):
+    # storey_pi0, the pooled count of conditional values <= lam read off
+    # their ascending order by one binary search
+    pooled = int(np.searchsorted(sorted_tc, lam, "right"))
     tc = tensor.pairs[:, :, 1]
     num = int(np.count_nonzero(tc[0] <= lam))
     den = pooled / tc.shape[0]
@@ -381,21 +392,8 @@ def _storey(tensor, lam, pooled):
     return float(min(1.0, num / den))
 
 
-def auto_lambda(tensor):
-    """Default Storey threshold: half the median pooled conditional value."""
-    return 0.5 * float(np.median(tensor.pairs[:, :, 1]))
-
-
-def resolve_pi0(tensor, config):
-    """(pi0, lambda) for a config; (1.0, None) when no correction asked."""
-    if config.pi0_lambda is None:
-        return 1.0, None
-    lam = auto_lambda(tensor) if config.pi0_lambda == "auto" else float(config.pi0_lambda)
-    return storey_pi0(tensor, lam), lam
-
-
 def _fdp(counts_all, robs, b1, pi0):
-    # same operation order as fdp_tilde, so the two agree bit for bit
+    # the estimated FDP: pi0 * (pooled count / (B + 1)) / max(observed, 1)
     return pi0 * (counts_all / float(b1)) / np.maximum(robs, 1)
 
 
@@ -405,24 +403,22 @@ def _rejected(tensor, t1, t2):
     return np.flatnonzero(valid & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)).astype(np.int64)
 
 
-def _counts(tensor, kernel, t1, t2, axes=None):
-    # (pooled, observed) dominance counts of one _accel kernel. axes, as
-    # _SearchPass.axes, hands the kernel each pooled axis with its argsort
-    # and sorted values; without it the kernel sorts the axes itself
+def _counts(tensor, kernel, t1, t2, axes):
+    # (pooled, observed) dominance counts of one _accel kernel; axes, from
+    # _pooled_axes, hands the kernel each pooled axis with its argsort and
+    # sorted values
     p = tensor.pairs
     valid = ~tensor.zero_variance
-    if axes is None:
-        axes = [(p[:, :, k].ravel(), None, None) for k in (0, 1)]
     (tm, tc), orders, sorted_axes = zip(*axes)
     pooled = kernel(tm, tc, t1, t2, orders, sorted_axes)
     return pooled, kernel(p[0, valid, 0], p[0, valid, 1], t1, t2)
 
 
-def _grid_counts(tensor, grid, axes=None):
+def _grid_counts(tensor, grid, axes):
     return _counts(tensor, _accel.pair_exceed_counts, grid.t1_values, grid.t2_values, axes)
 
 
-def _chain_counts(tensor, path, axes=None):
+def _chain_counts(tensor, path, axes):
     return _counts(tensor, _accel.chain_exceed_counts, path.t1, path.t2, axes)
 
 
@@ -451,11 +447,6 @@ def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
     t1s = float(t1v[a])
     t2s = float(t2v[c])
     return CutoffResult(t1s, t2s, _rejected(tensor, t1s, t2s), float(crit[a, c]), pi0)
-
-
-def _search(tensor, grid, q, pi0, mode):
-    """Best feasible point of one grid, counted afresh (see _pick)."""
-    return _pick(tensor, grid.t1_values, grid.t2_values, *_grid_counts(tensor, grid), q, pi0, mode)
 
 
 def _first_feasible(tensor, path, counts_all, robs, q, pi0):
@@ -491,12 +482,13 @@ def exchangeable_path(tensor, path, q):
     drops to q; rejections happen there. No pi0 correction: the plain
     ratio is what carries the finite-sample guarantee.
     """
-    return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, None)
+    return ordered_grid_procedure(tensor, path, q)
 
 
 def ordered_grid_procedure(tensor, path, q, pi0=None):
     """Smallest chain index whose fdp_tilde is at most q."""
-    return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, pi0)
+    counts = _chain_counts(tensor, path, _pooled_axes(tensor))
+    return _first_feasible(tensor, path, *counts, q, pi0)
 
 
 def bh_procedure(pvalues, q):
@@ -534,7 +526,12 @@ def bh_rejections(dataset, spec, q):
 
 def grid_surface(tensor, grid, pi0=1.0):
     """(sum_fbar, observed rejections, fdp_tilde) arrays over the grid."""
-    counts_all, robs = _grid_counts(tensor, grid)
+    return _surface(tensor, _grid_counts(tensor, grid, _pooled_axes(tensor)), pi0)
+
+
+def _surface(tensor, counts, pi0):
+    # grid_surface from a grid's (pooled, observed) counts
+    counts_all, robs = counts
     b1 = tensor.pairs.shape[0]
     return counts_all / float(b1), robs, _fdp(counts_all, robs, b1, pi0)
 
@@ -546,12 +543,12 @@ class _SearchPass:
     """One search over one tensor, shared by every method that asks.
 
     Each pooled axis is argsorted once, and its values gathered once in
-    that order. The grid, the default path and every pooled dominance
-    count are derived from those sorted values, so they equal make_grid,
-    default_path and the unsorted counts bit for bit. The sort, lambda,
-    pi0, the grid with its counts and the path with its chain counts are
-    each built on first use, reused by later methods, and dropped with
-    the pass.
+    that order (_pooled_axes). The grid, the default path, lambda, pi0
+    and every pooled dominance count are derived from those sorted
+    values, the way make_grid, default_path, storey_pi0 and grid_surface
+    derive them. The sort, lambda, pi0, the grid with its counts and the
+    path with its chain counts are each built on first use, reused by
+    later methods, and dropped with the pass.
     """
 
     def __init__(self, tensor, config):
@@ -560,18 +557,13 @@ class _SearchPass:
 
     @cached_property
     def axes(self):
-        # per pooled axis: (values, their argsort, values in that order)
-        out = []
-        for k in (0, 1):
-            values = self.tensor.pairs[:, :, k].ravel()
-            order = np.argsort(values)
-            out.append((values, order, values[order]))
-        return out
+        return _pooled_axes(self.tensor)
 
     @cached_property
     def pi0_lambda(self):
-        # resolve_pi0's lambda, "auto" read off the sorted conditional
-        # axis with np.median's arithmetic on its middle values
+        # the Storey lambda: the config's number or, for "auto", half the
+        # median of the sorted conditional axis (the mean of its two
+        # middle values when their count is even); None for no correction
         lam = self.config.pi0_lambda
         if lam == "auto":
             s = self.axes[1][2]
@@ -581,16 +573,15 @@ class _SearchPass:
 
     @cached_property
     def pi0(self):
-        # resolve_pi0's pi0, with one search of the sorted conditional
-        # axis for the pooled count
+        # storey_pi0 at lambda; 1.0 when no correction is asked for
         lam = self.pi0_lambda
         if lam is None:
             return 1.0
-        return _storey(self.tensor, lam, int(np.searchsorted(self.axes[1][2], lam, "right")))
+        return _storey(self.tensor, lam, self.axes[1][2])
 
     @cached_property
     def grid(self):
-        return _grid_from_sorted([s for _, _, s in self.axes], self.config.grid)
+        return _grid_from_sorted(_ascending(self.axes), self.config.grid)
 
     @cached_property
     def grid_counts(self):
@@ -598,11 +589,15 @@ class _SearchPass:
 
     @cached_property
     def path(self):
-        return _path_from_sorted([s for _, _, s in self.axes], self.config.path_steps)
+        return _path_from_sorted(_ascending(self.axes), self.config.path_steps)
 
     @cached_property
     def path_counts(self):
         return _chain_counts(self.tensor, self.path, self.axes)
+
+    def surface(self):
+        # grid_surface of the pass's grid at its pi0
+        return _surface(self.tensor, self.grid_counts, self.pi0)
 
     def run(self, method):
         tensor, q = self.tensor, self.config.q
@@ -628,8 +623,7 @@ def apply_methods(tensor, config, methods):
     for that method; config.method is not read. The methods share one
     argsort of each pooled axis, from which the grid, the default path,
     the grid counts and the path walk are all derived (see _SearchPass).
-    Each result carries the pass's lambda as pi0_lambda, equal to
-    resolve_pi0(tensor, config)[1] bit for bit.
+    Each result carries the pass's lambda as pi0_lambda.
     """
     for method in methods:
         if method not in _TENSOR_METHODS:

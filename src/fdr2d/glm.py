@@ -45,30 +45,12 @@ class LeastSquares(NamedTuple):
 
 
 @dataclass
-class LinearFit:
-    """Least-squares fit with t-scale standard errors.
-
-    sigma2 is the residual variance rss / (n - k); it is exactly 0.0
-    when the design reproduces the response to float precision.
-    """
-
-    coef: np.ndarray
-    se: np.ndarray
-    sigma2: float
-    residuals: np.ndarray
-    fitted: np.ndarray
-    cov: np.ndarray
-    df_resid: int
-
-
-@dataclass
 class GlmFit:
     """IRLS fit; cov is the inverse observed Fisher information."""
 
     coef: np.ndarray
     se: np.ndarray
     converged: bool
-    n_iter: int
     reason: str | None
     cov: np.ndarray
     family: str
@@ -123,30 +105,17 @@ def ols_many(design, ymat):
     return LeastSquares(rinv @ qty, fitted, residuals, sigma2, rinv @ rinv.T)
 
 
-def ols(design, response):
-    """Ordinary least squares of one response: ols_many with one column."""
-    y = np.asarray(response, dtype=float).ravel()
-    fit = ols_many(design, y[:, None])
-    sigma2 = float(fit.sigma2[0])
-    cov = sigma2 * fit.ainv
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return LinearFit(
-        fit.coef[:, 0], se, sigma2, fit.residuals[:, 0], fit.fitted[:, 0], cov, y.size - cov.shape[0]
-    )
-
-
 def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
     """Fit a GLM by iteratively reweighted least squares.
 
-    Families: gaussian (identity link; fitted by :func:`ols`),
-    binomial (logit), poisson (log), negbinom (log, fixed ``size``).
+    Families: binomial (logit), poisson (log), negbinom (log, fixed
+    ``size``); a gaussian response is a least-squares fit (ols_many).
     Dispersion is never estimated. A non-converged fit is returned,
     not raised; ``reason`` is "max_iter" or "separation".
     """
     code, size = family_code(family, size)
     if code == _accel.GAUSSIAN:
-        fit = ols(design, response)
-        return GlmFit(fit.coef, fit.se, True, 1, None, fit.cov, family)
+        raise ValueError("irls fits binomial, poisson and negbinom; fit gaussian with ols_many")
     design = np.ascontiguousarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
     if y.shape[0] != design.shape[0]:
@@ -155,14 +124,14 @@ def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
         raise ValueError("binomial family requires a 0/1 response")
     if family in ("poisson", "negbinom") and (np.any(y < 0) or np.any(y != np.floor(y))):
         raise ValueError(f"{family} family requires a non-negative integer response")
-    coef, cov, status, n_iter = _accel.glm_fit_many(
+    coef, cov, status, _ = _accel.glm_fit_many(
         design, y[:, None], code, size, int(max_iter), float(tol)
     )
     if status[0] == 3:
         raise ValueError("singular design")
     se = np.sqrt(np.clip(np.diag(cov[0]), 0.0, None))
     reason = {0: None, 1: "max_iter", 2: "separation"}[int(status[0])]
-    return GlmFit(coef[0], se, status[0] == 0, int(n_iter[0]), reason, cov[0], family)
+    return GlmFit(coef[0], se, status[0] == 0, reason, cov[0], family)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Marginal and conditional dependence statistics.
 
 Every statistic maps to a nonnegative float where larger means
-stronger dependence, and degenerate inputs give 0 with a warning
-rather than NaN, so downstream thresholding never sees missing
-values. The scalar functions are the reference forms; make_evaluator
-builds the evaluators used while assembling statistic tensors. An
+stronger dependence, and a degenerate draw scores 0 as a counted
+failure rather than NaN, so downstream thresholding never sees missing
+values. make_evaluator builds the evaluators that assemble statistic
+tensors, and model_pvalues the p-values behind bh; the one-feature
+forms the tests check them against are in tests/reference.py. An
 evaluator scores every feature against a stack (D, n, p) of exposures
 in one call, sharing whatever does not change across draws (centered
 response kernels, confounder projectors, spline knots). The observed
@@ -20,7 +21,7 @@ categorical and HSIC statistics are matrix products over all draws.
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,19 +39,10 @@ _BASIS_DF = 5
 _NEAR_PERFECT = 1e-3
 
 
-class StatPair(NamedTuple):
-    t_m: float
-    t_c: float
-
-
 @dataclass
 class KernelMatrix:
     matrix: np.ndarray
     bandwidth: float
-
-
-def _all_rows_equal(a):
-    return bool(np.all(a == a[0]))
 
 
 def gaussian_kernel(points, bandwidth=None):
@@ -85,20 +77,6 @@ def _center_kernel(k):
     return k - rm - cm + k.mean()
 
 
-def hsic(x, y, bandwidth_x=None, bandwidth_y=None):
-    """Dependence as (1/n) tr(Kx~ Ky~) with doubly centered kernels."""
-    x = _as_matrix(x)
-    y = _as_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("x and y row counts differ")
-    if _all_rows_equal(x) or _all_rows_equal(y):
-        warnings.warn("constant input: dependence statistic set to 0")
-        return 0.0
-    kx = _center_kernel(gaussian_kernel(x, bandwidth_x).matrix)
-    ky = _center_kernel(gaussian_kernel(y, bandwidth_y).matrix)
-    return max(0.0, float(np.sum(kx * ky)) / x.shape[0])
-
-
 def _standardize_columns(a):
     a = _as_matrix(a)
     if a.shape[1] == 0:
@@ -114,170 +92,6 @@ def _regularized(kc, epsilon):
     lam = np.maximum(lam, 0.0)
     scale = (epsilon * epsilon) * lam / (lam + epsilon) ** 2
     return (vec * scale) @ vec.T
-
-
-def chsic(x, y, z, epsilon=0.001):
-    """Conditional dependence from regularized joint kernels.
-
-    Both kernels act on standardized [arg, z] blocks; the spectral
-    filter e^2 L/(L+e)^2 damps directions the confounders explain.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    x = _as_matrix(x)
-    y = _as_matrix(y)
-    z = _as_matrix(z)
-    n = x.shape[0]
-    if y.shape[0] != n or z.shape[0] != n:
-        raise ValueError("x, y and z row counts differ")
-    xz = np.hstack([_standardize_columns(x), _standardize_columns(z)])
-    yz = np.hstack([_standardize_columns(y), _standardize_columns(z)])
-    if _all_rows_equal(xz) or _all_rows_equal(yz):
-        warnings.warn("constant input: dependence statistic set to 0")
-        return 0.0
-    kx = _regularized(_center_kernel(gaussian_kernel(xz).matrix), epsilon)
-    ky = _regularized(_center_kernel(gaussian_kernel(yz).matrix), epsilon)
-    return max(0.0, float(np.sum(kx * ky)) / n)
-
-
-def rv_coefficient(u, v):
-    """Matrix correlation tr(Suv Svu) / sqrt(tr(Suu^2) tr(Svv^2)) in [0, 1].
-
-    For univariate inputs this is exactly the squared Pearson
-    correlation. A constant input scores 0 with a warning.
-    """
-    u = _as_matrix(u)
-    v = _as_matrix(v)
-    if u.shape[0] != v.shape[0]:
-        raise ValueError("u and v row counts differ")
-    return _rv(u, v, u, v)
-
-
-def conditional_rv(x, y, z, spline_df=5, z_kinds=None):
-    """RV coefficient after projecting out a spline basis in z. An input
-    in the span of the basis scores 0 with a warning."""
-    x = _as_matrix(x)
-    y = _as_matrix(y)
-    design = glm.confounder_design(_as_matrix(z), spline_df=spline_df, kinds=z_kinds)
-    proj = glm.projection_complement(design)
-    return _rv(proj @ x, proj @ y, x, y)
-
-
-def _rv(u, v, u_raw, v_raw):
-    # RV ratio of u and v, centered here, which are u_raw and v_raw or
-    # their projections. A centered block whose ||.'.||_F is at most
-    # _RANK_TOL^2 times its raw block's squared norm is rounding noise,
-    # not a direction: for one column, _RvEvaluator's rank rule
-    uc = u - u.mean(axis=0)
-    vc = v - v.mean(axis=0)
-    suv = uc.T @ vc
-    suu = uc.T @ uc
-    svv = vc.T @ vc
-    suu2 = float(np.sum(suu * suu))
-    svv2 = float(np.sum(svv * svv))
-    den = np.sqrt(suu2 * svv2)
-    tol = glm._RANK_TOL**2
-    if (
-        den <= 0.0
-        or np.sqrt(suu2) <= tol * float(np.sum(u_raw * u_raw))
-        or np.sqrt(svv2) <= tol * float(np.sum(v_raw * v_raw))
-    ):
-        warnings.warn("zero variance input: dependence statistic set to 0")
-        return 0.0
-    return float(min(1.0, max(0.0, float(np.sum(suv * suv)) / den)))
-
-
-def pearson_chi_square(x, y):
-    """2x2 chi-square without continuity correction; binary inputs."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError("x and y lengths differ")
-    n = x.size
-    a = float(x @ y)
-    r1 = float(x.sum())
-    c1 = float(y.sum())
-    b = r1 - a
-    c = c1 - a
-    d = n - r1 - c1 + a
-    r0 = n - r1
-    c0 = n - c1
-    if min(r1, r0, c1, c0) <= 0.0:
-        warnings.warn("degenerate 2x2 margin: statistic set to 0")
-        return 0.0
-    return float(n * (a * d - b * c) ** 2 / (r1 * r0 * c1 * c0))
-
-
-def mantel_haenszel(x, y, strata):
-    """Stratified 2x2 association: (sum a - E a)^2 / sum Var a.
-
-    With a single stratum this equals (n-1)/n times the chi-square.
-    Strata that cannot vary contribute nothing; when none can, the
-    statistic is 0 with a warning.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    strata = np.asarray(strata).ravel()
-    if x.size != y.size or x.size != strata.size:
-        raise ValueError("x, y and strata lengths differ")
-    num = 0.0
-    den = 0.0
-    for lab in np.unique(strata):
-        idx = strata == lab
-        nk = int(idx.sum())
-        if nk < 2:
-            continue
-        xs = x[idx]
-        ys = y[idx]
-        r1 = float(xs.sum())
-        c1 = float(ys.sum())
-        a = float(xs @ ys)
-        num += a - r1 * c1 / nk
-        den += r1 * (nk - r1) * c1 * (nk - c1) / (nk * nk * (nk - 1.0))
-    if den <= 0.0:
-        warnings.warn("no informative strata: statistic set to 0")
-        return 0.0
-    return float(num * num / den)
-
-
-def _wald_block_py(coef, cov, p):
-    """Scalar mirror of the kernel Wald rule for the block at 1..p."""
-    maxc = float(np.max(np.abs(coef)))
-    if p == 1:
-        v = float(cov[1, 1])
-        if v <= 0.0:
-            return 0.0 if abs(coef[1]) <= 1e-8 * (1.0 + maxc) else _accel.STAT_CAP
-        return float(min(_accel.STAT_CAP, abs(coef[1]) / np.sqrt(v)))
-    b = coef[1 : 1 + p]
-    sub = cov[1 : 1 + p, 1 : 1 + p]
-    blockmax = float(np.max(np.abs(b)))
-    try:
-        q = float(b @ np.linalg.solve(sub, b))
-    except np.linalg.LinAlgError:
-        q = -1.0
-    if not np.isfinite(q) or q < 0.0:
-        return 0.0 if blockmax <= 1e-8 * (1.0 + maxc) else _accel.STAT_CAP
-    return float(min(_accel.STAT_CAP, q))
-
-
-def model_stat_pair(y, x, z, family, size=None, max_iter=_MAX_ITER, tol=_TOL):
-    """(marginal, conditional) Wald statistics from two model fits.
-
-    The conditional statistic tests the exposure block in the model
-    with confounders; the marginal one drops the confounders. Fits
-    that do not converge give 0 with a warning.
-    """
-    yv = np.asarray(y, dtype=float).ravel()
-    x = _as_matrix(x)
-    z = _as_matrix(z) if np.asarray(z).size else np.zeros((yv.size, 0))
-    n, p = x.shape
-    pair = []
-    for design in (np.column_stack([np.ones(n), x]), np.column_stack([np.ones(n), x, z])):
-        fit = glm.irls(design, yv, family, max_iter=max_iter, tol=tol, size=size)
-        pair.append(_wald_block_py(fit.coef, fit.cov, p) if fit.converged else None)
-    if None in pair:
-        warnings.warn("model fit did not converge: statistic set to 0")
-    return StatPair(*(0.0 if t is None else t for t in pair))
 
 
 def model_pvalues(ymat, x, z, family, size=None):
@@ -326,49 +140,6 @@ def _feature_basis_builder(values, count):
         return build
     sb = glm.natural_cubic_basis(values, df=count)
     return lambda v: sb.evaluate(np.asarray(v, dtype=float).ravel())
-
-
-def _qf_stat(qf, sigma2, yss):
-    # perfect fits have sigma2 == 0 exactly; the statistic is 0 when the
-    # quadratic form is negligible at the response scale, capped when not
-    if sigma2 == 0.0:
-        return 0.0 if qf <= 1e-16 * max(yss, 1.0) else _accel.STAT_CAP
-    return float(min(_accel.STAT_CAP, max(0.0, qf / sigma2)))
-
-
-def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
-    """Wald statistics for a basis expansion of a univariate exposure.
-
-    Marginal: the exposure basis alone. Conditional: the same basis
-    after projecting out [1, basis(z)]. Both share the residual
-    variance from the joint model.
-    """
-    yv = np.asarray(y, dtype=float).ravel()
-    xm = _as_matrix(x)
-    if xm.shape[1] != 1:
-        raise ValueError("basis statistics need a univariate exposure")
-    n = yv.size
-    zm = _as_matrix(z) if np.asarray(z).size else np.zeros((n, 0))
-    bx = _feature_basis_builder(xm[:, 0], j1)(xm[:, 0])
-    dz = glm.confounder_design(zm, spline_df=j2, kinds=z_kinds)
-    full = np.hstack([bx, dz])
-    if n <= full.shape[1]:
-        raise ValueError("not enough rows for the joint design")
-    q, r = np.linalg.qr(full)
-    diag = np.abs(np.diag(r))
-    if diag.max() == 0.0 or diag.min() <= 1e-10 * diag.max():
-        raise ValueError("singular joint design")
-    resid = yv - q @ (q.T @ yv)
-    rss = float(resid @ resid)
-    yss = float(yv @ yv)
-    sigma2 = 0.0 if rss <= 1e-24 * yss else rss / (n - full.shape[1])
-
-    mm = bx.T @ yv
-    qf_m = float(mm @ np.linalg.solve(bx.T @ bx, mm))
-    proj = glm.projection_complement(dz)
-    mc = bx.T @ (proj @ yv)
-    qf_c = float(mc @ np.linalg.solve(bx.T @ (proj @ bx), mc))
-    return StatPair(t_m=_qf_stat(qf_m, sigma2, yss), t_c=_qf_stat(qf_c, sigma2, yss))
 
 
 def _linear_block_stack(fixed, block, ymat):
@@ -459,6 +230,14 @@ def _glm_wald(xs, z, ymat, family, size, observed):
 class _GlmEvaluator:
     def __init__(self, dataset, family, size):
         gaussian = glm.family_code(family, size)[0] == _accel.GAUSSIAN
+        # refuse a singular observed design, [1, x, z] or [1, x], before
+        # any draw is made: the rank rule of _linear_block_stack, scoring
+        # no response column
+        ones = np.ones((dataset.n, 1))
+        for z in (dataset.z, dataset.z[:, :0]):
+            fixed = np.hstack([ones, z])
+            if _linear_block_stack(fixed, dataset.x[None], dataset.y[:, :0])[2][0]:
+                raise ValueError("feature 0: singular design on observed data")
         # per draw: the gaussian block's Q (n, p) and its products Q'r
         # (p, m), or the IRLS working arrays (m, n)
         wide = max(dataset.n, dataset.m) * dataset.x.shape[1]

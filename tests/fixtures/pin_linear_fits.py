@@ -2,15 +2,16 @@
 
 Run from the repository root against the code to pin:
 
-    PYTHONPATH=src python3 tests/fixtures/pin_linear_fits.py
+    PYTHONPATH=src:tests python3 tests/fixtures/pin_linear_fits.py
 
 It writes tests/fixtures/linear_fit_pin.json: one dataset (inputs
 rounded to four decimals, with one zero-variance and one perfectly fitted
 outcome column), the ``build_tensor`` pairs of the least-squares
 statistics (gaussian Wald at p = 1 and p = 2, basis Wald, RV) under the
 three least-squares samplers, the fitted means and residuals of those
-samplers, and ``glm.ols`` coefficients, standard errors and residual
-variance on an ordinary and a perfect-fit design.
+samplers, and the coefficients, standard errors and residual variance
+of ``reference.ols`` (tests/reference.py) on an ordinary and a
+perfect-fit design.
 tests/test_linear_fit_pin.py compares the current code against the
 file. Regenerate it only when a change to the fitting rules is
 intended, and say why in CHANGES.md.
@@ -21,7 +22,8 @@ import os
 
 import numpy as np
 
-from fdr2d import core, engine, glm, samplers
+import reference
+from fdr2d import core, engine, samplers
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "linear_fit_pin.json")
@@ -96,7 +98,7 @@ def main():
         fits.append({"sampler": smp, "fitted_mean": fitted.tolist(), "residuals": resid.tolist()})
     ols = []
     for name, (design, response) in ols_designs(x, y, z).items():
-        fit = glm.ols(design, response)
+        fit = reference.ols(design, response)
         ols.append(
             {"name": name, "coef": fit.coef.tolist(), "se": fit.se.tolist(), "sigma2": fit.sigma2}
         )

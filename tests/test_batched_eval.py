@@ -240,9 +240,9 @@ def test_observed_error_comes_before_a_second_chunk_is_drawn(monkeypatch, stat, 
     # an exposure affine in the confounder: the first chunk (the observed
     # row and four draws) raises, so no draw of a later chunk is made
     dataset = make_dataset(stat, "residual-perm", 1)
-    dataset.x = 2.0 * dataset.z + 1.0
     spec = make_spec(stat)
     monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * _evaluator(dataset, spec).draw_cells)
+    dataset.x = 2.0 * dataset.z + 1.0
     draws = []
     real = samplers.draw_for_strategy
 
@@ -254,6 +254,26 @@ def test_observed_error_comes_before_a_second_chunk_is_drawn(monkeypatch, stat, 
     with pytest.raises(ValueError, match=error):
         engine.build_tensor(dataset, make_plan("residual-perm", b=12), spec)
     assert len(draws) <= 4
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial", "poisson"])
+@pytest.mark.parametrize("exposure", ["affine-in-z", "constant"])
+def test_singular_observed_glm_design_is_refused_before_any_draw_or_fit(
+    monkeypatch, family, exposure
+):
+    # x = 2z + 1 makes [1, x, z] singular, a constant x [1, x] as well:
+    # making the evaluator refuses it, so no draw is made and no IRLS runs
+    stat = f"glm:{family}"
+    dataset = make_dataset(stat, "residual-perm", 1)
+    dataset.x = 2.0 * dataset.z + 1.0 if exposure == "affine-in-z" else np.full((40, 1), 0.5)
+    calls = []
+    for module, name in ((samplers, "draw_for_strategy"), (_accel, "glm_fit_many")):
+        real = getattr(module, name)
+        spy = lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(module, name, spy)
+    with pytest.raises(ValueError, match="^feature 0: singular design on observed data$"):
+        engine.build_tensor(dataset, make_plan("residual-perm", b=12), make_spec(stat))
+    assert calls == []
 
 
 @pytest.mark.parametrize("family", ["binomial", "poisson", "negbinom"])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import fdr2d
+import reference
 from fdr2d import cli, engine, io, sim
 
 
@@ -102,17 +103,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("method", ["mf2d-fdr", "exchangeable-path"])
     def test_pi0_lambda_echo_comes_from_the_search(self, tmp_path, monkeypatch, method, lam):
         # the echoed lambda is the one the search pass resolved, bit for
-        # bit resolve_pi0's on the same tensor, which analyze never calls
-        tensors, calls = [], []
-        build, resolve = engine.build_tensor, engine.resolve_pi0
+        # bit the reference lambda (np.median) of the same tensor
+        tensors = []
+        build = engine.build_tensor
         monkeypatch.setattr(engine, "build_tensor", lambda *a: tensors.append(build(*a)) or tensors[-1])
-        monkeypatch.setattr(engine, "resolve_pi0", lambda *a: calls.append(a) or resolve(*a))
         xp, yp, zp = _write_xyz(tmp_path, seed=3)
         out = str(tmp_path / "s.json")
         extra = ["--method", method] + ([] if lam is None else ["--pi0-lambda", lam])
         assert cli.main(_analyze_args(xp, yp, zp, out, extra=extra)) == 0
-        assert calls == [] and len(tensors) == 1
-        want = resolve(tensors[0], engine.ProcedureConfig(pi0_lambda=lam))[1]
+        assert len(tensors) == 1
+        want = reference.resolve_pi0(tensors[0], engine.ProcedureConfig(pi0_lambda=lam))[1]
         got = json.loads((tmp_path / "s.json").read_text())["pi0_lambda"]
         assert got == want and (want is None) == (lam is None)
 
@@ -427,6 +427,46 @@ class TestGridDump:
             order = np.argsort(t1[sel])
             diffs = np.diff(sumf[sel][order])
             assert np.all(diffs <= 1e-12)
+
+    @pytest.mark.parametrize("grid", ["quantile:12", "observed"])
+    @pytest.mark.parametrize("lam", [None, "auto", "0.5"])
+    def test_surface_equals_brute_force_recount(self, tmp_path, monkeypatch, lam, grid):
+        # the table and grid_surface against a recount of the same tensor:
+        # the reference grid (np.sort), lambda (np.median) and pi0, and
+        # dominance counts taken one grid point at a time
+        tensors = []
+        build = engine.build_tensor
+        monkeypatch.setattr(engine, "build_tensor", lambda *a: tensors.append(build(*a)) or tensors[-1])
+        xp, yp, zp = _write_xyz(tmp_path, seed=6, n=40, m=8)
+        out = tmp_path / "surface.tsv"
+        args = [
+            "grid-dump", "--x", xp, "--y", yp, "--z", zp,
+            "--stat", "glm:gaussian", "--sampler", "residual-perm",
+            "--b", "5", "--grid", grid, "--seed", "3", "--out", str(out),
+        ]
+        assert cli.main(args + ([] if lam is None else ["--pi0-lambda", lam])) == 0
+        (tensor,) = tensors
+        want_grid = reference.make_grid(tensor, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pi0, _ = reference.resolve_pi0(tensor, engine.ProcedureConfig(pi0_lambda=lam))
+        assert (pi0 < 1.0) == (lam is not None)
+        pooled, observed = reference.dominance_counts(tensor, want_grid)
+        b1 = tensor.pairs.shape[0]
+        sumf = [[int(c) / b1 for c in row] for row in pooled]
+        fdp = [
+            [pi0 * (int(c) / b1) / max(1, int(r)) for c, r in zip(*rows)]
+            for rows in zip(pooled, observed)
+        ]
+        want = [
+            (t1, t2, sumf[a][c], int(observed[a, c]), fdp[a][c])
+            for a, t1 in enumerate(want_grid.t1_values)
+            for c, t2 in enumerate(want_grid.t2_values)
+        ]
+        got = [tuple(float(v) for v in line.split("\t")) for line in out.read_text().splitlines()[1:]]
+        assert got == want
+        surface = engine.grid_surface(tensor, want_grid, pi0)
+        assert [a.tolist() for a in surface] == [sumf, observed.tolist(), fdp]
 
 
 class TestUnreadSettings:

