@@ -92,12 +92,13 @@ def chain_exceed_counts(tm, tc, t1, t2, orders=(None, None), sorted_axes=(None, 
 def _cholesky(a):
     """Lower Cholesky factors of a stack of (k, k) matrices.
 
-    Returns (lo, ok). A matrix fails when a pivot is at most 1e-12 of its
-    own diagonal (pivot / a_ii is the squared equilibrated R diagonal:
-    glm.rank_deficient in normal-equations form); its factor is then
-    garbage. Unlike np.linalg.cholesky, one failure does not stop the others.
-    Column 0 subtracts nothing and column k - 1 has nothing below it, so
-    neither runs an empty contraction.
+    Returns (lo, ok). A matrix fails, and its factor is garbage, when a
+    pivot is at most 1e-12 of its own diagonal. pivot / a_ii is the
+    squared equilibrated R diagonal, so this fails |R_ii| <= 1e-6 ||col_i||:
+    a tolerance 10^4 above glm.rank_deficient's, as forming the normal
+    equations squares the condition number. Unlike np.linalg.cholesky,
+    one failure does not stop the others. Column 0 subtracts nothing and
+    column k - 1 has nothing below it, so neither runs an empty contraction.
     """
     k = a.shape[1]
     lo = np.zeros_like(a)

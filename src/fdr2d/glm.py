@@ -1,13 +1,12 @@
-"""Regression fitting layer: least squares, IRLS, splines, projections.
+"""Regression layer: the rank rule, the one residualiser, splines.
 
-Everything downstream (statistics, samplers) builds designs and hands
-them here. Fits never fall back to ridge or pseudo-inverse tricks; a
-rank-deficient design, by the one scale-free rule of rank_deficient, is
-an error the caller must see.
+Every adjustment for the confounders, in the statistics and the
+samplers alike, residualises on a fixed design through Residualiser:
+one QR, refused by the one scale-free rule of rank_deficient. Nothing
+falls back to ridge or pseudo-inverse tricks.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,34 +25,6 @@ _FAMILY_CODES = {
 _RANK_TOL = 1e-10
 # rss below this fraction of the response sum of squares is a perfect fit
 _PERFECT_TOL = 1e-24
-
-
-class LeastSquares(NamedTuple):
-    """Least-squares fit of one design against every response column.
-
-    coef is (k, m), fitted and residuals (n, m). sigma2 (m,) is the
-    residual variance rss / (n - k), exactly 0.0 for a column the design
-    reproduces to float precision. ainv (k, k) is the unscaled
-    covariance (R'R)^-1 that every column shares.
-    """
-
-    coef: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    sigma2: np.ndarray
-    ainv: np.ndarray
-
-
-@dataclass
-class GlmFit:
-    """IRLS fit; cov is the inverse observed Fisher information."""
-
-    coef: np.ndarray
-    se: np.ndarray
-    converged: bool
-    reason: str | None
-    cov: np.ndarray
-    family: str
 
 
 def family_code(family, size):
@@ -78,60 +49,23 @@ def rank_deficient(r, raw):
     return np.any(diag <= tol, axis=-1) | (diag.shape[-1] < raw.shape[-1])
 
 
-def ols_many(design, ymat):
-    """Least squares of one design against every column of ``ymat``.
+class Residualiser:
+    """Least-squares residualising on one fixed design (n, k), from its QR.
 
-    One QR serves every column. Raises ValueError("singular design")
-    when rank_deficient refuses the design, or when there are no
-    residual degrees of freedom. No silent regularization.
+    fitted(v) = Q(Q'v) fits v (n, c), or each matrix of a stack (D, n, c),
+    on the design's columns; v - fitted(v) is the residual. refusal is
+    None, or the error a fit raises: n <= k, or rank_deficient refuses.
     """
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(ymat, dtype=float)
-    n, k = design.shape
-    if y.shape[0] != n:
-        raise ValueError(f"response length {y.shape[0]} does not match design rows {n}")
-    if n <= k:
-        raise ValueError("singular design: no residual degrees of freedom")
-    q, r = np.linalg.qr(design)
-    if rank_deficient(r, design):
-        raise ValueError("singular design")
-    qty = q.T @ y
-    fitted = q @ qty
-    residuals = y - fitted
-    rinv = np.linalg.solve(r, np.eye(k))
-    rss = np.einsum("ij,ij->j", residuals, residuals)
-    yss = np.einsum("ij,ij->j", y, y)
-    sigma2 = np.where(rss <= _PERFECT_TOL * yss, 0.0, rss / (n - k))
-    return LeastSquares(rinv @ qty, fitted, residuals, sigma2, rinv @ rinv.T)
 
+    def __init__(self, design):
+        n, k = design.shape
+        self.q, r = np.linalg.qr(design)
+        self.refusal = "singular design" if rank_deficient(r, design) else None
+        if n <= k:
+            self.refusal = "singular design: no residual degrees of freedom"
 
-def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
-    """Fit a GLM by iteratively reweighted least squares.
-
-    Families: binomial (logit), poisson (log), negbinom (log, fixed
-    ``size``); a gaussian response is a least-squares fit (ols_many).
-    Dispersion is never estimated. A non-converged fit is returned,
-    not raised; ``reason`` is "max_iter" or "separation".
-    """
-    code, size = family_code(family, size)
-    if code == _accel.GAUSSIAN:
-        raise ValueError("irls fits binomial, poisson and negbinom; fit gaussian with ols_many")
-    design = np.ascontiguousarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    if y.shape[0] != design.shape[0]:
-        raise ValueError(f"response length {y.shape[0]} does not match design rows {design.shape[0]}")
-    if family == "binomial" and not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("binomial family requires a 0/1 response")
-    if family in ("poisson", "negbinom") and (np.any(y < 0) or np.any(y != np.floor(y))):
-        raise ValueError(f"{family} family requires a non-negative integer response")
-    coef, cov, status, _ = _accel.glm_fit_many(
-        design, y[:, None], code, size, int(max_iter), float(tol)
-    )
-    if status[0] == 3:
-        raise ValueError("singular design")
-    se = np.sqrt(np.clip(np.diag(cov[0]), 0.0, None))
-    reason = {0: None, 1: "max_iter", 2: "separation"}[int(status[0])]
-    return GlmFit(coef[0], se, status[0] == 0, reason, cov[0], family)
+    def fitted(self, v):
+        return self.q @ (self.q.T @ v)
 
 
 @dataclass
@@ -190,7 +124,8 @@ def natural_cubic_basis(values, df=5):
             "ties collapse the knot sequence; need more distinct values for this df"
         )
     basis = SplineBasis(df, np.asarray(interior, dtype=float), boundary)
-    if np.linalg.matrix_rank(basis.evaluate(v)) < df:
+    mat = basis.evaluate(v)
+    if rank_deficient(np.linalg.qr(mat, mode="r"), mat):
         raise ValueError("spline basis is rank deficient on these values")
     return basis
 
@@ -217,20 +152,3 @@ def confounder_design(z, spline_df=None, kinds=None):
         else:
             cols.append(col[:, None])
     return np.hstack(cols)
-
-
-def projection_complement(basis):
-    """Symmetric idempotent projector onto the orthocomplement of col(basis).
-
-    Rank-deficient bases are handled through the SVD; the projector is
-    exact for the column space actually present.
-    """
-    basis = _as_matrix(basis)
-    n = basis.shape[0]
-    if basis.shape[1] == 0:
-        return np.eye(n)
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    keep = s > s[0] * max(basis.shape) * np.finfo(float).eps if s.size else np.zeros(0, bool)
-    u = u[:, keep]
-    p = np.eye(n) - u @ u.T
-    return (p + p.T) / 2.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import glm
+from . import _accel, glm
 from .core import _as_matrix
 
 STRATEGIES = ("residual-perm", "residual-boot", "parametric-logistic", "binned-perm")
@@ -42,8 +42,11 @@ def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
     design = glm.confounder_design(z, spline_df=spline_df, kinds=z_kinds)
     if design.shape[0] != x.shape[0]:
         raise ValueError("x and z row counts differ")
-    fit = glm.ols_many(design, x)
-    return ConditionalModel(fitted_mean=fit.fitted, residuals=fit.residuals)
+    fixed = glm.Residualiser(design)
+    if fixed.refusal:
+        raise ValueError(fixed.refusal)
+    fitted = fixed.fitted(x)
+    return ConditionalModel(fitted_mean=fitted, residuals=x - fitted)
 
 
 def draw_residual_permutation(model, rng):
@@ -68,20 +71,24 @@ def fit_parametric_logistic(x, z):
     """
     x = np.asarray(x, dtype=float).ravel()
     z = _as_matrix(z)
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ValueError("binomial family requires a 0/1 response")
     design = np.column_stack([np.ones(x.shape[0]), z])
     # complete separation stops the fit as soon as an iterate's linear
     # predictor splits the classes; other fits, nearly separated ones
     # included, may need hundreds of slow-growth iterations. The model
     # is fit once, so the budget is cheap
-    fit = glm.irls(design, x, "binomial", max_iter=500)
-    if fit.reason == "separation":
+    coef, _, (status,), _ = _accel.glm_fit_many(design, x[:, None], _accel.BINOMIAL, 1.0, 500, 1e-8)
+    if status == 3:
+        raise ValueError("singular design")
+    if status == 2:
         raise ValueError(
             "complete separation: x is determined by z, so the conditional law "
             "is degenerate; use a residual sampler or drop confounder columns"
         )
-    if not fit.converged:
+    if status == 1:
         warnings.warn("logistic exposure model did not converge; using last iterate")
-    eta = design @ fit.coef
+    eta = design @ coef[0]
     prob = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-8, 1.0 - 1e-8)
     return ConditionalModel(success_prob=prob)
 
@@ -122,10 +129,8 @@ def fit_binned_residual(x, z, bin_column, bin_edges):
             raise ValueError(
                 f"bin {b} holds {idx.size} rows; need more than {d + 1} to fit"
             )
-        design = np.column_stack([np.ones(idx.size), z[idx]])
-        fit = glm.ols_many(design, x[idx])
-        fitted[idx] = fit.fitted
-        resid[idx] = fit.residuals
+        model = fit_residual_linear(x[idx], z[idx])
+        fitted[idx], resid[idx] = model.fitted_mean, model.residuals
     return ConditionalModel(fitted_mean=fitted, residuals=resid, bins=labels)
 
 

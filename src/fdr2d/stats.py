@@ -8,9 +8,10 @@ tensors, and model_pvalues the p-values behind bh; the one-feature
 forms the tests check them against are in tests/reference.py. An
 evaluator scores every feature against a stack (D, n, p) of exposures
 in one call, sharing whatever does not change across draws (centered
-response kernels, confounder projectors, spline knots). The observed
-exposure is row 0 of the first stack a tensor scores, ahead of its
-first draws; only a failure in that row raises. Every GLM Wald
+response kernels, the confounders' glm.Residualiser, spline knots). The
+observed exposure is row 0 of the first stack a tensor scores, ahead of
+its first draws; only a failure in that row raises, and a singular
+observed design is refused before any draw is made. Every GLM Wald
 statistic, the evaluator's pairs and the p-values behind bh alike,
 comes from _glm_wald, the one place that lays out [1, x, z], which also
 returns a fit status per (draw, feature) pair. Its non-gaussian fits
@@ -145,22 +146,21 @@ def _feature_basis_builder(values, count):
 def _linear_block_stack(fixed, block, ymat):
     """Least-squares share of an exposure block, per (draw, response column).
 
-    The joint model is [C, block]: fixed (n, kc) holds the columns C
-    every draw shares and block (D, n, p) the draws' exposure blocks. By
-    Frisch-Waugh-Lovell, the response is residualised on C once (r), each
-    draw's block once, and one batched QR (Q, R) of those blocks serves
-    every column. Returns qf = ||Q'r||^2 and the joint sigma2 as
-    glm.ols_many defines it, each (D, m), and singular (D,):
-    glm.rank_deficient of C's R against C, or of R against the raw
-    block, or no residual degrees of freedom. rss is ||r||^2 - qf, or
-    ||r - QQ'r||^2 where the block leaves under _NEAR_PERFECT of r and
-    the difference cancels. A column C alone fits has qf = sigma2 = 0.
+    The joint model is [C, block]: fixed is the glm.Residualiser of the
+    columns C every draw shares, block (D, n, p) the draws' exposure
+    blocks. By Frisch-Waugh-Lovell, the response is residualised on C
+    once (r), each draw's block once, and one batched QR (Q, R) of those
+    blocks serves every column. Returns qf = ||Q'r||^2 and the joint
+    sigma2 = rss / (n - kc - p), 0 for a perfect fit, each (D, m), and
+    singular (D,): fixed refused, glm.rank_deficient of R against the raw
+    block, or n <= kc + p. rss is ||r||^2 - qf, or ||r - QQ'r||^2 where
+    the block leaves under _NEAR_PERFECT of r and the difference cancels.
+    A column C alone fits has qf = sigma2 = 0.
     """
-    n, k = fixed.shape[0], fixed.shape[1] + block.shape[2]
-    qc, rc = np.linalg.qr(fixed)
-    r_y = ymat - qc @ (qc.T @ ymat)
-    q, r = np.linalg.qr(block - qc @ (qc.T @ block))
-    singular = glm.rank_deficient(r, block) | glm.rank_deficient(rc, fixed) | (n <= k)
+    n, k = fixed.q.shape[0], fixed.q.shape[1] + block.shape[2]
+    r_y = ymat - fixed.fitted(ymat)
+    q, r = np.linalg.qr(block - fixed.fitted(block))
+    singular = glm.rank_deficient(r, block) | (fixed.refusal is not None) | (n <= k)
     qty = np.swapaxes(q, 1, 2) @ r_y
     qf = np.einsum("dpj,dpj->dj", qty, qty)
     ryss = np.einsum("ij,ij->j", r_y, r_y)
@@ -201,7 +201,8 @@ def _glm_wald(xs, z, ymat, family, size, observed):
         return np.concatenate([ones, xd, np.broadcast_to(z, xd.shape[:1] + z.shape)], axis=2)
 
     if code == _accel.GAUSSIAN:
-        qf, sigma2, singular = _linear_block_stack(np.column_stack([np.ones(n), z]), xs, ymat)
+        fixed = glm.Residualiser(np.column_stack([np.ones(n), z]))
+        qf, sigma2, singular = _linear_block_stack(fixed, xs, ymat)
         k = 1 + p + z.shape[1]
         perfect = np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])
         # qf / sigma2, its root for p = 1, capped, all written over qf,
@@ -230,14 +231,10 @@ def _glm_wald(xs, z, ymat, family, size, observed):
 class _GlmEvaluator:
     def __init__(self, dataset, family, size):
         gaussian = glm.family_code(family, size)[0] == _accel.GAUSSIAN
-        # refuse a singular observed design, [1, x, z] or [1, x], before
-        # any draw is made: the rank rule of _linear_block_stack, scoring
-        # no response column
-        ones = np.ones((dataset.n, 1))
-        for z in (dataset.z, dataset.z[:, :0]):
-            fixed = np.hstack([ones, z])
-            if _linear_block_stack(fixed, dataset.x[None], dataset.y[:, :0])[2][0]:
-                raise ValueError("feature 0: singular design on observed data")
+        # refuse a singular observed design before any draw; the verdict on
+        # [1, z, x] covers its part [1, x], the marginal model
+        if glm.Residualiser(np.column_stack([np.ones(dataset.n), dataset.z, dataset.x])).refusal:
+            raise ValueError("feature 0: singular design on observed data")
         # per draw: the gaussian block's Q (n, p) and its products Q'r
         # (p, m), or the IRLS working arrays (m, n)
         wide = max(dataset.n, dataset.m) * dataset.x.shape[1]
@@ -256,22 +253,29 @@ class _GlmEvaluator:
         return tm, tc, int(np.count_nonzero(np.maximum(full_status, red_status)))
 
 
+def _confounders(dataset, spline_df):
+    # the Residualiser of rv's and basis-wald's confounder design [1, T(z)]
+    fixed = glm.Residualiser(glm.confounder_design(dataset.z, spline_df, dataset.z_kinds))
+    if fixed.refusal:
+        raise ValueError("singular confounder design on observed data")
+    return fixed
+
+
 class _RvEvaluator:
     def __init__(self, dataset, spline_df):
-        design = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
-        self._proj = glm.projection_complement(design)
+        self._dz = _confounders(dataset, spline_df)
         y = dataset.y
         self._yc = y - y.mean(axis=0)
         self._ycss = np.einsum("ij,ij->j", self._yc, self._yc)
-        self._py = self._proj @ y
+        self._py = y - self._dz.fitted(y)
         self._pyss = np.einsum("ij,ij->j", self._py, self._py)
-        # the centered and projected draw (2, n, p), or its products u'y (p, m)
+        # the centered and residualised draw (2, n, p), or its products u'y (p, m)
         self.draw_cells = max(2 * dataset.n, dataset.m) * dataset.x.shape[1]
 
     def pairs(self, xs, observed=False):
         xc = xs - xs.mean(axis=1, keepdims=True)
-        px = self._proj @ xs
-        # a centered or projected draw the rank rule refuses is rounding noise
+        px = xs - self._dz.fitted(xs)
+        # a centered or residualised draw the rank rule refuses is rounding noise
         e1, e2 = glm.rank_deficient(np.linalg.qr(np.stack([xc, px]), mode="r"), xs)
         tm = _rv_many(xc, self._yc, self._ycss, e1)
         tc = _rv_many(px, self._py, self._pyss, e2)
@@ -414,7 +418,8 @@ class _BasisWaldEvaluator:
         if dataset.x.shape[1] != 1:
             raise ValueError("basis statistics need a univariate exposure")
         self._builder = _feature_basis_builder(dataset.x[:, 0], _BASIS_DF)
-        self._dz = glm.confounder_design(dataset.z, spline_df=spline_df, kinds=dataset.z_kinds)
+        self._dz = _confounders(dataset, spline_df)
+        self._no_columns = glm.Residualiser(np.zeros((dataset.n, 0)))
         self._y = dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
         # per draw, as for the gaussian GLM: the block's Q (n, _BASIS_DF)
@@ -426,7 +431,7 @@ class _BasisWaldEvaluator:
         # both statistics share the residual variance of the joint model
         # [dz, bx]; the marginal one is the share of bx alone
         qf_c, sigma2, bad = _linear_block_stack(self._dz, bx, self._y)
-        qf_m, _, bad_m = _linear_block_stack(self._dz[:, :0], bx, self._y)
+        qf_m, _, bad_m = _linear_block_stack(self._no_columns, bx, self._y)
         bad |= bad_m
         if observed and bad[0]:
             raise ValueError("singular basis-wald design on observed data")

@@ -2,11 +2,13 @@
 
 None of these runs in production. Each is the plain form of something
 the package computes batched, or from one shared sort, and stays an
-independent oracle: scalar dependence statistics of one feature, a
-least-squares fit of one response, an IRLS that also fits gaussian
-responses, the threshold grid and path from np.sort, the Storey lambda
-from np.median with its pooled count, the search of one grid, and the
-estimated FDP and dominance counts counted point by point.
+independent oracle: scalar dependence statistics of one feature,
+least-squares fits of one design (ols_many, ols), the IRLS of one
+response (irls) and fit_glm, which also fits gaussian responses, the
+n x n SVD projector onto a design's orthocomplement, the threshold grid
+and path from np.sort, the Storey lambda from np.median with its pooled
+count, the search of one grid, and the estimated FDP and dominance
+counts counted point by point.
 """
 
 import warnings
@@ -89,7 +91,7 @@ def conditional_rv(x, y, z, spline_df=5, z_kinds=None):
     x = _as_matrix(x)
     y = _as_matrix(y)
     design = glm.confounder_design(_as_matrix(z), spline_df=spline_df, kinds=z_kinds)
-    proj = glm.projection_complement(design)
+    proj = projection_complement(design)
     return _rv(proj @ x, proj @ y, x, y)
 
 
@@ -203,7 +205,7 @@ def model_stat_pair(y, x, z, family, size=None, max_iter=stats._MAX_ITER, tol=st
     n, p = x.shape
     pair = []
     for design in (np.column_stack([np.ones(n), x]), np.column_stack([np.ones(n), x, z])):
-        fit = irls(design, yv, family, max_iter=max_iter, tol=tol, size=size)
+        fit = fit_glm(design, yv, family, max_iter=max_iter, tol=tol, size=size)
         pair.append(wald_block(fit.coef, fit.cov, p) if fit.converged else None)
     if None in pair:
         warnings.warn("model fit did not converge: statistic set to 0")
@@ -247,14 +249,98 @@ def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
 
     mm = bx.T @ yv
     qf_m = float(mm @ np.linalg.solve(bx.T @ bx, mm))
-    proj = glm.projection_complement(dz)
+    proj = projection_complement(dz)
     mc = bx.T @ (proj @ yv)
     qf_c = float(mc @ np.linalg.solve(bx.T @ (proj @ bx), mc))
     return StatPair(t_m=_qf_stat(qf_m, sigma2, yss), t_c=_qf_stat(qf_c, sigma2, yss))
 
 
 # ---------------------------------------------------------------------------
-# fits of one response
+# least-squares, IRLS and projections, one design at a time
+
+
+class LeastSquares(NamedTuple):
+    """Least-squares fit of one design against every response column.
+
+    coef is (k, m), fitted and residuals (n, m). sigma2 (m,) is the
+    residual variance rss / (n - k), exactly 0.0 for a column the design
+    reproduces to float precision. ainv (k, k) is the unscaled
+    covariance (R'R)^-1 that every column shares.
+    """
+
+    coef: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    sigma2: np.ndarray
+    ainv: np.ndarray
+
+
+@dataclass
+class GlmFit:
+    """IRLS fit; cov is the inverse observed Fisher information."""
+
+    coef: np.ndarray
+    se: np.ndarray
+    converged: bool
+    reason: str | None
+    cov: np.ndarray
+    family: str
+
+
+def ols_many(design, ymat):
+    """Least squares of one design against every column of ``ymat``.
+
+    One QR serves every column. Raises ValueError("singular design")
+    when rank_deficient refuses the design, or when there are no
+    residual degrees of freedom. No silent regularization.
+    """
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(ymat, dtype=float)
+    n, k = design.shape
+    if y.shape[0] != n:
+        raise ValueError(f"response length {y.shape[0]} does not match design rows {n}")
+    if n <= k:
+        raise ValueError("singular design: no residual degrees of freedom")
+    q, r = np.linalg.qr(design)
+    if glm.rank_deficient(r, design):
+        raise ValueError("singular design")
+    qty = q.T @ y
+    fitted = q @ qty
+    residuals = y - fitted
+    rinv = np.linalg.solve(r, np.eye(k))
+    rss = np.einsum("ij,ij->j", residuals, residuals)
+    yss = np.einsum("ij,ij->j", y, y)
+    sigma2 = np.where(rss <= glm._PERFECT_TOL * yss, 0.0, rss / (n - k))
+    return LeastSquares(rinv @ qty, fitted, residuals, sigma2, rinv @ rinv.T)
+
+
+def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
+    """Fit a GLM by iteratively reweighted least squares.
+
+    Families: binomial (logit), poisson (log), negbinom (log, fixed
+    ``size``); a gaussian response is a least-squares fit (ols_many).
+    Dispersion is never estimated. A non-converged fit is returned,
+    not raised; ``reason`` is "max_iter" or "separation".
+    """
+    code, size = glm.family_code(family, size)
+    if code == _accel.GAUSSIAN:
+        raise ValueError("irls fits binomial, poisson and negbinom; fit gaussian with ols_many")
+    design = np.ascontiguousarray(design, dtype=float)
+    y = np.asarray(response, dtype=float).ravel()
+    if y.shape[0] != design.shape[0]:
+        raise ValueError(f"response length {y.shape[0]} does not match design rows {design.shape[0]}")
+    if family == "binomial" and not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("binomial family requires a 0/1 response")
+    if family in ("poisson", "negbinom") and (np.any(y < 0) or np.any(y != np.floor(y))):
+        raise ValueError(f"{family} family requires a non-negative integer response")
+    coef, cov, status, _ = _accel.glm_fit_many(
+        design, y[:, None], code, size, int(max_iter), float(tol)
+    )
+    if status[0] == 3:
+        raise ValueError("singular design")
+    se = np.sqrt(np.clip(np.diag(cov[0]), 0.0, None))
+    reason = {0: None, 1: "max_iter", 2: "separation"}[int(status[0])]
+    return GlmFit(coef[0], se, status[0] == 0, reason, cov[0], family)
 
 
 @dataclass
@@ -275,9 +361,9 @@ class LinearFit:
 
 
 def ols(design, response):
-    """Ordinary least squares of one response: glm.ols_many with one column."""
+    """Ordinary least squares of one response: ols_many with one column."""
     y = np.asarray(response, dtype=float).ravel()
-    fit = glm.ols_many(design, y[:, None])
+    fit = ols_many(design, y[:, None])
     sigma2 = float(fit.sigma2[0])
     cov = sigma2 * fit.ainv
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -286,12 +372,29 @@ def ols(design, response):
     )
 
 
-def irls(design, response, family, max_iter=50, tol=1e-8, size=None):
-    """glm.irls for every family: a gaussian response is fitted by ols."""
+def fit_glm(design, response, family, max_iter=50, tol=1e-8, size=None):
+    """irls for every family: a gaussian response is fitted by ols."""
     if family == "gaussian":
         fit = ols(design, response)
-        return glm.GlmFit(fit.coef, fit.se, True, None, fit.cov, family)
-    return glm.irls(design, response, family, max_iter=max_iter, tol=tol, size=size)
+        return GlmFit(fit.coef, fit.se, True, None, fit.cov, family)
+    return irls(design, response, family, max_iter=max_iter, tol=tol, size=size)
+
+
+def projection_complement(basis):
+    """Symmetric idempotent projector onto the orthocomplement of col(basis).
+
+    Rank-deficient bases are handled through the SVD; the projector is
+    exact for the column space actually present.
+    """
+    basis = _as_matrix(basis)
+    n = basis.shape[0]
+    if basis.shape[1] == 0:
+        return np.eye(n)
+    u, s, _ = np.linalg.svd(basis, full_matrices=False)
+    keep = s > s[0] * max(basis.shape) * np.finfo(float).eps if s.size else np.zeros(0, bool)
+    u = u[:, keep]
+    p = np.eye(n) - u @ u.T
+    return (p + p.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ def test_criterion_6_glm_numerics():
             else:
                 mu = np.exp(eta)
                 y = rng.negative_binomial(3.0, 3.0 / (3.0 + mu)).astype(float)
-            fit = reference.irls(design, y, family, max_iter=200, tol=1e-12, size=3.0)
+            fit = reference.fit_glm(design, y, family, max_iter=200, tol=1e-12, size=3.0)
             assert fit.converged, f"{family} fit did not converge"
             grad = _loglik_and_grad(family, design, y, fit.coef)
             worst = max(worst, float(np.linalg.norm(grad)))
@@ -359,7 +359,7 @@ def test_criterion_6_glm_numerics():
         design = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
         y = design @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(n)
         np.testing.assert_allclose(
-            reference.irls(design, y, "gaussian").coef,
+            reference.fit_glm(design, y, "gaussian").coef,
             reference.ols(design, y).coef,
             atol=1e-10,
         )

@@ -155,6 +155,20 @@ class TestAnalyze:
         assert word in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "bh.features.tsv").exists()
 
+    @pytest.mark.parametrize("stat", ["rv", "basis-wald"])
+    def test_singular_confounder_design_is_validation_error(self, tmp_path, capsys, stat):
+        # z = [z1, z1 > 2], z1 on six values: [1, spline(z1), z2] is singular
+        xp, yp, _ = _write_xyz(tmp_path, n=60)
+        z1 = np.repeat(np.arange(6.0), 10)
+        zp = str(tmp_path / "z2.tsv")
+        io.save_matrix(zp, np.column_stack([z1, z1 > 2.0]).astype(float), ["z1", "z2"])
+        out = tmp_path / "o.json"
+        args = _analyze_args(xp, yp, zp, str(out))
+        args[args.index("--stat") + 1] = stat
+        assert cli.main(args) == 1
+        assert "singular confounder design on observed data" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o.features.tsv").exists()
+
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)
         args = _analyze_args(str(tmp_path / "nope.tsv"), yp, zp, str(tmp_path / "o.json"))

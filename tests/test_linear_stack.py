@@ -49,8 +49,8 @@ def test_draw_singular_only_jointly(kind):
     stack = x[None] + rng.normal(scale=0.5, size=(3,) + x.shape)
     stack[1] = z + 1e-11 * rng.normal(size=z.shape)
     fixed = np.column_stack([np.ones(ds.n), z])
-    resid = glm.ols_many(fixed, stack[1]).residuals
-    glm.ols_many(resid, y)  # the residualised block alone passes the rank rule
+    resid = reference.ols_many(fixed, stack[1]).residuals
+    reference.ols_many(resid, y)  # the residualised block alone passes the rank rule
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tm, tc, failed = evaluator.pairs(stack)
@@ -73,8 +73,8 @@ def test_gaussian_glm_block_singular_only_jointly():
     x, y, z, rng = _inputs(12)
     block = z + 1e-11 * rng.normal(size=(x.shape[0], 2))
     full = np.column_stack([np.ones(x.shape[0]), block, z])
-    resid = glm.ols_many(np.delete(full, [1, 2], axis=1), block).residuals
-    glm.ols_many(resid, y)
+    resid = reference.ols_many(np.delete(full, [1, 2], axis=1), block).residuals
+    reference.ols_many(resid, y)
     stat, status = stats._glm_wald(block[None], z, y, "gaussian", None, observed=False)
     assert np.all(stat == 0.0) and np.all(status == 3)
     with pytest.raises(ValueError, match="feature 0: singular design on observed data"):

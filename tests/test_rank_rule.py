@@ -3,9 +3,11 @@
 glm.rank_deficient compares each R diagonal with its own raw column's
 norm, which is the R of the column-equilibrated design, and
 _accel._cholesky compares each pivot with its own diagonal, the same
-rule in normal-equations form. So rescaling the exposure changes no
-verdict and no statistic, and a nearly collinear design gets one
-verdict whatever its column order.
+kind of rule in normal-equations form, with a looser tolerance. So
+rescaling the exposure changes no verdict and no statistic, and a
+nearly collinear design gets one verdict whatever its column order. A
+singular confounder design is refused when the evaluator is built,
+before the sampler is fitted.
 """
 
 import dataclasses
@@ -14,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from fdr2d import core, glm, stats
+import reference
+from fdr2d import core, engine, glm, samplers, stats
 
 STATS = ("glm:gaussian", "glm:binomial", "glm:poisson", "glm:negbinom", "rv", "basis-wald")
 
@@ -48,7 +51,7 @@ def test_nearly_collinear_design_fits_in_either_column_order():
     x = 1000.0 * z + 1e-6 * rng.normal(size=(n, 1))
     y = rng.normal(size=(n, 3))
     one = np.ones((n, 1))
-    fits = [glm.ols_many(np.hstack(cols), y) for cols in ((one, x, z), (one, z, x))]
+    fits = [reference.ols_many(np.hstack(cols), y) for cols in ((one, x, z), (one, z, x))]
     np.testing.assert_allclose(fits[0].sigma2, fits[1].sigma2, rtol=1e-6)
     evaluator = _evaluator(core.Dataset(x=x, y=y, z=z), "glm:gaussian")
     (tm,), (tc,), failed = evaluator.pairs(x[None], observed=True)
@@ -89,3 +92,31 @@ def test_rescaling_the_exposure_changes_no_verdict_or_statistic(stat, seed):
         assert np.all(tc[4:] == 0.0)
         np.testing.assert_allclose(tm, base[0], rtol=1e-8, atol=atol)
         np.testing.assert_allclose(tc, base[1], rtol=1e-8, atol=atol)
+
+
+def _singular_confounders(n=60, m=8):
+    # z = [z1, z1 > 2] with z1 on six distinct values: the natural spline
+    # of z1 (df 5) and the intercept already span every function of z1,
+    # so [1, spline(z1), z2] is singular while each part is not
+    rng = np.random.default_rng(3)
+    z1 = np.repeat(np.arange(6.0), n // 6)
+    z = np.column_stack([z1, (z1 > 2.0).astype(float)])
+    x = 0.5 * z1[:, None] + rng.normal(size=(n, 1))
+    y = 0.3 * x + rng.normal(size=(n, m))
+    return core.Dataset(x=x, y=y, z=z)
+
+
+@pytest.mark.parametrize("stat", ["rv", "basis-wald"])
+def test_singular_confounder_design_is_refused_before_the_sampler(monkeypatch, stat):
+    ds = _singular_confounders()
+    design = glm.confounder_design(ds.z, spline_df=5, kinds=ds.z_kinds)
+    assert glm.rank_deficient(np.linalg.qr(design, mode="r"), design)
+    calls = []
+    for name in ("fit_for_strategy", "draw_for_strategy"):
+        monkeypatch.setattr(samplers, name, lambda *args, name=name, **kw: calls.append(name))
+    plan = engine.ResamplePlan("residual-perm", b_count=19, seed=0)
+    spec = engine.StatisticSpec(kind=stat, spline_df=5)
+    with pytest.raises(ValueError, match="^singular confounder design on observed data$"):
+        engine.build_tensor(ds, plan, spec)
+    assert calls == []
+

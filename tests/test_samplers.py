@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fdr2d import samplers
+import reference
+from fdr2d import _accel, glm, samplers
 from fdr2d._rng import substream
 
 
@@ -161,3 +162,82 @@ class TestBinnedResidual:
         x = (slope * zc + 0.01 * rng.normal(size=n))[:, None]
         model = samplers.fit_binned_residual(x, z, bin_column=0, bin_edges=[1.5])
         assert np.abs(model.residuals).max() < 0.1
+
+
+class TestFitsMatchTheReferenceBitForBit:
+    """The samplers' fits against the one-design reference fits of
+    tests/reference.py: the same QR and the same IRLS kernel call, so
+    the same bits, and the same errors and warnings."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spline_df", [None, 4])
+    def test_residual_linear(self, seed, spline_df):
+        x, z = _toy(n=40, seed=seed, p=1 + seed % 2)
+        model = samplers.fit_residual_linear(x, z, spline_df=spline_df)
+        fit = reference.ols_many(glm.confounder_design(z, spline_df=spline_df), x)
+        np.testing.assert_array_equal(model.fitted_mean, fit.fitted)
+        np.testing.assert_array_equal(model.residuals, fit.residuals)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binned_residual(self, seed):
+        x, z = _toy(n=60, seed=seed, p=1 + seed % 2)
+        model = samplers.fit_binned_residual(x, z, bin_column=1, bin_edges=[-0.3, 0.4])
+        for b in range(3):
+            idx = np.flatnonzero(model.bins == b)
+            fit = reference.ols_many(np.column_stack([np.ones(idx.size), z[idx]]), x[idx])
+            np.testing.assert_array_equal(model.fitted_mean[idx], fit.fitted)
+            np.testing.assert_array_equal(model.residuals[idx], fit.residuals)
+
+    @staticmethod
+    def _binary(seed, n=80):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, 2))
+        x = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.8 * z[:, 0] - 0.5 * z[:, 1])))).astype(float)
+        return x, z
+
+    @staticmethod
+    def _reference_prob(x, z, max_iter=500):
+        design = np.column_stack([np.ones(x.size), z])
+        fit = reference.irls(design, x, "binomial", max_iter=max_iter)
+        return fit, np.clip(1.0 / (1.0 + np.exp(-(design @ fit.coef))), 1e-8, 1.0 - 1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parametric_logistic(self, seed):
+        x, z = self._binary(seed)
+        fit, prob = self._reference_prob(x, z)
+        assert fit.converged
+        np.testing.assert_array_equal(samplers.fit_parametric_logistic(x, z).success_prob, prob)
+
+    def test_parametric_logistic_singular_design(self):
+        x, z = self._binary(5)
+        with pytest.raises(ValueError, match="^singular design$"):
+            samplers.fit_parametric_logistic(x, np.column_stack([z, 2.0 * z[:, 0]]))
+
+    def test_parametric_logistic_separation(self):
+        x, z = self._binary(6)
+        with pytest.raises(ValueError, match="^complete separation: x is determined by z"):
+            samplers.fit_parametric_logistic(x, np.column_stack([z, x - 0.5]))
+
+    def test_parametric_logistic_iteration_limit_warns_and_keeps_the_last_iterate(
+        self, monkeypatch
+    ):
+        # the kernel held to one iteration: the fit stops unconverged
+        real = _accel.glm_fit_many
+        monkeypatch.setattr(
+            _accel, "glm_fit_many", lambda d, y, fam, size, it, tol: real(d, y, fam, size, 1, tol)
+        )
+        x, z = self._binary(7)
+        fit, prob = self._reference_prob(x, z, max_iter=1)
+        assert fit.reason == "max_iter"
+        with pytest.warns(UserWarning, match="did not converge; using last iterate"):
+            model = samplers.fit_parametric_logistic(x, z)
+        np.testing.assert_array_equal(model.success_prob, prob)
+
+    def test_residual_linear_singular_design(self):
+        x, z = _toy(seed=8)
+        for zs, message in [
+            (np.column_stack([z, 3.0 * z[:, 1]]), "^singular design$"),
+            (z[:3], "^singular design: no residual degrees of freedom$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                samplers.fit_residual_linear(x[: zs.shape[0]], zs)
