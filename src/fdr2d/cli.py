@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import engine, io, preprocess, sim
+from . import engine, io, preprocess, sim, stats
 
 # namespace entries that are not settings of a run: a config file may
 # not hold them and result.json does not echo them
@@ -30,7 +30,8 @@ def _add_run_flags(p, stat, sampler, data):
         p.add_argument("--x", help="exposure matrix file")
         p.add_argument("--y", help="outcome/feature matrix file")
         p.add_argument("--z", help="confounder matrix file")
-    p.add_argument("--stat", default=stat, help="glm:<family>|rv|hsic|categorical|basis-wald")
+    kinds = ("glm:<family>" if kind == "glm" else kind for kind in stats._EVALUATORS)
+    p.add_argument("--stat", default=stat, help="|".join(kinds))
     p.add_argument(
         "--sampler",
         default=sampler,
@@ -234,7 +235,7 @@ def _plan_from(cfg, dataset=None):
 def _load_analysis_dataset(cfg):
     _require_files(cfg, ("x", "y", "z"))
     spec = _statistic_from(cfg)
-    y_kind = engine.Y_KIND_FOR_FAMILY.get(spec.family) if spec.kind == "glm" else None
+    y_kind = stats.Y_KIND_FOR_FAMILY.get(spec.family) if spec.kind == "glm" else None
     dataset = io.load_dataset(cfg["x"], cfg["y"], cfg["z"], y_kind=y_kind)
     return dataset, spec
 

@@ -13,6 +13,7 @@ contribute to the pooled numerator (conservative) but are excluded
 from observed rejection counts and can never be rejected.
 """
 
+import dataclasses
 import re
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import _accel, _rng, core, samplers, stats
 from .core import CutoffResult
+from .stats import StatisticSpec  # noqa: F401 - engine.StatisticSpec stays importable
 
 # most cells, summed over one evaluator call's draws, of the largest
 # per-draw array (the evaluator's draw_cells): 4 MiB of float64; the
@@ -37,32 +39,6 @@ METHODS = (
     "exchangeable-path",
     "ordered-grid",
 )
-
-
-@dataclass(frozen=True)
-class StatisticSpec:
-    """Which dependence statistic to compute, with its knobs: the glm
-    family and negbinom size, the confounder-spline df of rv and
-    basis-wald, and the hsic ridge epsilon."""
-
-    kind: str
-    family: Optional[str] = None
-    size: Optional[float] = None
-    spline_df: int = 5
-    epsilon: float = 0.001
-
-    @property
-    def token(self):
-        return f"glm:{self.family}" if self.kind == "glm" else self.kind
-
-    @classmethod
-    def from_token(cls, token, **overrides):
-        token = token.strip()
-        if token.startswith("glm:"):
-            return cls(kind="glm", family=token[4:], **overrides)
-        if token == "glm":
-            raise ValueError("glm statistics need a family, e.g. glm:gaussian")
-        return cls(kind=token, **overrides)
 
 
 @dataclass
@@ -145,36 +121,16 @@ class MonotonePath:
             raise ValueError("path must be monotone nondecreasing in both coordinates")
 
 
-# outcome kind each glm family models
-Y_KIND_FOR_FAMILY = {"gaussian": "continuous", "binomial": "binary", "poisson": "count", "negbinom": "count"}
-
-
 def _check_compat(kinds, plan, spec):
     # kinds: the data's (x_kind, y_kind, z_kinds); plan None when no
     # draws are made, so no sampler is checked
-    x_kind, y_kind, z_kinds = kinds
+    x_kind = kinds[0]
     if plan is not None and plan.strategy == "parametric-logistic":
         if x_kind != "binary":
             raise ValueError("parametric-logistic sampler needs a binary exposure")
     elif plan is not None and x_kind != "continuous":
         raise ValueError(f"{plan.strategy} sampler needs a continuous exposure")
-    if spec.kind == "hsic" and x_kind != "continuous":
-        raise ValueError("hsic statistics need a continuous exposure")
-    if spec.kind == "basis-wald" and (x_kind != "continuous" or y_kind != "continuous"):
-        raise ValueError("basis statistics need continuous exposure and outcomes")
-    if spec.kind == "categorical":
-        if x_kind != "binary" or y_kind != "binary":
-            raise ValueError("categorical statistics need binary exposure and outcomes")
-        if any(k != "binary" for k in z_kinds):
-            raise ValueError("categorical statistics need binary confounders")
-    if spec.kind == "glm":
-        want = Y_KIND_FOR_FAMILY.get(spec.family)
-        if want is None:
-            raise ValueError(f"unknown family {spec.family!r}")
-        if y_kind != want:
-            raise ValueError(
-                f"family {spec.family} expects {want} outcomes, dataset has {y_kind}"
-            )
+    spec.check_kinds(*kinds)
 
 
 def _check_dataset(dataset, plan, spec):
@@ -198,17 +154,17 @@ def build_tensor(dataset, plan, spec):
     observed exposure ahead of its draws and is scored with
     observed=True, so a statistic failure on the observed data aborts
     before any later chunk is drawn; on resampled rows a failure becomes
-    a zero pair, counted and reported once.
+    a zero pair, counted and reported once. Zero-variance features are
+    set aside first: they keep (0, 0) in every row, the evaluator sees
+    only the varying ones, and with none of those no draw is made.
     """
     _check_dataset(dataset, plan, spec)
-    evaluator = stats.make_evaluator(
-        dataset,
-        spec.kind,
-        family=spec.family,
-        size=spec.size,
-        spline_df=spec.spline_df,
-        epsilon=spec.epsilon,
-    )
+    zv = core.zero_variance_mask(dataset.y)
+    scored, cols = dataset, slice(None)
+    if zv.any():
+        cols = np.flatnonzero(~zv)
+        scored = dataclasses.replace(dataset, y=dataset.y[:, cols], feature_names=())
+    evaluator = stats.make_evaluator(scored, spec)
     model = samplers.fit_for_strategy(
         plan.strategy,
         dataset.x,
@@ -221,8 +177,8 @@ def build_tensor(dataset, plan, spec):
     b = plan.b_count
     pairs = np.zeros((b + 1, dataset.m, 2))
     warn_total = 0
-    chunk = max(1, _CHUNK_CELLS // evaluator.draw_cells)
-    for start in range(0, b + 1, chunk):
+    chunk = max(1, _CHUNK_CELLS // max(1, evaluator.draw_cells))
+    for start in range(0, b + 1 if scored.m else 0, chunk):
         stop = min(start + chunk, b + 1)
         rows = [dataset.x] if start == 0 else []
         rows += [
@@ -230,11 +186,9 @@ def build_tensor(dataset, plan, spec):
             for draw in range(max(start, 1), stop)
         ]
         tm, tc, bad = evaluator.pairs(np.stack(rows), observed=start == 0)
-        pairs[start:stop, :, 0] = tm
-        pairs[start:stop, :, 1] = tc
+        pairs[start:stop, cols, 0] = tm
+        pairs[start:stop, cols, 1] = tc
         warn_total += bad
-    zv = core.zero_variance_mask(dataset.y)
-    pairs[:, zv, :] = 0.0
     if warn_total:
         warnings.warn(
             f"{warn_total} statistic evaluations failed across {b + 1} draws; set to 0"
@@ -517,10 +471,17 @@ def check_methods(methods, spec):
         raise ValueError("bh needs model-based p-values; use a glm statistic")
 
 
-def bh_rejections(dataset, spec, q):
-    """(p-values, bh rejections) from the spec's glm fit of every feature."""
-    _check_dataset(dataset, None, spec)
-    pvalues = stats.model_pvalues(dataset.y, dataset.x, dataset.z, spec.family, size=spec.size)
+def bh_rejections(dataset, spec, q, tensor=None):
+    """(p-values, bh rejections) from the spec's glm fit of every feature.
+    A tensor build_tensor made for this dataset and spec holds that fit's
+    Wald statistics in its observed conditional row; given one, nothing
+    is refit, and a failed or zero-variance feature has p = 1 exactly."""
+    if tensor is None:
+        _check_dataset(dataset, None, spec)
+        pvalues = stats.model_pvalues(dataset.y, dataset.x, dataset.z, spec.family, size=spec.size)
+    else:
+        w = tensor.pairs[0, :, 1]
+        pvalues = stats.wald_pvalues(w, spec.family, dataset.n, dataset.p, dataset.d)
     return pvalues, bh_procedure(pvalues, q)
 
 

@@ -88,10 +88,7 @@ def save_matrix(path, values, col_names):
             f"matrix has {values.shape[1] if values.ndim == 2 else '?'} columns, "
             f"{len(col_names)} names given"
         )
-    rows = ["\t".join(str(c) for c in col_names)]
-    for i in range(values.shape[0]):
-        rows.append("\t".join(format_value(v) for v in values[i]))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    save_table(path, [str(c) for c in col_names], values)
 
 
 def save_table(path, header, rows):

@@ -4,7 +4,8 @@ and replication loops reporting empirical error and power.
 Eleven generators share one shape: a univariate exposure X tied to a
 univariate confounder Z, and m outcome features built from signal
 coefficients alpha (exposure effects, the hypotheses under test) and
-beta (confounder effects). alpha_j = 0 marks feature j as null.
+beta (confounder effects). alpha_j = 0 marks feature j as null. Each
+generator is one row of _GENERATORS.
 
 Continuous exposures are rescaled to unit sample variance after
 generation so the effect sizes mean the same thing at every degree of
@@ -14,37 +15,66 @@ confounding.
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import _rng, core, engine
+from . import _rng, core, engine, stats
 
-_BINARY_X_DGPS = (5, 6, 7, 8)
-_DISCRETE_Y_DGPS = (9, 10, 11)
+# negative binomial size of dgp 11's outcomes and of its statistic
+_NB_SIZE = 3.0
+
+
+@dataclass(frozen=True)
+class _Generator:
+    """One data generating process. X ~ N(rho h(Z), 1), or without h
+    X ~ Bernoulli(sigmoid(rho Z)); Y_j = alpha_j f(X) + beta_j g(Z) +
+    eps_j, or without f Y_j from the glm family at alpha_j X + beta_j Z;
+    Z ~ N(0, 1), or Bernoulli(0.7) if binary_z. spline_df marks a
+    nonlinear h: rv and a spline residual-perm are the defaults."""
+
+    h: Optional[Callable] = None
+    f: Optional[Callable] = None
+    g: Optional[Callable] = None
+    family: str = "gaussian"
+    binary_z: bool = False
+    spline_df: Optional[int] = None
+
+
+def _identity(v):
+    return v
+
+
+_GENERATORS = {
+    1: _Generator(h=_identity, f=_identity, g=_identity),
+    2: _Generator(h=lambda z: z**2, f=lambda x: x**3, g=np.exp, spline_df=5),
+    3: _Generator(h=lambda z: z + z**2, f=lambda x: x**3, g=lambda z: z**3, spline_df=5),
+    4: _Generator(h=lambda z: z + z**2, f=lambda x: x + np.abs(x) ** 3, g=np.exp, spline_df=5),
+    5: _Generator(f=np.exp, g=_identity),
+    6: _Generator(f=np.exp, g=np.exp),
+    7: _Generator(f=np.exp, g=lambda z: z**2),
+    8: _Generator(f=_identity, g=_identity, binary_z=True),
+    9: _Generator(h=_identity, family="binomial"),
+    10: _Generator(h=_identity, family="poisson"),
+    11: _Generator(h=_identity, family="negbinom"),
+}
 
 
 def default_statistic_for_dgp(dgp):
     """Statistic matching each generator's outcome family and shape."""
-    if dgp in (2, 3, 4):
-        return engine.StatisticSpec(kind="rv", spline_df=5)
-    if dgp == 9:
-        return engine.StatisticSpec(kind="glm", family="binomial")
-    if dgp == 10:
-        return engine.StatisticSpec(kind="glm", family="poisson")
-    if dgp == 11:
-        return engine.StatisticSpec(kind="glm", family="negbinom", size=3.0)
-    return engine.StatisticSpec(kind="glm", family="gaussian")
+    gen = _GENERATORS[dgp]
+    if gen.spline_df is not None:
+        return engine.StatisticSpec(kind="rv", spline_df=gen.spline_df)
+    size = _NB_SIZE if gen.family == "negbinom" else None
+    return engine.StatisticSpec(kind="glm", family=gen.family, size=size)
 
 
 def default_sampler_for_dgp(dgp):
     """(strategy, spline_df) matching each generator's exposure model."""
-    if dgp in _BINARY_X_DGPS:
+    gen = _GENERATORS[dgp]
+    if gen.h is None:
         return "parametric-logistic", None
-    if dgp in (2, 3, 4):
-        # nonlinear conditional mean of X given Z
-        return "residual-perm", 5
-    return "residual-perm", None
+    return "residual-perm", gen.spline_df
 
 
 @dataclass
@@ -68,7 +98,7 @@ class SimConfig:
     global_null: bool = False
 
     def __post_init__(self):
-        if self.dgp not in range(1, 12):
+        if self.dgp not in _GENERATORS:
             raise ValueError(f"unknown dgp {self.dgp}; expected 1..11")
         if not 0.0 <= self.pi <= 1.0:
             raise ValueError("pi must lie in [0, 1]")
@@ -117,43 +147,6 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
-# Exposure mean h(Z) for the continuous-X generators (X ~ N(rho h(Z), 1)).
-_H = {
-    1: lambda z: z,
-    2: lambda z: z**2,
-    3: lambda z: z + z**2,
-    4: lambda z: z + z**2,
-    9: lambda z: z,
-    10: lambda z: z,
-    11: lambda z: z,
-}
-
-# Outcome link pieces: Y_j = alpha_j f(X) + beta_j g(Z) + eps_j for the
-# additive generators; eta_j = alpha_j X + beta_j Z inside the family
-# link for the discrete-outcome ones.
-_F = {
-    1: lambda x: x,
-    2: lambda x: x**3,
-    3: lambda x: x**3,
-    4: lambda x: x + np.abs(x) ** 3,
-    5: np.exp,
-    6: np.exp,
-    7: np.exp,
-    8: lambda x: x,
-}
-
-_G = {
-    1: lambda z: z,
-    2: np.exp,
-    3: lambda z: z**3,
-    4: np.exp,
-    5: lambda z: z,
-    6: np.exp,
-    7: lambda z: z**2,
-    8: lambda z: z,
-}
-
-
 def _error_matrix(n, m, ar1, rng):
     e = rng.standard_normal((n, m))
     if ar1 is None:
@@ -169,18 +162,29 @@ def _error_matrix(n, m, ar1, rng):
 
 def _dgp_kinds(dgp):
     """(x_kind, y_kind, z_kinds) of every dataset the generator makes."""
-    x_kind = "binary" if dgp in _BINARY_X_DGPS else "continuous"
-    y_kind = {9: "binary", 10: "count", 11: "count"}.get(dgp, "continuous")
-    return x_kind, y_kind, ("binary",) if dgp == 8 else ("continuous",)
+    gen = _GENERATORS[dgp]
+    x_kind = "binary" if gen.h is None else "continuous"
+    y_kind = stats.Y_KIND_FOR_FAMILY[gen.family]
+    return x_kind, y_kind, ("binary",) if gen.binary_z else ("continuous",)
+
+
+def _glm_outcomes(family, eta, rng):
+    # one draw of every outcome from its glm family at linear predictor eta
+    if family == "binomial":
+        return (rng.random(eta.shape) < _sigmoid(eta)).astype(float)
+    mu = np.exp(eta)
+    if family == "poisson":
+        return rng.poisson(mu).astype(float)
+    return rng.negative_binomial(_NB_SIZE, _NB_SIZE / (_NB_SIZE + mu)).astype(float)
 
 
 def gen_dataset(config, rng):
-    """One draw of (Dataset, TruthMask) from the configured generator.
+    """One draw of (Dataset, TruthMask) from config.dgp's _GENERATORS row.
 
     Draw order is fixed (signals, Z, X, outcome noise) so a seeded rng
     reproduces the dataset exactly.
     """
-    dgp, n, m = config.dgp, config.n, config.m
+    gen, n, m = _GENERATORS[config.dgp], config.n, config.m
     alpha, beta, truth = gen_signals(
         m, config.pi, config.l, rng, config.pi_alpha, config.pi_beta
     )
@@ -188,36 +192,22 @@ def gen_dataset(config, rng):
         alpha = np.zeros(m)
         truth = core.TruthMask(is_null=np.ones(m, dtype=bool))
 
-    if dgp == 8:
-        z = (rng.random(n) < 0.7).astype(float)
-    else:
-        z = rng.standard_normal(n)
-
-    if dgp in _BINARY_X_DGPS:
+    z = (rng.random(n) < 0.7).astype(float) if gen.binary_z else rng.standard_normal(n)
+    if gen.h is None:
         x = (rng.random(n) < _sigmoid(config.rho * z)).astype(float)
     else:
-        x = config.rho * _H[dgp](z) + rng.standard_normal(n)
+        x = config.rho * gen.h(z) + rng.standard_normal(n)
         x = x / np.std(x, ddof=1)
 
-    if dgp in _DISCRETE_Y_DGPS:
-        eta = np.outer(x, alpha) + np.outer(z, beta)
-        if dgp == 9:
-            y = (rng.random((n, m)) < _sigmoid(eta)).astype(float)
-        elif dgp == 10:
-            y = rng.poisson(np.exp(eta)).astype(float)
-        else:
-            mu = np.exp(eta)
-            size = 3.0
-            y = rng.negative_binomial(size, size / (size + mu)).astype(float)
+    if gen.f is None:
+        y = _glm_outcomes(gen.family, np.outer(x, alpha) + np.outer(z, beta), rng)
     else:
-        signal = np.outer(_F[dgp](x), alpha) + np.outer(_G[dgp](z), beta)
-        if config.global_null:
-            # pure confounding, no noise: Y_j = beta_j g(Z) exactly
-            y = signal
-        else:
-            y = signal + _error_matrix(n, m, config.ar1_errors, rng)
+        y = np.outer(gen.f(x), alpha) + np.outer(gen.g(z), beta)
+        # the global null is pure confounding, no noise: Y_j = beta_j g(Z)
+        if not config.global_null:
+            y = y + _error_matrix(n, m, config.ar1_errors, rng)
 
-    x_kind, y_kind, z_kinds = _dgp_kinds(dgp)
+    x_kind, y_kind, z_kinds = _dgp_kinds(config.dgp)
     dataset = core.Dataset(
         x=x, y=y, z=z, x_kind=x_kind, y_kind=y_kind, z_kinds=z_kinds
     )
@@ -249,11 +239,12 @@ def _replicate(config, rep_seed, methods):
 
     Data and sampler use disjoint substreams of ``rep_seed``, so every
     method sees the same data, and the tensor methods share one tensor
-    and one search pass (engine.apply_methods).
+    and one search pass (engine.apply_methods). bh reads its p-values
+    from that tensor's observed row when there is one.
     """
     dataset, truth = gen_dataset(config, _rng.substream(rep_seed, "data"))
     tensor_methods = [m for m in methods if m != "bh"]
-    rejected = {}
+    rejected, tensor = {}, None
     if tensor_methods:
         plan = dataclasses.replace(
             config.sampler, seed=_rng.substream_seed(rep_seed, "sampler")
@@ -262,7 +253,7 @@ def _replicate(config, rep_seed, methods):
         results = engine.apply_methods(tensor, config.procedure, tensor_methods)
         rejected = {m: r.rejected for m, r in results.items()}
     if "bh" in methods:
-        rejected["bh"] = engine.bh_rejections(dataset, config.statistic, config.procedure.q)[1]
+        rejected["bh"] = engine.bh_rejections(dataset, config.statistic, config.procedure.q, tensor)[1]
     return {m: (*score_rejections(rejected[m], truth), int(rejected[m].size)) for m in methods}
 
 

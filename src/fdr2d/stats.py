@@ -3,8 +3,9 @@
 Every statistic maps to a nonnegative float where larger means
 stronger dependence, and a degenerate draw scores 0 as a counted
 failure rather than NaN, so downstream thresholding never sees missing
-values. make_evaluator builds the evaluators that assemble statistic
-tensors, and model_pvalues the p-values behind bh; the one-feature
+values. StatisticSpec declares each statistic and the data it takes,
+make_evaluator builds its evaluator from the _EVALUATORS table, and
+model_pvalues gives the p-values behind bh; the one-feature
 forms the tests check them against are in tests/reference.py. An
 evaluator scores every feature against a stack (D, n, p) of exposures
 in one call, sharing whatever does not change across draws (centered
@@ -96,32 +97,32 @@ def _regularized(kc, epsilon):
 
 
 def model_pvalues(ymat, x, z, family, size=None):
-    """Two-sided p-values for the exposure block, one per response column.
+    """wald_pvalues of the exposure block's glm fit, one per response
+    column. Fits that fail give p = 1 with a warning."""
+    ymat = _as_matrix(ymat)
+    x = _as_matrix(x)
+    z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
+    (w,), (status,) = _glm_wald(x[None], z, ymat, family, size, observed=True)
+    bad = int(np.count_nonzero(status))
+    if bad:
+        warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
+    return wald_pvalues(w, family, ymat.shape[0], x.shape[1], z.shape[1])
 
-    Gaussian, univariate exposure uses the t reference; other families
-    use the normal; multivariate blocks fall back to chi-square. Fits
-    that fail give p = 1 with a warning.
-    """
+
+def wald_pvalues(w, family, n, p, kz):
+    """Two-sided p-values of the Wald statistics w of a p-column exposure
+    block fit beside kz confounders on n rows: t reference for a gaussian
+    univariate block, normal for other families, chi-square for p > 1.
+    A statistic of 0 gives p = 1 exactly."""
     # imported here, not with the module: only bh needs p-values, and
     # scipy.special is most of the package's import time
     from scipy import special
 
-    ymat = _as_matrix(ymat)
-    x = _as_matrix(x)
-    z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
-    n, p = x.shape
-    # a failed fit keeps statistic 0, whose p-value is exactly 1
-    (w,), (status,) = _glm_wald(x[None], z, ymat, family, size, observed=True)
     if p > 1:
-        pvals = special.chdtrc(p, w)
-    elif family == "gaussian":
-        pvals = 2.0 * special.stdtr(n - 1 - p - z.shape[1], -w)
-    else:
-        pvals = 2.0 * special.ndtr(-w)
-    bad = int(np.count_nonzero(status))
-    if bad:
-        warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
-    return pvals
+        return special.chdtrc(p, w)
+    if family == "gaussian":
+        return 2.0 * special.stdtr(n - 1 - p - kz, -w)
+    return 2.0 * special.ndtr(-w)
 
 
 def _feature_basis_builder(values, count):
@@ -229,8 +230,8 @@ def _glm_wald(xs, z, ymat, family, size, observed):
 
 
 class _GlmEvaluator:
-    def __init__(self, dataset, family, size):
-        gaussian = glm.family_code(family, size)[0] == _accel.GAUSSIAN
+    def __init__(self, dataset, spec):
+        gaussian = glm.family_code(spec.family, spec.size)[0] == _accel.GAUSSIAN
         # refuse a singular observed design before any draw; the verdict on
         # [1, z, x] covers its part [1, x], the marginal model
         if glm.Residualiser(np.column_stack([np.ones(dataset.n), dataset.z, dataset.x])).refusal:
@@ -241,12 +242,11 @@ class _GlmEvaluator:
         self.draw_cells = wide if gaussian else dataset.n * dataset.m
         self._y = dataset.y
         self._z = dataset.z
-        self._family = family
-        self._size = size
+        self._spec = spec
 
     def pairs(self, xs, observed=False):
         # the conditional model [1, x, z], then the marginal [1, x]
-        args = (self._y, self._family, self._size, observed)
+        args = (self._y, self._spec.family, self._spec.size, observed)
         tc, full_status = _glm_wald(xs, self._z, *args)
         tm, red_status = _glm_wald(xs, self._z[:, :0], *args)
         # a feature whose pair any failure zeroed counts once
@@ -262,8 +262,8 @@ def _confounders(dataset, spline_df):
 
 
 class _RvEvaluator:
-    def __init__(self, dataset, spline_df):
-        self._dz = _confounders(dataset, spline_df)
+    def __init__(self, dataset, spec):
+        self._dz = _confounders(dataset, spec.spline_df)
         y = dataset.y
         self._yc = y - y.mean(axis=0)
         self._ycss = np.einsum("ij,ij->j", self._yc, self._yc)
@@ -311,10 +311,10 @@ def _ratio_or_zero(num, den):
 
 
 class _HsicEvaluator:
-    def __init__(self, dataset, epsilon):
-        if epsilon <= 0.0:
+    def __init__(self, dataset, spec):
+        if spec.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        self._eps = float(epsilon)
+        self._eps = float(spec.epsilon)
         # the draw's two kernels (2, n^2), or its two statistic rows (2, m)
         self.draw_cells = 2 * max(dataset.n**2, dataset.m)
         self._zstd = _standardize_columns(dataset.z)
@@ -350,7 +350,7 @@ class _HsicEvaluator:
 
 
 class _CategoricalEvaluator:
-    def __init__(self, dataset):
+    def __init__(self, dataset, spec):
         z = dataset.z
         n, d = z.shape
         if d and not np.all((z == 0.0) | (z == 1.0)):
@@ -414,11 +414,11 @@ class _CategoricalEvaluator:
 
 
 class _BasisWaldEvaluator:
-    def __init__(self, dataset, spline_df):
+    def __init__(self, dataset, spec):
         if dataset.x.shape[1] != 1:
             raise ValueError("basis statistics need a univariate exposure")
         self._builder = _feature_basis_builder(dataset.x[:, 0], _BASIS_DF)
-        self._dz = _confounders(dataset, spline_df)
+        self._dz = _confounders(dataset, spec.spline_df)
         self._no_columns = glm.Residualiser(np.zeros((dataset.n, 0)))
         self._y = dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
@@ -450,10 +450,73 @@ def _qf_stat_many(qf, sigma2, yss):
     return out
 
 
-def make_evaluator(
-    dataset, kind, family: Optional[str] = None, size=None, spline_df=5, epsilon=0.001
-):
-    """Statistic evaluator for one dataset, batched over draws.
+# every statistic, by the kind that names it: the one place a statistic
+# is declared; StatisticSpec.check_kinds states the data each one takes
+_EVALUATORS = {
+    "glm": _GlmEvaluator,
+    "rv": _RvEvaluator,
+    "hsic": _HsicEvaluator,
+    "categorical": _CategoricalEvaluator,
+    "basis-wald": _BasisWaldEvaluator,
+}
+
+# outcome kind each glm family models
+Y_KIND_FOR_FAMILY = {"gaussian": "continuous", "binomial": "binary", "poisson": "count", "negbinom": "count"}
+
+
+@dataclass(frozen=True)
+class StatisticSpec:
+    """Which dependence statistic to compute (a key of _EVALUATORS), with
+    its knobs: the glm family and negbinom size, the confounder-spline df
+    of rv and basis-wald, and the hsic ridge epsilon. Construction refuses
+    an unknown kind or family and a glm kind without a family."""
+
+    kind: str
+    family: Optional[str] = None
+    size: Optional[float] = None
+    spline_df: int = 5
+    epsilon: float = 0.001
+
+    def __post_init__(self):
+        if self.kind not in _EVALUATORS:
+            *head, last = _EVALUATORS
+            raise ValueError(
+                f"unknown statistic kind {self.kind!r}; expected {', '.join(head)} or {last}"
+            )
+        if self.kind == "glm" and self.family is None:
+            raise ValueError("glm statistics need a family, e.g. glm:gaussian")
+        if self.kind == "glm" and self.family not in Y_KIND_FOR_FAMILY:
+            raise ValueError(f"unknown family {self.family!r}")
+
+    @property
+    def token(self):
+        return f"glm:{self.family}" if self.kind == "glm" else self.kind
+
+    @classmethod
+    def from_token(cls, token, **overrides):
+        token = token.strip()
+        if token.startswith("glm:"):
+            return cls(kind="glm", family=token[4:], **overrides)
+        return cls(kind=token, **overrides)
+
+    def check_kinds(self, x_kind, y_kind, z_kinds):
+        """Refuse data kinds the statistic cannot take; rv takes any."""
+        if self.kind == "hsic" and x_kind != "continuous":
+            raise ValueError("hsic statistics need a continuous exposure")
+        if self.kind == "basis-wald" and (x_kind != "continuous" or y_kind != "continuous"):
+            raise ValueError("basis statistics need continuous exposure and outcomes")
+        if self.kind == "categorical":
+            if x_kind != "binary" or y_kind != "binary":
+                raise ValueError("categorical statistics need binary exposure and outcomes")
+            if any(k != "binary" for k in z_kinds):
+                raise ValueError("categorical statistics need binary confounders")
+        want = Y_KIND_FOR_FAMILY.get(self.family)
+        if self.kind == "glm" and y_kind != want:
+            raise ValueError(f"family {self.family} expects {want} outcomes, dataset has {y_kind}")
+
+
+def make_evaluator(dataset, spec):
+    """The evaluator of spec's statistic for one dataset, batched over draws.
 
     The returned object computes (marginal, conditional, failed) via
     .pairs(xs, observed=...). xs is a stack (D, n, p) of exposures;
@@ -467,23 +530,8 @@ def make_evaluator(
     stacks it ahead of its first draws): a failure in that row raises, so
     a broken fit on the real data aborts instead of producing a zero
     row, while failures in the other rows stay counted zeros. A stack of
-    one, such as dataset.x[None], is the observed exposure alone.
-    spline_df is the natural-spline df of the confounder adjustment of
-    rv and basis-wald; basis-wald expands the exposure in a fixed
-    _BASIS_DF-column spline.
+    one, such as dataset.x[None], is the observed exposure alone. Each
+    evaluator reads its own fields of spec (basis-wald expands the
+    exposure in a fixed _BASIS_DF-column spline).
     """
-    if kind == "glm":
-        if family is None:
-            raise ValueError("glm statistics need a family")
-        return _GlmEvaluator(dataset, family, size)
-    if kind == "rv":
-        return _RvEvaluator(dataset, spline_df)
-    if kind == "hsic":
-        return _HsicEvaluator(dataset, epsilon)
-    if kind == "categorical":
-        return _CategoricalEvaluator(dataset)
-    if kind == "basis-wald":
-        return _BasisWaldEvaluator(dataset, spline_df)
-    raise ValueError(
-        f"unknown statistic kind {kind!r}; expected glm, rv, hsic, categorical or basis-wald"
-    )
+    return _EVALUATORS[spec.kind](dataset, spec)

@@ -370,7 +370,7 @@ def test_criterion_6_glm_numerics():
     x = 0.8 * z + rng.standard_normal(n)
     y = rng.standard_normal((n, m))
     ds = core.Dataset(x=x, y=y, z=z)
-    ev = stats.make_evaluator(ds, "basis-wald", spline_df=5)
+    ev = stats.make_evaluator(ds, stats.StatisticSpec("basis-wald", spline_df=5))
     _, (tc,), _ = ev.pairs(ds.x[None], observed=True)
     mean_tc = float(np.mean(tc))
     ok = abs(mean_tc - 5.0) <= 0.5

@@ -8,6 +8,7 @@ the fits batched with it; and memory must not grow with B beyond the
 tensor itself.
 """
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -83,11 +84,11 @@ def make_spec(stat):
     return engine.StatisticSpec.from_token(stat, size=3.0 if stat == "glm:negbinom" else None)
 
 
-def _evaluator(dataset, spec):
-    return stats.make_evaluator(
-        dataset, spec.kind, family=spec.family, size=spec.size, spline_df=spec.spline_df,
-        epsilon=spec.epsilon,
-    )
+def _varying(dataset):
+    """The dataset build_tensor scores: its zero-variance features set
+    aside, and the mask of the ones kept."""
+    keep = ~core.zero_variance_mask(dataset.y)
+    return dataclasses.replace(dataset, y=dataset.y[:, keep], feature_names=()), keep
 
 
 def _reported_failures(caught):
@@ -134,11 +135,13 @@ def _counting_evaluators(monkeypatch):
 @pytest.mark.parametrize("stat,sampler,p", _cases(), ids=lambda v: str(v))
 def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     # five rows per chunk by the evaluator's own count, so the observed
-    # row and the twelve draws come in three stacks, the last one partial
+    # row and the twelve draws come in three stacks, the last one partial.
+    # The tensor scores the varying features only; so does the oracle
     dataset = make_dataset(stat, sampler, p)
     plan = make_plan(sampler, b=12)
     spec = make_spec(stat)
-    evaluator = _evaluator(dataset, spec)
+    varying, keep = _varying(dataset)
+    evaluator = stats.make_evaluator(varying, spec)
     monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * evaluator.draw_cells)
     shapes = _counting_evaluators(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
@@ -153,14 +156,14 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         (tm,), (tc,), failed = evaluator.pairs(dataset.x[None], observed=True)
-        want[0, :, 0], want[0, :, 1] = tm, tc
+        want[0, keep, 0], want[0, keep, 1] = tm, tc
         for d in range(1, plan.b_count + 1):
             draw = samplers.draw_for_strategy(sampler, model, substream(plan.seed, d))
             (tm,), (tc,), bad = evaluator.pairs(draw[None])
-            assert tm.shape == tc.shape == (dataset.m,)
-            want[d, :, 0], want[d, :, 1] = tm, tc
+            assert tm.shape == tc.shape == (varying.m,)
+            want[d, keep, 0], want[d, keep, 1] = tm, tc
             failed += bad
-    want[:, tensor.zero_variance, :] = 0.0
+    np.testing.assert_array_equal(tensor.zero_variance, ~keep)
     assert_close_rows(tensor.pairs, want, bitwise=stat == "categorical")
     assert _reported_failures(caught) == failed
 
@@ -190,7 +193,7 @@ def _stack_with_constant_row(stat, row):
     categorical = stat == "categorical"
     sampler = "parametric-logistic" if categorical else "residual-perm"
     dataset = make_dataset(stat, sampler, 1, constant_last=False)
-    evaluator = _evaluator(dataset, make_spec(stat))
+    evaluator = stats.make_evaluator(dataset, make_spec(stat))
     rng = np.random.default_rng(8)
     if categorical:
         stack = (rng.random((3,) + dataset.x.shape) < 0.5).astype(float)
@@ -241,7 +244,7 @@ def test_observed_error_comes_before_a_second_chunk_is_drawn(monkeypatch, stat, 
     # row and four draws) raises, so no draw of a later chunk is made
     dataset = make_dataset(stat, "residual-perm", 1)
     spec = make_spec(stat)
-    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * _evaluator(dataset, spec).draw_cells)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * stats.make_evaluator(dataset, spec).draw_cells)
     dataset.x = 2.0 * dataset.z + 1.0
     draws = []
     real = samplers.draw_for_strategy
@@ -281,19 +284,19 @@ def test_observed_row_is_its_stack_of_one_bit_for_bit(family):
     # the observed row shares its IRLS calls with the first draws, and a
     # fit's bits do not depend on the other draws: row 0 is the
     # observed exposure scored alone, and its conditional statistic is
-    # the one behind bh's p-values
+    # the one behind bh's p-values. All three score the varying features
     stat = f"glm:{family}"
     dataset = make_dataset(stat, "residual-perm", 1)
     spec = make_spec(stat)
+    varying, valid = _varying(dataset)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tensor = engine.build_tensor(dataset, make_plan("residual-perm", b=12), spec)
-        (tm,), (tc,), _ = _evaluator(dataset, spec).pairs(dataset.x[None], observed=True)
-        (w,), _ = stats._glm_wald(dataset.x[None], dataset.z, dataset.y, family, spec.size, True)
-    valid = ~tensor.zero_variance
-    assert tensor.pairs[0, valid, 0].tobytes() == tm[valid].tobytes()
-    assert tensor.pairs[0, valid, 1].tobytes() == tc[valid].tobytes()
-    assert tensor.pairs[0, valid, 1].tobytes() == w[valid].tobytes()
+        (tm,), (tc,), _ = stats.make_evaluator(varying, spec).pairs(dataset.x[None], observed=True)
+        (w,), _ = stats._glm_wald(dataset.x[None], dataset.z, varying.y, family, spec.size, True)
+    assert tensor.pairs[0, valid, 0].tobytes() == tm.tobytes()
+    assert tensor.pairs[0, valid, 1].tobytes() == tc.tobytes()
+    assert tensor.pairs[0, valid, 1].tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("stat", ["glm:binomial", "glm:poisson", "glm:gaussian", "rv", "categorical"])
@@ -301,7 +304,7 @@ def test_singular_draw_fails_alone(stat):
     categorical = stat == "categorical"
     sampler = "parametric-logistic" if categorical else "residual-perm"
     dataset = make_dataset(stat, sampler, 1, constant_last=False)
-    evaluator = _evaluator(dataset, make_spec(stat))
+    evaluator = stats.make_evaluator(dataset, make_spec(stat))
     rng = np.random.default_rng(5)
     shape = (4,) + dataset.x.shape
     if categorical:
@@ -390,7 +393,7 @@ def _assert_tensor_plus_one_chunk(monkeypatch, stat, n, m):
     # may add only the larger tensor and at most one chunk's working set
     dataset = make_dataset(stat, "residual-perm", 1, n=n, m=m)
     spec = make_spec(stat)
-    cells = 10 * _evaluator(dataset, spec).draw_cells
+    cells = 10 * stats.make_evaluator(dataset, spec).draw_cells
     monkeypatch.setattr(engine, "_CHUNK_CELLS", cells)
     small = _peak_bytes(engine.build_tensor, dataset, make_plan("residual-perm", 50), spec)
     large = _peak_bytes(engine.build_tensor, dataset, make_plan("residual-perm", 400), spec)
@@ -433,7 +436,7 @@ def test_draw_cells_bound_the_footprint_of_a_draw(stat, n, m):
     # _CHUNK_CELLS bounds the working memory of every chunk
     sampler = "parametric-logistic" if stat == "categorical" else "residual-perm"
     dataset = make_dataset(stat, sampler, 1, n=n, m=m, constant_last=False)
-    evaluator = _evaluator(dataset, make_spec(stat))
+    evaluator = stats.make_evaluator(dataset, make_spec(stat))
     stack = _stack(dataset, 40)
     grown = _peak_bytes(evaluator.pairs, stack) - _peak_bytes(evaluator.pairs, stack[:20])
     assert grown <= _DRAW_ARRAYS.get(stat, 12) * 8 * 20 * evaluator.draw_cells
@@ -445,7 +448,7 @@ def test_default_gaussian_tensor_is_scored_in_one_call():
     # observed row and the hundred draws of a default tensor fit in one
     # chunk
     dataset = make_dataset("glm:gaussian", "residual-perm", 1, n=100, m=1000)
-    evaluator = _evaluator(dataset, make_spec("glm:gaussian"))
+    evaluator = stats.make_evaluator(dataset, make_spec("glm:gaussian"))
     assert engine._CHUNK_CELLS // evaluator.draw_cells >= 101
 
 

@@ -412,6 +412,26 @@ class TestSimulate:
         assert calls == [] and caught == []
         assert "b_count must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stat,message",
+        [("bogus", "unknown statistic kind 'bogus'"), ("glm:bogus", "unknown family 'bogus'"),
+         ("glm", "glm statistics need a family")],
+    )
+    def test_unknown_statistic_refused_before_any_data(
+        self, tmp_path, capsys, monkeypatch, stat, message
+    ):
+        calls = []
+        real = sim.gen_dataset
+        monkeypatch.setattr(sim, "gen_dataset", lambda c, rng: calls.append(c) or real(c, rng))
+        args = ["simulate", "--dgp", "1", "--n", "40", "--m", "10", "--reps", "30",
+                "--b", "5", "--stat", stat, "--out", str(tmp_path / "s.tsv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == 1
+        assert calls == [] and caught == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_bad_dgp_validation(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "19", "--out", str(tmp_path / "s.tsv"),
                 "--reps", "1"]

@@ -9,6 +9,7 @@ float equality is required, not just closeness.
 """
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import reference
-from fdr2d import core, engine
+from fdr2d import core, engine, sim
 
 
 def _random_tensor(rng, m=None, b=None, style="ties"):
@@ -454,6 +455,59 @@ class TestBuildTensor:
         assert tensor.zero_variance.sum() == 1
         np.testing.assert_array_equal(tensor.pairs[:, 2, :], 0.0)
 
+    @staticmethod
+    def _binomial_dataset():
+        # the analyze-binomial benchmark's data: dgp 9, n = 100, m = 30
+        config = sim.SimConfig(dgp=9, n=100, m=30, pi=0.2, l=1.0, reps=1)
+        return sim.gen_dataset(config, np.random.default_rng(0))[0]
+
+    @staticmethod
+    def _warnings_of(*args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tensor = engine.build_tensor(*args)
+        return tensor, [str(w.message) for w in caught]
+
+    def test_zero_variance_feature_is_not_scored(self):
+        # an all-zero binomial feature and constant hsic features are set
+        # aside before scoring: no failed fit, no degenerate kernel
+        ds = self._binomial_dataset()
+        ds.y[:, 4] = 0.0
+        plan = engine.ResamplePlan("residual-perm", 19, seed=0)
+        spec = engine.StatisticSpec(kind="glm", family="binomial")
+        tensor, caught = self._warnings_of(ds, plan, spec)
+        assert caught == [] and np.flatnonzero(tensor.zero_variance).tolist() == [4]
+        np.testing.assert_array_equal(tensor.pairs[:, 4], 0.0)
+        ds = _tensor_dataset(7)
+        ds.y[:, [2, 5]] = 4.25
+        tensor, caught = self._warnings_of(ds, plan, engine.StatisticSpec(kind="hsic"))
+        assert caught == [] and np.flatnonzero(tensor.zero_variance).tolist() == [2, 5]
+        assert np.all(tensor.pairs[:, [0, 1, 3, 4, 6, 7], 0] > 0.0)
+
+    def test_separated_varying_feature_still_counts_as_failed(self):
+        ds = self._binomial_dataset()
+        ds.y[:, 4] = (ds.x[:, 0] > np.median(ds.x[:, 0])).astype(float)
+        plan = engine.ResamplePlan("residual-perm", 19, seed=0)
+        spec = engine.StatisticSpec(kind="glm", family="binomial")
+        tensor, caught = self._warnings_of(ds, plan, spec)
+        assert not tensor.zero_variance.any() and tensor.pairs[0, 4, 1] == 0.0
+        assert len(caught) == 1 and "statistic evaluations failed" in caught[0]
+
+    @pytest.mark.parametrize("token", ["glm:binomial", "rv", "hsic"])
+    def test_all_constant_dataset_gives_the_all_zero_tensor(self, monkeypatch, token):
+        # the evaluator and the sampler are still made, so the observed
+        # design is still checked; no draw is made
+        ds = self._binomial_dataset()
+        ds.y[:] = 1.0
+        plan = engine.ResamplePlan("residual-perm", 7, seed=0)
+        draws = []
+        real = engine.samplers.draw_for_strategy
+        monkeypatch.setattr(engine.samplers, "draw_for_strategy", lambda *a: draws.append(1) or real(*a))
+        tensor, caught = self._warnings_of(ds, plan, engine.StatisticSpec.from_token(token))
+        assert draws == []
+        assert caught == [] and tensor.zero_variance.all()
+        np.testing.assert_array_equal(tensor.pairs, np.zeros((8, ds.m, 2)))
+
     def test_incompatible_sampler_rejected(self):
         ds = _tensor_dataset()
         plan = engine.ResamplePlan("parametric-logistic", 3, seed=0)
@@ -490,6 +544,19 @@ class TestConfigValidation:
     def test_bare_glm_rejected(self):
         with pytest.raises(ValueError, match="family"):
             engine.StatisticSpec.from_token("glm")
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"kind": "bogus"}, "unknown statistic kind 'bogus'; expected glm, rv, hsic, "
+                                "categorical or basis-wald"),
+            ({"kind": "glm"}, "glm statistics need a family, e.g. glm:gaussian"),
+            ({"kind": "glm", "family": "x"}, "unknown family 'x'"),
+        ],
+    )
+    def test_spec_refuses_what_no_evaluator_takes(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            engine.StatisticSpec(**kwargs)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="strategy"):

@@ -24,9 +24,7 @@ KINDS = ("glm:gaussian", "basis-wald")
 
 
 def _evaluator(dataset, kind):
-    if kind == "glm:gaussian":
-        return stats.make_evaluator(dataset, "glm", family="gaussian")
-    return stats.make_evaluator(dataset, "basis-wald", spline_df=5)
+    return stats.make_evaluator(dataset, stats.StatisticSpec.from_token(kind))
 
 
 def _inputs(seed, n=50, m=6, x=None):

@@ -37,9 +37,8 @@ def _dataset(stat, seed, n=60, m=6):
 
 
 def _evaluator(ds, stat):
-    if stat.startswith("glm:"):
-        return stats.make_evaluator(ds, "glm", family=stat[4:], size=3.0)
-    return stats.make_evaluator(ds, stat, spline_df=5)
+    size = 3.0 if stat.startswith("glm:") else None
+    return stats.make_evaluator(ds, stats.StatisticSpec.from_token(stat, size=size))
 
 
 def test_nearly_collinear_design_fits_in_either_column_order():

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdr2d import _rng, core, engine, sim
+from fdr2d import _accel, _rng, core, engine, sim, stats
 
 
 class TestGenSignals:
@@ -258,6 +258,50 @@ class TestReplication:
         summary = sim.run_experiment(cfg)
         assert summary.reps_completed == 1
         assert 0.0 <= summary.fdr <= 1.0
+
+
+class TestBhFromTensor:
+    """bh beside a tensor method reads the tensor's observed conditional
+    row, which holds the glm fit model_pvalues would make again."""
+
+    @staticmethod
+    def _config():
+        return sim.SimConfig(
+            dgp=9, n=100, m=60, pi=0.2, l=1.0, reps=1, seed=3,
+            procedure=engine.ProcedureConfig(q=0.2),
+            sampler=engine.ResamplePlan("residual-perm", b_count=19, seed=0),
+        )
+
+    def test_bh_beside_a_tensor_method_fits_nothing_more(self, monkeypatch):
+        calls = []
+        real = _accel.glm_fit_many
+        monkeypatch.setattr(_accel, "glm_fit_many", lambda *a: calls.append(1) or real(*a))
+        sim.run_method_comparison(self._config(), ["mf2d-fdr"])
+        alone = len(calls)
+        calls.clear()
+        sim.run_method_comparison(self._config(), ["mf2d-fdr", "bh"])
+        assert alone > 0 and len(calls) == alone
+
+    def test_pvalues_are_the_refit_bit_for_bit(self):
+        config = self._config()
+        rep_seed = sim.replication_seed(config.seed, 0)
+        dataset, _ = sim.gen_dataset(config, _rng.substream(rep_seed, "data"))
+        plan = dataclasses.replace(config.sampler, seed=_rng.substream_seed(rep_seed, "sampler"))
+        tensor = engine.build_tensor(dataset, plan, config.statistic)
+        got, rejected = engine.bh_rejections(dataset, config.statistic, 0.2, tensor)
+        want = stats.model_pvalues(dataset.y, dataset.x, dataset.z, "binomial")
+        valid = ~tensor.zero_variance
+        assert valid.all() and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(rejected, engine.bh_procedure(want, 0.2))
+        # a zero-variance feature scores 0 in the tensor, unfitted: p = 1
+        # exactly; the refit fits it and fails on separation
+        dataset.y[:, 7] = 0.0
+        tensor = engine.build_tensor(dataset, plan, config.statistic)
+        got, rejected = engine.bh_rejections(dataset, config.statistic, 0.2, tensor)
+        assert got[7] == 1.0
+        with pytest.warns(UserWarning, match="^1 model fits did not converge"):
+            refit = engine.bh_rejections(dataset, config.statistic, 0.2)[1]
+        np.testing.assert_array_equal(rejected, refit)
 
 
 class TestDefaults:

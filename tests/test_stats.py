@@ -329,7 +329,7 @@ class TestEvaluators:
     def test_glm_gaussian_matches_scalar_pairs(self):
         rng = np.random.default_rng(51)
         ds = _toy_dataset(rng)
-        ev = stats.make_evaluator(ds, "glm", family="gaussian")
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("glm", family="gaussian"))
         (tm,), (tc,), warn = ev.pairs(ds.x[None], observed=True)
         assert warn == 0
         for j in range(ds.m):
@@ -346,7 +346,7 @@ class TestEvaluators:
         from fdr2d.core import Dataset
 
         ds2 = Dataset(x=ds.x, y=y, z=ds.z)
-        ev = stats.make_evaluator(ds2, "glm", family="gaussian")
+        ev = stats.make_evaluator(ds2, stats.StatisticSpec("glm", family="gaussian"))
         (tm,), (tc,), _ = ev.pairs(ds2.x[None], observed=True)
         assert tc[0] == 0.0
         assert tc[1] == 1e12 and tm[1] == 1e12
@@ -354,7 +354,7 @@ class TestEvaluators:
     def test_glm_poisson_matches_scalar_pairs(self):
         rng = np.random.default_rng(53)
         ds = _toy_dataset(rng, y_kind="count")
-        ev = stats.make_evaluator(ds, "glm", family="poisson")
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("glm", family="poisson"))
         (tm,), (tc,), warn = ev.pairs(ds.x[None], observed=True)
         for j in range(ds.m):
             with warnings.catch_warnings():
@@ -366,7 +366,7 @@ class TestEvaluators:
     def test_rv_matches_scalar(self):
         rng = np.random.default_rng(54)
         ds = _toy_dataset(rng)
-        ev = stats.make_evaluator(ds, "rv", spline_df=4)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("rv", spline_df=4))
         (tm,), (tc,), _ = ev.pairs(ds.x[None], observed=True)
         for j in range(ds.m):
             np.testing.assert_allclose(
@@ -382,7 +382,7 @@ class TestEvaluators:
     def test_hsic_matches_scalar(self):
         rng = np.random.default_rng(55)
         ds = _toy_dataset(rng, n=30, m=4)
-        ev = stats.make_evaluator(ds, "hsic", epsilon=0.001)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("hsic", epsilon=0.001))
         (tm,), (tc,), _ = ev.pairs(ds.x[None], observed=True)
         for j in range(ds.m):
             np.testing.assert_allclose(
@@ -399,7 +399,7 @@ class TestEvaluators:
         # the middle; build_tensor's chunks split stacks (test_batched_eval)
         rng = np.random.default_rng(57)
         ds = _toy_dataset(rng, n=30, m=4)
-        ev = stats.make_evaluator(ds, "hsic", epsilon=0.001)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("hsic", epsilon=0.001))
         stack = ds.x[None] + rng.normal(scale=0.5, size=(5,) + ds.x.shape)
         stack[2] = 0.25
         tm, tc, failed = ev.pairs(stack)
@@ -420,7 +420,7 @@ class TestEvaluators:
             float
         )
         ds = Dataset(x=x, y=y, z=z, x_kind="binary", y_kind="binary")
-        ev = stats.make_evaluator(ds, "categorical")
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("categorical"))
         (tm,), (tc,), _ = ev.pairs(ds.x[None], observed=True)
         codes = ds.z[:, 0].astype(int) + 2 * ds.z[:, 1].astype(int)
         for j in range(ds.m):
@@ -447,7 +447,7 @@ class TestEvaluators:
     def test_rv_degenerate_draw_scores_zero_and_fails(self, case):
         rng = np.random.default_rng(61)
         ds = _toy_dataset(rng)
-        ev = stats.make_evaluator(ds, "rv", spline_df=4)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("rv", spline_df=4))
         stack = np.stack([ds.x, self._degenerate_exposure(ds, case), ds.x[::-1]])
         tm, tc, failed = ev.pairs(stack)
         clean_tm, clean_tc, clean_failed = ev.pairs(stack[[0, 2]])
@@ -467,14 +467,14 @@ class TestEvaluators:
     def test_rv_degenerate_observed_exposure_raises(self, case, message):
         rng = np.random.default_rng(62)
         ds = _toy_dataset(rng)
-        ev = stats.make_evaluator(ds, "rv", spline_df=4)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("rv", spline_df=4))
         with pytest.raises(ValueError, match=message):
             ev.pairs(self._degenerate_exposure(ds, case)[None], observed=True)
 
     def test_basis_wald_matches_scalar_at_observed(self):
         rng = np.random.default_rng(57)
         ds = _toy_dataset(rng, n=60, m=4)
-        ev = stats.make_evaluator(ds, "basis-wald", spline_df=4)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("basis-wald", spline_df=4))
         (tm,), (tc,), warn = ev.pairs(ds.x[None], observed=True)
         assert warn == 0
         for j in range(ds.m):
@@ -487,7 +487,7 @@ class TestEvaluators:
     def test_basis_wald_knots_frozen_across_draws(self):
         rng = np.random.default_rng(58)
         ds = _toy_dataset(rng, n=60, m=4)
-        ev = stats.make_evaluator(ds, "basis-wald", spline_df=4)
+        ev = stats.make_evaluator(ds, stats.StatisticSpec("basis-wald", spline_df=4))
         draw = 0.6 * ds.z[:, 0] + rng.normal(size=ds.n)
         (tm,), (tc,), warn = ev.pairs(draw[None, :, None])
         assert tm.shape == (ds.m,) and np.all(tm >= 0) and np.all(np.isfinite(tm))
@@ -497,7 +497,7 @@ class TestEvaluators:
         rng = np.random.default_rng(60)
         ds = _toy_dataset(rng, n=60, m=4)
         with pytest.raises(ValueError, match="df must be at least 3"):
-            stats.make_evaluator(ds, "basis-wald", spline_df=2)
+            stats.make_evaluator(ds, stats.StatisticSpec("basis-wald", spline_df=2))
 
     def test_basis_wald_confounder_spline_reads_spline_df(self):
         # build_tensor hands StatisticSpec.spline_df to the confounder
@@ -515,16 +515,12 @@ class TestEvaluators:
             np.testing.assert_allclose(df3.pairs[0, j], ref, rtol=1e-9)
 
     def test_unknown_kind_rejected(self):
-        rng = np.random.default_rng(59)
-        ds = _toy_dataset(rng)
         with pytest.raises(ValueError, match="statistic kind"):
-            stats.make_evaluator(ds, "mutual-info")
+            stats.StatisticSpec("mutual-info")
 
     def test_glm_needs_family(self):
-        rng = np.random.default_rng(60)
-        ds = _toy_dataset(rng)
         with pytest.raises(ValueError, match="family"):
-            stats.make_evaluator(ds, "glm")
+            stats.StatisticSpec("glm")
 
     def test_model_pvalues_uniform_under_null(self):
         rng = np.random.default_rng(61)
@@ -624,9 +620,8 @@ class TestOneWaldPath:
         size = 3.0 if family == "negbinom" else None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, (tc,), _ = stats.make_evaluator(ds, "glm", family=family, size=size).pairs(
-                ds.x[None], observed=True
-            )
+            spec = stats.StatisticSpec("glm", family=family, size=size)
+            _, (tc,), _ = stats.make_evaluator(ds, spec).pairs(ds.x[None], observed=True)
             seen = []
             real = stats._glm_wald
 
@@ -653,8 +648,8 @@ class TestOneWaldPath:
         ds = Dataset(x=ds.z.copy(), y=ds.y, z=ds.z)  # the exposure repeats the confounder
         size = 3.0 if family == "negbinom" else None
         with pytest.raises(ValueError) as from_evaluator:
-            evaluator = stats.make_evaluator(ds, "glm", family=family, size=size)
-            evaluator.pairs(ds.x[None], observed=True)
+            spec = stats.StatisticSpec("glm", family=family, size=size)
+            stats.make_evaluator(ds, spec).pairs(ds.x[None], observed=True)
         with pytest.raises(ValueError) as from_pvalues:
             stats.model_pvalues(ds.y, ds.x, ds.z, family, size=size)
         message = "feature 0: singular design on observed data"
