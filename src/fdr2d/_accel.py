@@ -27,65 +27,59 @@ HAVE_NUMBA = False
 MAX_GRID_CELLS = 2**24
 
 
-def exceed_bins(values, thresholds, order=None, sorted_values=None):
-    """Per value, the number of thresholds at or below it.
+def exceed_bins(order, ascending, thresholds):
+    """Per value of one axis, the number of thresholds at or below it.
 
-    thresholds must be ascending. The values are put in ascending order,
-    each threshold is located among them, and every run of values between
-    two thresholds takes one bin, scattered back through the order: no
-    search per value. A caller that bins one axis several times may hand
-    in its argsort as order and, with it, the gathered values[order] as
-    sorted_values, so the axis is sorted and gathered once, not per call.
+    order is the axis's argsort and ascending the axis gathered in that
+    order; thresholds must be ascending. Each threshold is located among
+    the sorted values, and every run of values between two thresholds
+    takes one bin, scattered back through the order: no search per
+    value. The bins are int16, widened to int32 or int64 only when a set
+    has 2^15 or 2^31 thresholds or more, so an axis of N values costs 2N
+    bytes of bins.
     """
-    if order is None:
-        order = np.argsort(values)
-    if sorted_values is None:
-        sorted_values = values[order]
-    edges = np.searchsorted(sorted_values, thresholds, side="left")
-    sizes = np.diff(edges, prepend=0, append=values.shape[0])
-    bins = np.empty(values.shape[0], dtype=np.intp)
-    bins[order] = np.repeat(np.arange(thresholds.shape[0] + 1), sizes)
+    g = thresholds.shape[0]
+    dtype = np.int16 if g < 2**15 else np.int32 if g < 2**31 else np.int64
+    edges = np.searchsorted(ascending, thresholds, side="left")
+    sizes = np.diff(edges, prepend=0, append=order.shape[0])
+    bins = np.empty(order.shape[0], dtype=dtype)
+    bins[order] = np.repeat(np.arange(g + 1, dtype=dtype), sizes)
     return bins
 
 
-def pair_exceed_counts(tm, tc, t1, t2, orders=(None, None), sorted_axes=(None, None)):
-    """Count pairs dominating each grid point.
+def pair_exceed_counts(i, j, g1, g2):
+    """Count pairs dominating each point of a g1 x g2 grid, from their bins.
 
-    out[a, b] = #{i : tm[i] >= t1[a] and tc[i] >= t2[b]}. Grids must be
-    sorted ascending; orders may hold argsort(tm) and argsort(tc), and
-    sorted_axes, next to them, tm and tc gathered in those orders (see
-    exceed_bins). Runs in O(n log n + g1*g2) via binned suffix sums.
-    A grid needing more than MAX_GRID_CELLS cells raises before any
-    allocation.
+    i and j are each pair's exceed_bins against the grid's t1 and t2
+    values, so out[a, b] = #{k : i[k] > a and j[k] > b}, the number of
+    pairs with tm >= t1[a] and tc >= t2[b]. The flat cell index is formed
+    in one intp array and histogrammed, and the counts are its suffix
+    sums: O(n + g1*g2). A grid needing more than MAX_GRID_CELLS cells
+    raises before any allocation.
     """
-    g1 = t1.shape[0]
-    g2 = t2.shape[0]
     if (g1 + 1) * (g2 + 1) > MAX_GRID_CELLS:
         raise ValueError(
             f"a {g1} x {g2} threshold grid exceeds the {MAX_GRID_CELLS}-cell count "
             "limit; use a quantile:<G> grid with a smaller G"
         )
-    i = exceed_bins(tm, t1, orders[0], sorted_axes[0])
-    j = exceed_bins(tc, t2, orders[1], sorted_axes[1])
-    flat = i * (g2 + 1) + j
-    hist = np.bincount(flat, minlength=(g1 + 1) * (g2 + 1))
-    hist = hist.reshape(g1 + 1, g2 + 1)
+    flat = i.astype(np.intp)
+    flat *= g2 + 1
+    flat += j
+    hist = np.bincount(flat, minlength=(g1 + 1) * (g2 + 1)).reshape(g1 + 1, g2 + 1)
     suff = hist[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
     return np.ascontiguousarray(suff[1:, 1:], dtype=np.int64)
 
 
-def chain_exceed_counts(tm, tc, t1, t2, orders=(None, None), sorted_axes=(None, None)):
-    """Count pairs dominating each step of a monotone chain.
+def chain_exceed_counts(i, j, steps):
+    """Count pairs dominating each step of a monotone chain, from their bins.
 
-    out[s] = #{i : tm[i] >= t1[s] and tc[i] >= t2[s]} for nondecreasing
-    t1 and t2; orders and sorted_axes as in pair_exceed_counts. With i
-    and j binned as there, pair i dominates step s iff s < min(i, j), so
-    the counts are a suffix sum of one histogram: O(n log n + steps)
-    time, O(n + steps) memory.
+    i and j are each pair's exceed_bins against the chain's nondecreasing
+    t1 and t2; pair k dominates step s iff s < min(i[k], j[k]), so
+    out[s] = #{k : tm[k] >= t1[s] and tc[k] >= t2[s]} is a suffix sum of
+    one histogram of that minimum: O(n + steps). The minimum is taken in
+    place: i holds it afterwards.
     """
-    i = exceed_bins(tm, t1, orders[0], sorted_axes[0])
-    j = exceed_bins(tc, t2, orders[1], sorted_axes[1])
-    hist = np.bincount(np.minimum(i, j), minlength=t1.shape[0] + 1)
+    hist = np.bincount(np.minimum(i, j, out=i), minlength=steps + 1)
     return hist[::-1].cumsum()[::-1][1:]
 
 
@@ -161,6 +155,57 @@ def _per_draw_product(rows, fits, mats, out):
     return out[: rows.shape[0]]
 
 
+def _start(y, family):
+    # the linear predictor every fit of the response rows y (m, n) starts from
+    if family == BINOMIAL:
+        m0 = (y + 0.5) / 2.0
+        return np.log(m0 / (1.0 - m0))
+    return np.log(y + 0.5)
+
+
+def _weights(eta, family, nb_size, mu, w, tmp):
+    # the IRLS mean, weights and the scale of y - mu in the working
+    # response, at the linear predictor eta, in the buffers mu and w
+    # (tmp is scratch); (mu, w, scale)
+    mu = _mean(eta, family, mu)
+    if family == POISSON:
+        return mu, mu, mu
+    if family == BINOMIAL:
+        np.subtract(1.0, mu, out=w)
+        w *= mu
+        return mu, w, w
+    np.add(mu, nb_size, out=w)
+    np.divide(np.multiply(mu, nb_size, out=tmp), w, out=w)
+    return mu, w, mu
+
+
+def _row_products(xs):
+    # x_r * x_s per row of each design of the stack xs (D, n, k): the
+    # information matrices of every fit on one draw are then a single
+    # GEMM of their weights against these
+    nd, n, k = xs.shape
+    return (xs[:, :, :, None] * xs[:, :, None, :]).reshape(nd, n, k * k)
+
+
+def _information(w, fits, prods, info, k):
+    # the (k, k) information matrices of fits from their weights (see
+    # _per_draw_product), and their Cholesky factors: (lo, ok)
+    return _cholesky(_per_draw_product(w, fits, prods, info).reshape(-1, k, k))
+
+
+def singular_start(design, ymat, family, nb_size):
+    """Per response column of ymat (n, m), whether glm_fit_many's first
+    information test refuses the one design (n, k): the weights at the
+    start, their GEMM and the Cholesky factorisation of iteration 1, made
+    by the same helpers, so a design this passes is not refused there.
+    """
+    y = np.ascontiguousarray(ymat.T, dtype=float)
+    _, w, _ = _weights(_start(y, family), family, nb_size, *np.empty((3,) + y.shape))
+    prods = _row_products(design[None])
+    info = np.empty((y.shape[0], prods.shape[2]))
+    return ~_information(w[None], np.arange(y.shape[0]), prods, info, design.shape[1])[1]
+
+
 def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     """Fit one binomial, poisson or negbinom GLM per (draw, response column) by IRLS.
 
@@ -195,15 +240,10 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     nd, n, k = xs.shape
     y = np.ascontiguousarray(ymat.T, dtype=float)
     m = y.shape[0]
-    # x_r * x_s per row: the information matrices of every fit on one
-    # draw are then a single GEMM of their weights against these
-    prods = (xs[:, :, :, None] * xs[:, :, None, :]).reshape(nd, n, k * k)
+    prods = _row_products(xs)
+    eta0 = _start(y, family)
     if family == BINOMIAL:
-        m0 = (y + 0.5) / 2.0
-        eta0 = np.log(m0 / (1.0 - m0))
         side = 2.0 * y - 1.0
-    else:
-        eta0 = np.log(y + 0.5)
     eta = np.tile(eta0, (nd, 1))
     fits = nd * m
     coef = np.zeros((fits, k))
@@ -225,15 +265,7 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         else:
             eta_act = np.take(eta, active, axis=0, out=eta_buf[:a])
         r = eta_act.shape[0]
-        mu = _mean(eta_act, family, mu_buf[:r])
-        if family == BINOMIAL:
-            w = scale = np.subtract(1.0, mu, out=w_buf[:r])
-            w *= mu
-        elif family == POISSON:
-            w = scale = mu
-        else:
-            w, scale = np.add(mu, nb_size, out=w_buf[:r]), mu
-            np.divide(np.multiply(mu, nb_size, out=z_buf[:r]), w, out=w)
+        mu, w, scale = _weights(eta_act, family, nb_size, mu_buf[:r], w_buf[:r], z_buf[:r])
         # w * z with the working response z = eta + (y - mu) / scale
         if full:
             z = z_buf[:r]
@@ -246,7 +278,7 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
         z *= w
         if it == 1:
             w, z = (np.broadcast_to(v, (nd, m, n)) for v in (w, z))
-        lo, ok = _cholesky(_per_draw_product(w, active, prods, info).reshape(-1, k, k))
+        lo, ok = _information(w, active, prods, info, k)
         new = _cholesky_solve(lo, _per_draw_product(z, active, xs, rhs)[:, :, None])[:, :, 0]
         n_iter[active] = it
         if ok.all():
@@ -302,8 +334,7 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
             with np.errstate(over="ignore", invalid="ignore"):
                 w = np.multiply(np.multiply(mu, nb_size, out=w_buf[:f]), yn, out=w_buf[:f])
                 w /= np.square(np.add(mu, nb_size, out=yn), out=yn)
-    info = _per_draw_product(w, fitted, prods, info)
-    lo, ok = _cholesky(info.reshape(-1, k, k))
+    lo, ok = _information(w, fitted, prods, info, k)
     status[fitted[~ok]] = 3
     eye = np.broadcast_to(np.eye(k), (int(ok.sum()), k, k))
     cov[fitted[ok]] = _cholesky_solve(lo[ok], eye)

@@ -332,7 +332,7 @@ def _cmd_grid_dump(cfg):
     plan = _plan_from(cfg, dataset)
     tensor = engine.build_tensor(dataset, plan, spec)
     # the grid, pi0 and counts of the search pass analyze makes
-    search = engine._SearchPass(tensor, procedure)
+    search = engine._SearchPass(tensor, procedure, ["mf2d-fdr"])
     grid = search.grid
     sumf, robs, crit = search.surface()
     rows = []

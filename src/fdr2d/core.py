@@ -170,6 +170,13 @@ class StatTensor:
     one of the B + 1 exchangeable draws everywhere downstream.
     Features flagged in ``zero_variance`` carry (0, 0) in every row
     and are never rejected.
+
+    The statistics live in one C-contiguous (2, B+1, m) block,
+    ``planes``: plane 0 marginal, plane 1 conditional. ``pairs`` is a
+    transposed view of it, so a pooled axis ``planes[k].ravel()`` is a
+    view whose first m values are the observed row. Construction puts
+    any (B+1, m, 2) input into that layout once (a view of such a block,
+    as build_tensor makes, is kept without a copy).
     """
 
     pairs: np.ndarray
@@ -180,12 +187,18 @@ class StatTensor:
     sampler: str = ""
 
     def __post_init__(self):
-        self.pairs = np.asarray(self.pairs, dtype=float)
-        if self.pairs.ndim != 3 or self.pairs.shape[2] != 2:
-            raise ValueError(f"pairs must have shape (B+1, m, 2), got {self.pairs.shape}")
+        pairs = np.asarray(self.pairs, dtype=float)
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError(f"pairs must have shape (B+1, m, 2), got {pairs.shape}")
+        self.pairs = np.ascontiguousarray(pairs.transpose(2, 0, 1)).transpose(1, 2, 0)
         self.zero_variance = np.asarray(self.zero_variance, dtype=bool)
         if self.zero_variance.shape != (self.pairs.shape[1],):
             raise ValueError("zero_variance length must match the feature count")
+
+    @property
+    def planes(self):
+        """The (2, B+1, m) block behind pairs."""
+        return self.pairs.transpose(2, 0, 1)
 
     @property
     def b(self):

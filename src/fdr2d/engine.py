@@ -17,7 +17,7 @@ import dataclasses
 import re
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Union
 
 import numpy as np
@@ -156,7 +156,8 @@ def build_tensor(dataset, plan, spec):
     before any later chunk is drawn; on resampled rows a failure becomes
     a zero pair, counted and reported once. Zero-variance features are
     set aside first: they keep (0, 0) in every row, the evaluator sees
-    only the varying ones, and with none of those no draw is made.
+    only the varying ones, and with none of those no draw is made. Each
+    chunk's rows are written straight into the tensor's two planes.
     """
     _check_dataset(dataset, plan, spec)
     zv = core.zero_variance_mask(dataset.y)
@@ -175,7 +176,7 @@ def build_tensor(dataset, plan, spec):
         bin_edges=plan.bin_edges,
     )
     b = plan.b_count
-    pairs = np.zeros((b + 1, dataset.m, 2))
+    planes = np.zeros((2, b + 1, dataset.m))
     warn_total = 0
     chunk = max(1, _CHUNK_CELLS // max(1, evaluator.draw_cells))
     for start in range(0, b + 1 if scored.m else 0, chunk):
@@ -186,15 +187,15 @@ def build_tensor(dataset, plan, spec):
             for draw in range(max(start, 1), stop)
         ]
         tm, tc, bad = evaluator.pairs(np.stack(rows), observed=start == 0)
-        pairs[start:stop, cols, 0] = tm
-        pairs[start:stop, cols, 1] = tc
+        planes[0][start:stop, cols] = tm
+        planes[1][start:stop, cols] = tc
         warn_total += bad
     if warn_total:
         warnings.warn(
             f"{warn_total} statistic evaluations failed across {b + 1} draws; set to 0"
         )
     return core.StatTensor(
-        pairs=pairs,
+        pairs=planes.transpose(1, 2, 0),
         zero_variance=zv,
         n=dataset.n,
         seed=plan.seed,
@@ -222,21 +223,38 @@ def _inverted_cdf(sorted_values, levels):
 
 
 def _pooled_axis(tensor, k):
-    """Pooled axis k (0 marginal, 1 conditional): its (B+1)·m values,
-    their argsort and the values in that order. Every grid, path, lambda
-    and pooled count reads these; a search pass makes them once."""
-    values = tensor.pairs[:, :, k].ravel()
+    # pooled axis k (0 marginal, 1 conditional): a flat view of its
+    # plane, whose first m values are the observed row
+    return tensor.planes[k].ravel()
+
+
+def _axis_bins(values, derive):
+    """The per-axis routine of every search over a tensor.
+
+    Argsorts one pooled axis once and gathers its values once in that
+    order. derive(ascending) reads off those sorted values what the
+    caller needs and returns (sets, found): sets maps names to ascending
+    threshold arrays, found is anything else (thresholds, lambda, a
+    count). Returns (sets, bins, found), bins mapping each name to the
+    axis's _accel.exceed_bins against that set. The argsort and the
+    sorted copy are dropped on return, before another axis is sorted.
+    """
     order = np.argsort(values)
-    return values, order, values[order]
+    ascending = values[order]
+    sets, found = derive(ascending)
+    bins = {name: _accel.exceed_bins(order, ascending, t) for name, t in sets.items()}
+    return sets, bins, found
 
 
-def _pooled_axes(tensor):
-    return [_pooled_axis(tensor, k) for k in (0, 1)]
+def _both_axes(tensor, derive):
+    # _axis_bins on each pooled axis in turn, derive(k, ascending)
+    return [_axis_bins(_pooled_axis(tensor, k), partial(derive, k)) for k in (0, 1)]
 
 
-def _ascending(axes):
-    # the sorted values of each of _pooled_axes
-    return [s for _, _, s in axes]
+def _bins_against(tensor, thresholds):
+    # each pooled axis's bins against its given ascending thresholds
+    axes = _both_axes(tensor, lambda k, s: ({"given": thresholds[k]}, None))
+    return [bins["given"] for _, bins, _ in axes]
 
 
 def _with_zero(distinct):
@@ -248,24 +266,36 @@ def _with_zero(distinct):
     return np.insert(distinct, at, 0.0)
 
 
-def _grid_from_sorted(sorted_axes, spec):
-    # make_grid from the ascending pooled values of each axis
-    g = _grid_size(spec)
-    if g is None:
-        t1, t2 = (_with_zero(_distinct(s)) for s in sorted_axes)
-        return Grid2D(t1, t2, "observed-values")
-    levels = np.arange(1, g + 1) / g
-    t1, t2 = (np.unique(np.concatenate([[0.0], _inverted_cdf(s, levels)])) for s in sorted_axes)
-    return Grid2D(t1, t2, "quantile")
+def _grid_axis(ascending, size):
+    # one axis of make_grid from the ascending pooled values; size is
+    # _grid_size of the grid spec
+    if size is None:
+        return _with_zero(_distinct(ascending))
+    levels = np.arange(1, size + 1) / size
+    return np.unique(np.concatenate([[0.0], _inverted_cdf(ascending, levels)]))
 
 
-def _path_from_sorted(sorted_axes, steps):
-    # default_path from the ascending pooled values of each axis
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+def _grid_of(axes, size):
+    return Grid2D(*axes, "observed-values" if size is None else "quantile")
+
+
+def _path_axis(ascending, steps):
+    # one axis of default_path from the ascending pooled values
     levels = np.arange(1, steps + 1) / steps
-    t1, t2 = (_inverted_cdf(_distinct(s), levels) for s in sorted_axes)
-    return MonotonePath(t1=t1, t2=t2)
+    return _inverted_cdf(_distinct(ascending), levels)
+
+
+def _half_median(ascending):
+    # the "auto" Storey lambda: half the median of the ascending values
+    # (the mean of the two middle ones when their count is even)
+    half = ascending.size // 2
+    mid = ascending[half] if ascending.size % 2 else (ascending[half - 1] + ascending[half]) / 2
+    return float(0.5 * mid)
+
+
+def _at_most(ascending, lam):
+    # how many ascending values are at most lam, by one binary search
+    return int(np.searchsorted(ascending, lam, "right"))
 
 
 def _grid_size(spec):
@@ -289,7 +319,9 @@ def make_grid(tensor, spec="quantile:100"):
     so the loosest corner is always searchable. The grid a search pass
     makes, from the same sorted axes.
     """
-    return _grid_from_sorted(_ascending(_pooled_axes(tensor)), spec)
+    size = _grid_size(spec)
+    axes = _both_axes(tensor, lambda k, s: ({}, _grid_axis(s, size)))
+    return _grid_of([found for _, _, found in axes], size)
 
 
 def default_path(tensor, steps=100):
@@ -299,7 +331,10 @@ def default_path(tensor, steps=100):
     value of that axis. The path a search pass makes, from the same
     sorted axes.
     """
-    return _path_from_sorted(_ascending(_pooled_axes(tensor)), steps)
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    axes = _both_axes(tensor, lambda k, s: ({}, _path_axis(s, steps)))
+    return MonotonePath(*(found for _, _, found in axes))
 
 
 def fbar(tensor, j, t1, t2):
@@ -322,22 +357,20 @@ def fdp_tilde(tensor, t1, t2, pi0=None):
     a one-step path, so this equals the grid surface and the path walks
     bit for bit.
     """
-    path = MonotonePath(t1=[t1], t2=[t2])
-    counts_all, robs = _chain_counts(tensor, path, _pooled_axes(tensor))
+    counts_all, robs = _chain_counts(tensor, MonotonePath(t1=[t1], t2=[t2]))
     mult = 1.0 if pi0 is None else float(pi0)
     return float(_fdp(counts_all, robs, tensor.pairs.shape[0], mult)[0])
 
 
 def storey_pi0(tensor, lam):
     """Null-proportion estimate from the low end of the conditional axis."""
-    return _storey(tensor, lam, _pooled_axis(tensor, 1)[2])
+    _, _, below = _axis_bins(_pooled_axis(tensor, 1), lambda s: ({}, _at_most(s, lam)))
+    return _storey(tensor, lam, below)
 
 
-def _storey(tensor, lam, sorted_tc):
-    # storey_pi0, the pooled count of conditional values <= lam read off
-    # their ascending order by one binary search
-    pooled = int(np.searchsorted(sorted_tc, lam, "right"))
-    tc = tensor.pairs[:, :, 1]
+def _storey(tensor, lam, pooled):
+    # storey_pi0 from the pooled count of conditional values <= lam
+    tc = tensor.planes[1]
     num = int(np.count_nonzero(tc[0] <= lam))
     den = pooled / tc.shape[0]
     if num == 0 or den == 0.0:
@@ -357,23 +390,31 @@ def _rejected(tensor, t1, t2):
     return np.flatnonzero(valid & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)).astype(np.int64)
 
 
-def _counts(tensor, kernel, t1, t2, axes):
-    # (pooled, observed) dominance counts of one _accel kernel; axes, from
-    # _pooled_axes, hands the kernel each pooled axis with its argsort and
-    # sorted values
-    p = tensor.pairs
+def _observed_bins(tensor, bins):
+    # the observed row's bins are the first m of each pooled axis;
+    # zero-variance features never count there
     valid = ~tensor.zero_variance
-    (tm, tc), orders, sorted_axes = zip(*axes)
-    pooled = kernel(tm, tc, t1, t2, orders, sorted_axes)
-    return pooled, kernel(p[0, valid, 0], p[0, valid, 1], t1, t2)
+    return [b[: tensor.m][valid] for b in bins]
 
 
-def _grid_counts(tensor, grid, axes):
-    return _counts(tensor, _accel.pair_exceed_counts, grid.t1_values, grid.t2_values, axes)
+def _grid_counts(tensor, grid, bins=None):
+    # (pooled, observed) dominance counts at every grid point; bins, each
+    # pooled axis's exceed_bins against the grid, are made when not given
+    t = (grid.t1_values, grid.t2_values)
+    bins = _bins_against(tensor, t) if bins is None else bins
+    g = [v.size for v in t]
+    observed = _accel.pair_exceed_counts(*_observed_bins(tensor, bins), *g)
+    return _accel.pair_exceed_counts(*bins, *g), observed
 
 
-def _chain_counts(tensor, path, axes):
-    return _counts(tensor, _accel.chain_exceed_counts, path.t1, path.t2, axes)
+def _chain_counts(tensor, path, bins=None):
+    # (pooled, observed) dominance counts at every path step, as
+    # _grid_counts; the observed bins are copies, taken before the pooled
+    # count overwrites the marginal bins with its minimum
+    bins = _bins_against(tensor, (path.t1, path.t2)) if bins is None else bins
+    steps = path.t1.size
+    observed = _accel.chain_exceed_counts(*_observed_bins(tensor, bins), steps)
+    return _accel.chain_exceed_counts(*bins, steps), observed
 
 
 def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
@@ -441,8 +482,7 @@ def exchangeable_path(tensor, path, q):
 
 def ordered_grid_procedure(tensor, path, q, pi0=None):
     """Smallest chain index whose fdp_tilde is at most q."""
-    counts = _chain_counts(tensor, path, _pooled_axes(tensor))
-    return _first_feasible(tensor, path, *counts, q, pi0)
+    return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, pi0)
 
 
 def bh_procedure(pvalues, q):
@@ -487,7 +527,7 @@ def bh_rejections(dataset, spec, q, tensor=None):
 
 def grid_surface(tensor, grid, pi0=1.0):
     """(sum_fbar, observed rejections, fdp_tilde) arrays over the grid."""
-    return _surface(tensor, _grid_counts(tensor, grid, _pooled_axes(tensor)), pi0)
+    return _surface(tensor, _grid_counts(tensor, grid), pi0)
 
 
 def _surface(tensor, counts, pi0):
@@ -498,63 +538,63 @@ def _surface(tensor, counts, pi0):
 
 
 _TENSOR_METHODS = tuple(m for m in METHODS if m != "bh")
+_GRID_METHODS = ("mf2d-fdr", "mf2d-fwer", "mf1d")
 
 
 class _SearchPass:
-    """One search over one tensor, shared by every method that asks.
+    """One search over one tensor, for the methods it is told it serves.
 
-    Each pooled axis is argsorted once, and its values gathered once in
-    that order (_pooled_axes). The grid, the default path, lambda, pi0
-    and every pooled dominance count are derived from those sorted
-    values, the way make_grid, default_path, storey_pi0 and grid_surface
-    derive them. The sort, lambda, pi0, the grid with its counts and the
-    path with its chain counts are each built on first use, reused by
-    later methods, and dropped with the pass.
+    Each pooled axis goes once through _axis_bins, one axis at a time:
+    it is argsorted and its values gathered once in that order; from
+    those sorted values the pass reads every threshold set its methods
+    need (the grid axis for the grid methods, the default path axis for
+    the path methods and, on the conditional axis, lambda with the
+    pooled count at or below it), as make_grid, default_path and
+    storey_pi0 read them; it bins the axis against each set in small
+    integers and drops the argsort and the sorted copy before the other
+    axis is sorted. The grid and chain counts are then made from the
+    bins, observed row included (its bins are the first m pooled ones),
+    and the bins are dropped. pi0 is read from the pooled count on first
+    use. grid, grid_counts, path and path_counts stay None when no served
+    method needs them.
     """
 
-    def __init__(self, tensor, config):
+    def __init__(self, tensor, config, methods):
         self.tensor = tensor
         self.config = config
+        size, steps, lam = _grid_size(config.grid), config.path_steps, config.pi0_lambda
+        grid = any(m in _GRID_METHODS for m in methods)
+        path = any(m not in _GRID_METHODS for m in methods)
 
-    @cached_property
-    def axes(self):
-        return _pooled_axes(self.tensor)
+        def derive(k, ascending):
+            sets = {}
+            if grid:
+                sets["grid"] = _grid_axis(ascending, size)
+            if path:
+                sets["path"] = _path_axis(ascending, steps)
+            if k == 0 or lam is None:
+                return sets, (None, 0)
+            at = _half_median(ascending) if lam == "auto" else float(lam)
+            return sets, (at, _at_most(ascending, at))
 
-    @cached_property
-    def pi0_lambda(self):
-        # the Storey lambda: the config's number or, for "auto", half the
-        # median of the sorted conditional axis (the mean of its two
-        # middle values when their count is even); None for no correction
-        lam = self.config.pi0_lambda
-        if lam == "auto":
-            s = self.axes[1][2]
-            half = s.size // 2
-            lam = 0.5 * (s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2)
-        return None if lam is None else float(lam)
+        (sets0, bins0, _), (sets1, bins1, found) = _both_axes(tensor, derive)
+        self.pi0_lambda, self._below = found
+        self.grid = self.grid_counts = self.path = self.path_counts = None
+        if grid:
+            self.grid = _grid_of((sets0["grid"], sets1["grid"]), size)
+            bins = (bins0.pop("grid"), bins1.pop("grid"))
+            self.grid_counts = _grid_counts(tensor, self.grid, bins)
+        if path:
+            self.path = MonotonePath(sets0["path"], sets1["path"])
+            bins = (bins0.pop("path"), bins1.pop("path"))
+            self.path_counts = _chain_counts(tensor, self.path, bins)
 
     @cached_property
     def pi0(self):
         # storey_pi0 at lambda; 1.0 when no correction is asked for
-        lam = self.pi0_lambda
-        if lam is None:
+        if self.pi0_lambda is None:
             return 1.0
-        return _storey(self.tensor, lam, self.axes[1][2])
-
-    @cached_property
-    def grid(self):
-        return _grid_from_sorted(_ascending(self.axes), self.config.grid)
-
-    @cached_property
-    def grid_counts(self):
-        return _grid_counts(self.tensor, self.grid, self.axes)
-
-    @cached_property
-    def path(self):
-        return _path_from_sorted(_ascending(self.axes), self.config.path_steps)
-
-    @cached_property
-    def path_counts(self):
-        return _chain_counts(self.tensor, self.path, self.axes)
+        return _storey(self.tensor, self.pi0_lambda, self._below)
 
     def surface(self):
         # grid_surface of the pass's grid at its pi0
@@ -589,7 +629,9 @@ def apply_methods(tensor, config, methods):
     for method in methods:
         if method not in _TENSOR_METHODS:
             raise ValueError(f"method {method!r} does not run on a tensor")
-    search = _SearchPass(tensor, config)
+    if not methods:
+        return {}
+    search = _SearchPass(tensor, config, methods)
     results = {method: search.run(method) for method in methods}
     for result in results.values():
         result.pi0_lambda = search.pi0_lambda

@@ -199,13 +199,17 @@ def gen_dataset(config, rng):
         x = config.rho * gen.h(z) + rng.standard_normal(n)
         x = x / np.std(x, ddof=1)
 
+    # the sums are accumulated in place: the same additions in the same order
     if gen.f is None:
-        y = _glm_outcomes(gen.family, np.outer(x, alpha) + np.outer(z, beta), rng)
+        eta = np.outer(x, alpha)
+        eta += np.outer(z, beta)
+        y = _glm_outcomes(gen.family, eta, rng)
     else:
-        y = np.outer(gen.f(x), alpha) + np.outer(gen.g(z), beta)
+        y = np.outer(gen.f(x), alpha)
+        y += np.outer(gen.g(z), beta)
         # the global null is pure confounding, no noise: Y_j = beta_j g(Z)
         if not config.global_null:
-            y = y + _error_matrix(n, m, config.ar1_errors, rng)
+            y += _error_matrix(n, m, config.ar1_errors, rng)
 
     x_kind, y_kind, z_kinds = _dgp_kinds(config.dgp)
     dataset = core.Dataset(

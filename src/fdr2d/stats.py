@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import _accel, glm
-from .core import _as_matrix
+from .core import _as_matrix, zero_variance_mask
 
 
 # iteration limit and convergence tolerance of every IRLS fit here
@@ -98,11 +98,16 @@ def _regularized(kc, epsilon):
 
 def model_pvalues(ymat, x, z, family, size=None):
     """wald_pvalues of the exposure block's glm fit, one per response
-    column. Fits that fail give p = 1 with a warning."""
+    column. As in a tensor, zero-variance columns are set aside unfitted
+    and get p = 1 exactly, so these equal the p-values bh reads off a
+    tensor's observed row bit for bit. Fits that fail give p = 1 with a
+    warning."""
     ymat = _as_matrix(ymat)
     x = _as_matrix(x)
     z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
-    (w,), (status,) = _glm_wald(x[None], z, ymat, family, size, observed=True)
+    cols = np.flatnonzero(~zero_variance_mask(ymat))
+    w = np.zeros(ymat.shape[1])
+    (w[cols],), (status,) = _glm_wald(x[None], z, ymat[:, cols], family, size, observed=True)
     bad = int(np.count_nonzero(status))
     if bad:
         warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
@@ -231,11 +236,20 @@ def _glm_wald(xs, z, ymat, family, size, observed):
 
 class _GlmEvaluator:
     def __init__(self, dataset, spec):
-        gaussian = glm.family_code(spec.family, spec.size)[0] == _accel.GAUSSIAN
-        # refuse a singular observed design before any draw; the verdict on
-        # [1, z, x] covers its part [1, x], the marginal model
-        if glm.Residualiser(np.column_stack([np.ones(dataset.n), dataset.z, dataset.x])).refusal:
+        code, size = glm.family_code(spec.family, spec.size)
+        gaussian = code == _accel.GAUSSIAN
+        # refuse a singular observed design before any draw, by the rank
+        # rule and, for an IRLS family, by the information test of its
+        # first iteration on the joint design [1, x, z]; a verdict on the
+        # joint design covers its part [1, x], the marginal model
+        ones = np.ones((dataset.n, 1))
+        if glm.Residualiser(np.hstack([ones, dataset.z, dataset.x])).refusal:
             raise ValueError("feature 0: singular design on observed data")
+        if not gaussian:
+            design = np.hstack([ones, dataset.x, dataset.z])
+            bad = _accel.singular_start(design, dataset.y, code, size)
+            if bad.any():
+                raise ValueError(f"feature {int(np.argmax(bad))}: singular design on observed data")
         # per draw: the gaussian block's Q (n, p) and its products Q'r
         # (p, m), or the IRLS working arrays (m, n)
         wide = max(dataset.n, dataset.m) * dataset.x.shape[1]
@@ -288,17 +302,23 @@ class _RvEvaluator:
 
 
 def _rv_many(u, ymat, ycss, empty):
-    # univariate responses: tr(Svv^2) = (y'y)^2, so the RV ratio reduces
-    # to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature; u is a
-    # stack (D, n, p) and u'y for every draw is one (D p, n) @ (n, m)
-    # GEMM. A draw marked empty scores 0 on every feature.
+    """RV coefficients of every draw's exposure block with every response.
+
+    Univariate responses: tr(Svv^2) = (y'y)^2, so the RV ratio reduces
+    to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature. u is a
+    stack (D, n, p), and u'y for every draw is one (D p, n) @ (n, m)
+    GEMM. Once the numerators are summed from those products, the
+    denominators are written over the first block of them, so a call
+    holds two (D, m) arrays and the products, not a third. A draw marked
+    empty scores 0 on every feature.
+    """
     nd, n, p = u.shape
     ut = np.swapaxes(u, 1, 2)
     uu = ut @ u
     unorm = np.sqrt(np.einsum("dab,dab->d", uu, uu))
     a = (ut.reshape(nd * p, n) @ ymat).reshape(nd, p, -1)
     num = np.einsum("dpj,dpj->dj", a, a)
-    den = np.where(empty, 0.0, unorm)[:, None] * ycss
+    den = np.multiply(np.where(empty, 0.0, unorm)[:, None], ycss, out=a[:, 0])
     return np.minimum(_ratio_or_zero(num, den), 1.0, out=num)
 
 

@@ -408,12 +408,13 @@ def sorted_axes(tensor):
 
 def make_grid(tensor, spec="quantile:100"):
     """engine.make_grid from np.sort of each pooled axis."""
-    return engine._grid_from_sorted(sorted_axes(tensor), spec)
+    size = engine._grid_size(spec)
+    return engine._grid_of([engine._grid_axis(s, size) for s in sorted_axes(tensor)], size)
 
 
 def default_path(tensor, steps=100):
     """engine.default_path from np.sort of each pooled axis."""
-    return engine._path_from_sorted(sorted_axes(tensor), steps)
+    return engine.MonotonePath(*(engine._path_axis(s, steps) for s in sorted_axes(tensor)))
 
 
 def storey_pi0(tensor, lam):
@@ -475,5 +476,5 @@ def dominance_counts(tensor, grid):
 def search(tensor, grid, q, pi0, mode):
     """Best feasible point of any one grid, with the search's own counts
     and pick (engine._pick): the search of a grid no pass makes."""
-    counts = engine._grid_counts(tensor, grid, engine._pooled_axes(tensor))
+    counts = engine._grid_counts(tensor, grid)
     return engine._pick(tensor, grid.t1_values, grid.t2_values, *counts, q, pi0, mode)

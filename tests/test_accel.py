@@ -27,6 +27,12 @@ def _brute_counts(tm, tc, t1, t2):
     return out
 
 
+def _bins(tm, tc, t1, t2, kind="quicksort"):
+    # each axis's exceed_bins against its thresholds, from its argsort
+    orders = (np.argsort(tm, kind=kind), np.argsort(tc, kind=kind))
+    return [_accel.exceed_bins(o, v[o], t) for o, v, t in zip(orders, (tm, tc), (t1, t2))]
+
+
 class TestPairExceedCounts:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -38,13 +44,14 @@ class TestPairExceedCounts:
             t1 = np.sort(np.concatenate([rng.normal(size=5), tm[: min(3, n)]]))
             t2 = np.sort(np.concatenate([np.abs(rng.normal(size=4)), tc[: min(2, n)]]))
             expected = _brute_counts(tm, tc, t1, t2)
-            got = _accel.pair_exceed_counts(tm, tc, t1, t2)
+            got = _accel.pair_exceed_counts(*_bins(tm, tc, t1, t2), t1.size, t2.size)
             np.testing.assert_array_equal(got, expected)
 
     def test_empty_pairs(self):
         tm = np.zeros(0)
         tc = np.zeros(0)
-        out = _accel.pair_exceed_counts(tm, tc, np.array([0.0]), np.array([0.0]))
+        t = np.array([0.0])
+        out = _accel.pair_exceed_counts(*_bins(tm, tc, t, t), 1, 1)
         assert out.shape == (1, 1) and out[0, 0] == 0
 
     def test_given_orders_and_chain_match_brute_force(self):
@@ -56,24 +63,49 @@ class TestPairExceedCounts:
             tc = rng.integers(0, 5, size=n).astype(float)
             t1 = np.sort(rng.integers(-4, 5, size=rng.integers(1, 8)).astype(float))
             t2 = np.sort(rng.integers(-1, 6, size=t1.size).astype(float))
-            orders = (np.argsort(tm), np.argsort(tc))
+            g = (t1.size, t2.size)
             want = _brute_counts(tm, tc, t1, t2)
-            np.testing.assert_array_equal(_accel.pair_exceed_counts(tm, tc, t1, t2, orders), want)
+            # a stable argsort orders the ties otherwise: the same bins
+            stable = _bins(tm, tc, t1, t2, kind="stable")
+            np.testing.assert_array_equal(_accel.pair_exceed_counts(*stable, *g), want)
             # a nondecreasing chain visits the diagonal of its own grid
             diag = np.diagonal(want)
-            np.testing.assert_array_equal(_accel.chain_exceed_counts(tm, tc, t1, t2), diag)
             np.testing.assert_array_equal(
-                _accel.chain_exceed_counts(tm, tc, t1, t2, orders), diag
+                _accel.chain_exceed_counts(*_bins(tm, tc, t1, t2), t1.size), diag
             )
-            # with the sorted values handed in too, nothing is sorted or
-            # gathered again and the counts stay the same
-            sorted_axes = (tm[orders[0]], tc[orders[1]])
-            np.testing.assert_array_equal(
-                _accel.pair_exceed_counts(tm, tc, t1, t2, orders, sorted_axes), want
-            )
-            np.testing.assert_array_equal(
-                _accel.chain_exceed_counts(tm, tc, t1, t2, orders, sorted_axes), diag
-            )
+            lead = np.minimum(*stable)
+            np.testing.assert_array_equal(_accel.chain_exceed_counts(*stable, t1.size), diag)
+            # the grid count leaves the bins as they were; the chain count
+            # takes its minimum in place, into the marginal bins
+            np.testing.assert_array_equal(stable[0], lead)
+            bins = _bins(tm, tc, t1, t2)
+            np.testing.assert_array_equal(_accel.pair_exceed_counts(*bins, *g), want)
+            np.testing.assert_array_equal(_accel.chain_exceed_counts(*bins, t1.size), diag)
+
+    def test_counts_past_int16_bins(self):
+        # threshold sets of 2^15 values or more widen the bins, so the grid
+        # and chain counts still equal the direct ones, here taken as
+        # products of the dominance indicators (exact in float32 at 200 pairs)
+        rng = np.random.default_rng(9)
+        values = np.arange(40_001.0)
+        tm = rng.choice(values, 200, replace=False)
+        tc = rng.choice(np.arange(299.0), 200)
+        # an observed 40 001 x 300 grid: every value of each axis, and 0
+        t1, t2 = values, np.arange(300.0)
+        i, j = _bins(tm, tc, t1, t2)
+        assert i.dtype == np.int32 and j.dtype == np.int16
+        above1 = (tm >= t1[:, None]).astype(np.float32)
+        above2 = (tc >= t2[:, None]).astype(np.float32)
+        np.testing.assert_array_equal(
+            _accel.pair_exceed_counts(i, j, t1.size, t2.size), above1 @ above2.T
+        )
+        # a 40 000-step chain over 40 000 distinct values on each axis
+        path = (np.arange(40_000.0), np.arange(40_000.0) + 0.5)
+        tm, tc = (rng.choice(p, 200, replace=False) for p in path)
+        i, j = _bins(tm, tc, *path)
+        assert i.dtype == j.dtype == np.int32
+        want = np.count_nonzero((tm >= path[0][:, None]) & (tc >= path[1][:, None]), axis=1)
+        np.testing.assert_array_equal(_accel.chain_exceed_counts(i, j, path[0].size), want)
 
 
 def _pin_cases():

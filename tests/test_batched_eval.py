@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdr2d import _accel, core, engine, samplers, stats
+from fdr2d import _accel, core, engine, glm, samplers, sim, stats
 from fdr2d._rng import substream
 
 CONTINUOUS_SAMPLERS = ("residual-perm", "residual-boot", "binned-perm")
@@ -276,6 +276,26 @@ def test_singular_observed_glm_design_is_refused_before_any_draw_or_fit(
         monkeypatch.setattr(module, name, spy)
     with pytest.raises(ValueError, match="^feature 0: singular design on observed data$"):
         engine.build_tensor(dataset, make_plan("residual-perm", b=12), make_spec(stat))
+    assert calls == []
+
+
+def test_design_the_first_irls_information_test_refuses_fails_before_any_draw(monkeypatch):
+    # x = z + 1e-7 noise passes the rank rule but not the Cholesky pivot
+    # test of IRLS iteration 1, which is 10^4 looser: making the evaluator
+    # runs that test on the observed [1, x, z], so no draw is made and no
+    # IRLS runs
+    config = sim.SimConfig(dgp=9, n=100, m=30, pi=0.2, l=1.0, reps=1, seed=0)
+    dataset, _ = sim.gen_dataset(config, np.random.default_rng(0))
+    dataset.x = dataset.z + 1e-7 * np.random.default_rng(1).normal(size=dataset.z.shape)
+    joint = np.column_stack([np.ones(dataset.n), dataset.z, dataset.x])
+    assert glm.Residualiser(joint).refusal is None
+    calls = []
+    for module, name in ((samplers, "draw_for_strategy"), (_accel, "glm_fit_many")):
+        real = getattr(module, name)
+        spy = lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(module, name, spy)
+    with pytest.raises(ValueError, match="^feature 0: singular design on observed data$"):
+        engine.build_tensor(dataset, make_plan("residual-perm", b=19), make_spec("glm:binomial"))
     assert calls == []
 
 

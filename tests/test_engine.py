@@ -415,6 +415,25 @@ class TestBuildTensor:
         assert tensor.sampler == "residual-perm"
         assert np.all(np.isfinite(tensor.pairs))
 
+    def test_statistics_are_two_contiguous_planes(self):
+        # build_tensor writes its rows into a (2, B+1, m) block, and a
+        # tensor made from a C-order (B+1, m, 2) array is put in that
+        # layout: each statistic's pooled values are one contiguous plane
+        ds = _tensor_dataset(4)
+        plan = engine.ResamplePlan(strategy="residual-perm", b_count=7, seed=11)
+        built = engine.build_tensor(ds, plan, engine.StatisticSpec(kind="rv"))
+        c_order = np.ascontiguousarray(built.pairs)
+        assert c_order.flags.c_contiguous and not built.pairs.flags.c_contiguous
+        made = core.StatTensor(pairs=c_order, zero_variance=built.zero_variance)
+        for tensor in (built, made):
+            assert tensor.planes.flags.c_contiguous
+            for k in (0, 1):
+                assert tensor.pairs[:, :, k].flags.c_contiguous
+            np.testing.assert_array_equal(tensor.pairs, c_order)
+        # a tensor of a tensor's pairs shares its planes
+        again = core.StatTensor(pairs=built.pairs, zero_variance=built.zero_variance)
+        assert again.planes.base is built.planes.base
+
     def test_deterministic_in_seed(self):
         ds = _tensor_dataset(3)
         spec = engine.StatisticSpec(kind="glm", family="gaussian")
@@ -690,7 +709,7 @@ class TestApplyMethods:
             for grid in ("observed", "quantile:1", "quantile:9", "quantile:100"):
                 for steps in (1, 3, distinct, distinct + 5, 100):
                     config = engine.ProcedureConfig(grid=grid, path_steps=steps)
-                    search = engine._SearchPass(tensor, config)
+                    search = engine._SearchPass(tensor, config, _TENSOR_METHODS)
                     want = reference.make_grid(tensor, grid)
                     for got in (search.grid, engine.make_grid(tensor, grid)):
                         assert got.construction == want.construction
@@ -729,7 +748,7 @@ class TestApplyMethods:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     want = reference.resolve_pi0(tensor, config)[0]
-                    got = engine._SearchPass(tensor, config).pi0
+                    got = engine._SearchPass(tensor, config, _TENSOR_METHODS).pi0
                     alone = want if lam == "auto" else engine.storey_pi0(tensor, lam)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), lam
                 assert np.float64(alone).tobytes() == np.float64(want).tobytes(), lam
@@ -756,12 +775,12 @@ class TestApplyMethods:
         odd = tensor([[1.0, 5.0, 6.0], [0.2, 2.0, 3.0], [0.4, 0.6, 4.0]])
         for t, want in ((even, 0.8), (odd, 0.75)):
             assert reference.resolve_pi0(t, config) == (want, 1.0)
-            assert engine._SearchPass(t, config).pi0 == want
+            assert engine._SearchPass(t, config, _TENSOR_METHODS).pi0 == want
         # no observed value at or below lambda: both warn and give 1
         none_below = tensor([[3.0, 4.0], [0.5, 1.0]])
         for pi0 in (
             lambda: reference.resolve_pi0(none_below, config)[0],
-            lambda: engine._SearchPass(none_below, config).pi0,
+            lambda: engine._SearchPass(none_below, config, _TENSOR_METHODS).pi0,
         ):
             with pytest.warns(UserWarning, match="no statistics at or below lambda"):
                 assert pi0() == 1.0
@@ -823,6 +842,42 @@ class TestApplyMethods:
                     engine.apply_methods(tensor, config, _TENSOR_METHODS)
                 assert [size for size in sizes if size >= pooled] == [pooled, pooled], (grid, pi0)
 
+    def test_c_order_and_two_plane_tensors_give_the_same_results(self):
+        # the two planes are read as flat views; a tensor whose pairs were
+        # replaced by a C-order array is read through copies of its axes.
+        # Every field of every result is the same bits
+        rng = np.random.default_rng(158)
+        for tensor in self._tensors() + [_random_tensor(rng) for _ in range(6)]:
+            c_order = dataclasses.replace(tensor)
+            c_order.pairs = np.ascontiguousarray(tensor.pairs)
+            assert c_order.pairs.flags.c_contiguous
+            for pi0, grid in ((None, "quantile:9"), ("auto", "observed"), (0.5, "quantile:100")):
+                config = engine.ProcedureConfig(q=0.3, pi0_lambda=pi0, grid=grid, path_steps=7)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    planes = engine.apply_methods(tensor, config, _TENSOR_METHODS)
+                    flat = engine.apply_methods(c_order, config, _TENSOR_METHODS)
+                for method in _TENSOR_METHODS:
+                    _assert_same(flat[method], planes[method])
+                    assert flat[method].pi0_lambda == planes[method].pi0_lambda
+
+    def test_search_memory_per_pooled_value(self):
+        # five methods on one tensor of N = 500 000 pooled pairs: each axis
+        # is sorted and binned in small integers in turn, so the search
+        # holds at most 32 bytes per pooled pair beyond the tensor
+        rng = np.random.default_rng(159)
+        tensor = core.StatTensor(
+            pairs=rng.gamma(2.0, size=(100, 5000, 2)), zero_variance=np.zeros(5000, bool)
+        )
+        config = engine.ProcedureConfig(q=0.1, pi0_lambda="auto")
+        tracemalloc.start()
+        try:
+            engine.apply_methods(tensor, config, _TENSOR_METHODS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 500_000
+
     def test_infeasible_level_gives_sentinels(self):
         tensor = core.StatTensor(pairs=np.ones((3, 5, 2)), zero_variance=np.zeros(5, bool))
         config = engine.ProcedureConfig(q=1e-9, grid="observed")
@@ -851,7 +906,7 @@ class TestApplyMethods:
                     t1=np.sort(rng.integers(0, 8, steps) / 2.5),
                     t2=np.sort(rng.integers(0, 8, steps) / 2.5),
                 )
-            counts_all, robs = engine._chain_counts(tensor, path, engine._pooled_axes(tensor))
+            counts_all, robs = engine._chain_counts(tensor, path)
             for pi0 in (None, 0.6):
                 mult = 1.0 if pi0 is None else pi0
                 crit = engine._fdp(counts_all, robs, b1, mult)

@@ -7,6 +7,7 @@ so the suite stays stable across platforms.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -294,13 +295,16 @@ class TestBhFromTensor:
         assert valid.all() and got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(rejected, engine.bh_procedure(want, 0.2))
         # a zero-variance feature scores 0 in the tensor, unfitted: p = 1
-        # exactly; the refit fits it and fails on separation
+        # exactly; the refit sets it aside too, with no warning, so the
+        # other features' fits and p-values stay the same bits
         dataset.y[:, 7] = 0.0
         tensor = engine.build_tensor(dataset, plan, config.statistic)
         got, rejected = engine.bh_rejections(dataset, config.statistic, 0.2, tensor)
         assert got[7] == 1.0
-        with pytest.warns(UserWarning, match="^1 model fits did not converge"):
-            refit = engine.bh_rejections(dataset, config.statistic, 0.2)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refit_p, refit = engine.bh_rejections(dataset, config.statistic, 0.2)
+        assert refit_p.tobytes() == got.tobytes()
         np.testing.assert_array_equal(rejected, refit)
 
 

@@ -543,12 +543,16 @@ class TestEvaluators:
         z = rng.normal(size=n)
         x = (rng.random(n) < 0.5).astype(float)
         y = (rng.random((n, m)) < 1 / (1 + np.exp(-(0.8 * x[:, None] - 0.3 * z[:, None])))).astype(float)
-        y[:, 3] = 1.0  # every fitted probability pinned at 1: separation
-        with pytest.warns(UserWarning, match="1 model fits did not converge"):
+        y[:, 3] = 1.0  # zero variance: set aside unfitted, p = 1, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stats.model_pvalues(y, x, z, "binomial")[3] == 1.0
+        y[:, 5] = x  # the exposure separates the response: a failed fit
+        with pytest.warns(UserWarning, match="^1 model fits did not converge"):
             pv = stats.model_pvalues(y, x, z, "binomial")
-        assert pv[3] == 1.0
+        assert pv[3] == 1.0 and pv[5] == 1.0
         design = np.column_stack([np.ones(n), x, z])
-        for j in set(range(m)) - {3}:
+        for j in set(range(m)) - {3, 5}:
             fit = reference.irls(design, y[:, j], "binomial")
             expected = 2.0 * norm.sf(abs(fit.coef[1]) / fit.se[1])
             np.testing.assert_allclose(pv[j], expected, rtol=1e-9)
