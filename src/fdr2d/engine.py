@@ -156,8 +156,10 @@ def build_tensor(dataset, plan, spec):
     before any later chunk is drawn; on resampled rows a failure becomes
     a zero pair, counted and reported once. Zero-variance features are
     set aside first: they keep (0, 0) in every row, the evaluator sees
-    only the varying ones, and with none of those no draw is made. Each
-    chunk's rows are written straight into the tensor's two planes.
+    only the varying ones, and with none of those no draw is made. The
+    evaluator writes each chunk's rows straight into the tensor's two
+    planes (its out= block); with features set aside it writes them into
+    one scratch block, reused by every chunk, which is then scattered.
     """
     _check_dataset(dataset, plan, spec)
     zv = core.zero_variance_mask(dataset.y)
@@ -178,7 +180,8 @@ def build_tensor(dataset, plan, spec):
     b = plan.b_count
     planes = np.zeros((2, b + 1, dataset.m))
     warn_total = 0
-    chunk = max(1, _CHUNK_CELLS // max(1, evaluator.draw_cells))
+    chunk = min(max(1, _CHUNK_CELLS // max(1, evaluator.draw_cells)), b + 1)
+    scratch = np.empty((2, chunk, scored.m)) if zv.any() else None
     for start in range(0, b + 1 if scored.m else 0, chunk):
         stop = min(start + chunk, b + 1)
         rows = [dataset.x] if start == 0 else []
@@ -186,10 +189,10 @@ def build_tensor(dataset, plan, spec):
             samplers.draw_for_strategy(plan.strategy, model, _rng.substream(plan.seed, draw))
             for draw in range(max(start, 1), stop)
         ]
-        tm, tc, bad = evaluator.pairs(np.stack(rows), observed=start == 0)
-        planes[0][start:stop, cols] = tm
-        planes[1][start:stop, cols] = tc
-        warn_total += bad
+        out = planes[:, start:stop] if scratch is None else scratch[:, : stop - start]
+        warn_total += evaluator.pairs(np.stack(rows), observed=start == 0, out=tuple(out))[2]
+        if scratch is not None:
+            planes[:, start:stop, cols] = out
     if warn_total:
         warnings.warn(
             f"{warn_total} statistic evaluations failed across {b + 1} draws; set to 0"
@@ -280,9 +283,38 @@ def _grid_of(axes, size):
 
 
 def _path_axis(ascending, steps):
-    # one axis of default_path from the ascending pooled values
+    """One axis of default_path from the ascending pooled values:
+    _inverted_cdf(_distinct(ascending), levels) without the distinct
+    copy. Runs of equal values are counted block by block, and run
+    starts located only inside the blocks that hold a wanted rank, so
+    nothing the size of the axis is made.
+    """
     levels = np.arange(1, steps + 1) / steps
-    return _inverted_cdf(_distinct(ascending), levels)
+    edges = range(0, ascending.size, _RUN_BLOCK)
+    counts = np.array([np.count_nonzero(_run_starts(ascending, lo)) for lo in edges])
+    ends = np.cumsum(counts)
+    rank = np.maximum(np.ceil(ends[-1] * levels - 1), 0).astype(np.intp)
+    block = np.searchsorted(ends, rank, side="right")
+    out = np.empty(steps)
+    for k in np.unique(block):
+        at = block == k
+        starts = np.flatnonzero(_run_starts(ascending, edges[k]))
+        out[at] = ascending[edges[k] + starts[rank[at] - (ends[k] - counts[k])]]
+    return out
+
+
+# values per block when _path_axis counts runs of equal values
+_RUN_BLOCK = 2**16
+
+
+def _run_starts(ascending, lo):
+    # which values of the block ascending[lo : lo + _RUN_BLOCK] start a
+    # run of equal values, the axis's first value always
+    block = ascending[lo : lo + _RUN_BLOCK]
+    new = np.empty(block.size, dtype=bool)
+    new[:1] = lo == 0 or block[0] != ascending[lo - 1]
+    np.not_equal(block[1:], block[:-1], out=new[1:])
+    return new
 
 
 def _half_median(ascending):

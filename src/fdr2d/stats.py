@@ -149,7 +149,7 @@ def _feature_basis_builder(values, count):
     return lambda v: sb.evaluate(np.asarray(v, dtype=float).ravel())
 
 
-def _linear_block_stack(fixed, block, ymat):
+def _linear_block_stack(fixed, block, ymat, out=None):
     """Least-squares share of an exposure block, per (draw, response column).
 
     The joint model is [C, block]: fixed is the glm.Residualiser of the
@@ -161,14 +161,15 @@ def _linear_block_stack(fixed, block, ymat):
     singular (D,): fixed refused, glm.rank_deficient of R against the raw
     block, or n <= kc + p. rss is ||r||^2 - qf, or ||r - QQ'r||^2 where
     the block leaves under _NEAR_PERFECT of r and the difference cancels.
-    A column C alone fits has qf = sigma2 = 0.
+    A column C alone fits has qf = sigma2 = 0. qf is written into out,
+    a (D, m) array, when one is given.
     """
     n, k = fixed.q.shape[0], fixed.q.shape[1] + block.shape[2]
     r_y = ymat - fixed.fitted(ymat)
     q, r = np.linalg.qr(block - fixed.fitted(block))
     singular = glm.rank_deficient(r, block) | (fixed.refusal is not None) | (n <= k)
     qty = np.swapaxes(q, 1, 2) @ r_y
-    qf = np.einsum("dpj,dpj->dj", qty, qty)
+    qf = np.einsum("dpj,dpj->dj", qty, qty, out=out)
     ryss = np.einsum("ij,ij->j", r_y, r_y)
     tol = glm._PERFECT_TOL * np.einsum("ij,ij->j", ymat, ymat)
     spanned = ryss <= tol
@@ -185,7 +186,7 @@ def _linear_block_stack(fixed, block, ymat):
     return qf, rss, singular
 
 
-def _glm_wald(xs, z, ymat, family, size, observed):
+def _glm_wald(xs, z, ymat, family, size, observed, out=None):
     """Wald statistics of x in the model [1, x, z] for every (draw,
     response column) pair: xs is the exposure stack (D, n, p), and z
     (n, kz) is shared by every draw, with no columns for the marginal
@@ -197,7 +198,8 @@ def _glm_wald(xs, z, ymat, family, size, observed):
     qf > 0 takes the zero-covariance rule of _accel.wald_block; a
     singular draw gets status 3 on every feature. Other families fit
     every pair in one _accel.glm_fit_many call. observed=True raises on
-    a singular fit in row 0, the observed exposure.
+    a singular fit in row 0, the observed exposure. stat is written into
+    out, a (D, m) array, when one is given.
     """
     code, size = glm.family_code(family, size)
     n, p = xs.shape[1:]
@@ -208,7 +210,7 @@ def _glm_wald(xs, z, ymat, family, size, observed):
 
     if code == _accel.GAUSSIAN:
         fixed = glm.Residualiser(np.column_stack([np.ones(n), z]))
-        qf, sigma2, singular = _linear_block_stack(fixed, xs, ymat)
+        qf, sigma2, singular = _linear_block_stack(fixed, xs, ymat, out)
         k = 1 + p + z.shape[1]
         perfect = np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])
         # qf / sigma2, its root for p = 1, capped, all written over qf,
@@ -226,12 +228,19 @@ def _glm_wald(xs, z, ymat, family, size, observed):
     else:
         coef, cov, status, _ = _accel.glm_fit_many(joint(xs), ymat, code, size, _MAX_ITER, _TOL)
         ok = status == 0
-        stat = np.zeros(status.shape)
+        stat = np.empty(status.shape) if out is None else out
+        stat[...] = 0.0
         stat[ok] = _accel.wald_block(coef[ok], cov[ok], p)
     if observed and np.any(status[0] == 3):
         j = int(np.argmax(status[0] == 3))
         raise ValueError(f"feature {j}: singular design on observed data")
     return stat, status
+
+
+def _rows(out, draws, m):
+    # the (marginal, conditional) row blocks a pairs call writes into:
+    # the two (draws, m) arrays of out, or two new ones
+    return out if out is not None else np.empty((2, draws, m))
 
 
 class _GlmEvaluator:
@@ -258,11 +267,12 @@ class _GlmEvaluator:
         self._z = dataset.z
         self._spec = spec
 
-    def pairs(self, xs, observed=False):
+    def pairs(self, xs, observed=False, out=None):
         # the conditional model [1, x, z], then the marginal [1, x]
+        tm, tc = _rows(out, xs.shape[0], self._y.shape[1])
         args = (self._y, self._spec.family, self._spec.size, observed)
-        tc, full_status = _glm_wald(xs, self._z, *args)
-        tm, red_status = _glm_wald(xs, self._z[:, :0], *args)
+        _, full_status = _glm_wald(xs, self._z, *args, out=tc)
+        _, red_status = _glm_wald(xs, self._z[:, :0], *args, out=tm)
         # a feature whose pair any failure zeroed counts once
         return tm, tc, int(np.count_nonzero(np.maximum(full_status, red_status)))
 
@@ -286,13 +296,14 @@ class _RvEvaluator:
         # the centered and residualised draw (2, n, p), or its products u'y (p, m)
         self.draw_cells = max(2 * dataset.n, dataset.m) * dataset.x.shape[1]
 
-    def pairs(self, xs, observed=False):
+    def pairs(self, xs, observed=False, out=None):
+        tm, tc = _rows(out, xs.shape[0], self._yc.shape[1])
         xc = xs - xs.mean(axis=1, keepdims=True)
         px = xs - self._dz.fitted(xs)
         # a centered or residualised draw the rank rule refuses is rounding noise
         e1, e2 = glm.rank_deficient(np.linalg.qr(np.stack([xc, px]), mode="r"), xs)
-        tm = _rv_many(xc, self._yc, self._ycss, e1)
-        tc = _rv_many(px, self._py, self._pyss, e2)
+        _rv_many(xc, self._yc, self._ycss, e1, tm)
+        _rv_many(px, self._py, self._pyss, e2, tc)
         if observed and e1[0]:
             raise ValueError("constant exposure on observed data")
         if observed and e2[0]:
@@ -301,23 +312,24 @@ class _RvEvaluator:
         return tm, tc, int(np.count_nonzero(e1 | e2)) * self._yc.shape[1]
 
 
-def _rv_many(u, ymat, ycss, empty):
+def _rv_many(u, ymat, ycss, empty, out):
     """RV coefficients of every draw's exposure block with every response.
 
     Univariate responses: tr(Svv^2) = (y'y)^2, so the RV ratio reduces
     to sum_a (u_a'y)^2 / (||U'U||_F y'y) per draw and feature. u is a
     stack (D, n, p), and u'y for every draw is one (D p, n) @ (n, m)
-    GEMM. Once the numerators are summed from those products, the
-    denominators are written over the first block of them, so a call
-    holds two (D, m) arrays and the products, not a third. A draw marked
-    empty scores 0 on every feature.
+    GEMM. The numerators are summed from those products into out, a
+    (D, m) array, the denominators are written over the first block of
+    the products, and the ratios over the numerators, so a call holds
+    the products and no (D, m) array of its own. A draw marked empty
+    scores 0 on every feature. Returns out.
     """
     nd, n, p = u.shape
     ut = np.swapaxes(u, 1, 2)
     uu = ut @ u
     unorm = np.sqrt(np.einsum("dab,dab->d", uu, uu))
     a = (ut.reshape(nd * p, n) @ ymat).reshape(nd, p, -1)
-    num = np.einsum("dpj,dpj->dj", a, a)
+    num = np.einsum("dpj,dpj->dj", a, a, out=out)
     den = np.multiply(np.where(empty, 0.0, unorm)[:, None], ycss, out=a[:, 0])
     return np.minimum(_ratio_or_zero(num, den), 1.0, out=num)
 
@@ -361,10 +373,14 @@ class _HsicEvaluator:
                 bad += 1
         return out, bad
 
-    def pairs(self, xs, observed=False):
-        # one (draws, n^2) @ (n^2, m) product per statistic
+    def pairs(self, xs, observed=False, out=None):
+        # one (draws, n^2) @ (n^2, m) product per statistic, into its rows
+        tm, tc = _rows(out, xs.shape[0], self._ky.shape[1])
         kx, bad = self._kernels(xs, observed)
-        tm, tc = np.maximum(kx @ np.swapaxes(self._ky, 1, 2) / xs.shape[1], 0.0)
+        for k, row in enumerate((tm, tc)):
+            np.matmul(kx[k], self._ky[k].T, out=row)
+            row /= xs.shape[1]
+            np.maximum(row, 0.0, out=row)
         # a degenerate draw scores 0 on every feature, each a failure
         return tm, tc, bad * self._ky.shape[1]
 
@@ -393,14 +409,16 @@ class _CategoricalEvaluator:
         # the draw (n,), or its rows of counts and statistics (m,)
         self.draw_cells = max(n, dataset.m)
 
-    def pairs(self, xs, observed=False):
+    def pairs(self, xs, observed=False, out=None):
         # the sums are integer counts, exact in any summation order, and
         # the rest is elementwise, so each draw's row is bit-identical to
         # scoring that draw alone. Four (D, m) buffers hold every row,
-        # each computed in place in the operation order of the scalar forms
+        # each computed in place in the operation order of the scalar forms;
+        # two are the rows: prod ends as tm, num as tc
         xv = xs[:, :, 0]
-        shape = (xv.shape[0], self._y.shape[1])
-        num, den, prod, part = np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape)
+        prod, num = _rows(out, xv.shape[0], self._y.shape[1])
+        num[...] = 0.0
+        den, part = np.zeros(num.shape), np.empty(num.shape)
         for idx, ys, cs in self._strata:
             nk = idx.size
             xk = xv[:, idx]
@@ -446,28 +464,34 @@ class _BasisWaldEvaluator:
         # and its products Q'r (_BASIS_DF, m)
         self.draw_cells = max(dataset.n, dataset.m) * _BASIS_DF
 
-    def pairs(self, xs, observed=False):
+    def pairs(self, xs, observed=False, out=None):
+        tm, tc = _rows(out, xs.shape[0], self._y.shape[1])
         bx = np.stack([self._builder(xd[:, 0]) for xd in xs])
         # both statistics share the residual variance of the joint model
-        # [dz, bx]; the marginal one is the share of bx alone
-        qf_c, sigma2, bad = _linear_block_stack(self._dz, bx, self._y)
-        qf_m, _, bad_m = _linear_block_stack(self._no_columns, bx, self._y)
+        # [dz, bx]; the marginal one is the share of bx alone. Each share
+        # is summed into its row and the statistic made there
+        _, sigma2, bad = _linear_block_stack(self._dz, bx, self._y, tc)
+        _, _, bad_m = _linear_block_stack(self._no_columns, bx, self._y, tm)
         bad |= bad_m
         if observed and bad[0]:
             raise ValueError("singular basis-wald design on observed data")
-        tm = _qf_stat_many(qf_m, sigma2, self._yss)
-        tc = _qf_stat_many(qf_c, sigma2, self._yss)
+        _qf_stat_many(tm, sigma2, self._yss)
+        _qf_stat_many(tc, sigma2, self._yss)
         tm[bad] = tc[bad] = 0.0
         # every feature of a singular draw is one failure
         return tm, tc, int(np.count_nonzero(bad)) * self._y.shape[1]
 
 
 def _qf_stat_many(qf, sigma2, yss):
+    # qf / sigma2 clipped to [0, STAT_CAP], written over qf; where sigma2
+    # is not positive, 0 for a negligible qf and STAT_CAP for another
     cap = _accel.STAT_CAP
-    degen = np.where(qf <= 1e-16 * np.maximum(yss, 1.0), 0.0, cap)
+    flat = ~(sigma2 > 0.0)
+    small = qf <= 1e-16 * np.maximum(yss, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(sigma2 > 0.0, np.minimum(np.maximum(qf / sigma2, 0.0), cap), degen)
-    return out
+        np.divide(qf, sigma2, out=qf)
+        np.minimum(np.maximum(qf, 0.0, out=qf), cap, out=qf)
+    qf[flat] = np.where(small[flat], 0.0, cap)
 
 
 # every statistic, by the kind that names it: the one place a statistic
@@ -539,13 +563,23 @@ def make_evaluator(dataset, spec):
     """The evaluator of spec's statistic for one dataset, batched over draws.
 
     The returned object computes (marginal, conditional, failed) via
-    .pairs(xs, observed=...). xs is a stack (D, n, p) of exposures;
-    marginal and conditional are (D, m), and failed is the number of
-    (draw, feature) pairs a failure set to 0, an int. Each draw's row
-    equals what .pairs gives for that draw alone. .draw_cells is the
-    number of cells in the largest array .pairs makes per draw (for the
-    gaussian GLM and basis-wald, the block's Q and Q'r: no joint design
-    is built), which sizes the stacks.
+    .pairs(xs, observed=False, out=None). xs is a stack (D, n, p) of
+    exposures; marginal and conditional are (D, m), and failed is the
+    number of (draw, feature) pairs a failure set to 0, an int. Each
+    draw's row equals what .pairs gives for that draw alone. .draw_cells
+    is the number of cells in the largest array .pairs makes per draw
+    (for the gaussian GLM and basis-wald, the block's Q and Q'r: no
+    joint design is built), which sizes the stacks.
+
+    out follows numpy's out= idiom: two writable (D, m) float64 arrays,
+    such as the tensor plane rows planes[k][start:stop] that build_tensor
+    hands over. .pairs then computes the marginal rows in out[0] and the
+    conditional rows in out[1], writing every cell of them and nothing
+    else, so no row block is made only to be copied, and returns those
+    two arrays as marginal and conditional, with the bits of a call
+    without out (which makes two new arrays). Scratch space, such as the
+    IRLS working arrays or the categorical sums, stays the evaluator's.
+
     observed=True marks row 0 as the observed exposure (build_tensor
     stacks it ahead of its first draws): a failure in that row raises, so
     a broken fit on the real data aborts instead of producing a zero

@@ -121,9 +121,9 @@ def _counting_evaluators(monkeypatch):
         evaluator = real(*args, **kwargs)
         pairs = evaluator.pairs
 
-        def counted(x, observed=False):
+        def counted(x, observed=False, out=None):
             shapes.append(np.shape(x))
-            return pairs(x, observed=observed)
+            return pairs(x, observed=observed, out=out)
 
         evaluator.pairs = counted
         return evaluator
@@ -166,6 +166,81 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
     np.testing.assert_array_equal(tensor.zero_variance, ~keep)
     assert_close_rows(tensor.pairs, want, bitwise=stat == "categorical")
     assert _reported_failures(caught) == failed
+
+
+# what an out= block holds before pairs writes it: no statistic is negative
+_SENTINEL = -7.25
+
+
+@pytest.mark.parametrize("stat,sampler,p", _cases(), ids=lambda v: str(v))
+def test_pairs_writes_its_rows_into_out(stat, sampler, p):
+    # out= gives pairs two (D, m) blocks, here rows 1..D of two sentinel
+    # planes as build_tensor hands it rows start..stop of the tensor's:
+    # pairs writes every cell of the blocks and nothing else, returns
+    # the given arrays, and writes the bits it returns without out
+    dataset = make_dataset(stat, sampler, p, constant_last=False)
+    evaluator = stats.make_evaluator(dataset, make_spec(stat))
+    xs = np.concatenate([dataset.x[None], _stack(dataset, 5)])
+    planes = np.full((2, xs.shape[0] + 2, dataset.m), _SENTINEL)
+    out = tuple(planes[:, 1:-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tm, tc, failed = evaluator.pairs(xs, observed=True, out=out)
+        want = evaluator.pairs(xs, observed=True)
+    assert tm is out[0] and tc is out[1]
+    assert np.all(planes[:, [0, -1]] == _SENTINEL)
+    assert tm.tobytes() == want[0].tobytes() and tc.tobytes() == want[1].tobytes()
+    assert failed == want[2]
+
+
+def test_set_aside_features_are_scored_into_one_scratch_block(monkeypatch):
+    # with a zero-variance feature set aside, every chunk is written into
+    # the leading rows of one reused (2, chunk, varying m) block and
+    # scattered; without one, into views of the tensor's own planes.
+    # Each call's rows are the bits of the same call without out
+    calls = []
+    real = stats.make_evaluator
+
+    def make_evaluator(*args, **kwargs):
+        evaluator = real(*args, **kwargs)
+        pairs = evaluator.pairs
+
+        def spied(xs, observed=False, out=None):
+            block = out[0].base
+            before = block.copy()
+            for given in out:
+                given[...] = _SENTINEL
+            got = pairs(xs, observed=observed, out=out)
+            want = pairs(xs, observed=observed)
+            assert got[0] is out[0] and got[1] is out[1]
+            for k in (0, 1):
+                assert got[k].tobytes() == want[k].tobytes()
+            calls.append((block, before, xs.shape[0]))
+            return got
+
+        evaluator.pairs = spied
+        return evaluator
+
+    monkeypatch.setattr(stats, "make_evaluator", make_evaluator)
+    for constant_last in (True, False):
+        dataset = make_dataset("rv", "residual-perm", 1, constant_last=constant_last)
+        varying, keep = _varying(dataset)
+        cells = stats.make_evaluator(varying, make_spec("rv")).draw_cells
+        monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * cells)
+        calls.clear()
+        tensor = engine.build_tensor(dataset, make_plan("residual-perm", b=12), make_spec("rv"))
+        assert [d for _, _, d in calls] == [5, 5, 3]
+        if constant_last:
+            block, before, _ = calls[-1]
+            assert block.shape == (2, 5, varying.m)
+            assert all(b is block for b, _, _ in calls)
+            # the partial last chunk leaves the block's other rows alone
+            assert np.array_equal(block[:, 3:], before[:, 3:])
+            assert not np.shares_memory(block, tensor.planes)
+        else:
+            assert all(b is tensor.planes.base for b, _, _ in calls)
+        assert not np.any(tensor.planes == _SENTINEL)
+        assert np.all(tensor.planes[:, :, ~keep] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -429,6 +504,19 @@ def test_build_tensor_memory_is_tensor_plus_one_chunk(monkeypatch):
 def test_build_tensor_memory_is_tensor_plus_one_chunk_per_stat(monkeypatch, stat, n, m):
     # hsic at n >> m makes two n x n kernels per draw, far more than n m
     _assert_tensor_plus_one_chunk(monkeypatch, stat, n, m)
+
+
+def test_default_rv_replication_tensor_memory():
+    # the tensor of one default rv simulate replication (dgp 3, n = 100,
+    # m = 1000, B = 100, one chunk): the evaluator writes its rows into
+    # the 1.6 MB planes, so the build holds those, the evaluator's two
+    # (n, m) responses and the chunk's (D, m) products, with no row block
+    # copied beside them. A first build warms lazy imports
+    config = sim.SimConfig(dgp=3, n=100, m=1000, pi=0.1, l=1.0, reps=1, seed=1)
+    dataset, _ = sim.gen_dataset(config, np.random.default_rng(1))
+    plan = dataclasses.replace(config.sampler, seed=1)
+    engine.build_tensor(dataset, plan, config.statistic)
+    assert _peak_bytes(engine.build_tensor, dataset, plan, config.statistic) <= 5.0e6
 
 
 def _stack(dataset, draws, seed=2):

@@ -863,8 +863,10 @@ class TestApplyMethods:
 
     def test_search_memory_per_pooled_value(self):
         # five methods on one tensor of N = 500 000 pooled pairs: each axis
-        # is sorted and binned in small integers in turn, so the search
-        # holds at most 32 bytes per pooled pair beyond the tensor
+        # is sorted and binned in small integers in turn, and the path
+        # reads its distinct-value quantiles off the sorted axis without
+        # copying them out, so the search holds at most 27 bytes per
+        # pooled pair beyond the tensor
         rng = np.random.default_rng(159)
         tensor = core.StatTensor(
             pairs=rng.gamma(2.0, size=(100, 5000, 2)), zero_variance=np.zeros(5000, bool)
@@ -876,7 +878,7 @@ class TestApplyMethods:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 500_000
+        assert peak <= 27 * 500_000
 
     def test_infeasible_level_gives_sentinels(self):
         tensor = core.StatTensor(pairs=np.ones((3, 5, 2)), zero_variance=np.zeros(5, bool))
