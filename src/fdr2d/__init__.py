@@ -19,14 +19,10 @@ from .engine import (
     bh_procedure,
     build_tensor,
     default_path,
-    exchangeable_path,
     fbar,
     fdp_tilde,
-    fwer_cutoff,
     grid_surface,
     make_grid,
-    one_dim_cutoff,
-    optimal_cutoff,
     ordered_grid_procedure,
     storey_pi0,
 )
@@ -63,18 +59,14 @@ __all__ = [
     "bh_procedure",
     "build_tensor",
     "default_path",
-    "exchangeable_path",
     "fbar",
     "fdp_tilde",
-    "fwer_cutoff",
     "gen_dataset",
     "gen_signals",
     "grid_surface",
     "load_dataset",
     "load_matrix",
     "make_grid",
-    "one_dim_cutoff",
-    "optimal_cutoff",
     "ordered_grid_procedure",
     "preprocess_counts",
     "run_experiment",

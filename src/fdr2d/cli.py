@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import engine, io, preprocess, sim, stats
+from . import engine, io, preprocess, samplers, sim, stats
 
 # namespace entries that are not settings of a run: a config file may
 # not hold them and result.json does not echo them
@@ -32,11 +32,7 @@ def _add_run_flags(p, stat, sampler, data):
         p.add_argument("--z", help="confounder matrix file")
     kinds = ("glm:<family>" if kind == "glm" else kind for kind in stats._EVALUATORS)
     p.add_argument("--stat", default=stat, help="|".join(kinds))
-    p.add_argument(
-        "--sampler",
-        default=sampler,
-        help="residual-perm|residual-boot|parametric-logistic|binned-perm",
-    )
+    p.add_argument("--sampler", default=sampler, help="|".join(samplers._SAMPLERS))
     p.add_argument("--b", type=int, default=100, help="number of resampling draws")
     p.add_argument("--q", type=float, default=engine.ProcedureConfig.q, help="target error level")
     p.add_argument("--method", default=engine.ProcedureConfig.method, help="|".join(engine.METHODS))
@@ -212,23 +208,22 @@ def _bin_edges(raw):
     return edges
 
 
+def _needs_bins(cfg):
+    sampler = samplers._SAMPLERS.get(cfg["sampler"])
+    return sampler is not None and sampler.binned
+
+
 def _plan_from(cfg, dataset=None):
-    edges = None
-    column = None
-    if cfg["sampler"] == "binned-perm":
-        if not cfg["bin_edges"]:
-            raise ValueError("binned-perm sampler needs --bin-edges")
-        edges = _bin_edges(cfg["bin_edges"])
+    # a sampler that needs bins reads --bin-col and --bin-edges, and
+    # ResamplePlan refuses it without them
+    bins = {}
+    if _needs_bins(cfg) and cfg["bin_edges"]:
         column = int(cfg["bin_col"])
         if dataset is not None and not 0 <= column < dataset.d:
             raise ValueError(f"bin-col {column} out of range for {dataset.d} confounders")
+        bins = {"bin_column": column, "bin_edges": _bin_edges(cfg["bin_edges"])}
     return engine.ResamplePlan(
-        cfg["sampler"],
-        b_count=cfg["b"],
-        seed=cfg["seed"],
-        spline_df=cfg["spline_df"],
-        bin_column=column,
-        bin_edges=edges,
+        cfg["sampler"], b_count=cfg["b"], seed=cfg["seed"], spline_df=cfg["spline_df"], **bins
     )
 
 
@@ -352,8 +347,8 @@ def _floats(raw):
 def _cmd_simulate(cfg):
     methods = [m.strip() for m in str(cfg["method"]).split(",")]
     _check_settings(cfg)
-    if cfg["sampler"] == "binned-perm":
-        raise ValueError("simulate cannot use the binned-perm sampler: it takes no bin edges")
+    if _needs_bins(cfg):
+        raise ValueError(f"simulate cannot use the {cfg['sampler']} sampler: it takes no bin edges")
     if cfg["spline_df"] is not None and not (cfg["stat"] or cfg["sampler"]):
         # each dgp's default statistic and sampler carry their own spline df
         raise ValueError("--spline-df needs --stat or --sampler in simulate")

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _accel, _rng, core, samplers, stats
+from . import _accel, core, samplers, stats
 from .core import CutoffResult
 from .stats import StatisticSpec  # noqa: F401 - engine.StatisticSpec stays importable
 
@@ -53,10 +53,12 @@ class ResamplePlan:
     bin_edges: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.strategy not in samplers.STRATEGIES:
-            raise ValueError(
-                f"unknown sampler strategy {self.strategy!r}; expected one of {samplers.STRATEGIES}"
-            )
+        sampler = samplers._SAMPLERS.get(self.strategy)
+        if sampler is None:
+            expected = tuple(samplers._SAMPLERS)
+            raise ValueError(f"unknown sampler strategy {self.strategy!r}; expected one of {expected}")
+        if sampler.binned and (self.bin_column is None or self.bin_edges is None):
+            raise ValueError(f"{self.strategy} needs bin_column and bin_edges")
         if self.b_count < 1:
             raise ValueError("b_count must be at least 1")
 
@@ -124,12 +126,10 @@ class MonotonePath:
 def _check_compat(kinds, plan, spec):
     # kinds: the data's (x_kind, y_kind, z_kinds); plan None when no
     # draws are made, so no sampler is checked
-    x_kind = kinds[0]
-    if plan is not None and plan.strategy == "parametric-logistic":
-        if x_kind != "binary":
-            raise ValueError("parametric-logistic sampler needs a binary exposure")
-    elif plan is not None and x_kind != "continuous":
-        raise ValueError(f"{plan.strategy} sampler needs a continuous exposure")
+    if plan is not None:
+        exposure = samplers._SAMPLERS[plan.strategy].exposure
+        if kinds[0] != exposure:
+            raise ValueError(f"{plan.strategy} sampler needs a {exposure} exposure")
     spec.check_kinds(*kinds)
 
 
@@ -147,22 +147,25 @@ def build_tensor(dataset, plan, spec):
 
     Row 0 is the observed data; rows 1..B use draws from the plan's
     conditional sampler, each made on its own deterministic substream of
-    the plan seed. The rows are scored in chunks: each chunk's exposures
-    are stacked and go to the evaluator in one call, and a chunk holds
-    _CHUNK_CELLS // draw_cells rows (at least one), so working memory
-    stays bounded as m, n and B grow. The first chunk stacks the
-    observed exposure ahead of its draws and is scored with
+    the plan seed. The rows are scored in chunks: each chunk's draws come
+    from the sampler as one stack and go to the evaluator in one call,
+    and a chunk holds _CHUNK_CELLS // draw_cells rows (at least one), so
+    working memory stays bounded as m, n and B grow. The first chunk
+    stacks the observed exposure ahead of its draws and is scored with
     observed=True, so a statistic failure on the observed data aborts
     before any later chunk is drawn; on resampled rows a failure becomes
-    a zero pair, counted and reported once. Zero-variance features are
-    set aside first: they keep (0, 0) in every row, the evaluator sees
-    only the varying ones, and with none of those no draw is made. The
-    evaluator writes each chunk's rows straight into the tensor's two
-    planes (its out= block); with features set aside it writes them into
-    one scratch block, reused by every chunk, which is then scattered.
+    a zero pair, counted and reported once. Features the statistic
+    cannot score (StatisticSpec.unscorable: zero-variance ones, and for
+    hsic those with a degenerate kernel) are set aside first as the
+    tensor's zero_variance mask: they keep (0, 0) in every row, the
+    evaluator sees only the others, and with none of those no draw is
+    made. The evaluator writes each chunk's rows straight into the
+    tensor's two planes (its out= block); with features set aside it
+    writes them into one scratch block, reused by every chunk, which is
+    then scattered.
     """
     _check_dataset(dataset, plan, spec)
-    zv = core.zero_variance_mask(dataset.y)
+    zv = spec.unscorable(dataset.y)
     scored, cols = dataset, slice(None)
     if zv.any():
         cols = np.flatnonzero(~zv)
@@ -184,13 +187,11 @@ def build_tensor(dataset, plan, spec):
     scratch = np.empty((2, chunk, scored.m)) if zv.any() else None
     for start in range(0, b + 1 if scored.m else 0, chunk):
         stop = min(start + chunk, b + 1)
-        rows = [dataset.x] if start == 0 else []
-        rows += [
-            samplers.draw_for_strategy(plan.strategy, model, _rng.substream(plan.seed, draw))
-            for draw in range(max(start, 1), stop)
-        ]
+        xs = samplers.draw_for_strategy(plan.strategy, model, plan.seed, range(max(start, 1), stop))
+        if start == 0:
+            xs = np.concatenate([dataset.x[None], xs])
         out = planes[:, start:stop] if scratch is None else scratch[:, : stop - start]
-        warn_total += evaluator.pairs(np.stack(rows), observed=start == 0, out=tuple(out))[2]
+        warn_total += evaluator.pairs(xs, observed=start == 0, out=tuple(out))[2]
         if scratch is not None:
             planes[:, start:stop, cols] = out
     if warn_total:
@@ -489,31 +490,10 @@ def _first_feasible(tensor, path, counts_all, robs, q, pi0):
     return CutoffResult(t1, t2, _rejected(tensor, t1, t2), float(crit[s]), mult)
 
 
-def optimal_cutoff(tensor, config):
-    """Threshold pair maximizing rejections subject to fdp_tilde <= q."""
-    return apply_methods(tensor, config, ["mf2d-fdr"])["mf2d-fdr"]
-
-
-def fwer_cutoff(tensor, config):
-    """As optimal_cutoff but constraining the summed dominance fraction."""
-    return apply_methods(tensor, config, ["mf2d-fwer"])["mf2d-fwer"]
-
-
-def one_dim_cutoff(tensor, config):
-    """optimal_cutoff restricted to t1 = 0: conditional axis only."""
-    return apply_methods(tensor, config, ["mf1d"])["mf1d"]
-
-
-def exchangeable_path(tensor, path, q):
-    """First point on a monotone path where the pooled-count FDP bound
-    drops to q; rejections happen there. No pi0 correction: the plain
-    ratio is what carries the finite-sample guarantee.
-    """
-    return ordered_grid_procedure(tensor, path, q)
-
-
 def ordered_grid_procedure(tensor, path, q, pi0=None):
-    """Smallest chain index whose fdp_tilde is at most q."""
+    """Smallest chain index whose fdp_tilde is at most q. Without pi0
+    this is the exchangeable-path rule: the plain pooled-count ratio is
+    what carries the finite-sample guarantee."""
     return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, pi0)
 
 

@@ -1,38 +1,34 @@
 """Resampling the exposure from its fitted conditional law given confounders.
 
-Each sampler is a fit function producing a ConditionalModel plus a draw
-function consuming it. Fits happen once per analysis; draws are cheap
-and never refit anything, so draw b depends only on the model and the
-generator handed in.
+_SAMPLERS is the one place a sampler is declared: each row holds the
+strategy's fit, its draw, the exposure kind it takes and whether it
+needs bins. A fit happens once per analysis and returns the strategy's
+own small model. Draws never refit anything and come as a stack
+(D, n, p): draw d consumes exactly the generator _rng.substream(seed, d),
+so it depends only on the model, the seed and d, never on the other
+draws stacked with it. The three residual samplers share one draw, the
+fitted mean plus residual rows; they differ only in the rule that picks
+each draw's rows.
 """
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from . import _accel, glm
+from . import _accel, _rng, glm
 from .core import _as_matrix
 
-STRATEGIES = ("residual-perm", "residual-boot", "parametric-logistic", "binned-perm")
+
+# each fit's own model: x given z as its fitted mean plus residuals, each
+# (n, p), with each row's bin label for the per-bin fits; or a binary x
+# as one success probability per row
+ResidualModel = namedtuple("ResidualModel", "fitted_mean residuals")
+BinnedResidualModel = namedtuple("BinnedResidualModel", "fitted_mean residuals bins")
+LogisticModel = namedtuple("LogisticModel", "success_prob")
 
 
-@dataclass
-class ConditionalModel:
-    """Fitted representation of x given z, ready to draw from.
-
-    Residual models carry fitted_mean + residuals, the logistic model
-    carries success_prob, and the binned model additionally carries
-    per-row bin labels.
-    """
-
-    fitted_mean: np.ndarray = None
-    residuals: np.ndarray = None
-    success_prob: np.ndarray = None
-    bins: np.ndarray = None
-
-
-def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
+def fit_residual_linear(x, z, spline_df=None, z_kinds=None, **_):
     """Regress x on [1, z] (optionally spline-expanded) and keep residuals.
 
     The coefficient estimate is frozen here; draws recombine the fitted
@@ -46,23 +42,10 @@ def fit_residual_linear(x, z, spline_df=None, z_kinds=None):
     if fixed.refusal:
         raise ValueError(fixed.refusal)
     fitted = fixed.fitted(x)
-    return ConditionalModel(fitted_mean=fitted, residuals=x - fitted)
+    return ResidualModel(fitted, x - fitted)
 
 
-def draw_residual_permutation(model, rng):
-    """Fitted mean plus residual rows permuted as units."""
-    perm = rng.permutation(model.fitted_mean.shape[0])
-    return model.fitted_mean + model.residuals[perm]
-
-
-def draw_residual_bootstrap(model, rng):
-    """Fitted mean plus residual rows resampled with replacement."""
-    n = model.fitted_mean.shape[0]
-    idx = rng.integers(0, n, size=n)
-    return model.fitted_mean + model.residuals[idx]
-
-
-def fit_parametric_logistic(x, z):
+def fit_parametric_logistic(x, z, **_):
     """Logistic regression of a binary exposure on [1, z].
 
     Success probabilities are clamped to [1e-8, 1 - 1e-8]. Complete
@@ -90,12 +73,7 @@ def fit_parametric_logistic(x, z):
         warnings.warn("logistic exposure model did not converge; using last iterate")
     eta = design @ coef[0]
     prob = np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-8, 1.0 - 1e-8)
-    return ConditionalModel(success_prob=prob)
-
-
-def draw_parametric_bernoulli(model, rng):
-    """Independent Bernoulli draws at the fitted success probabilities."""
-    return (rng.random(model.success_prob.shape[0]) < model.success_prob).astype(float)
+    return LogisticModel(prob)
 
 
 def bin_labels(values, bin_edges):
@@ -108,7 +86,7 @@ def bin_labels(values, bin_edges):
     return np.digitize(np.asarray(values, dtype=float), edges, right=True)
 
 
-def fit_binned_residual(x, z, bin_column, bin_edges):
+def fit_binned_residual(x, z, bin_column, bin_edges, **_):
     """Per-bin regressions of x on [1, z]; residuals stay bin-local.
 
     Bins are cut on one z column; each bin gets its own least-squares
@@ -129,41 +107,76 @@ def fit_binned_residual(x, z, bin_column, bin_edges):
             raise ValueError(
                 f"bin {b} holds {idx.size} rows; need more than {d + 1} to fit"
             )
-        model = fit_residual_linear(x[idx], z[idx])
-        fitted[idx], resid[idx] = model.fitted_mean, model.residuals
-    return ConditionalModel(fitted_mean=fitted, residuals=resid, bins=labels)
+        fitted[idx], resid[idx] = fit_residual_linear(x[idx], z[idx])
+    return BinnedResidualModel(fitted, resid, labels)
 
 
-def draw_binned_permutation(model, rng):
-    """Fitted mean plus residual rows permuted within each bin."""
-    out = model.fitted_mean.copy()
+def _residual_draw(rows):
+    """The draw of a residual sampler whose rule rows(model, rng) picks
+    one draw's n residual rows: the fitted mean plus the picked rows."""
+
+    def draw(model, rngs):
+        n = model.residuals.shape[0]
+        picks = np.array([rows(model, rng) for rng in rngs], dtype=np.intp).reshape(-1, n)
+        return model.fitted_mean + model.residuals[picks]
+
+    return draw
+
+
+def _permuted(model, rng):
+    # residual rows permuted as units
+    return rng.permutation(model.residuals.shape[0])
+
+
+def _resampled(model, rng):
+    # residual rows resampled with replacement
+    n = model.residuals.shape[0]
+    return rng.integers(0, n, size=n)
+
+
+def _permuted_within_bins(model, rng):
+    # residual rows permuted within each bin, bins in ascending order
+    rows = np.arange(model.bins.size)
     for b in np.unique(model.bins):
         idx = np.nonzero(model.bins == b)[0]
-        out[idx] += model.residuals[idx[rng.permutation(idx.size)]]
-    return out
+        rows[idx] = idx[rng.permutation(idx.size)]
+    return rows
+
+
+def _bernoulli_draw(model, rngs):
+    # independent Bernoulli draws at the fitted success probabilities
+    n = model.success_prob.size
+    uniform = np.array([rng.random(n) for rng in rngs]).reshape(-1, n)
+    return (uniform < model.success_prob).astype(float)[..., None]
+
+
+# one strategy: its fit(x, z, **settings) -> model, its draw(model, rngs)
+# -> (len(rngs), n, p), the exposure kind it takes, and whether it needs
+# ResamplePlan's bin_column and bin_edges
+_Sampler = namedtuple("_Sampler", "fit draw exposure binned")
+
+
+# every sampler, by the strategy token that names it
+_SAMPLERS = {
+    "residual-perm": _Sampler(fit_residual_linear, _residual_draw(_permuted), "continuous", False),
+    "residual-boot": _Sampler(fit_residual_linear, _residual_draw(_resampled), "continuous", False),
+    "parametric-logistic": _Sampler(fit_parametric_logistic, _bernoulli_draw, "binary", False),
+    "binned-perm": _Sampler(
+        fit_binned_residual, _residual_draw(_permuted_within_bins), "continuous", True
+    ),
+}
 
 
 def fit_for_strategy(strategy, x, z, spline_df=None, z_kinds=None, bin_column=None, bin_edges=None):
-    """Fit the conditional model named by a ResamplePlan strategy token."""
-    if strategy in ("residual-perm", "residual-boot"):
-        return fit_residual_linear(x, z, spline_df=spline_df, z_kinds=z_kinds)
-    if strategy == "parametric-logistic":
-        return fit_parametric_logistic(x, z)
-    if strategy == "binned-perm":
-        if bin_column is None or bin_edges is None:
-            raise ValueError("binned-perm needs bin_column and bin_edges")
-        return fit_binned_residual(x, z, bin_column, bin_edges)
-    raise ValueError(f"unknown sampler strategy {strategy!r}; expected one of {STRATEGIES}")
+    """The fitted model of a strategy (a key of _SAMPLERS). Each fit reads
+    its own settings: the residual fits spline_df and z_kinds, the binned
+    fit bin_column and bin_edges."""
+    return _SAMPLERS[strategy].fit(
+        x, z, spline_df=spline_df, z_kinds=z_kinds, bin_column=bin_column, bin_edges=bin_edges
+    )
 
 
-def draw_for_strategy(strategy, model, rng):
-    """Draw one exposure matrix (n, p) under the given strategy."""
-    if strategy == "residual-perm":
-        return draw_residual_permutation(model, rng)
-    if strategy == "residual-boot":
-        return draw_residual_bootstrap(model, rng)
-    if strategy == "parametric-logistic":
-        return draw_parametric_bernoulli(model, rng)[:, None]
-    if strategy == "binned-perm":
-        return draw_binned_permutation(model, rng)
-    raise ValueError(f"unknown sampler strategy {strategy!r}; expected one of {STRATEGIES}")
+def draw_for_strategy(strategy, model, seed, draws):
+    """The exposures of the given draw indices under a strategy, a stack
+    (D, n, p): draw d is made on _rng.substream(seed, d) alone."""
+    return _SAMPLERS[strategy].draw(model, [_rng.substream(seed, d) for d in draws])

@@ -41,36 +41,37 @@ _BASIS_DF = 5
 _NEAR_PERFECT = 1e-3
 
 
-@dataclass
-class KernelMatrix:
-    matrix: np.ndarray
-    bandwidth: float
+def _sq_distances(points):
+    """Squared pairwise distances (n, n) between the rows of points.
 
-
-def gaussian_kernel(points, bandwidth=None):
-    """Gaussian kernel matrix with the median-distance bandwidth.
-
-    Squared distances are accumulated column by column from explicit
-    differences; the expanded gram form loses precision near ties and
-    can go negative.
+    Accumulated column by column from explicit differences; the expanded
+    gram form loses precision near ties and can go negative.
     """
     pts = _as_matrix(points)
-    n = pts.shape[0]
-    if n < 2:
-        raise ValueError("kernel needs at least two rows")
-    d2 = np.zeros((n, n))
+    d2 = np.zeros((pts.shape[0], pts.shape[0]))
     for c in range(pts.shape[1]):
         diff = pts[:, c, None] - pts[None, :, c]
         d2 += diff * diff
+    return d2
+
+
+def _median_distance(d2):
+    # the median-heuristic bandwidth: the median pairwise distance
+    return float(np.median(np.sqrt(d2[np.triu_indices(d2.shape[0], 1)])))
+
+
+def gaussian_kernel(points, bandwidth=None):
+    """Gaussian kernel matrix, by default at the median-distance bandwidth."""
+    d2 = _sq_distances(points)
+    if d2.shape[0] < 2:
+        raise ValueError("kernel needs at least two rows")
     if bandwidth is None:
-        iu = np.triu_indices(n, 1)
-        bandwidth = float(np.median(np.sqrt(d2[iu])))
+        bandwidth = _median_distance(d2)
         if bandwidth <= 0.0:
             raise ValueError("degenerate bandwidth: median pairwise distance is zero")
     elif bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
-    k = np.exp(d2 / (-2.0 * bandwidth * bandwidth))
-    return KernelMatrix(matrix=k, bandwidth=float(bandwidth))
+    return np.exp(d2 / (-2.0 * bandwidth * bandwidth))
 
 
 def _center_kernel(k):
@@ -362,9 +363,9 @@ class _HsicEvaluator:
         bad = 0
         for i, v in enumerate(vs):
             try:
-                out[0, i] = _center_kernel(gaussian_kernel(v).matrix).ravel()
+                out[0, i] = _center_kernel(gaussian_kernel(v)).ravel()
                 vz = np.hstack([_standardize_columns(v), self._zstd])
-                kvz = _regularized(_center_kernel(gaussian_kernel(vz).matrix), self._eps)
+                kvz = _regularized(_center_kernel(gaussian_kernel(vz)), self._eps)
                 out[1, i] = kvz.ravel()
             except ValueError:
                 if observed and i == 0:
@@ -542,6 +543,16 @@ class StatisticSpec:
         if token.startswith("glm:"):
             return cls(kind="glm", family=token[4:], **overrides)
         return cls(kind=token, **overrides)
+
+    def unscorable(self, y):
+        """Mask of the outcome columns this statistic scores (0, 0)
+        whatever the exposure: zero-variance columns and, for hsic, those
+        with a degenerate kernel (a median pairwise distance of 0)."""
+        mask = zero_variance_mask(y)
+        if self.kind == "hsic":
+            for j in np.flatnonzero(~mask):
+                mask[j] = _median_distance(_sq_distances(y[:, j])) <= 0.0
+        return mask
 
     def check_kinds(self, x_kind, y_kind, z_kinds):
         """Refuse data kinds the statistic cannot take; rv takes any."""

@@ -5,8 +5,8 @@ the package computes batched, or from one shared sort, and stays an
 independent oracle: scalar dependence statistics of one feature,
 least-squares fits of one design (ols_many, ols), the IRLS of one
 response (irls) and fit_glm, which also fits gaussian responses, the
-n x n SVD projector onto a design's orthocomplement, the threshold grid
-and path from np.sort, the Storey lambda from np.median with its pooled
+n x n SVD projector onto a design's orthocomplement, each sampler's
+exposure draws one draw at a time, the threshold grid and path from np.sort, the Storey lambda from np.median with its pooled
 count, the search of one grid, and the estimated FDP and dominance
 counts counted point by point.
 """
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fdr2d import _accel, engine, glm, stats
+from fdr2d import _accel, _rng, engine, glm, stats
 from fdr2d.core import _as_matrix
 
 
@@ -43,8 +43,8 @@ def hsic(x, y, bandwidth_x=None, bandwidth_y=None):
     if _all_rows_equal(x) or _all_rows_equal(y):
         warnings.warn("constant input: dependence statistic set to 0")
         return 0.0
-    kx = stats._center_kernel(stats.gaussian_kernel(x, bandwidth_x).matrix)
-    ky = stats._center_kernel(stats.gaussian_kernel(y, bandwidth_y).matrix)
+    kx = stats._center_kernel(stats.gaussian_kernel(x, bandwidth_x))
+    ky = stats._center_kernel(stats.gaussian_kernel(y, bandwidth_y))
     return max(0.0, float(np.sum(kx * ky)) / x.shape[0])
 
 
@@ -67,8 +67,8 @@ def chsic(x, y, z, epsilon=0.001):
     if _all_rows_equal(xz) or _all_rows_equal(yz):
         warnings.warn("constant input: dependence statistic set to 0")
         return 0.0
-    kx = stats._regularized(stats._center_kernel(stats.gaussian_kernel(xz).matrix), epsilon)
-    ky = stats._regularized(stats._center_kernel(stats.gaussian_kernel(yz).matrix), epsilon)
+    kx = stats._regularized(stats._center_kernel(stats.gaussian_kernel(xz)), epsilon)
+    ky = stats._regularized(stats._center_kernel(stats.gaussian_kernel(yz)), epsilon)
     return max(0.0, float(np.sum(kx * ky)) / n)
 
 
@@ -395,6 +395,56 @@ def projection_complement(basis):
     u = u[:, keep]
     p = np.eye(n) - u @ u.T
     return (p + p.T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# exposure draws, one at a time
+
+
+def draw_residual_permutation(model, rng):
+    """Fitted mean plus residual rows permuted as units."""
+    perm = rng.permutation(model.fitted_mean.shape[0])
+    return model.fitted_mean + model.residuals[perm]
+
+
+def draw_residual_bootstrap(model, rng):
+    """Fitted mean plus residual rows resampled with replacement."""
+    n = model.fitted_mean.shape[0]
+    idx = rng.integers(0, n, size=n)
+    return model.fitted_mean + model.residuals[idx]
+
+
+def draw_parametric_bernoulli(model, rng):
+    """Independent Bernoulli draws at the fitted success probabilities."""
+    return (rng.random(model.success_prob.shape[0]) < model.success_prob).astype(float)
+
+
+def draw_binned_permutation(model, rng):
+    """Fitted mean plus residual rows permuted within each bin."""
+    out = model.fitted_mean.copy()
+    for b in np.unique(model.bins):
+        idx = np.nonzero(model.bins == b)[0]
+        out[idx] += model.residuals[idx[rng.permutation(idx.size)]]
+    return out
+
+
+def draw_for_strategy(strategy, model, rng):
+    """Draw one exposure matrix (n, p) under the given strategy."""
+    if strategy == "residual-perm":
+        return draw_residual_permutation(model, rng)
+    if strategy == "residual-boot":
+        return draw_residual_bootstrap(model, rng)
+    if strategy == "parametric-logistic":
+        return draw_parametric_bernoulli(model, rng)[:, None]
+    if strategy == "binned-perm":
+        return draw_binned_permutation(model, rng)
+    raise ValueError(f"unknown sampler strategy {strategy!r}")
+
+
+def draw_stack(strategy, model, seed, draws):
+    """samplers.draw_for_strategy one draw at a time: draw d on its own
+    substream(seed, d), the draws stacked afterwards."""
+    return np.stack([draw_for_strategy(strategy, model, _rng.substream(seed, d)) for d in draws])
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_criterion_2_finite_sample_control():
         pairs = np.abs(rng.standard_normal((20, 50, 2)))
         tensor = core.StatTensor(pairs, np.zeros(50, dtype=bool))
         path = engine.default_path(tensor, 25)
-        res = engine.exchangeable_path(tensor, path, q)
+        res = engine.ordered_grid_procedure(tensor, path, q)
         # fully null: every rejection is false
         fdp[rep] = 1.0 if res.n_rejected > 0 else 0.0
     fdr = float(fdp.mean())

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from fdr2d import _accel, core, engine, glm, samplers, sim, stats
-from fdr2d._rng import substream
 
 CONTINUOUS_SAMPLERS = ("residual-perm", "residual-boot", "binned-perm")
 
@@ -158,8 +157,8 @@ def test_tensor_row_is_evaluator_on_that_draw(monkeypatch, stat, sampler, p):
         (tm,), (tc,), failed = evaluator.pairs(dataset.x[None], observed=True)
         want[0, keep, 0], want[0, keep, 1] = tm, tc
         for d in range(1, plan.b_count + 1):
-            draw = samplers.draw_for_strategy(sampler, model, substream(plan.seed, d))
-            (tm,), (tc,), bad = evaluator.pairs(draw[None])
+            draw = samplers.draw_for_strategy(sampler, model, plan.seed, [d])
+            (tm,), (tc,), bad = evaluator.pairs(draw)
             assert tm.shape == tc.shape == (varying.m,)
             want[d, keep, 0], want[d, keep, 1] = tm, tc
             failed += bad
@@ -324,9 +323,9 @@ def test_observed_error_comes_before_a_second_chunk_is_drawn(monkeypatch, stat, 
     draws = []
     real = samplers.draw_for_strategy
 
-    def draw_for_strategy(strategy, model, rng):
-        draws.append(strategy)
-        return real(strategy, model, rng)
+    def draw_for_strategy(strategy, model, seed, indices):
+        draws.extend(indices)
+        return real(strategy, model, seed, indices)
 
     monkeypatch.setattr(samplers, "draw_for_strategy", draw_for_strategy)
     with pytest.raises(ValueError, match=error):

@@ -119,7 +119,7 @@ class TestSearchOracle:
         for _ in range(15):
             tensor = _random_tensor(rng)
             config = engine.ProcedureConfig(q=0.2, grid="observed")
-            got = engine.one_dim_cutoff(tensor, config)
+            got = engine.apply_methods(tensor, config, ["mf1d"])["mf1d"]
             grid = engine.make_grid(tensor, "observed")
             want = _brute_search(
                 tensor, np.zeros(1), grid.t2_values, 0.2, 1.0, "fdr"
@@ -136,8 +136,8 @@ class TestSearchOracle:
             tensor = _random_tensor(rng)
             config = engine.ProcedureConfig(q=0.1, grid="observed")
             assert (
-                engine.optimal_cutoff(tensor, config).n_rejected
-                >= engine.one_dim_cutoff(tensor, config).n_rejected
+                engine.apply_methods(tensor, config, ["mf2d-fdr"])["mf2d-fdr"].n_rejected
+                >= engine.apply_methods(tensor, config, ["mf1d"])["mf1d"].n_rejected
             )
 
     def test_fwer_never_beats_fdr(self):
@@ -146,8 +146,8 @@ class TestSearchOracle:
             tensor = _random_tensor(rng)
             config = engine.ProcedureConfig(q=0.1, grid="observed")
             assert (
-                engine.fwer_cutoff(tensor, config).n_rejected
-                <= engine.optimal_cutoff(tensor, config).n_rejected
+                engine.apply_methods(tensor, config, ["mf2d-fwer"])["mf2d-fwer"].n_rejected
+                <= engine.apply_methods(tensor, config, ["mf2d-fdr"])["mf2d-fdr"].n_rejected
             )
 
     def test_vacuous_level_rejects_everything(self):
@@ -155,14 +155,14 @@ class TestSearchOracle:
         pairs = rng.gamma(2.0, size=(5, 12, 2))  # strictly positive, no flags
         tensor = core.StatTensor(pairs=pairs, zero_variance=np.zeros(12, bool))
         config = engine.ProcedureConfig(q=1.0, grid="quantile:10")
-        res = engine.optimal_cutoff(tensor, config)
+        res = engine.apply_methods(tensor, config, ["mf2d-fdr"])["mf2d-fdr"]
         assert res.n_rejected == 12
 
     def test_infeasible_gives_sentinel(self):
         pairs = np.ones((3, 5, 2))
         tensor = core.StatTensor(pairs=pairs, zero_variance=np.zeros(5, bool))
         config = engine.ProcedureConfig(q=1e-9, grid="observed")
-        res = engine.optimal_cutoff(tensor, config)
+        res = engine.apply_methods(tensor, config, ["mf2d-fdr"])["mf2d-fdr"]
         assert np.isinf(res.t1) and np.isinf(res.t2)
         assert res.n_rejected == 0 and res.fdp_estimate == 0.0
 
@@ -170,7 +170,7 @@ class TestSearchOracle:
         rng = np.random.default_rng(107)
         tensor = _random_tensor(rng, m=10, b=3)
         config = engine.ProcedureConfig(q=1e-12, grid="observed")
-        assert engine.fwer_cutoff(tensor, config).n_rejected == 0
+        assert engine.apply_methods(tensor, config, ["mf2d-fwer"])["mf2d-fwer"].n_rejected == 0
 
 
 class TestEstimators:
@@ -310,7 +310,7 @@ class TestSequentialProcedures:
         rng = np.random.default_rng(140)
         tensor = _random_tensor(rng, m=10, b=4)
         path = engine.MonotonePath(t1=np.zeros(1), t2=np.zeros(1))
-        res = engine.exchangeable_path(tensor, path, q=0.5)
+        res = engine.ordered_grid_procedure(tensor, path, q=0.5)
         assert res.n_rejected == 0 and np.isinf(res.t1)
 
     def test_identical_points_idempotent(self):
@@ -318,8 +318,8 @@ class TestSequentialProcedures:
         tensor = _random_tensor(rng, m=12, b=5)
         one = engine.MonotonePath(t1=np.array([1.0]), t2=np.array([1.5]))
         many = engine.MonotonePath(t1=np.ones(7), t2=np.full(7, 1.5))
-        a = engine.exchangeable_path(tensor, one, q=0.4)
-        b = engine.exchangeable_path(tensor, many, q=0.4)
+        a = engine.ordered_grid_procedure(tensor, one, q=0.4)
+        b = engine.ordered_grid_procedure(tensor, many, q=0.4)
         assert a.t1 == b.t1 and a.t2 == b.t2
         np.testing.assert_array_equal(a.rejected, b.rejected)
 
@@ -329,7 +329,7 @@ class TestSequentialProcedures:
             tensor = _random_tensor(rng)
             path = engine.default_path(tensor, 15)
             q = 0.3
-            res = engine.exchangeable_path(tensor, path, q)
+            res = engine.ordered_grid_procedure(tensor, path, q)
             crits = [
                 reference.fdp_tilde(tensor, t1, t2) for t1, t2 in zip(path.t1, path.t2)
             ]
@@ -454,7 +454,9 @@ class TestBuildTensor:
         # (fitted_mean + residuals is x only to rounding, not bit for bit.)
         ds = _tensor_dataset(5)
         monkeypatch.setattr(
-            engine.samplers, "draw_for_strategy", lambda strategy, model, rng: ds.x.copy()
+            engine.samplers,
+            "draw_for_strategy",
+            lambda strategy, model, seed, draws: np.stack([ds.x for _ in draws]),
         )
         plan = engine.ResamplePlan("residual-perm", 3, seed=1)
         tensor = engine.build_tensor(
@@ -502,6 +504,23 @@ class TestBuildTensor:
         tensor, caught = self._warnings_of(ds, plan, engine.StatisticSpec(kind="hsic"))
         assert caught == [] and np.flatnonzero(tensor.zero_variance).tolist() == [2, 5]
         assert np.all(tensor.pairs[:, [0, 1, 3, 4, 6, 7], 0] > 0.0)
+
+    def test_hsic_degenerate_kernel_feature_is_set_aside(self):
+        # a varying feature with a median pairwise distance of 0 (0 in 55
+        # of 60 rows, 3x + 1 in the other 5) has no hsic kernel: it is
+        # flagged with the zero-variance features, scores (0, 0) in every
+        # row and never counts on the observed row, not even at (0, 0)
+        ds = _tensor_dataset(3)
+        ds.y[:, 6] = 0.0
+        ds.y[:5, 6] = 3.0 * ds.x[:5, 0] + 1.0
+        plan = engine.ResamplePlan("residual-perm", 19, seed=0)
+        tensor, caught = self._warnings_of(ds, plan, engine.StatisticSpec(kind="hsic"))
+        assert caught == [] and np.flatnonzero(tensor.zero_variance).tolist() == [6]
+        np.testing.assert_array_equal(tensor.pairs[:, 6], 0.0)
+        assert 6 not in engine._rejected(tensor, 0.0, 0.0)
+        grid = engine.make_grid(tensor)
+        assert grid.t1_values[0] == grid.t2_values[0] == 0.0
+        assert engine.grid_surface(tensor, grid)[1][0, 0] == ds.m - 1
 
     def test_separated_varying_feature_still_counts_as_failed(self):
         ds = self._binomial_dataset()
@@ -582,6 +601,18 @@ class TestConfigValidation:
             engine.ResamplePlan("teleport", 3, seed=0)
         with pytest.raises(ValueError, match="b_count"):
             engine.ResamplePlan("residual-perm", 0, seed=0)
+
+    def test_plan_names_every_sampler_and_refuses_missing_bins(self):
+        message = (
+            "unknown sampler strategy 'bogus'; expected one of ('residual-perm', "
+            "'residual-boot', 'parametric-logistic', 'binned-perm')"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            engine.ResamplePlan("bogus", 1, 0)
+        for bins in ({}, {"bin_column": 0}, {"bin_edges": np.array([0.0])}):
+            with pytest.raises(ValueError, match="^binned-perm needs bin_column and bin_edges$"):
+                engine.ResamplePlan("binned-perm", 1, 0, **bins)
+        engine.ResamplePlan("binned-perm", 1, 0, bin_column=0, bin_edges=np.array([0.0]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="q must"):

@@ -87,10 +87,9 @@ def check_sampler_multisets(cases=100, seed=2027):
         n = int(rng.integers(15, 40))
         z = rng.standard_normal((n, 1))
         x = 0.7 * z[:, 0] + rng.standard_normal(n)
-        draw_rng = _rng.substream(seed, i)
         if i % 3 == 0:
             model = samplers.fit_residual_linear(x, z)
-            xb = samplers.draw_residual_permutation(model, draw_rng)
+            (xb,) = samplers.draw_for_strategy("residual-perm", model, seed, [i])
             np.testing.assert_allclose(
                 np.sort((xb - model.fitted_mean).ravel()),
                 np.sort(model.residuals.ravel()),
@@ -99,7 +98,7 @@ def check_sampler_multisets(cases=100, seed=2027):
         elif i % 3 == 1:
             edges = np.array([0.0])  # two bins split at the z median area
             model = samplers.fit_binned_residual(x, z, 0, edges)
-            xb = samplers.draw_binned_permutation(model, draw_rng)
+            (xb,) = samplers.draw_for_strategy("binned-perm", model, seed, [i])
             for g in np.unique(model.bins):
                 sel = model.bins == g
                 np.testing.assert_allclose(
@@ -110,7 +109,7 @@ def check_sampler_multisets(cases=100, seed=2027):
         else:
             xb2 = (rng.random(n) < 1 / (1 + np.exp(-z[:, 0]))).astype(float)
             model = samplers.fit_parametric_logistic(xb2, z)
-            draw = samplers.draw_parametric_bernoulli(model, draw_rng)
+            draw = samplers.draw_for_strategy("parametric-logistic", model, seed, [i])
             assert set(np.unique(draw)) <= {0.0, 1.0}
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from fdr2d import _accel, glm, samplers
-from fdr2d._rng import substream
+from fdr2d import _accel, _rng, glm, samplers
 
 
 class _IdentityRng:
@@ -34,17 +33,17 @@ class TestResidualLinear:
         np.testing.assert_allclose(z.T @ model.residuals, 0.0, atol=1e-9)
         np.testing.assert_allclose(model.residuals.sum(axis=0), 0.0, atol=1e-9)
 
-    def test_identity_permutation_returns_original(self):
+    def test_identity_permutation_returns_original(self, monkeypatch):
         x, z = _toy()
         model = samplers.fit_residual_linear(x, z)
-        draw = samplers.draw_residual_permutation(model, _IdentityRng())
+        monkeypatch.setattr(_rng, "substream", lambda seed, d: _IdentityRng())
+        (draw,) = samplers.draw_for_strategy("residual-perm", model, 0, [1])
         np.testing.assert_allclose(draw, x, atol=1e-12)
 
     def test_permutation_multiset_invariant(self):
         x, z = _toy(n=25)
         model = samplers.fit_residual_linear(x, z)
-        rng = substream(7, 1)
-        draw = samplers.draw_residual_permutation(model, rng)
+        (draw,) = samplers.draw_for_strategy("residual-perm", model, 7, [1])
         resid = draw - model.fitted_mean
         got = np.array(sorted(map(tuple, resid.round(12))))
         want = np.array(sorted(map(tuple, model.residuals.round(12))))
@@ -53,7 +52,7 @@ class TestResidualLinear:
     def test_bootstrap_rows_come_from_residuals(self):
         x, z = _toy(n=20)
         model = samplers.fit_residual_linear(x, z)
-        draw = samplers.draw_residual_bootstrap(model, substream(9, 2))
+        (draw,) = samplers.draw_for_strategy("residual-boot", model, 9, [2])
         resid = draw - model.fitted_mean
         for row in resid:
             dists = np.abs(model.residuals - row).max(axis=1)
@@ -62,8 +61,8 @@ class TestResidualLinear:
     def test_seed_determinism(self):
         x, z = _toy()
         model = samplers.fit_residual_linear(x, z)
-        a = samplers.draw_residual_permutation(model, substream(42, 5))
-        b = samplers.draw_residual_permutation(model, substream(42, 5))
+        a = samplers.draw_for_strategy("residual-perm", model, 42, [5])
+        b = samplers.draw_for_strategy("residual-perm", model, 42, [5])
         np.testing.assert_array_equal(a, b)
 
     def test_spline_transform_residualizes_nonlinear_mean(self):
@@ -106,8 +105,8 @@ class TestParametricLogistic:
         z = rng.normal(size=(50, 2))
         x = (rng.random(50) < 0.5).astype(float)
         model = samplers.fit_parametric_logistic(x, z)
-        draw = samplers.draw_parametric_bernoulli(model, substream(1, 1))
-        assert draw.shape == (50,)
+        draw = samplers.draw_for_strategy("parametric-logistic", model, 1, [1])
+        assert draw.shape == (1, 50, 1)
         assert set(np.unique(draw)) <= {0.0, 1.0}
 
     def test_all_zero_exposure_is_separation(self):
@@ -131,7 +130,7 @@ class TestBinnedResidual:
         x = 0.2 * z + rng.normal(size=(n, 1))
         model = samplers.fit_binned_residual(x, z, bin_column=0, bin_edges=[26.0])
         assert set(np.unique(model.bins)) == {0, 1}
-        draw = samplers.draw_binned_permutation(model, substream(3, 1))
+        (draw,) = samplers.draw_for_strategy("binned-perm", model, 3, [1])
         resid = draw - model.fitted_mean
         for b in (0, 1):
             idx = model.bins == b
@@ -162,6 +161,57 @@ class TestBinnedResidual:
         x = (slope * zc + 0.01 * rng.normal(size=n))[:, None]
         model = samplers.fit_binned_residual(x, z, bin_column=0, bin_edges=[1.5])
         assert np.abs(model.residuals).max() < 0.1
+
+
+def _fitted(strategy, p, seed=0, n=60):
+    # a fitted model of the strategy on n rows, p exposure columns
+    x, z = _toy(n=n, seed=seed, p=p)
+    if strategy == "parametric-logistic":
+        x = (x[:, 0] > z[:, 0]).astype(float)
+    return samplers.fit_for_strategy(strategy, x, z, bin_column=0, bin_edges=[0.0])
+
+
+# every table row, with p = 1 and p = 2 where the strategy takes it
+_DRAW_CASES = [
+    (strategy, p)
+    for strategy, sampler in samplers._SAMPLERS.items()
+    for p in ((1,) if sampler.exposure == "binary" else (1, 2))
+]
+
+
+class TestStackedDrawsMatchTheOracleBitForBit:
+    """A stack of draws is the per-draw draws of tests/reference.py,
+    each on its own substream, bit for bit, however the draw indices are
+    split into chunks."""
+
+    B = 40
+
+    @pytest.mark.parametrize("strategy,p", _DRAW_CASES)
+    def test_stack_is_the_per_draw_oracle(self, strategy, p):
+        model = _fitted(strategy, p)
+        got = samplers.draw_for_strategy(strategy, model, 11, range(1, self.B + 1))
+        assert got.shape == (self.B, 60, p)
+        assert np.array_equal(got, reference.draw_stack(strategy, model, 11, range(1, self.B + 1)))
+
+    @pytest.mark.parametrize("strategy,p", _DRAW_CASES)
+    def test_any_chunking_gives_the_same_stack(self, strategy, p):
+        model = _fitted(strategy, p, seed=1)
+        whole = samplers.draw_for_strategy(strategy, model, 5, range(1, self.B + 1))
+        for chunk in (1, 3, 7, self.B - 1):
+            parts = [
+                samplers.draw_for_strategy(strategy, model, 5, range(lo, min(lo + chunk, self.B + 1)))
+                for lo in range(1, self.B + 1, chunk)
+            ]
+            assert np.array_equal(np.concatenate(parts), whole)
+        for cut in range(1, self.B + 2):
+            head = samplers.draw_for_strategy(strategy, model, 5, range(1, cut))
+            tail = samplers.draw_for_strategy(strategy, model, 5, range(cut, self.B + 1))
+            assert np.array_equal(np.concatenate([head, tail]), whole)
+
+    def test_empty_range_is_an_empty_stack(self):
+        for strategy, p in _DRAW_CASES:
+            got = samplers.draw_for_strategy(strategy, _fitted(strategy, p), 5, range(1, 1))
+            assert got.shape == (0, 60, p)
 
 
 class TestFitsMatchTheReferenceBitForBit:
