@@ -33,7 +33,6 @@ from .sim import (
     SimConfig,
     gen_dataset,
     gen_signals,
-    run_experiment,
     run_method_comparison,
     run_replication,
     score_rejections,
@@ -69,7 +68,6 @@ __all__ = [
     "make_grid",
     "ordered_grid_procedure",
     "preprocess_counts",
-    "run_experiment",
     "run_method_comparison",
     "run_replication",
     "save_matrix",

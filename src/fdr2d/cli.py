@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import engine, io, preprocess, samplers, sim, stats
+from . import engine, glm, io, preprocess, samplers, sim, stats
 
 # namespace entries that are not settings of a run: a config file may
 # not hold them and result.json does not echo them
@@ -35,7 +35,7 @@ def _add_run_flags(p, stat, sampler, data):
     p.add_argument("--sampler", default=sampler, help="|".join(samplers._SAMPLERS))
     p.add_argument("--b", type=int, default=100, help="number of resampling draws")
     p.add_argument("--q", type=float, default=engine.ProcedureConfig.q, help="target error level")
-    p.add_argument("--method", default=engine.ProcedureConfig.method, help="|".join(engine.METHODS))
+    p.add_argument("--method", default="mf2d-fdr", help="|".join(engine.METHODS))
     p.add_argument("--pi0-lambda", dest="pi0_lambda", help="'auto' or a threshold")
     p.add_argument("--spline-df", dest="spline_df", type=int)
     p.add_argument("--epsilon", type=float, default=engine.StatisticSpec.epsilon,
@@ -178,14 +178,10 @@ def _statistic_from(cfg):
     )
 
 
-def _procedure_from(cfg, method):
-    return engine.ProcedureConfig(
-        q=cfg["q"],
-        method=method,
-        pi0_lambda=cfg["pi0_lambda"],
-        grid=cfg["grid"],
-        path_steps=cfg["path_steps"],
-    )
+def _procedure_from(cfg):
+    # each field of ProcedureConfig is set by the flag of its name
+    fields = dataclasses.fields(engine.ProcedureConfig)
+    return engine.ProcedureConfig(**{f.name: cfg[f.name] for f in fields})
 
 
 def _check_settings(cfg):
@@ -228,9 +224,11 @@ def _plan_from(cfg, dataset=None):
 
 
 def _load_analysis_dataset(cfg):
-    _require_files(cfg, ("x", "y", "z"))
+    # the statistic and the method are refused before any file is read
     spec = _statistic_from(cfg)
-    y_kind = stats.Y_KIND_FOR_FAMILY.get(spec.family) if spec.kind == "glm" else None
+    engine.check_methods([cfg["method"]], spec)
+    _require_files(cfg, ("x", "y", "z"))
+    y_kind = glm.FAMILIES[spec.family].y_kind if spec.kind == "glm" else None
     dataset = io.load_dataset(cfg["x"], cfg["y"], cfg["z"], y_kind=y_kind)
     return dataset, spec
 
@@ -238,9 +236,8 @@ def _load_analysis_dataset(cfg):
 def _cmd_analyze(cfg):
     # every echoed setting is checked, also those the run does not read
     _check_settings(cfg)
-    procedure = _procedure_from(cfg, cfg["method"])
+    procedure = _procedure_from(cfg)
     dataset, spec = _load_analysis_dataset(cfg)
-    engine.check_methods([cfg["method"]], spec)
     started = time.perf_counter()
     if cfg["method"] == "bh":
         pvals, rejected = engine.bh_rejections(dataset, spec, cfg["q"])
@@ -263,7 +260,7 @@ def _cmd_analyze(cfg):
     else:
         plan = _plan_from(cfg, dataset)
         tensor = engine.build_tensor(dataset, plan, spec)
-        result = engine.apply_method(tensor, procedure)
+        result = engine.apply_method(tensor, procedure, cfg["method"])
         rejected_set = set(result.rejected.tolist())
         doc = {
             "method": cfg["method"],
@@ -309,21 +306,22 @@ def _features_path(out):
 
 
 def _write_json(path, doc):
-    def convert(v):
-        if isinstance(v, (np.floating, np.integer)):
-            return v.item()
-        if isinstance(v, float) and not np.isfinite(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+    # strict JSON (RFC 8259) has no number for a non-finite float, so
+    # each is written as its string: "inf", "-inf" or "nan"
+    def clean(v):
+        if isinstance(v, dict):
+            return {k: clean(e) for k, e in v.items()}
+        if isinstance(v, list):
+            return [clean(e) for e in v]
+        return str(v) if isinstance(v, float) and not np.isfinite(v) else v
 
-    clean = json.loads(json.dumps(doc, default=convert))
-    io._atomic_write(path, json.dumps(clean, indent=2) + "\n")
+    io._atomic_write(path, json.dumps(clean(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _cmd_grid_dump(cfg):
     _check_settings(cfg)
     dataset, spec = _load_analysis_dataset(cfg)
-    procedure = _procedure_from(cfg, cfg["method"])
+    procedure = _procedure_from(cfg)
     plan = _plan_from(cfg, dataset)
     tensor = engine.build_tensor(dataset, plan, spec)
     # the grid, pi0 and counts of the search pass analyze makes
@@ -352,7 +350,7 @@ def _cmd_simulate(cfg):
     if cfg["spline_df"] is not None and not (cfg["stat"] or cfg["sampler"]):
         # each dgp's default statistic and sampler carry their own spline df
         raise ValueError("--spline-df needs --stat or --sampler in simulate")
-    procedure = _procedure_from(cfg, methods[0])
+    procedure = _procedure_from(cfg)
     statistic = _statistic_from(cfg) if cfg["stat"] else None
     # each replication reseeds the plan from its own substream
     plan = _plan_from(cfg) if cfg["sampler"] else None

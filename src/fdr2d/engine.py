@@ -18,12 +18,13 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from . import _accel, core, samplers, stats
 from .core import CutoffResult
+from .samplers import ResamplePlan  # noqa: F401 - engine.ResamplePlan stays importable
 from .stats import StatisticSpec  # noqa: F401 - engine.StatisticSpec stays importable
 
 # most cells, summed over one evaluator call's draws, of the largest
@@ -42,33 +43,12 @@ METHODS = (
 
 
 @dataclass
-class ResamplePlan:
-    """How to draw exchangeable copies of the exposure."""
-
-    strategy: str
-    b_count: int
-    seed: int
-    spline_df: Optional[int] = None
-    bin_column: Optional[int] = None
-    bin_edges: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        sampler = samplers._SAMPLERS.get(self.strategy)
-        if sampler is None:
-            expected = tuple(samplers._SAMPLERS)
-            raise ValueError(f"unknown sampler strategy {self.strategy!r}; expected one of {expected}")
-        if sampler.binned and (self.bin_column is None or self.bin_edges is None):
-            raise ValueError(f"{self.strategy} needs bin_column and bin_edges")
-        if self.b_count < 1:
-            raise ValueError("b_count must be at least 1")
-
-
-@dataclass
 class ProcedureConfig:
-    """Target level, method and search-domain choices."""
+    """What every search reads: the level q, the Storey lambda (None,
+    'auto' or a number), the grid spec and the default path's step
+    count. The method is an argument of the call that runs a search."""
 
     q: float = 0.05
-    method: str = "mf2d-fdr"
     pi0_lambda: Union[None, str, float] = None
     grid: str = "quantile:100"
     path_steps: int = 100
@@ -76,8 +56,6 @@ class ProcedureConfig:
     def __post_init__(self):
         if not (0.0 < self.q <= 1.0):
             raise ValueError("q must lie in (0, 1]")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.pi0_lambda is not None and self.pi0_lambda != "auto":
             lam = float(self.pi0_lambda)
             if not np.isfinite(lam) or lam <= 0.0:
@@ -123,23 +101,16 @@ class MonotonePath:
             raise ValueError("path must be monotone nondecreasing in both coordinates")
 
 
-def _check_compat(kinds, plan, spec):
-    # kinds: the data's (x_kind, y_kind, z_kinds); plan None when no
-    # draws are made, so no sampler is checked
-    if plan is not None:
-        exposure = samplers._SAMPLERS[plan.strategy].exposure
-        if kinds[0] != exposure:
-            raise ValueError(f"{plan.strategy} sampler needs a {exposure} exposure")
-    spec.check_kinds(*kinds)
-
-
 def _check_dataset(dataset, plan, spec):
-    # refuse invalid data, then kinds the statistic or sampler cannot use
+    # refuse invalid data, then kinds the sampler or statistic cannot
+    # use; plan None when no draws are made, so no sampler is checked
     violations = core.validate(dataset)
     if violations:
         head = "; ".join(str(v) for v in violations[:5])
         raise ValueError(f"invalid dataset: {head}")
-    _check_compat((dataset.x_kind, dataset.y_kind, dataset.z_kinds), plan, spec)
+    if plan is not None:
+        plan.check_kinds(dataset.x_kind)
+    spec.check_kinds(dataset.x_kind, dataset.y_kind, dataset.z_kinds)
 
 
 def build_tensor(dataset, plan, spec):
@@ -515,7 +486,8 @@ def bh_procedure(pvalues, q):
 
 
 def check_methods(methods, spec):
-    """Refuse unknown methods, and bh without a glm statistic."""
+    """Refuse what no run makes: a name not in METHODS (the one place such
+    a name is refused), and bh without a glm statistic spec."""
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -633,7 +605,8 @@ def apply_methods(tensor, config, methods):
     """Run several thresholding methods on one tensor in one search pass.
 
     Returns {method: CutoffResult}, each equal to what apply_method gives
-    for that method; config.method is not read. The methods share one
+    for that method; a method that is not a tensor method (bh, or an
+    unknown name) is refused. The methods share one
     argsort of each pooled axis, from which the grid, the default path,
     the grid counts and the path walk are all derived (see _SearchPass).
     Each result carries the pass's lambda as pi0_lambda.
@@ -650,6 +623,6 @@ def apply_methods(tensor, config, methods):
     return results
 
 
-def apply_method(tensor, config):
-    """Run the configured thresholding method on a finished tensor."""
-    return apply_methods(tensor, config, [config.method])[config.method]
+def apply_method(tensor, config, method="mf2d-fdr"):
+    """Run one thresholding method on a finished tensor."""
+    return apply_methods(tensor, config, [method])[method]

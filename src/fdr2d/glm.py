@@ -6,6 +6,7 @@ one QR, refused by the one scale-free rule of rank_deficient. Nothing
 falls back to ridge or pseudo-inverse tricks.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +14,14 @@ import numpy as np
 from . import _accel
 from .core import _as_matrix
 
-FAMILIES = ("gaussian", "binomial", "poisson", "negbinom")
-_FAMILY_CODES = {
-    "gaussian": _accel.GAUSSIAN,
-    "binomial": _accel.BINOMIAL,
-    "poisson": _accel.POISSON,
-    "negbinom": _accel.NEGBINOM,
+# every glm family by name, the one place a family is declared: its
+# _accel kernel code and the outcome kind it models
+_Family = namedtuple("_Family", "code y_kind")
+FAMILIES = {
+    "gaussian": _Family(_accel.GAUSSIAN, "continuous"),
+    "binomial": _Family(_accel.BINOMIAL, "binary"),
+    "poisson": _Family(_accel.POISSON, "count"),
+    "negbinom": _Family(_accel.NEGBINOM, "count"),
 }
 
 # an R diagonal at most this share of its raw column's norm is rank deficient
@@ -29,11 +32,11 @@ _PERFECT_TOL = 1e-24
 
 def family_code(family, size):
     """Kernel code and negbinom size of a family, refusing what cannot be fit."""
-    if family not in _FAMILY_CODES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if family == "negbinom" and (size is None or size <= 0):
         raise ValueError("negbinom family requires a positive size")
-    return _FAMILY_CODES[family], float(size if size is not None else 1.0)
+    return FAMILIES[family].code, float(size if size is not None else 1.0)
 
 
 def rank_deficient(r, raw):

@@ -13,6 +13,8 @@ each draw's rows.
 
 import warnings
 from collections import namedtuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -180,3 +182,33 @@ def draw_for_strategy(strategy, model, seed, draws):
     """The exposures of the given draw indices under a strategy, a stack
     (D, n, p): draw d is made on _rng.substream(seed, d) alone."""
     return _SAMPLERS[strategy].draw(model, [_rng.substream(seed, d) for d in draws])
+
+
+@dataclass
+class ResamplePlan:
+    """How to draw b_count exchangeable copies of the exposure: the
+    strategy (a key of _SAMPLERS), the seed and the settings its fit
+    reads. check_kinds refuses an exposure its sampler cannot draw."""
+
+    strategy: str
+    b_count: int
+    seed: int
+    spline_df: Optional[int] = None
+    bin_column: Optional[int] = None
+    bin_edges: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        sampler = _SAMPLERS.get(self.strategy)
+        if sampler is None:
+            expected = tuple(_SAMPLERS)
+            raise ValueError(f"unknown sampler strategy {self.strategy!r}; expected one of {expected}")
+        if sampler.binned and (self.bin_column is None or self.bin_edges is None):
+            raise ValueError(f"{self.strategy} needs bin_column and bin_edges")
+        if self.b_count < 1:
+            raise ValueError("b_count must be at least 1")
+
+    def check_kinds(self, x_kind):
+        """Refuse an exposure kind the strategy's sampler cannot draw."""
+        exposure = _SAMPLERS[self.strategy].exposure
+        if x_kind != exposure:
+            raise ValueError(f"{self.strategy} sampler needs a {exposure} exposure")

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _rng, core, engine, stats
+from . import _rng, core, engine, glm
 
 # negative binomial size of dgp 11's outcomes and of its statistic
 _NB_SIZE = 3.0
@@ -164,7 +164,7 @@ def _dgp_kinds(dgp):
     """(x_kind, y_kind, z_kinds) of every dataset the generator makes."""
     gen = _GENERATORS[dgp]
     x_kind = "binary" if gen.h is None else "continuous"
-    y_kind = stats.Y_KIND_FOR_FAMILY[gen.family]
+    y_kind = glm.FAMILIES[gen.family].y_kind
     return x_kind, y_kind, ("binary",) if gen.binary_z else ("continuous",)
 
 
@@ -261,10 +261,9 @@ def _replicate(config, rep_seed, methods):
     return {m: (*score_rejections(rejected[m], truth), int(rejected[m].size)) for m in methods}
 
 
-def run_replication(config, rep_seed):
-    """(fdp, power, rejections) of the configured method for one
-    synthetic dataset; errors propagate."""
-    method = config.procedure.method
+def run_replication(config, rep_seed, method="mf2d-fdr"):
+    """(fdp, power, rejections) of one method for one synthetic dataset;
+    errors propagate."""
     engine.check_methods([method], config.statistic)
     return _replicate(config, rep_seed, [method])[method]
 
@@ -314,20 +313,9 @@ def _summarize(rows, reps_failed):
     )
 
 
-def run_experiment(config):
-    """Replication loop for one scenario.
-
-    The one-method case of run_method_comparison, with its failure
-    policy: a failing replication is skipped with a warning, the
-    summary counts it in reps_failed, and if every replication fails
-    the first one's exception is raised.
-    """
-    method = config.procedure.method
-    return run_method_comparison(config, [method])[method]
-
-
 def run_method_comparison(config, methods):
-    """Run several methods on identical data, once per replication.
+    """{method: ExperimentSummary} of several methods run on identical
+    data, once per replication; one method's loop is [method] alone.
 
     Sharing the data and the tensor makes the comparison paired: every
     method sees the same statistics and resamples, so rejection-count
@@ -342,8 +330,10 @@ def run_method_comparison(config, methods):
     exception is raised.
     """
     engine.check_methods(methods, config.statistic)
-    plan = config.sampler if any(m != "bh" for m in methods) else None
-    engine._check_compat(_dgp_kinds(config.dgp), plan, config.statistic)
+    x_kind, y_kind, z_kinds = _dgp_kinds(config.dgp)
+    if any(m != "bh" for m in methods):
+        config.sampler.check_kinds(x_kind)
+    config.statistic.check_kinds(x_kind, y_kind, z_kinds)
     rows, failed, first_error = [], 0, None
     for r in range(config.reps):
         try:

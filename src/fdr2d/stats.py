@@ -439,6 +439,8 @@ class _CategoricalEvaluator:
         c0 = n - c1
         a = np.matmul(xv, self._y, out=prod)
         flat = (r1[:, 0] <= 0.0) | (r0[:, 0] <= 0.0)
+        if observed and flat[0]:
+            raise ValueError("constant exposure on observed data")
         # d0 = a (n - r1 - c1 + a) - (r1 - a) (c1 - a)
         d0 = np.subtract(n - r1, c1, out=den)
         d0 += a
@@ -505,16 +507,15 @@ _EVALUATORS = {
     "basis-wald": _BasisWaldEvaluator,
 }
 
-# outcome kind each glm family models
-Y_KIND_FOR_FAMILY = {"gaussian": "continuous", "binomial": "binary", "poisson": "count", "negbinom": "count"}
-
 
 @dataclass(frozen=True)
 class StatisticSpec:
     """Which dependence statistic to compute (a key of _EVALUATORS), with
-    its knobs: the glm family and negbinom size, the confounder-spline df
-    of rv and basis-wald, and the hsic ridge epsilon. Construction refuses
-    an unknown kind or family and a glm kind without a family."""
+    its knobs: the glm family (a key of glm.FAMILIES) and negbinom size,
+    the confounder-spline df of rv and basis-wald, and the hsic ridge
+    epsilon. Construction refuses a kind not in _EVALUATORS, a glm kind
+    without a family, and what glm.family_code refuses: a family not in
+    glm.FAMILIES, and a negbinom without a positive size."""
 
     kind: str
     family: Optional[str] = None
@@ -530,8 +531,8 @@ class StatisticSpec:
             )
         if self.kind == "glm" and self.family is None:
             raise ValueError("glm statistics need a family, e.g. glm:gaussian")
-        if self.kind == "glm" and self.family not in Y_KIND_FOR_FAMILY:
-            raise ValueError(f"unknown family {self.family!r}")
+        if self.kind == "glm":
+            glm.family_code(self.family, self.size)
 
     @property
     def token(self):
@@ -565,8 +566,8 @@ class StatisticSpec:
                 raise ValueError("categorical statistics need binary exposure and outcomes")
             if any(k != "binary" for k in z_kinds):
                 raise ValueError("categorical statistics need binary confounders")
-        want = Y_KIND_FOR_FAMILY.get(self.family)
-        if self.kind == "glm" and y_kind != want:
+        want = glm.FAMILIES[self.family].y_kind if self.kind == "glm" else y_kind
+        if y_kind != want:
             raise ValueError(f"family {self.family} expects {want} outcomes, dataset has {y_kind}")
 
 

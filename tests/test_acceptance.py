@@ -420,13 +420,11 @@ def test_criterion_8_fwer_variant():
         l=0.3,
         reps=100,
         seed=9099,
-        procedure=engine.ProcedureConfig(
-            q=0.05, method="mf2d-fwer", grid="quantile:100"
-        ),
+        procedure=engine.ProcedureConfig(q=0.05, grid="quantile:100"),
         statistic=engine.StatisticSpec(kind="glm", family="gaussian"),
         sampler=engine.ResamplePlan("residual-perm", b_count=100, seed=0),
     )
-    summary = sim.run_experiment(cfg)
+    summary = sim.run_method_comparison(cfg, ["mf2d-fwer"])["mf2d-fwer"]
     # a replication commits a family-wise error iff any rejection is false
     any_false = summary.per_rep_fdp > 0
     fwer = float(np.mean(any_false))

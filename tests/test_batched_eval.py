@@ -277,8 +277,7 @@ def _stack_with_constant_row(stat, row):
     return evaluator, stack, dataset.m
 
 
-# what each evaluator raises on a constant observed exposure; the
-# categorical statistic scores a flat exposure as counted zeros instead
+# what each evaluator raises on a constant observed exposure
 _OBSERVED_ERRORS = {
     "glm:gaussian": "feature 0: singular design on observed data",
     "glm:binomial": "feature 0: singular design on observed data",
@@ -287,6 +286,7 @@ _OBSERVED_ERRORS = {
     "rv": "constant exposure on observed data",
     "hsic": "degenerate bandwidth",
     "basis-wald": "singular basis-wald design on observed data",
+    "categorical": "constant exposure on observed data",
 }
 
 

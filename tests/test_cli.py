@@ -52,7 +52,29 @@ def _analyze_args(xp, yp, zp, out, extra=()):
     ]
 
 
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
+def _fixture_args(command, out, *extra):
+    # a run on the bundled fixtures, whose exposure is binary
+    x, y, z = (os.path.join(_FIXTURES, f) for f in ("exposure.tsv", "otu_counts.tsv", "confounders.tsv"))
+    return [command, "--x", x, "--y", y, "--z", z, "--sampler", "parametric-logistic",
+            "--b", "19", "--seed", "1", *extra, "--out", str(out)]
+
+
 class TestAnalyze:
+    def test_infeasible_search_writes_strict_json(self, tmp_path):
+        # no threshold pair is feasible at q = 0.001, so t1 and t2 are
+        # infinite, which JSON (RFC 8259) has no number for
+        out = tmp_path / "res.json"
+        assert cli.main(_fixture_args("analyze", out, "--stat", "glm:poisson", "--q", "0.001")) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["t1"] == doc["t2"] == "inf" and doc["n_rejected"] == 0
+
     def test_end_to_end(self, tmp_path):
         xp, yp, zp = _write_xyz(tmp_path)
         out = str(tmp_path / "res.json")
@@ -440,6 +462,27 @@ class TestSimulate:
 
 
 class TestGridDump:
+    def test_table_does_not_depend_on_the_method(self, tmp_path):
+        tables = []
+        for method in ("mf2d-fdr", "ordered-grid"):
+            out = tmp_path / f"{method}.tsv"
+            assert cli.main(_fixture_args("grid-dump", out, "--stat", "rv", "--method", method)) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize(
+        "method, message",
+        [("bh", "bh needs model-based p-values"), ("triple-dip", "unknown method 'triple-dip'")],
+    )
+    def test_method_refused_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, method, message):
+        # grid-dump refuses the methods analyze refuses
+        loads = []
+        monkeypatch.setattr(io, "load_dataset", lambda *a, **k: loads.append(a))
+        out = tmp_path / "surface.tsv"
+        assert cli.main(_fixture_args("grid-dump", out, "--stat", "rv", "--method", method)) == 1
+        assert message in capsys.readouterr().err
+        assert loads == [] and not out.exists()
+
     def test_surface_table(self, tmp_path):
         xp, yp, zp = _write_xyz(tmp_path, seed=6, n=40, m=8)
         out = str(tmp_path / "surface.tsv")
@@ -633,14 +676,13 @@ def test_import_leaves_scipy_unloaded(module):
 def test_rejections_do_not_depend_on_the_blas_thread_count(tmp_path):
     # GEMMs round by their blocking, so tensor bits may differ between
     # thread counts; thresholds and rejection sets may not
-    fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
     src = os.path.dirname(os.path.dirname(os.path.abspath(fdr2d.__file__)))
     docs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}.json"
-        x, y, z = (os.path.join(fixtures, f) for f in ("exposure.tsv", "otu_counts.tsv", "confounders.tsv"))
+        x, y, z = (os.path.join(_FIXTURES, f) for f in ("exposure.tsv", "otu_counts.tsv", "confounders.tsv"))
         subprocess.run(
             [sys.executable, "-m", "fdr2d.cli", "analyze", "--x", x, "--y", y, "--z", z, "--stat", "glm:poisson",
              "--sampler", "parametric-logistic", "--b", "19", "--seed", "1", "--out", str(out)],

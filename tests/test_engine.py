@@ -16,8 +16,9 @@ import warnings
 import numpy as np
 import pytest
 
+import fdr2d
 import reference
-from fdr2d import core, engine, sim
+from fdr2d import core, engine, samplers, sim
 
 
 def _random_tensor(rng, m=None, b=None, style="ties"):
@@ -590,6 +591,7 @@ class TestConfigValidation:
                                 "categorical or basis-wald"),
             ({"kind": "glm"}, "glm statistics need a family, e.g. glm:gaussian"),
             ({"kind": "glm", "family": "x"}, "unknown family 'x'"),
+            ({"kind": "glm", "family": "negbinom"}, "negbinom family requires a positive size"),
         ],
     )
     def test_spec_refuses_what_no_evaluator_takes(self, kwargs, message):
@@ -614,13 +616,18 @@ class TestConfigValidation:
                 engine.ResamplePlan("binned-perm", 1, 0, **bins)
         engine.ResamplePlan("binned-perm", 1, 0, bin_column=0, bin_edges=np.array([0.0]))
 
+    def test_plan_refuses_an_exposure_its_sampler_cannot_draw(self):
+        assert engine.ResamplePlan is samplers.ResamplePlan is fdr2d.ResamplePlan
+        plan = engine.ResamplePlan("residual-perm", 1, 0)
+        with pytest.raises(ValueError, match="^residual-perm sampler needs a continuous exposure$"):
+            plan.check_kinds("binary")
+        plan.check_kinds("continuous")
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="q must"):
             engine.ProcedureConfig(q=0.0)
         with pytest.raises(ValueError, match="q must"):
             engine.ProcedureConfig(q=1.5)
-        with pytest.raises(ValueError, match="method"):
-            engine.ProcedureConfig(method="triple-dip")
         with pytest.raises(ValueError, match="pi0_lambda"):
             engine.ProcedureConfig(pi0_lambda=-2.0)
         engine.ProcedureConfig(q=1.0, pi0_lambda="auto")
@@ -629,11 +636,13 @@ class TestConfigValidation:
         rng = np.random.default_rng(7)
         tensor = _random_tensor(rng, m=10, b=16)
         for method in ("mf2d-fdr", "mf2d-fwer", "mf1d", "exchangeable-path", "ordered-grid"):
-            cfg = engine.ProcedureConfig(q=0.3, method=method, path_steps=20)
-            res = engine.apply_method(tensor, cfg)
+            cfg = engine.ProcedureConfig(q=0.3, path_steps=20)
+            res = engine.apply_method(tensor, cfg, method)
             assert isinstance(res, core.CutoffResult)
+        with pytest.raises(ValueError, match="method"):
+            engine.apply_method(tensor, engine.ProcedureConfig(), "triple-dip")
         with pytest.raises(ValueError, match="tensor"):
-            engine.apply_method(tensor, engine.ProcedureConfig(method="bh"))
+            engine.apply_method(tensor, engine.ProcedureConfig(), "bh")
 
 
 def _stepwise_walk(tensor, path, q, pi0):
@@ -721,10 +730,9 @@ class TestApplyMethods:
                                 assert list(got) == list(_TENSOR_METHODS)
                                 for method in _TENSOR_METHODS:
                                     one = engine.ProcedureConfig(
-                                        q=q, method=method, pi0_lambda=pi0, grid=grid,
-                                        path_steps=steps,
+                                        q=q, pi0_lambda=pi0, grid=grid, path_steps=steps,
                                     )
-                                    _assert_same(got[method], engine.apply_method(tensor, one))
+                                    _assert_same(got[method], engine.apply_method(tensor, one, method))
                                     _assert_same(got[method], _reference(tensor, one, method))
 
     def test_pass_grid_and_path_equal_the_public_ones(self):
@@ -835,9 +843,7 @@ class TestApplyMethods:
                     warnings.simplefilter("ignore")
                     want = reference.resolve_pi0(tensor, config)[1]
                     results = engine.apply_methods(tensor, config, _TENSOR_METHODS)
-                    alone = engine.apply_method(
-                        tensor, dataclasses.replace(config, method="exchangeable-path")
-                    )
+                    alone = engine.apply_method(tensor, config, "exchangeable-path")
                 for method, res in [*results.items(), ("alone", alone)]:
                     got = res.pi0_lambda
                     if want is None:

@@ -85,7 +85,7 @@ def test_every_replication_failing_raises_the_first_error(monkeypatch):
         with pytest.raises(RuntimeError, match=f"sampler seed {_sampler_seed(cfg, 0)}$"):
             sim.run_method_comparison(cfg, METHODS)
         with pytest.raises(RuntimeError, match="forced failure"):
-            sim.run_experiment(cfg)
+            sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
 
 
 @pytest.mark.parametrize(
@@ -101,14 +101,12 @@ def test_configuration_error_refused_before_any_tensor(monkeypatch, methods, mes
 
 
 def test_bh_with_rv_experiment_raises_instead_of_reading_zero(monkeypatch):
-    cfg = _config(
-        statistic=engine.StatisticSpec(kind="rv"), procedure=engine.ProcedureConfig(method="bh")
-    )
+    cfg = _config(statistic=engine.StatisticSpec(kind="rv"))
     calls = _failing_build_tensor(monkeypatch, set())
     with pytest.raises(ValueError, match="glm statistic"):
-        sim.run_experiment(cfg)
+        sim.run_method_comparison(cfg, ["bh"])["bh"]
     with pytest.raises(ValueError, match="glm statistic"):
-        sim.run_replication(cfg, 0)
+        sim.run_replication(cfg, 0, "bh")
     assert calls == []
 
 

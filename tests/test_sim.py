@@ -195,7 +195,7 @@ class TestReplication:
 
     def test_experiment_matches_single_replications(self):
         cfg = _config(reps=3)
-        summary = sim.run_experiment(cfg)
+        summary = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
         assert summary.reps_completed == 3
         for r in range(3):
             fdp, power, nrej = sim.run_replication(cfg, sim.replication_seed(cfg.seed, r))
@@ -205,15 +205,15 @@ class TestReplication:
 
     def test_experiment_repeatable(self):
         cfg = _config(reps=2)
-        s1 = sim.run_experiment(cfg)
-        s2 = sim.run_experiment(cfg)
+        s1 = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
+        s2 = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
         np.testing.assert_array_equal(s1.per_rep_fdp, s2.per_rep_fdp)
         np.testing.assert_array_equal(s1.per_rep_power, s2.per_rep_power)
         assert s1.fdr == s2.fdr and s1.power == s2.power
 
     def test_single_rep_standard_error_zero(self):
         cfg = _config(reps=1)
-        summary = sim.run_experiment(cfg)
+        summary = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
         assert summary.fdr_se == 0.0 and summary.power_se == 0.0
 
     def test_method_comparison_shares_data(self):
@@ -231,7 +231,7 @@ class TestReplication:
     def test_comparison_column_matches_run_experiment(self):
         cfg = _config(reps=2)
         table = sim.run_method_comparison(cfg, ("mf2d-fdr",))
-        direct = sim.run_experiment(cfg)
+        direct = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
         np.testing.assert_array_equal(
             table["mf2d-fdr"].per_rep_fdp, direct.per_rep_fdp
         )
@@ -248,15 +248,13 @@ class TestReplication:
             procedure=engine.ProcedureConfig(q=0.05, grid="quantile:40"),
             sampler=engine.ResamplePlan("residual-perm", b_count=25, seed=0),
         )
-        summary = sim.run_experiment(cfg)
+        summary = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
         quiet = np.count_nonzero(summary.per_rep_rejections == 0)
         assert quiet >= 7
 
     def test_bh_method_runs(self):
-        cfg = _config(
-            procedure=engine.ProcedureConfig(q=0.1, method="bh"), reps=1, pi=0.5
-        )
-        summary = sim.run_experiment(cfg)
+        cfg = _config(procedure=engine.ProcedureConfig(q=0.1), reps=1, pi=0.5)
+        summary = sim.run_method_comparison(cfg, ["bh"])["bh"]
         assert summary.reps_completed == 1
         assert 0.0 <= summary.fdr <= 1.0
 

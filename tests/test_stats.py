@@ -435,6 +435,21 @@ class TestEvaluators:
                     rtol=1e-12, atol=1e-14,
                 )
 
+    def test_categorical_flat_observed_exposure_raises(self):
+        rng = np.random.default_rng(64)
+        n, m = 60, 5
+        z = (rng.random((n, 1)) < 0.5).astype(float)
+        y = (rng.random((n, m)) < 0.5).astype(float)
+        ds = Dataset(x=np.ones(n), y=y, z=z, x_kind="binary", y_kind="binary")
+        spec = stats.StatisticSpec("categorical")
+        ev = stats.make_evaluator(ds, spec)
+        with pytest.raises(ValueError, match="^constant exposure on observed data$"):
+            ev.pairs(ds.x[None], observed=True)
+        # build_tensor fits the logistic sampler first, and the fit refuses
+        plan = engine.ResamplePlan("parametric-logistic", 3, seed=0)
+        with pytest.raises(ValueError, match="^complete separation"):
+            engine.build_tensor(ds, plan, spec)
+
     @staticmethod
     def _degenerate_exposure(ds, case):
         # a constant, or a linear function of the confounders: centering
