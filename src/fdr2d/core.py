@@ -1,5 +1,6 @@
 """Shared data model: datasets, statistic tensors, cutoff results."""
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,10 +49,7 @@ class Dataset:
         else:
             self.z_kinds = tuple(self.z_kinds)
         if not self.feature_names:
-            width = len(str(max(self.y.shape[1], 1)))
-            self.feature_names = tuple(
-                f"f{j + 1:0{width}d}" for j in range(self.y.shape[1])
-            )
+            self.feature_names = _default_names(self.y.shape[1])
         else:
             self.feature_names = tuple(self.feature_names)
 
@@ -70,6 +68,14 @@ class Dataset:
     @property
     def d(self):
         return self.z.shape[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _default_names(m):
+    # f1..fm, zero-padded to one width; a tuple, so every dataset of m
+    # features shares one
+    width = len(str(max(m, 1)))
+    return tuple(f"f{j + 1:0{width}d}" for j in range(m))
 
 
 def _looks_binary(col):
@@ -132,12 +138,13 @@ def validate(dataset):
             out.append(Violation(label, "non-finite", int(r), int(c)))
 
     def check_binary(label, mat, cols):
-        for c in cols:
-            col = mat[:, c]
-            finite = np.isfinite(col)
-            offenders = np.nonzero(finite & (col != 0.0) & (col != 1.0))[0]
-            for r in offenders:
-                out.append(Violation(label, "not-binary", int(r), int(c), detail=f"value {col[r]!r}"))
+        # finite values other than 0 and 1, column by column, then row
+        cols = np.asarray(cols, dtype=np.intp)
+        block = mat[:, cols]
+        offender = np.isfinite(block) & (block != 0.0) & (block != 1.0)
+        for k, r in zip(*np.nonzero(offender.T)):
+            c = cols[k]
+            out.append(Violation(label, "not-binary", int(r), int(c), detail=f"value {mat[r, c]!r}"))
 
     if dataset.x_kind == "binary":
         check_binary("x", x, range(x.shape[1]))
@@ -148,9 +155,8 @@ def validate(dataset):
         offender = finite & ((y < 0) | (y != np.floor(y)))
         for r, c in np.argwhere(offender):
             out.append(Violation("y", "not-count", int(r), int(c), detail=f"value {y[r, c]!r}"))
-    for c, kind in enumerate(dataset.z_kinds):
-        if kind == "binary" and c < z.shape[1]:
-            check_binary("z", z, [c])
+    binary_z = [c for c, kind in enumerate(dataset.z_kinds) if kind == "binary" and c < z.shape[1]]
+    check_binary("z", z, binary_z)
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from . import _accel, core, samplers, stats
+from . import _accel, core, glm, samplers, stats
 from .core import CutoffResult
 from .samplers import ResamplePlan  # noqa: F401 - engine.ResamplePlan stays importable
 from .stats import StatisticSpec  # noqa: F401 - engine.StatisticSpec stays importable
@@ -134,14 +134,21 @@ def build_tensor(dataset, plan, spec):
     tensor's two planes (its out= block); with features set aside it
     writes them into one scratch block, reused by every chunk, which is
     then scattered.
+
+    What no draw changes is made once: the confounder design [1, T(z)]
+    is fitted at most once per spline df (glm.confounder_fits), for
+    whichever of the sampler fit and the statistic reads it, and hsic's
+    kernel bandwidths come from the set-aside pass.
     """
     _check_dataset(dataset, plan, spec)
-    zv = spec.unscorable(dataset.y)
+    zv, bandwidths = spec.unscorable(dataset.y)
     scored, cols = dataset, slice(None)
     if zv.any():
         cols = np.flatnonzero(~zv)
         scored = dataclasses.replace(dataset, y=dataset.y[:, cols], feature_names=())
-    evaluator = stats.make_evaluator(scored, spec)
+        bandwidths = None if bandwidths is None else bandwidths[cols]
+    confounders = glm.confounder_fits(dataset.z, dataset.z_kinds)
+    evaluator = stats.make_evaluator(scored, spec, confounders, bandwidths)
     model = samplers.fit_for_strategy(
         plan.strategy,
         dataset.x,
@@ -150,6 +157,7 @@ def build_tensor(dataset, plan, spec):
         z_kinds=dataset.z_kinds,
         bin_column=plan.bin_column,
         bin_edges=plan.bin_edges,
+        confounders=confounders,
     )
     b = plan.b_count
     planes = np.zeros((2, b + 1, dataset.m))
@@ -485,12 +493,17 @@ def bh_procedure(pvalues, q):
     return np.sort(order[: k + 1]).astype(np.int64)
 
 
-def check_methods(methods, spec):
-    """Refuse what no run makes: a name not in METHODS (the one place such
-    a name is refused), and bh without a glm statistic spec."""
+def _check_names(methods):
+    # the one place a name not in METHODS is refused
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def check_methods(methods, spec):
+    """Refuse what no run makes: a name not in METHODS, and bh without a
+    glm statistic spec."""
+    _check_names(methods)
     if "bh" in methods and spec.kind != "glm":
         raise ValueError("bh needs model-based p-values; use a glm statistic")
 
@@ -605,12 +618,14 @@ def apply_methods(tensor, config, methods):
     """Run several thresholding methods on one tensor in one search pass.
 
     Returns {method: CutoffResult}, each equal to what apply_method gives
-    for that method; a method that is not a tensor method (bh, or an
-    unknown name) is refused. The methods share one
+    for that method; an unknown name is refused as check_methods refuses
+    it, and bh, which reads p-values rather than a tensor, is refused too.
+    The methods share one
     argsort of each pooled axis, from which the grid, the default path,
     the grid counts and the path walk are all derived (see _SearchPass).
     Each result carries the pass's lambda as pi0_lambda.
     """
+    _check_names(methods)
     for method in methods:
         if method not in _TENSOR_METHODS:
             raise ValueError(f"method {method!r} does not run on a tensor")

@@ -6,6 +6,7 @@ one QR, refused by the one scale-free rule of rank_deficient. Nothing
 falls back to ridge or pseudo-inverse tricks.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -56,8 +57,10 @@ class Residualiser:
     """Least-squares residualising on one fixed design (n, k), from its QR.
 
     fitted(v) = Q(Q'v) fits v (n, c), or each matrix of a stack (D, n, c),
-    on the design's columns; v - fitted(v) is the residual. refusal is
-    None, or the error a fit raises: n <= k, or rank_deficient refuses.
+    on the design's columns; residuals(v) = v - fitted(v) is the
+    residual, written over the fitted values, so it makes one array of
+    v's size. refusal is None, or the error a fit raises: n <= k, or
+    rank_deficient refuses.
     """
 
     def __init__(self, design):
@@ -69,6 +72,10 @@ class Residualiser:
 
     def fitted(self, v):
         return self.q @ (self.q.T @ v)
+
+    def residuals(self, v):
+        fitted = self.fitted(v)
+        return np.subtract(v, fitted, out=fitted)
 
 
 @dataclass
@@ -155,3 +162,10 @@ def confounder_design(z, spline_df=None, kinds=None):
         else:
             cols.append(col[:, None])
     return np.hstack(cols)
+
+
+def confounder_fits(z, kinds=None):
+    """The Residualiser of the design [1, T(z)] (confounder_design) for
+    each spline df, fitted on first use and then reused: a tensor's
+    sampler fit and statistic read one fit of each design."""
+    return functools.cache(lambda spline_df: Residualiser(confounder_design(z, spline_df, kinds)))

@@ -30,17 +30,18 @@ BinnedResidualModel = namedtuple("BinnedResidualModel", "fitted_mean residuals b
 LogisticModel = namedtuple("LogisticModel", "success_prob")
 
 
-def fit_residual_linear(x, z, spline_df=None, z_kinds=None, **_):
+def fit_residual_linear(x, z, spline_df=None, z_kinds=None, confounders=None, **_):
     """Regress x on [1, z] (optionally spline-expanded) and keep residuals.
 
-    The coefficient estimate is frozen here; draws recombine the fitted
-    mean with permuted or resampled residual rows and never refit.
+    The design's fit is read from confounders, the glm.confounder_fits
+    of z a caller shares, or made here without one. The coefficient
+    estimate is frozen here; draws recombine the fitted mean with
+    permuted or resampled residual rows and never refit.
     """
     x = _as_matrix(x)
-    design = glm.confounder_design(z, spline_df=spline_df, kinds=z_kinds)
-    if design.shape[0] != x.shape[0]:
+    fixed = (confounders or glm.confounder_fits(z, z_kinds))(spline_df)
+    if fixed.q.shape[0] != x.shape[0]:
         raise ValueError("x and z row counts differ")
-    fixed = glm.Residualiser(design)
     if fixed.refusal:
         raise ValueError(fixed.refusal)
     fitted = fixed.fitted(x)
@@ -169,12 +170,21 @@ _SAMPLERS = {
 }
 
 
-def fit_for_strategy(strategy, x, z, spline_df=None, z_kinds=None, bin_column=None, bin_edges=None):
+def fit_for_strategy(
+    strategy, x, z, spline_df=None, z_kinds=None, bin_column=None, bin_edges=None, confounders=None
+):
     """The fitted model of a strategy (a key of _SAMPLERS). Each fit reads
-    its own settings: the residual fits spline_df and z_kinds, the binned
-    fit bin_column and bin_edges."""
+    its own settings: the whole-sample residual fits spline_df, z_kinds
+    and confounders (the caller's glm.confounder_fits of z, if it shares
+    one), the binned fit bin_column and bin_edges."""
     return _SAMPLERS[strategy].fit(
-        x, z, spline_df=spline_df, z_kinds=z_kinds, bin_column=bin_column, bin_edges=bin_edges
+        x,
+        z,
+        spline_df=spline_df,
+        z_kinds=z_kinds,
+        bin_column=bin_column,
+        bin_edges=bin_edges,
+        confounders=confounders,
     )
 
 

@@ -147,17 +147,19 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
-def _error_matrix(n, m, ar1, rng):
-    e = rng.standard_normal((n, m))
+def _error_matrix(ar1, rng, out):
+    """The outcome noise, drawn into out, a C-contiguous float (n, m):
+    standard normal, or with ar1 an AR(1) series across the features,
+    each column made in place from its draw and the column before."""
+    e = rng.standard_normal(out=out)
     if ar1 is None:
         return e
     c = float(ar1)
-    eps = np.empty_like(e)
     # stationary start so every feature sees the same error law
-    eps[:, 0] = e[:, 0] / np.sqrt(1.0 - c * c)
-    for j in range(1, m):
-        eps[:, j] = c * eps[:, j - 1] + e[:, j]
-    return eps
+    e[:, 0] /= np.sqrt(1.0 - c * c)
+    for j in range(1, e.shape[1]):
+        e[:, j] += c * e[:, j - 1]
+    return e
 
 
 def _dgp_kinds(dgp):
@@ -206,10 +208,12 @@ def gen_dataset(config, rng):
         y = _glm_outcomes(gen.family, eta, rng)
     else:
         y = np.outer(gen.f(x), alpha)
-        y += np.outer(gen.g(z), beta)
-        # the global null is pure confounding, no noise: Y_j = beta_j g(Z)
+        term = np.outer(gen.g(z), beta)
+        y += term
+        # the global null is pure confounding, no noise: Y_j = beta_j g(Z);
+        # else the noise is drawn into the confounding term's buffer
         if not config.global_null:
-            y += _error_matrix(n, m, config.ar1_errors, rng)
+            y += _error_matrix(config.ar1_errors, rng, out=term)
 
     x_kind, y_kind, z_kinds = _dgp_kinds(config.dgp)
     dataset = core.Dataset(

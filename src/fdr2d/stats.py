@@ -9,7 +9,8 @@ model_pvalues gives the p-values behind bh; the one-feature
 forms the tests check them against are in tests/reference.py. An
 evaluator scores every feature against a stack (D, n, p) of exposures
 in one call, sharing whatever does not change across draws (centered
-response kernels, the confounders' glm.Residualiser, spline knots). The
+response kernels and their bandwidths, residualised responses, the
+confounders' glm.Residualiser, spline knots), made when it is built. The
 observed exposure is row 0 of the first stack a tensor scores, ahead of
 its first draws; only a failure in that row raises, and a singular
 observed design is refused before any draw is made. Every GLM Wald
@@ -22,6 +23,7 @@ categorical and HSIC statistics are matrix products over all draws.
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +41,8 @@ _BASIS_DF = 5
 # share of the residualised response below which _linear_block_stack
 # sums a pair's rss from its residuals
 _NEAR_PERFECT = 1e-3
+# draws whose products Q'r (p, m) _linear_block_stack holds at once
+_QTY_DRAWS = 8
 
 
 def _sq_distances(points):
@@ -150,36 +154,58 @@ def _feature_basis_builder(values, count):
     return lambda v: sb.evaluate(np.asarray(v, dtype=float).ravel())
 
 
-def _linear_block_stack(fixed, block, ymat, out=None):
+# a response block (n, m) made ready for _linear_block_stack, once per
+# evaluator: fixed, the glm.Residualiser of the columns C every draw
+# shares; resid, the block residualised on C; rss, its sum of squares
+# per column; and tol, each column's perfect-fit tolerance
+_Response = namedtuple("_Response", "fixed resid rss tol")
+
+
+def _response(fixed, ymat, tol=None):
+    """The _Response of ymat on fixed's columns. tol, the perfect-fit
+    tolerance _PERFECT_TOL * ||y||^2 of each column, depends on ymat
+    alone, so responses of one block may share it; made when not given."""
+    resid = fixed.residuals(ymat)
+    if tol is None:
+        tol = glm._PERFECT_TOL * np.einsum("ij,ij->j", ymat, ymat)
+    return _Response(fixed, resid, np.einsum("ij,ij->j", resid, resid), tol)
+
+
+def _linear_block_stack(response, block, out=None):
     """Least-squares share of an exposure block, per (draw, response column).
 
-    The joint model is [C, block]: fixed is the glm.Residualiser of the
-    columns C every draw shares, block (D, n, p) the draws' exposure
-    blocks. By Frisch-Waugh-Lovell, the response is residualised on C
-    once (r), each draw's block once, and one batched QR (Q, R) of those
-    blocks serves every column. Returns qf = ||Q'r||^2 and the joint
-    sigma2 = rss / (n - kc - p), 0 for a perfect fit, each (D, m), and
-    singular (D,): fixed refused, glm.rank_deficient of R against the raw
-    block, or n <= kc + p. rss is ||r||^2 - qf, or ||r - QQ'r||^2 where
-    the block leaves under _NEAR_PERFECT of r and the difference cancels.
-    A column C alone fits has qf = sigma2 = 0. qf is written into out,
-    a (D, m) array, when one is given.
+    The joint model is [C, block]: response is the _Response of the
+    outcome block on the columns C every draw shares, its residuals r
+    made once with it; block (D, n, p) holds the draws' exposure blocks.
+    By Frisch-Waugh-Lovell each draw's block is residualised on C once,
+    and one batched QR (Q, R) of those blocks serves every column.
+    Returns qf = ||Q'r||^2 and the joint sigma2 = rss / (n - kc - p), 0
+    for a perfect fit, each (D, m), and singular (D,): C refused,
+    glm.rank_deficient of R against the raw block, or n <= kc + p. rss
+    is ||r||^2 - qf, or ||r - QQ'r||^2 where the block leaves under
+    _NEAR_PERFECT of r and the difference cancels. A column C alone fits
+    has qf = sigma2 = 0. qf is written into out, a (D, m) array, when
+    one is given. The products Q'r are made _QTY_DRAWS draws at a time,
+    so the call holds qf and rss and no third (D, m) array.
     """
+    fixed, r_y, ryss, tol = response
     n, k = fixed.q.shape[0], fixed.q.shape[1] + block.shape[2]
-    r_y = ymat - fixed.fitted(ymat)
-    q, r = np.linalg.qr(block - fixed.fitted(block))
+    q, r = np.linalg.qr(fixed.residuals(block))
     singular = glm.rank_deficient(r, block) | (fixed.refusal is not None) | (n <= k)
-    qty = np.swapaxes(q, 1, 2) @ r_y
-    qf = np.einsum("dpj,dpj->dj", qty, qty, out=out)
-    ryss = np.einsum("ij,ij->j", r_y, r_y)
-    tol = glm._PERFECT_TOL * np.einsum("ij,ij->j", ymat, ymat)
+    qf = np.empty((block.shape[0], r_y.shape[1])) if out is None else out
+    rss = np.empty_like(qf)
     spanned = ryss <= tol
-    qf[:, spanned] = 0.0
-    rss = np.subtract(ryss, qf)
-    rss[:, spanned] = 0.0
-    d, j = np.nonzero((rss <= np.maximum(_NEAR_PERFECT * ryss, tol)) & ~spanned)
-    resid = r_y[:, j].T - np.einsum("knp,kp->kn", q[d], qty[d, :, j])
-    rss[d, j] = np.einsum("kn,kn->k", resid, resid)
+    near = np.maximum(_NEAR_PERFECT * ryss, tol)
+    for lo in range(0, block.shape[0], _QTY_DRAWS):
+        qb = q[lo : lo + _QTY_DRAWS]
+        qty = np.swapaxes(qb, 1, 2) @ r_y
+        qfb = np.einsum("dpj,dpj->dj", qty, qty, out=qf[lo : lo + _QTY_DRAWS])
+        qfb[:, spanned] = 0.0
+        rssb = np.subtract(ryss, qfb, out=rss[lo : lo + _QTY_DRAWS])
+        rssb[:, spanned] = 0.0
+        d, j = np.nonzero((rssb <= near) & ~spanned)
+        resid = r_y[:, j].T - np.einsum("knp,kp->kn", qb[d], qty[d, :, j])
+        rssb[d, j] = np.einsum("kn,kn->k", resid, resid)
     # sigma2, written over rss
     perfect = rss <= tol
     rss /= n - k
@@ -187,7 +213,7 @@ def _linear_block_stack(fixed, block, ymat, out=None):
     return qf, rss, singular
 
 
-def _glm_wald(xs, z, ymat, family, size, observed, out=None):
+def _glm_wald(xs, z, ymat, family, size, observed, out=None, response=None):
     """Wald statistics of x in the model [1, x, z] for every (draw,
     response column) pair: xs is the exposure stack (D, n, p), and z
     (n, kz) is shared by every draw, with no columns for the marginal
@@ -197,10 +223,11 @@ def _glm_wald(xs, z, ymat, family, size, observed, out=None):
     family goes through _linear_block_stack with fixed columns [1, z]:
     sqrt(qf / sigma2) for p = 1, else qf / sigma2, and a perfect fit with
     qf > 0 takes the zero-covariance rule of _accel.wald_block; a
-    singular draw gets status 3 on every feature. Other families fit
-    every pair in one _accel.glm_fit_many call. observed=True raises on
-    a singular fit in row 0, the observed exposure. stat is written into
-    out, a (D, m) array, when one is given.
+    singular draw gets status 3 on every feature; response is ymat's
+    _Response on [1, z] when the caller made it, else it is made here.
+    Other families fit every pair in one _accel.glm_fit_many call.
+    observed=True raises on a singular fit in row 0, the observed
+    exposure. stat is written into out, a (D, m) array, when one is given.
     """
     code, size = glm.family_code(family, size)
     n, p = xs.shape[1:]
@@ -210,8 +237,9 @@ def _glm_wald(xs, z, ymat, family, size, observed, out=None):
         return np.concatenate([ones, xd, np.broadcast_to(z, xd.shape[:1] + z.shape)], axis=2)
 
     if code == _accel.GAUSSIAN:
-        fixed = glm.Residualiser(np.column_stack([np.ones(n), z]))
-        qf, sigma2, singular = _linear_block_stack(fixed, xs, ymat, out)
+        if response is None:
+            response = _response(glm.Residualiser(np.column_stack([np.ones(n), z])), ymat)
+        qf, sigma2, singular = _linear_block_stack(response, xs, out)
         k = 1 + p + z.shape[1]
         perfect = np.nonzero((sigma2 == 0.0) & (qf > 0.0) & ~singular[:, None])
         # qf / sigma2, its root for p = 1, capped, all written over qf,
@@ -245,7 +273,7 @@ def _rows(out, draws, m):
 
 
 class _GlmEvaluator:
-    def __init__(self, dataset, spec):
+    def __init__(self, dataset, spec, **_):
         code, size = glm.family_code(spec.family, spec.size)
         gaussian = code == _accel.GAUSSIAN
         # refuse a singular observed design before any draw, by the rank
@@ -267,32 +295,39 @@ class _GlmEvaluator:
         self._y = dataset.y
         self._z = dataset.z
         self._spec = spec
+        # the gaussian outcomes residualised on [1, z] and on [1], once
+        self._responses = (None, None)
+        if gaussian:
+            full = _response(glm.Residualiser(np.hstack([ones, dataset.z])), dataset.y)
+            reduced = _response(glm.Residualiser(ones), dataset.y, full.tol)
+            self._responses = (full, reduced)
 
     def pairs(self, xs, observed=False, out=None):
         # the conditional model [1, x, z], then the marginal [1, x]
         tm, tc = _rows(out, xs.shape[0], self._y.shape[1])
         args = (self._y, self._spec.family, self._spec.size, observed)
-        _, full_status = _glm_wald(xs, self._z, *args, out=tc)
-        _, red_status = _glm_wald(xs, self._z[:, :0], *args, out=tm)
+        full, reduced = self._responses
+        _, full_status = _glm_wald(xs, self._z, *args, out=tc, response=full)
+        _, red_status = _glm_wald(xs, self._z[:, :0], *args, out=tm, response=reduced)
         # a feature whose pair any failure zeroed counts once
         return tm, tc, int(np.count_nonzero(np.maximum(full_status, red_status)))
 
 
-def _confounders(dataset, spline_df):
+def _confounders(confounders, spline_df):
     # the Residualiser of rv's and basis-wald's confounder design [1, T(z)]
-    fixed = glm.Residualiser(glm.confounder_design(dataset.z, spline_df, dataset.z_kinds))
+    fixed = confounders(spline_df)
     if fixed.refusal:
         raise ValueError("singular confounder design on observed data")
     return fixed
 
 
 class _RvEvaluator:
-    def __init__(self, dataset, spec):
-        self._dz = _confounders(dataset, spec.spline_df)
+    def __init__(self, dataset, spec, confounders, **_):
+        self._dz = _confounders(confounders, spec.spline_df)
         y = dataset.y
         self._yc = y - y.mean(axis=0)
         self._ycss = np.einsum("ij,ij->j", self._yc, self._yc)
-        self._py = y - self._dz.fitted(y)
+        self._py = self._dz.residuals(y)
         self._pyss = np.einsum("ij,ij->j", self._py, self._py)
         # the centered and residualised draw (2, n, p), or its products u'y (p, m)
         self.draw_cells = max(2 * dataset.n, dataset.m) * dataset.x.shape[1]
@@ -300,7 +335,7 @@ class _RvEvaluator:
     def pairs(self, xs, observed=False, out=None):
         tm, tc = _rows(out, xs.shape[0], self._yc.shape[1])
         xc = xs - xs.mean(axis=1, keepdims=True)
-        px = xs - self._dz.fitted(xs)
+        px = self._dz.residuals(xs)
         # a centered or residualised draw the rank rule refuses is rounding noise
         e1, e2 = glm.rank_deficient(np.linalg.qr(np.stack([xc, px]), mode="r"), xs)
         _rv_many(xc, self._yc, self._ycss, e1, tm)
@@ -344,26 +379,28 @@ def _ratio_or_zero(num, den):
 
 
 class _HsicEvaluator:
-    def __init__(self, dataset, spec):
+    def __init__(self, dataset, spec, bandwidths=None, **_):
         if spec.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         self._eps = float(spec.epsilon)
         # the draw's two kernels (2, n^2), or its two statistic rows (2, m)
         self.draw_cells = 2 * max(dataset.n**2, dataset.m)
         self._zstd = _standardize_columns(dataset.z)
-        self._ky, bad = self._kernels(dataset.y.T[:, :, None], observed=False)
+        self._ky, bad = self._kernels(dataset.y.T[:, :, None], False, bandwidths)
         if bad:
             warnings.warn(f"{bad} features have degenerate kernels; statistics set to 0")
 
-    def _kernels(self, vs, observed):
-        # (2, len(vs), n^2): each v's centered kernel and the regularized
+    def _kernels(self, vs, observed, bandwidths=None):
+        # (2, len(vs), n^2): each v's centered kernel, at its given
+        # bandwidth or else its median distance, and the regularized
         # kernel of [v, z], raveled, zero where v is degenerate; and the
         # count of degenerate vs
         out = np.zeros((2, vs.shape[0], vs.shape[1] ** 2))
         bad = 0
         for i, v in enumerate(vs):
             try:
-                out[0, i] = _center_kernel(gaussian_kernel(v)).ravel()
+                width = None if bandwidths is None else bandwidths[i]
+                out[0, i] = _center_kernel(gaussian_kernel(v, width)).ravel()
                 vz = np.hstack([_standardize_columns(v), self._zstd])
                 kvz = _regularized(_center_kernel(gaussian_kernel(vz)), self._eps)
                 out[1, i] = kvz.ravel()
@@ -387,7 +424,7 @@ class _HsicEvaluator:
 
 
 class _CategoricalEvaluator:
-    def __init__(self, dataset, spec):
+    def __init__(self, dataset, spec, **_):
         z = dataset.z
         n, d = z.shape
         if d and not np.all((z == 0.0) | (z == 1.0)):
@@ -455,14 +492,19 @@ class _CategoricalEvaluator:
 
 
 class _BasisWaldEvaluator:
-    def __init__(self, dataset, spec):
+    def __init__(self, dataset, spec, confounders, **_):
         if dataset.x.shape[1] != 1:
             raise ValueError("basis statistics need a univariate exposure")
         self._builder = _feature_basis_builder(dataset.x[:, 0], _BASIS_DF)
-        self._dz = _confounders(dataset, spec.spline_df)
-        self._no_columns = glm.Residualiser(np.zeros((dataset.n, 0)))
+        dz = _confounders(confounders, spec.spline_df)
         self._y = dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
+        # the outcomes residualised on [1, T(z)], once, and on no
+        # columns, which leaves them as they are
+        joint = _response(dz, dataset.y)
+        y = np.ascontiguousarray(dataset.y)
+        none = glm.Residualiser(np.zeros((dataset.n, 0)))
+        self._responses = (joint, _Response(none, y, np.einsum("ij,ij->j", y, y), joint.tol))
         # per draw, as for the gaussian GLM: the block's Q (n, _BASIS_DF)
         # and its products Q'r (_BASIS_DF, m)
         self.draw_cells = max(dataset.n, dataset.m) * _BASIS_DF
@@ -473,8 +515,9 @@ class _BasisWaldEvaluator:
         # both statistics share the residual variance of the joint model
         # [dz, bx]; the marginal one is the share of bx alone. Each share
         # is summed into its row and the statistic made there
-        _, sigma2, bad = _linear_block_stack(self._dz, bx, self._y, tc)
-        _, _, bad_m = _linear_block_stack(self._no_columns, bx, self._y, tm)
+        joint, alone = self._responses
+        _, sigma2, bad = _linear_block_stack(joint, bx, tc)
+        _, _, bad_m = _linear_block_stack(alone, bx, tm)
         bad |= bad_m
         if observed and bad[0]:
             raise ValueError("singular basis-wald design on observed data")
@@ -546,14 +589,19 @@ class StatisticSpec:
         return cls(kind=token, **overrides)
 
     def unscorable(self, y):
-        """Mask of the outcome columns this statistic scores (0, 0)
-        whatever the exposure: zero-variance columns and, for hsic, those
-        with a degenerate kernel (a median pairwise distance of 0)."""
+        """(mask, bandwidths): the mask of the outcome columns this
+        statistic scores (0, 0) whatever the exposure, zero-variance
+        columns and, for hsic, those with a degenerate kernel (a median
+        pairwise distance of 0); and for hsic each column's median
+        pairwise distance, its kernel's bandwidth (0 where masked), which
+        make_evaluator takes, else None."""
         mask = zero_variance_mask(y)
-        if self.kind == "hsic":
-            for j in np.flatnonzero(~mask):
-                mask[j] = _median_distance(_sq_distances(y[:, j])) <= 0.0
-        return mask
+        if self.kind != "hsic":
+            return mask, None
+        bandwidths = np.zeros(y.shape[1])
+        for j in np.flatnonzero(~mask):
+            bandwidths[j] = _median_distance(_sq_distances(y[:, j]))
+        return mask | (bandwidths <= 0.0), bandwidths
 
     def check_kinds(self, x_kind, y_kind, z_kinds):
         """Refuse data kinds the statistic cannot take; rv takes any."""
@@ -571,7 +619,7 @@ class StatisticSpec:
             raise ValueError(f"family {self.family} expects {want} outcomes, dataset has {y_kind}")
 
 
-def make_evaluator(dataset, spec):
+def make_evaluator(dataset, spec, confounders=None, bandwidths=None):
     """The evaluator of spec's statistic for one dataset, batched over draws.
 
     The returned object computes (marginal, conditional, failed) via
@@ -599,5 +647,13 @@ def make_evaluator(dataset, spec):
     one, such as dataset.x[None], is the observed exposure alone. Each
     evaluator reads its own fields of spec (basis-wald expands the
     exposure in a fixed _BASIS_DF-column spline).
+
+    Whatever no draw changes is made here, once: rv and basis-wald read
+    their confounder fit from confounders, the glm.confounder_fits of
+    dataset.z a caller shares (one is made when not given), and hsic
+    reads each outcome column's kernel bandwidth from bandwidths when
+    given (StatisticSpec.unscorable's, for these columns).
     """
-    return _EVALUATORS[spec.kind](dataset, spec)
+    if confounders is None:
+        confounders = glm.confounder_fits(dataset.z, dataset.z_kinds)
+    return _EVALUATORS[spec.kind](dataset, spec, confounders=confounders, bandwidths=bandwidths)

@@ -8,7 +8,8 @@ response (irls) and fit_glm, which also fits gaussian responses, the
 n x n SVD projector onto a design's orthocomplement, each sampler's
 exposure draws one draw at a time, the threshold grid and path from np.sort, the Storey lambda from np.median with its pooled
 count, the search of one grid, and the estimated FDP and dominance
-counts counted point by point.
+counts counted point by point, and core.validate's binary check
+column by column.
 """
 
 import warnings
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fdr2d import _accel, _rng, engine, glm, stats
+from fdr2d import _accel, _rng, core, engine, glm, stats
 from fdr2d.core import _as_matrix
 
 
@@ -528,3 +529,16 @@ def search(tensor, grid, q, pi0, mode):
     and pick (engine._pick): the search of a grid no pass makes."""
     counts = engine._grid_counts(tensor, grid)
     return engine._pick(tensor, grid.t1_values, grid.t2_values, *counts, q, pi0, mode)
+
+
+def not_binary(label, mat, cols):
+    """core.validate's not-binary Violations of the given columns, one
+    column at a time: each column's finite values other than 0 and 1,
+    by row."""
+    out = []
+    for c in cols:
+        col = mat[:, c]
+        offenders = np.nonzero(np.isfinite(col) & (col != 0.0) & (col != 1.0))[0]
+        for r in offenders:
+            out.append(core.Violation(label, "not-binary", int(r), int(c), detail=f"value {col[r]!r}"))
+    return out

@@ -578,3 +578,107 @@ def test_default_binomial_analyze_tensor_call_counts(monkeypatch):
         engine.build_tensor(dataset, make_plan("residual-perm", b=19), make_spec("glm:binomial"))
     assert shapes == [(20, 100, 1)]
     assert fits == [(20, 100, 3), (20, 100, 2)]
+
+
+@pytest.mark.parametrize(
+    "stat,sampler,spline_df,fits",
+    [
+        ("rv", "residual-perm", 5, 1),
+        ("rv", "residual-perm", None, 2),
+        ("basis-wald", "residual-boot", 5, 1),
+        ("glm:gaussian", "residual-perm", None, 1),
+        ("glm:binomial", "parametric-logistic", None, 0),
+    ],
+)
+def test_one_confounder_fit_per_design(monkeypatch, stat, sampler, spline_df, fits):
+    # the sampler fit and the statistic share one fit of each confounder
+    # design [1, T(z)]: one for one spline df, two for two, and none where
+    # neither side adjusts through it
+    dataset = make_dataset(stat, sampler, 1)
+    plan = dataclasses.replace(make_plan(sampler, b=9), spline_df=spline_df)
+    designs = []
+    real = glm.confounder_design
+
+    def confounder_design(*args, **kwargs):
+        designs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(glm, "confounder_design", confounder_design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = engine.StatisticSpec.from_token(stat, spline_df=5)
+        tensor = engine.build_tensor(dataset, plan, spec)
+    assert len(designs) == fits
+    # the same bits as a sampler and an evaluator that fit their own
+    monkeypatch.setattr(glm, "confounder_design", real)
+    varying, keep = _varying(dataset)
+    evaluator = stats.make_evaluator(varying, spec)
+    model = samplers.fit_for_strategy(sampler, dataset.x, dataset.z, spline_df, dataset.z_kinds)
+    draws = samplers.draw_for_strategy(sampler, model, plan.seed, range(1, 10))
+    xs = np.concatenate([dataset.x[None], draws])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tm, tc, _ = evaluator.pairs(xs, observed=True)
+    assert tensor.planes[0][:, keep].tobytes() == tm.tobytes()
+    assert tensor.planes[1][:, keep].tobytes() == tc.tobytes()
+
+
+@pytest.mark.parametrize("stat,fits", [("glm:gaussian", 2), ("basis-wald", 1)])
+def test_outcomes_are_residualised_once_per_model(monkeypatch, stat, fits):
+    # the evaluator residualises the outcome block on each model's fixed
+    # columns when it is built, [1, z] and [1] for the gaussian GLM and
+    # the confounder spline for basis Wald (whose marginal model has no
+    # fixed columns to fit); the chunks reuse those residuals
+    dataset = make_dataset(stat, "residual-perm", 1)
+    spec = make_spec(stat)
+    varying, _ = _varying(dataset)
+    monkeypatch.setattr(engine, "_CHUNK_CELLS", 5 * stats.make_evaluator(varying, spec).draw_cells)
+    shapes = _counting_evaluators(monkeypatch)
+    fitted_shapes = []
+    real = glm.Residualiser.fitted
+
+    def fitted(self, v):
+        fitted_shapes.append(np.shape(v))
+        return real(self, v)
+
+    monkeypatch.setattr(glm.Residualiser, "fitted", fitted)
+    engine.build_tensor(dataset, make_plan("residual-perm", b=12), spec)
+    assert len(shapes) == 3
+    assert fitted_shapes.count(varying.y.shape) == fits
+
+
+def test_hsic_outcome_bandwidths_are_made_once(monkeypatch):
+    # the set-aside pass takes each varying outcome's median distance
+    # once, and the evaluator reuses it as that kernel's bandwidth: while
+    # it is built, only the kernels of [y, z] take their own medians. The
+    # tensor has the bits of an evaluator that takes the medians again
+    dataset = make_dataset("hsic", "residual-perm", 1)
+    spec = make_spec("hsic")
+    medians = []
+    real = stats._median_distance
+
+    def median_distance(d2):
+        medians.append(d2.shape)
+        return real(d2)
+
+    built = []
+    make = stats.make_evaluator
+
+    def make_evaluator(*args, **kwargs):
+        before = len(medians)
+        evaluator = make(*args, **kwargs)
+        built.append(len(medians) - before)
+        return evaluator
+
+    monkeypatch.setattr(stats, "_median_distance", median_distance)
+    monkeypatch.setattr(stats, "make_evaluator", make_evaluator)
+    plan = make_plan("residual-perm", b=4)
+    tensor = engine.build_tensor(dataset, plan, spec)
+    varying, keep = _varying(dataset)
+    assert medians[: varying.m] == [(dataset.n, dataset.n)] * varying.m
+    assert built == [varying.m]
+    model = samplers.fit_for_strategy("residual-perm", dataset.x, dataset.z)
+    draws = samplers.draw_for_strategy("residual-perm", model, plan.seed, range(1, 5))
+    tm, tc, _ = make(varying, spec).pairs(np.concatenate([dataset.x[None], draws]), observed=True)
+    assert tensor.planes[0][:, keep].tobytes() == tm.tobytes()
+    assert tensor.planes[1][:, keep].tobytes() == tc.tobytes()

@@ -573,6 +573,38 @@ class TestBuildTensor:
             )
 
 
+class TestValidate:
+    def test_binary_check_matches_the_column_loop(self):
+        # offenders in several columns of x, y and the binary z columns,
+        # beside non-finite cells (their own rule) and a continuous z
+        # column (not checked): the same Violations in the same order,
+        # column by column, then row
+        rng = np.random.default_rng(5)
+        n = 12
+        x = (rng.random((n, 2)) < 0.5).astype(float)
+        x[[3, 0], 1] = [0.5, -1.0]
+        y = (rng.random((n, 6)) < 0.5).astype(float)
+        y[[7, 2], 0] = [2.0, 1e-300]
+        y[[4, 9, 11], 3] = [-0.0, 0.25, np.nan]
+        y[[1, 10], 5] = [np.inf, 3.0]
+        z = np.column_stack([(rng.random(n) < 0.5), rng.normal(size=n), (rng.random(n) < 0.5)])
+        z = z.astype(float)
+        z[[6, 2], 2] = [7.0, 0.9]
+        ds = core.Dataset(
+            x=x, y=y, z=z, x_kind="binary", y_kind="binary",
+            z_kinds=("binary", "continuous", "binary"),
+        )
+        got = [v for v in core.validate(ds) if v.rule == "not-binary"]
+        want = (
+            reference.not_binary("x", x, range(2))
+            + reference.not_binary("y", y, range(6))
+            + reference.not_binary("z", z, [0, 2])
+        )
+        assert len(want) == 8
+        assert got == want
+        assert [str(v) for v in got] == [str(v) for v in want]
+
+
 class TestConfigValidation:
     def test_spec_token_round_trip(self):
         spec = engine.StatisticSpec.from_token("glm:poisson")
@@ -926,8 +958,8 @@ class TestApplyMethods:
     def test_bh_and_unknown_methods_rejected(self):
         tensor = self._tensors()[0]
         config = engine.ProcedureConfig()
-        for method in ("bh", "triple-dip"):
-            with pytest.raises(ValueError, match="tensor"):
+        for method, message in (("bh", "tensor"), ("triple-dip", "unknown method")):
+            with pytest.raises(ValueError, match=message):
                 engine.apply_methods(tensor, config, ["mf2d-fdr", method])
         assert engine.apply_methods(tensor, config, []) == {}
 

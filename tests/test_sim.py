@@ -7,6 +7,7 @@ so the suite stays stable across platforms.
 """
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -153,6 +154,21 @@ class TestGenDataset:
         ]
         np.testing.assert_allclose(np.mean(r), 0.7, atol=0.03)
 
+    @pytest.mark.parametrize(
+        "ar1,digest",
+        [
+            (None, "4dd25af4bb280ca9bd9afcdddae27c36f7c863fcbe9711a2d9f979ff4fc4a028"),
+            (0.5, "297b08a371ec40ac6c5a258de3ee07631195011153f894200fd484ef903adbcc"),
+        ],
+    )
+    def test_outcome_bits_are_pinned(self, ar1, digest):
+        # sha256 of the bytes of x, y and z: the buffer the noise is drawn
+        # into, and the AR(1) series built there in place, change no bit
+        cfg = sim.SimConfig(dgp=1, n=40, m=12, pi=0.5, l=0.5, reps=1, ar1_errors=ar1)
+        ds, _ = sim.gen_dataset(cfg, np.random.default_rng(20_221_019))
+        got = hashlib.sha256(b"".join(a.tobytes() for a in (ds.x, ds.y, ds.z))).hexdigest()
+        assert got == digest
+
     def test_ar1_coefficient_must_be_stable(self):
         with pytest.raises(ValueError, match="ar1"):
             sim.SimConfig(dgp=1, ar1_errors=1.0)
@@ -229,8 +245,9 @@ class TestReplication:
             )
 
     def test_comparison_column_matches_run_experiment(self):
+        # the mf2d-fdr column of a three-method run is the one-method run
         cfg = _config(reps=2)
-        table = sim.run_method_comparison(cfg, ("mf2d-fdr",))
+        table = sim.run_method_comparison(cfg, ("mf2d-fdr", "mf1d", "exchangeable-path"))
         direct = sim.run_method_comparison(cfg, ["mf2d-fdr"])["mf2d-fdr"]
         np.testing.assert_array_equal(
             table["mf2d-fdr"].per_rep_fdp, direct.per_rep_fdp
