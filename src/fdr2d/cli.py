@@ -239,65 +239,48 @@ def _cmd_analyze(cfg):
     procedure = _procedure_from(cfg)
     dataset, spec = _load_analysis_dataset(cfg)
     started = time.perf_counter()
-    if cfg["method"] == "bh":
-        pvals, rejected = engine.bh_rejections(dataset, spec, cfg["q"])
-        rejected_set = set(rejected.tolist())
-        doc = {
-            "method": "bh",
-            "config": _settings(cfg),
-            "n": dataset.n,
-            "m": dataset.m,
-            "q": cfg["q"],
-            "n_rejected": int(rejected.size),
-            "rejected_features": [dataset.feature_names[j] for j in rejected],
-            "runtime_seconds": time.perf_counter() - started,
-        }
-        rows = [
-            (name, pvals[j], int(j in rejected_set))
-            for j, name in enumerate(dataset.feature_names)
-        ]
-        io.save_table(_features_path(cfg["out"]), ("feature", "pvalue", "rejected"), rows)
-    else:
-        plan = _plan_from(cfg, dataset)
-        tensor = engine.build_tensor(dataset, plan, spec)
-        result = engine.apply_method(tensor, procedure, cfg["method"])
-        rejected_set = set(result.rejected.tolist())
-        doc = {
-            "method": cfg["method"],
-            "config": _settings(cfg),
-            "n": dataset.n,
-            "m": dataset.m,
-            "q": cfg["q"],
-            "t1": result.t1,
-            "t2": result.t2,
-            "fdp_estimate": result.fdp_estimate,
-            "pi0": result.pi0,
-            "pi0_lambda": result.pi0_lambda,
-            "n_rejected": result.n_rejected,
-            "rejected_features": [dataset.feature_names[j] for j in result.rejected],
-            "zero_variance_features": [
-                dataset.feature_names[j] for j in np.flatnonzero(tensor.zero_variance)
-            ],
-            "runtime_seconds": time.perf_counter() - started,
-        }
-        shares = engine.fbar(tensor, np.arange(dataset.m), result.t1, result.t2).tolist()
-        rows = [
-            (
-                name,
-                tensor.pairs[0, j, 0],
-                tensor.pairs[0, j, 1],
-                shares[j],
-                int(j in rejected_set),
-            )
-            for j, name in enumerate(dataset.feature_names)
-        ]
-        io.save_table(
-            _features_path(cfg["out"]),
-            ("feature", "t_marginal", "t_conditional", "fbar", "rejected"),
-            rows,
-        )
+    answer = _tensor_answer if engine.reads_tensor(cfg["method"]) else _pvalue_answer
+    rejected, thresholds, set_aside, columns = answer(cfg, dataset, spec, procedure)
+    names = dataset.feature_names
+    doc = {
+        "method": cfg["method"],
+        "config": _settings(cfg),
+        "n": dataset.n,
+        "m": dataset.m,
+        "q": cfg["q"],
+        **thresholds,
+        "n_rejected": int(rejected.size),
+        "rejected_features": [names[j] for j in rejected],
+        **set_aside,
+        "runtime_seconds": time.perf_counter() - started,
+    }
+    rows = zip(names, *columns.values(), np.isin(np.arange(dataset.m), rejected))
+    io.save_table(_features_path(cfg["out"]), ("feature", *columns, "rejected"), rows)
     _write_json(cfg["out"], doc)
     return 0
+
+
+def _pvalue_answer(cfg, dataset, spec, procedure):
+    # (rejected, {}, {}, features.tsv's p-value column) of a method that
+    # reads model p-values
+    pvalues, rejected = engine.bh_rejections(dataset, spec, procedure.q)
+    return rejected, {}, {}, {"pvalue": pvalues}
+
+
+def _tensor_answer(cfg, dataset, spec, procedure):
+    # (rejected, result.json's thresholds, its zero-variance features,
+    # features.tsv's observed statistics and fbar shares) of a search
+    tensor = engine.build_tensor(dataset, _plan_from(cfg, dataset), spec)
+    result = engine.apply_method(tensor, procedure, cfg["method"])
+    keys = ("t1", "t2", "fdp_estimate", "pi0", "pi0_lambda")
+    thresholds = {key: getattr(result, key) for key in keys}
+    zero_variance = [dataset.feature_names[j] for j in np.flatnonzero(tensor.zero_variance)]
+    columns = {
+        "t_marginal": tensor.pairs[0, :, 0],
+        "t_conditional": tensor.pairs[0, :, 1],
+        "fbar": engine.fbar(tensor, np.arange(dataset.m), result.t1, result.t2),
+    }
+    return result.rejected, thresholds, {"zero_variance_features": zero_variance}, columns
 
 
 def _features_path(out):

@@ -133,8 +133,7 @@ def validate(dataset):
         out.append(Violation("y", "name-count-mismatch", detail=f"{len(dataset.feature_names)} names for {dataset.m} features"))
 
     for label, mat in (("x", x), ("y", y), ("z", z)):
-        bad = np.argwhere(~np.isfinite(mat))
-        for r, c in bad:
+        for r, c in _found(~np.isfinite(mat)):
             out.append(Violation(label, "non-finite", int(r), int(c)))
 
     def check_binary(label, mat, cols):
@@ -142,7 +141,7 @@ def validate(dataset):
         cols = np.asarray(cols, dtype=np.intp)
         block = mat[:, cols]
         offender = np.isfinite(block) & (block != 0.0) & (block != 1.0)
-        for k, r in zip(*np.nonzero(offender.T)):
+        for k, r in _found(offender.T):
             c = cols[k]
             out.append(Violation(label, "not-binary", int(r), int(c), detail=f"value {mat[r, c]!r}"))
 
@@ -151,13 +150,18 @@ def validate(dataset):
     if dataset.y_kind == "binary":
         check_binary("y", y, range(y.shape[1]))
     if dataset.y_kind == "count":
-        finite = np.isfinite(y)
-        offender = finite & ((y < 0) | (y != np.floor(y)))
-        for r, c in np.argwhere(offender):
+        offender = np.isfinite(y) & ((y < 0) | (y != np.floor(y)))
+        for r, c in _found(offender):
             out.append(Violation("y", "not-count", int(r), int(c), detail=f"value {y[r, c]!r}"))
     binary_z = [c for c, kind in enumerate(dataset.z_kinds) if kind == "binary" and c < z.shape[1]]
     check_binary("z", z, binary_z)
     return out
+
+
+def _found(mask):
+    # the (row, col) of each True entry of mask in row-major order, as
+    # np.argwhere; a clean mask is not searched
+    return np.argwhere(mask) if mask.any() else ()
 
 
 def zero_variance_mask(y):
@@ -224,10 +228,6 @@ class TruthMask:
 
     def __post_init__(self):
         self.is_null = np.asarray(self.is_null, dtype=bool)
-
-    @property
-    def n_signal(self):
-        return int((~self.is_null).sum())
 
 
 @dataclass

@@ -16,6 +16,7 @@ from observed rejection counts and can never be rejected.
 import dataclasses
 import re
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Union
@@ -32,14 +33,20 @@ from .stats import StatisticSpec  # noqa: F401 - engine.StatisticSpec stays impo
 # GLM fits of a full chunk hold about seven such arrays at once.
 _CHUNK_CELLS = 2**19
 
-METHODS = (
-    "mf2d-fdr",
-    "mf2d-fwer",
-    "mf1d",
-    "bh",
-    "exchangeable-path",
-    "ordered-grid",
-)
+# one row per thresholding method, in --method's order: the threshold
+# set it reads on a tensor ("grid", "path"; "pvalues" for model p-values
+# and no tensor) and its rule there: _pick's "fdr" or "fwer", "fdr-1d"
+# on the grid's t1 = 0 row, the walk without or with pi0 ("pi0-walk")
+_Method = namedtuple("_Method", "reads rule")
+_METHODS = {
+    "mf2d-fdr": _Method("grid", "fdr"),
+    "mf2d-fwer": _Method("grid", "fwer"),
+    "mf1d": _Method("grid", "fdr-1d"),
+    "bh": _Method("pvalues", "step-up"),
+    "exchangeable-path": _Method("path", "walk"),
+    "ordered-grid": _Method("path", "pi0-walk"),
+}
+METHODS = tuple(_METHODS)
 
 
 @dataclass
@@ -442,7 +449,7 @@ def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
         crit = pi0 * (counts_all / float(b1))
     feas = crit <= q
     if not feas.any():
-        return CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, pi0)
+        return _cutoff(tensor, pi0)
     rmask = np.where(feas, robs, -1)
     best_r = int(rmask.max())
     cand = feas & (robs == best_r)
@@ -451,29 +458,33 @@ def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
     cand &= critmask == best_c
     flat = int(np.argmax(cand.ravel()))
     a, c = divmod(flat, t2v.size)
-    t1s = float(t1v[a])
-    t2s = float(t2v[c])
-    return CutoffResult(t1s, t2s, _rejected(tensor, t1s, t2s), float(crit[a, c]), pi0)
+    return _cutoff(tensor, pi0, (t1v[a], t2v[c]), crit[a, c])
 
 
 def _first_feasible(tensor, path, counts_all, robs, q, pi0):
-    """First path step whose fdp_tilde is at most q, from per-step counts."""
-    mult = 1.0 if pi0 is None else float(pi0)
-    crit = _fdp(counts_all, robs, tensor.pairs.shape[0], mult)
+    """First path step whose fdp_tilde times pi0 is at most q, from counts."""
+    crit = _fdp(counts_all, robs, tensor.pairs.shape[0], pi0)
     hit = np.flatnonzero(crit <= q)
     if hit.size == 0:
-        return CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, mult)
+        return _cutoff(tensor, pi0)
     s = int(hit[0])
-    t1 = float(path.t1[s])
-    t2 = float(path.t2[s])
-    return CutoffResult(t1, t2, _rejected(tensor, t1, t2), float(crit[s]), mult)
+    return _cutoff(tensor, pi0, (path.t1[s], path.t2[s]), crit[s])
+
+
+def _cutoff(tensor, pi0, point=None, crit=0.0):
+    # the CutoffResult at the chosen point (t1, t2), None when infeasible
+    if point is None:
+        return CutoffResult(np.inf, np.inf, np.zeros(0, dtype=np.int64), 0.0, pi0)
+    t1, t2 = map(float, point)
+    return CutoffResult(t1, t2, _rejected(tensor, t1, t2), float(crit), pi0)
 
 
 def ordered_grid_procedure(tensor, path, q, pi0=None):
     """Smallest chain index whose fdp_tilde is at most q. Without pi0
     this is the exchangeable-path rule: the plain pooled-count ratio is
     what carries the finite-sample guarantee."""
-    return _first_feasible(tensor, path, *_chain_counts(tensor, path), q, pi0)
+    counts = _chain_counts(tensor, path)
+    return _first_feasible(tensor, path, *counts, q, 1.0 if pi0 is None else float(pi0))
 
 
 def bh_procedure(pvalues, q):
@@ -493,19 +504,26 @@ def bh_procedure(pvalues, q):
     return np.sort(order[: k + 1]).astype(np.int64)
 
 
-def _check_names(methods):
-    # the one place a name not in METHODS is refused
-    for method in methods:
-        if method not in METHODS:
+def reads_tensor(method):
+    """Whether a method searches a statistic tensor; bh reads p-values."""
+    return _METHODS[method].reads != "pvalues"
+
+
+def check_methods(methods, spec=None):
+    """The one place a method list is refused: first a name not in
+    METHODS or given twice, then a method that reads model p-values with
+    no spec (apply_methods, on a tensor alone) or a non-glm spec."""
+    methods = list(methods)
+    for k, method in enumerate(methods):
+        if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def check_methods(methods, spec):
-    """Refuse what no run makes: a name not in METHODS, and bh without a
-    glm statistic spec."""
-    _check_names(methods)
-    if "bh" in methods and spec.kind != "glm":
-        raise ValueError("bh needs model-based p-values; use a glm statistic")
+        if method in methods[:k]:
+            raise ValueError(f"method {method!r} is given more than once")
+    for method in (m for m in methods if not reads_tensor(m)):
+        if spec is None:
+            raise ValueError(f"method {method!r} does not run on a tensor")
+        if spec.kind != "glm":
+            raise ValueError(f"{method} needs model-based p-values; use a glm statistic")
 
 
 def bh_rejections(dataset, spec, q, tensor=None):
@@ -534,41 +552,32 @@ def _surface(tensor, counts, pi0):
     return counts_all / float(b1), robs, _fdp(counts_all, robs, b1, pi0)
 
 
-_TENSOR_METHODS = tuple(m for m in METHODS if m != "bh")
-_GRID_METHODS = ("mf2d-fdr", "mf2d-fwer", "mf1d")
-
-
 class _SearchPass:
     """One search over one tensor, for the methods it is told it serves.
 
     Each pooled axis goes once through _axis_bins, one axis at a time:
     it is argsorted and its values gathered once in that order; from
-    those sorted values the pass reads every threshold set its methods
-    need (the grid axis for the grid methods, the default path axis for
-    the path methods and, on the conditional axis, lambda with the
-    pooled count at or below it), as make_grid, default_path and
-    storey_pi0 read them; it bins the axis against each set in small
-    integers and drops the argsort and the sorted copy before the other
-    axis is sorted. The grid and chain counts are then made from the
-    bins, observed row included (its bins are the first m pooled ones),
-    and the bins are dropped. pi0 is read from the pooled count on first
-    use. grid, grid_counts, path and path_counts stay None when no served
-    method needs them.
+    those sorted values the pass reads every threshold set that its
+    methods' rows of _METHODS name (the grid axis, the default path axis)
+    and, on the conditional axis, lambda with the pooled count at or
+    below it, as make_grid, default_path and storey_pi0 read them; it
+    bins the axis against each set in small integers and drops the
+    argsort and the sorted copy before the other axis is sorted. The grid
+    and chain counts are then made from the bins, observed row included
+    (its bins are the first m pooled ones), and the bins are dropped. pi0
+    is read from the pooled count on first use. grid, grid_counts, path
+    and path_counts stay None when no served method reads them.
     """
 
     def __init__(self, tensor, config, methods):
         self.tensor = tensor
         self.config = config
         size, steps, lam = _grid_size(config.grid), config.path_steps, config.pi0_lambda
-        grid = any(m in _GRID_METHODS for m in methods)
-        path = any(m not in _GRID_METHODS for m in methods)
+        axes = {"grid": partial(_grid_axis, size=size), "path": partial(_path_axis, steps=steps)}
+        reads = [name for name in axes if any(_METHODS[m].reads == name for m in methods)]
 
         def derive(k, ascending):
-            sets = {}
-            if grid:
-                sets["grid"] = _grid_axis(ascending, size)
-            if path:
-                sets["path"] = _path_axis(ascending, steps)
+            sets = {name: axes[name](ascending) for name in reads}
             if k == 0 or lam is None:
                 return sets, (None, 0)
             at = _half_median(ascending) if lam == "auto" else float(lam)
@@ -577,11 +586,11 @@ class _SearchPass:
         (sets0, bins0, _), (sets1, bins1, found) = _both_axes(tensor, derive)
         self.pi0_lambda, self._below = found
         self.grid = self.grid_counts = self.path = self.path_counts = None
-        if grid:
+        if "grid" in reads:
             self.grid = _grid_of((sets0["grid"], sets1["grid"]), size)
             bins = (bins0.pop("grid"), bins1.pop("grid"))
             self.grid_counts = _grid_counts(tensor, self.grid, bins)
-        if path:
+        if "path" in reads:
             self.path = MonotonePath(sets0["path"], sets1["path"])
             bins = (bins0.pop("path"), bins1.pop("path"))
             self.path_counts = _chain_counts(tensor, self.path, bins)
@@ -598,37 +607,32 @@ class _SearchPass:
         return _surface(self.tensor, self.grid_counts, self.pi0)
 
     def run(self, method):
+        # the method's rule on the threshold set its row names
+        reads, rule = _METHODS[method]
         tensor, q = self.tensor, self.config.q
-        if method in ("mf2d-fdr", "mf2d-fwer"):
-            t1v, t2v = self.grid.t1_values, self.grid.t2_values
-            mode = "fdr" if method == "mf2d-fdr" else "fwer"
-            return _pick(tensor, t1v, t2v, *self.grid_counts, q, self.pi0, mode)
-        if method == "mf1d":
-            # every grid holds t1 = 0; its row is the 1-D search
-            a = int(np.searchsorted(self.grid.t1_values, 0.0))
-            counts_all, robs = (c[a : a + 1] for c in self.grid_counts)
-            t2v = self.grid.t2_values
-            return _pick(tensor, np.zeros(1), t2v, counts_all, robs, q, self.pi0, "fdr")
-        plain = method == "exchangeable-path" or self.config.pi0_lambda is None
-        pi0 = None if plain else self.pi0
-        return _first_feasible(tensor, self.path, *self.path_counts, q, pi0)
+        if reads == "path":
+            pi0 = self.pi0 if rule == "pi0-walk" else 1.0
+            return _first_feasible(tensor, self.path, *self.path_counts, q, pi0)
+        t1v, counts = self.grid.t1_values, self.grid_counts
+        if rule == "fdr-1d":
+            # every grid starts at t1 = 0 (_grid_axis puts 0 in and Grid2D
+            # refuses negative values); its first row is the 1-D search
+            t1v, counts, rule = t1v[:1], [c[:1] for c in counts], "fdr"
+        return _pick(tensor, t1v, self.grid.t2_values, *counts, q, self.pi0, rule)
 
 
 def apply_methods(tensor, config, methods):
     """Run several thresholding methods on one tensor in one search pass.
 
     Returns {method: CutoffResult}, each equal to what apply_method gives
-    for that method; an unknown name is refused as check_methods refuses
-    it, and bh, which reads p-values rather than a tensor, is refused too.
-    The methods share one
-    argsort of each pooled axis, from which the grid, the default path,
-    the grid counts and the path walk are all derived (see _SearchPass).
-    Each result carries the pass's lambda as pi0_lambda.
+    for that method. check_methods refuses the list: an unknown or
+    repeated name, and bh, which reads p-values rather than a tensor. The
+    methods share one argsort of each pooled axis, from which the grid,
+    the default path, the grid counts and the path walk are all derived
+    (see _SearchPass). Each result carries the pass's lambda as
+    pi0_lambda.
     """
-    _check_names(methods)
-    for method in methods:
-        if method not in _TENSOR_METHODS:
-            raise ValueError(f"method {method!r} does not run on a tensor")
+    check_methods(methods)
     if not methods:
         return {}
     search = _SearchPass(tensor, config, methods)

@@ -246,12 +246,12 @@ def _replicate(config, rep_seed, methods):
     """{method: (fdp, power, n_rejected)} on one synthetic dataset.
 
     Data and sampler use disjoint substreams of ``rep_seed``, so every
-    method sees the same data, and the tensor methods share one tensor
-    and one search pass (engine.apply_methods). bh reads its p-values
-    from that tensor's observed row when there is one.
+    method sees the same data, and the methods engine.reads_tensor names
+    share one tensor and one search pass (engine.apply_methods). bh reads
+    its p-values from that tensor's observed row when there is one.
     """
     dataset, truth = gen_dataset(config, _rng.substream(rep_seed, "data"))
-    tensor_methods = [m for m in methods if m != "bh"]
+    tensor_methods = [m for m in methods if engine.reads_tensor(m)]
     rejected, tensor = {}, None
     if tensor_methods:
         plan = dataclasses.replace(
@@ -260,8 +260,9 @@ def _replicate(config, rep_seed, methods):
         tensor = engine.build_tensor(dataset, plan, config.statistic)
         results = engine.apply_methods(tensor, config.procedure, tensor_methods)
         rejected = {m: r.rejected for m, r in results.items()}
-    if "bh" in methods:
-        rejected["bh"] = engine.bh_rejections(dataset, config.statistic, config.procedure.q, tensor)[1]
+    for method in methods:
+        if not engine.reads_tensor(method):
+            rejected[method] = engine.bh_rejections(dataset, config.statistic, config.procedure.q, tensor)[1]
     return {m: (*score_rejections(rejected[m], truth), int(rejected[m].size)) for m in methods}
 
 
@@ -325,9 +326,9 @@ def run_method_comparison(config, methods):
     method sees the same statistics and resamples, so rejection-count
     differences are attributable to the decision rule alone.
 
-    Unknown methods, bh without a glm statistic, and a sampler or
-    statistic that cannot take the generator's exposure and outcome
-    kinds are refused before the first dataset is drawn. A replication
+    Unknown or repeated methods, bh without a glm statistic, and a
+    sampler or statistic that cannot take the generator's exposure and
+    outcome kinds are refused before the first dataset is drawn. A replication
     that raises is skipped with a warning and counted in every method's
     reps_failed, so the methods stay paired; the summaries average the
     completed replications. If every replication fails, the first one's
@@ -335,7 +336,7 @@ def run_method_comparison(config, methods):
     """
     engine.check_methods(methods, config.statistic)
     x_kind, y_kind, z_kinds = _dgp_kinds(config.dgp)
-    if any(m != "bh" for m in methods):
+    if any(engine.reads_tensor(m) for m in methods):
         config.sampler.check_kinds(x_kind)
     config.statistic.check_kinds(x_kind, y_kind, z_kinds)
     rows, failed, first_error = [], 0, None

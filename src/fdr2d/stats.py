@@ -22,6 +22,7 @@ one batched least-squares routine, _linear_block_stack; the RV,
 categorical and HSIC statistics are matrix products over all draws.
 """
 
+import functools
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -61,7 +62,16 @@ def _sq_distances(points):
 
 def _median_distance(d2):
     # the median-heuristic bandwidth: the median pairwise distance
-    return float(np.median(np.sqrt(d2[np.triu_indices(d2.shape[0], 1)])))
+    return float(np.median(np.sqrt(d2[_upper_pairs(d2.shape[0])])))
+
+
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n):
+    # np.triu_indices(n, 1), made once per n and read-only: every median
+    # of a tensor's draws reads the same pairs
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def gaussian_kernel(points, bandwidth=None):

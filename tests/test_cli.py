@@ -454,6 +454,20 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_repeated_method_refused_before_any_data(self, tmp_path, capsys, monkeypatch):
+        # a name given twice would run twice and write its row twice
+        calls = []
+        real = sim.gen_dataset
+        monkeypatch.setattr(sim, "gen_dataset", lambda c, rng: calls.append(c) or real(c, rng))
+        args = ["simulate", "--dgp", "1", "--n", "40", "--m", "40", "--reps", "1",
+                "--b", "9", "--method", "mf1d,mf1d,bh", "--out", str(tmp_path / "s.tsv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == 1
+        assert calls == [] and caught == []
+        assert "method 'mf1d' is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_bad_dgp_validation(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "19", "--out", str(tmp_path / "s.tsv"),
                 "--reps", "1"]

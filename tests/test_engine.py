@@ -604,6 +604,43 @@ class TestValidate:
         assert got == want
         assert [str(v) for v in got] == [str(v) for v in want]
 
+    @pytest.mark.parametrize(
+        "changes, want",
+        [
+            ({"x": np.zeros((4, 1))}, [("x", "row-count-mismatch", -1, -1)]),
+            ({"z": np.zeros((6, 2))}, [("z", "row-count-mismatch", -1, -1)]),
+            ({"n": 2}, [("y", "too-few-rows", -1, -1)]),
+            ({"x_kind": "ordinal"}, [("x", "unknown-kind", -1, -1)]),
+            ({"y_kind": "ordinal"}, [("y", "unknown-kind", -1, -1)]),
+            ({"z_kinds": ("continuous", "ordinal")}, [("z", "unknown-kind", -1, -1)]),
+            ({"z_kinds": ("continuous",)}, [("z", "kind-count-mismatch", -1, -1)]),
+            ({"feature_names": ("a", "b")}, [("y", "name-count-mismatch", -1, -1)]),
+            (
+                # a non-finite cell is its own rule, then row-major order
+                {"y": [[np.nan, 1, 0], [2, 0, -1], [0, 3, 1], [1, 2.5, 4], [5, 0, 2]]},
+                [("y", "non-finite", 0, 0), ("y", "not-count", 1, 2), ("y", "not-count", 3, 1)],
+            ),
+        ],
+        ids=[
+            "row-count-mismatch-x", "row-count-mismatch-z", "too-few-rows", "unknown-kind-x",
+            "unknown-kind-y", "unknown-kind-z", "kind-count-mismatch", "name-count-mismatch",
+            "not-count",
+        ],
+    )
+    def test_each_rule_locates_its_violation(self, changes, want):
+        def dataset(n=5, **changes):
+            # counts with continuous x and z, and the given fields replaced
+            rng = np.random.default_rng(7)
+            fields = dict(
+                x=rng.normal(size=(n, 1)), y=rng.poisson(2.0, size=(n, 3)).astype(float),
+                z=rng.normal(size=(n, 2)), y_kind="count", z_kinds=("continuous", "continuous"),
+            )
+            return core.Dataset(**{**fields, **changes})
+
+        assert core.validate(dataset()) == []
+        got = [(v.matrix, v.rule, v.row, v.col) for v in core.validate(dataset(**changes))]
+        assert got == want
+
 
 class TestConfigValidation:
     def test_spec_token_round_trip(self):
@@ -958,7 +995,10 @@ class TestApplyMethods:
     def test_bh_and_unknown_methods_rejected(self):
         tensor = self._tensors()[0]
         config = engine.ProcedureConfig()
-        for method, message in (("bh", "tensor"), ("triple-dip", "unknown method")):
+        for method, message in (
+            ("bh", "tensor"), ("triple-dip", "unknown method"),
+            ("mf2d-fdr", "method 'mf2d-fdr' is given more than once"),
+        ):
             with pytest.raises(ValueError, match=message):
                 engine.apply_methods(tensor, config, ["mf2d-fdr", method])
         assert engine.apply_methods(tensor, config, []) == {}

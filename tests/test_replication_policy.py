@@ -90,7 +90,11 @@ def test_every_replication_failing_raises_the_first_error(monkeypatch):
 
 @pytest.mark.parametrize(
     "methods, message",
-    [(("mf2d-fdr", "bh"), "bh needs model-based p-values"), (("mf2d-fdr", "nope"), "unknown method")],
+    [
+        (("mf2d-fdr", "bh"), "bh needs model-based p-values"),
+        (("mf2d-fdr", "nope"), "unknown method"),
+        (("mf1d", "mf1d", "bh"), "method 'mf1d' is given more than once"),
+    ],
 )
 def test_configuration_error_refused_before_any_tensor(monkeypatch, methods, message):
     cfg = _config(statistic=engine.StatisticSpec(kind="rv"))
