@@ -358,8 +358,12 @@ def _cmd_simulate(cfg):
                     ar1_errors=cfg["ar1"],
                     global_null=cfg["global_null"],
                 )
-                # a new plan, so its checks refuse a bad --b before any data
+                # a new plan, so its checks refuse a bad --b before any data;
+                # a statistic with a size, the dgp's default too, reads --nb-size
                 scenario.sampler = dataclasses.replace(scenario.sampler, b_count=cfg["b"])
+                spec = scenario.statistic
+                if spec.size is not None:
+                    scenario.statistic = dataclasses.replace(spec, size=cfg["nb_size"])
                 table = sim.run_method_comparison(scenario, methods)
                 for method in methods:
                     s = table[method]

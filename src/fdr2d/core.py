@@ -139,7 +139,8 @@ def validate(dataset):
     def check_binary(label, mat, cols):
         # finite values other than 0 and 1, column by column, then row
         cols = np.asarray(cols, dtype=np.intp)
-        block = mat[:, cols]
+        # every column is the matrix itself, checked without a copy
+        block = mat if cols.size == mat.shape[1] else mat[:, cols]
         offender = np.isfinite(block) & (block != 0.0) & (block != 1.0)
         for k, r in _found(offender.T):
             c = cols[k]

@@ -212,12 +212,6 @@ def _inverted_cdf(sorted_values, levels):
     return sorted_values[index]
 
 
-def _pooled_axis(tensor, k):
-    # pooled axis k (0 marginal, 1 conditional): a flat view of its
-    # plane, whose first m values are the observed row
-    return tensor.planes[k].ravel()
-
-
 def _axis_bins(values, derive):
     """The per-axis routine of every search over a tensor.
 
@@ -237,8 +231,10 @@ def _axis_bins(values, derive):
 
 
 def _both_axes(tensor, derive):
-    # _axis_bins on each pooled axis in turn, derive(k, ascending)
-    return [_axis_bins(_pooled_axis(tensor, k), partial(derive, k)) for k in (0, 1)]
+    # _axis_bins on each pooled axis in turn, derive(k, ascending); axis k
+    # (0 marginal, 1 conditional) is a flat view of its plane, whose
+    # first m values are the observed row
+    return [_axis_bins(tensor.planes[k].ravel(), partial(derive, k)) for k in (0, 1)]
 
 
 def _bins_against(tensor, thresholds):
@@ -312,11 +308,6 @@ def _half_median(ascending):
     return float(0.5 * mid)
 
 
-def _at_most(ascending, lam):
-    # how many ascending values are at most lam, by one binary search
-    return int(np.searchsorted(ascending, lam, "right"))
-
-
 def _grid_size(spec):
     # G of a 'quantile:<G>' grid spec, None for 'observed'; others raise
     token = str(spec).strip()
@@ -356,13 +347,18 @@ def default_path(tensor, steps=100):
     return MonotonePath(*(found for _, _, found in axes))
 
 
+def _dominating(planes, t1, t2):
+    # which pairs of the planes (2, ...) dominate (t1, t2): marginal at
+    # least t1 and conditional at least t2
+    return (planes[0] >= t1) & (planes[1] >= t2)
+
+
 def fbar(tensor, j, t1, t2):
     """Share of draws (observed included) where feature j dominates (t1, t2).
 
     For an index array j the shares come back as a vector, one per index.
     """
-    pj = tensor.pairs[:, j, :]
-    share = np.mean((pj[..., 0] >= t1) & (pj[..., 1] >= t2), axis=0)
+    share = np.mean(_dominating(tensor.planes, t1, t2)[:, j], axis=0)
     return share if np.ndim(j) else float(share)
 
 
@@ -372,19 +368,18 @@ def fdp_tilde(tensor, t1, t2, pi0=None):
     Pooled dominance count over all draws and features (divided by
     B + 1), scaled by pi0 when given, over the observed rejection
     count floored at 1. Zero-variance features count in the numerator
-    but never as rejections. The counts are the search's chain counts on
-    a one-step path, so this equals the grid surface and the path walks
-    bit for bit.
+    but never as rejections. The counts are read off the planes; they
+    are exact integers, so this equals the grid surface and the path
+    walks bit for bit.
     """
-    counts_all, robs = _chain_counts(tensor, MonotonePath(t1=[t1], t2=[t2]))
+    pooled = np.count_nonzero(_dominating(tensor.planes, t1, t2))
     mult = 1.0 if pi0 is None else float(pi0)
-    return float(_fdp(counts_all, robs, tensor.pairs.shape[0], mult)[0])
+    return float(_fdp(pooled, _rejected(tensor, t1, t2).size, tensor.pairs.shape[0], mult))
 
 
 def storey_pi0(tensor, lam):
     """Null-proportion estimate from the low end of the conditional axis."""
-    _, _, below = _axis_bins(_pooled_axis(tensor, 1), lambda s: ({}, _at_most(s, lam)))
-    return _storey(tensor, lam, below)
+    return _storey(tensor, lam, np.count_nonzero(tensor.planes[1] <= lam))
 
 
 def _storey(tensor, lam, pooled):
@@ -404,9 +399,10 @@ def _fdp(counts_all, robs, b1, pi0):
 
 
 def _rejected(tensor, t1, t2):
-    obs = tensor.pairs[0]
-    valid = ~tensor.zero_variance
-    return np.flatnonzero(valid & (obs[:, 0] >= t1) & (obs[:, 1] >= t2)).astype(np.int64)
+    # the features whose observed pair dominates (t1, t2), zero-variance
+    # ones never
+    hit = _dominating(tensor.planes[:, 0], t1, t2) & ~tensor.zero_variance
+    return np.flatnonzero(hit).astype(np.int64)
 
 
 def _observed_bins(tensor, bins):
@@ -527,16 +523,27 @@ def check_methods(methods, spec=None):
 
 
 def bh_rejections(dataset, spec, q, tensor=None):
-    """(p-values, bh rejections) from the spec's glm fit of every feature.
-    A tensor build_tensor made for this dataset and spec holds that fit's
-    Wald statistics in its observed conditional row; given one, nothing
-    is refit, and a failed or zero-variance feature has p = 1 exactly."""
+    """(p-values, bh rejections) from the spec's glm fit of every feature,
+    the one route to bh's p-values. A tensor build_tensor made for this
+    dataset and spec holds that fit's Wald statistics in its observed
+    conditional row; given one, nothing is refit. Without one, the
+    observed exposure alone is scored, on the columns build_tensor would
+    score (StatisticSpec.unscorable sets the others aside). Either way a
+    zero-variance feature has p = 1 exactly, and so has a failed fit,
+    which a refit reports in a warning."""
     if tensor is None:
         _check_dataset(dataset, None, spec)
-        pvalues = stats.model_pvalues(dataset.y, dataset.x, dataset.z, spec.family, size=spec.size)
+        cols = np.flatnonzero(~spec.unscorable(dataset.y)[0])
+        w = np.zeros(dataset.m)
+        (w[cols],), (status,) = stats._glm_wald(
+            dataset.x[None], dataset.z, dataset.y[:, cols], spec.family, spec.size, observed=True
+        )
+        bad = np.count_nonzero(status)
+        if bad:
+            warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
     else:
         w = tensor.pairs[0, :, 1]
-        pvalues = stats.wald_pvalues(w, spec.family, dataset.n, dataset.p, dataset.d)
+    pvalues = stats.wald_pvalues(w, spec.family, dataset.n, dataset.p, dataset.d)
     return pvalues, bh_procedure(pvalues, q)
 
 
@@ -559,8 +566,8 @@ class _SearchPass:
     it is argsorted and its values gathered once in that order; from
     those sorted values the pass reads every threshold set that its
     methods' rows of _METHODS name (the grid axis, the default path axis)
-    and, on the conditional axis, lambda with the pooled count at or
-    below it, as make_grid, default_path and storey_pi0 read them; it
+    as make_grid and default_path read them, and, on the conditional
+    axis, lambda with the pooled count at or below it; it
     bins the axis against each set in small integers and drops the
     argsort and the sorted copy before the other axis is sorted. The grid
     and chain counts are then made from the bins, observed row included
@@ -581,7 +588,7 @@ class _SearchPass:
             if k == 0 or lam is None:
                 return sets, (None, 0)
             at = _half_median(ascending) if lam == "auto" else float(lam)
-            return sets, (at, _at_most(ascending, at))
+            return sets, (at, int(np.searchsorted(ascending, at, "right")))
 
         (sets0, bins0, _), (sets1, bins1, found) = _both_axes(tensor, derive)
         self.pi0_lambda, self._below = found

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .core import _as_matrix
+from .core import _as_matrix, _looks_binary
 
 # every glm family by name, the one place a family is declared: its
 # _accel kernel code and the outcome kind it models
@@ -152,11 +152,7 @@ def confounder_design(z, spline_df=None, kinds=None):
     cols = [np.ones((n, 1))]
     for c in range(d):
         col = z[:, c]
-        binary = (
-            kinds[c] == "binary"
-            if kinds is not None
-            else bool(np.all((col == 0.0) | (col == 1.0)))
-        )
+        binary = kinds[c] == "binary" if kinds is not None else _looks_binary(col)
         if spline_df is not None and not binary:
             cols.append(natural_cubic_basis(col, df=spline_df).evaluate(col))
         else:

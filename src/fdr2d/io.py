@@ -100,9 +100,9 @@ def save_table(path, header, rows):
 
 
 def _column_kind(col):
-    finite = col[np.isfinite(col)]
-    if finite.size and np.all((finite == 0.0) | (finite == 1.0)):
+    if core._looks_binary(col):
         return "binary"
+    finite = col[np.isfinite(col)]
     if finite.size and np.all(finite >= 0) and np.all(finite == np.floor(finite)):
         return "count"
     return "continuous"

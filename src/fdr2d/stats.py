@@ -1,25 +1,26 @@
 """Marginal and conditional dependence statistics.
 
-Every statistic maps to a nonnegative float where larger means
-stronger dependence, and a degenerate draw scores 0 as a counted
-failure rather than NaN, so downstream thresholding never sees missing
-values. StatisticSpec declares each statistic and the data it takes,
+Every statistic maps to a nonnegative float where larger means stronger
+dependence, and a degenerate draw scores 0 as a counted failure rather
+than NaN, so downstream thresholding never sees missing values.
+StatisticSpec declares each statistic and the data it takes,
 make_evaluator builds its evaluator from the _EVALUATORS table, and
-model_pvalues gives the p-values behind bh; the one-feature
-forms the tests check them against are in tests/reference.py. An
-evaluator scores every feature against a stack (D, n, p) of exposures
-in one call, sharing whatever does not change across draws (centered
+wald_pvalues turns Wald statistics into the p-values behind bh; the
+one-feature forms the tests check them against are in tests/reference.py. An
+evaluator scores every feature against a stack (D, n, p) of exposures in
+one call, sharing whatever does not change across draws (centered
 response kernels and their bandwidths, residualised responses, the
 confounders' glm.Residualiser, spline knots), made when it is built. The
 observed exposure is row 0 of the first stack a tensor scores, ahead of
 its first draws; only a failure in that row raises, and a singular
 observed design is refused before any draw is made. Every GLM Wald
-statistic, the evaluator's pairs and the p-values behind bh alike,
-comes from _glm_wald, the one place that lays out [1, x, z], which also
-returns a fit status per (draw, feature) pair. Its non-gaussian fits
-run as one IRLS batch; the gaussian GLM and basis Wald statistics share
-one batched least-squares routine, _linear_block_stack; the RV,
-categorical and HSIC statistics are matrix products over all draws.
+statistic, the evaluator's pairs and the p-values behind bh
+(engine.bh_rejections) alike, comes from _glm_wald, the one place that
+lays out [1, x, z], which also returns a fit status per (draw, feature)
+pair. Its non-gaussian fits run as one IRLS batch; the gaussian GLM and
+basis Wald statistics share one batched least-squares routine,
+_linear_block_stack; the RV, categorical and HSIC statistics are matrix
+products over all draws.
 """
 
 import functools
@@ -111,24 +112,6 @@ def _regularized(kc, epsilon):
     return (vec * scale) @ vec.T
 
 
-def model_pvalues(ymat, x, z, family, size=None):
-    """wald_pvalues of the exposure block's glm fit, one per response
-    column. As in a tensor, zero-variance columns are set aside unfitted
-    and get p = 1 exactly, so these equal the p-values bh reads off a
-    tensor's observed row bit for bit. Fits that fail give p = 1 with a
-    warning."""
-    ymat = _as_matrix(ymat)
-    x = _as_matrix(x)
-    z = _as_matrix(z) if np.asarray(z).size else np.zeros((ymat.shape[0], 0))
-    cols = np.flatnonzero(~zero_variance_mask(ymat))
-    w = np.zeros(ymat.shape[1])
-    (w[cols],), (status,) = _glm_wald(x[None], z, ymat[:, cols], family, size, observed=True)
-    bad = int(np.count_nonzero(status))
-    if bad:
-        warnings.warn(f"{bad} model fits did not converge: p-values set to 1")
-    return wald_pvalues(w, family, ymat.shape[0], x.shape[1], z.shape[1])
-
-
 def wald_pvalues(w, family, n, p, kz):
     """Two-sided p-values of the Wald statistics w of a p-column exposure
     block fit beside kz confounders on n rows: t reference for a gaussian
@@ -143,25 +126,6 @@ def wald_pvalues(w, family, n, p, kz):
     if family == "gaussian":
         return 2.0 * special.stdtr(n - 1 - p - kz, -w)
     return 2.0 * special.ndtr(-w)
-
-
-def _feature_basis_builder(values, count):
-    """Frozen basis for an exposure: spline for count >= 3, powers below.
-
-    The spline knots come from the values given here, so later calls
-    evaluate resampled exposures in the same basis.
-    """
-    if count < 1:
-        raise ValueError("basis size must be at least 1")
-    if count < 3:
-
-        def build(v):
-            v = np.asarray(v, dtype=float).ravel()
-            return np.column_stack([v**kk for kk in range(1, count + 1)])
-
-        return build
-    sb = glm.natural_cubic_basis(values, df=count)
-    return lambda v: sb.evaluate(np.asarray(v, dtype=float).ravel())
 
 
 # a response block (n, m) made ready for _linear_block_stack, once per
@@ -390,8 +354,6 @@ def _ratio_or_zero(num, den):
 
 class _HsicEvaluator:
     def __init__(self, dataset, spec, bandwidths=None, **_):
-        if spec.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         self._eps = float(spec.epsilon)
         # the draw's two kernels (2, n^2), or its two statistic rows (2, m)
         self.draw_cells = 2 * max(dataset.n**2, dataset.m)
@@ -505,7 +467,9 @@ class _BasisWaldEvaluator:
     def __init__(self, dataset, spec, confounders, **_):
         if dataset.x.shape[1] != 1:
             raise ValueError("basis statistics need a univariate exposure")
-        self._builder = _feature_basis_builder(dataset.x[:, 0], _BASIS_DF)
+        # the spline's knots come from the observed exposure, so every
+        # draw is evaluated in that one basis
+        self._basis = glm.natural_cubic_basis(dataset.x[:, 0], df=_BASIS_DF)
         dz = _confounders(confounders, spec.spline_df)
         self._y = dataset.y
         self._yss = np.einsum("ij,ij->j", dataset.y, dataset.y)
@@ -521,7 +485,7 @@ class _BasisWaldEvaluator:
 
     def pairs(self, xs, observed=False, out=None):
         tm, tc = _rows(out, xs.shape[0], self._y.shape[1])
-        bx = np.stack([self._builder(xd[:, 0]) for xd in xs])
+        bx = np.stack([self._basis.evaluate(xd[:, 0]) for xd in xs])
         # both statistics share the residual variance of the joint model
         # [dz, bx]; the marginal one is the share of bx alone. Each share
         # is summed into its row and the statistic made there
@@ -567,8 +531,9 @@ class StatisticSpec:
     its knobs: the glm family (a key of glm.FAMILIES) and negbinom size,
     the confounder-spline df of rv and basis-wald, and the hsic ridge
     epsilon. Construction refuses a kind not in _EVALUATORS, a glm kind
-    without a family, and what glm.family_code refuses: a family not in
-    glm.FAMILIES, and a negbinom without a positive size."""
+    without a family, what glm.family_code refuses (a family not in
+    glm.FAMILIES, and a negbinom without a positive size), an epsilon
+    and a given size that are not finite and positive."""
 
     kind: str
     family: Optional[str] = None
@@ -586,6 +551,10 @@ class StatisticSpec:
             raise ValueError("glm statistics need a family, e.g. glm:gaussian")
         if self.kind == "glm":
             glm.family_code(self.family, self.size)
+        for name in ("epsilon", "size"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
 
     @property
     def token(self):

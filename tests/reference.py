@@ -234,7 +234,12 @@ def basis_wald_pair(y, x, z, j1=5, j2=5, z_kinds=None):
         raise ValueError("basis statistics need a univariate exposure")
     n = yv.size
     zm = _as_matrix(z) if np.asarray(z).size else np.zeros((n, 0))
-    bx = stats._feature_basis_builder(xm[:, 0], j1)(xm[:, 0])
+    v = xm[:, 0]
+    # a spline basis of j1 columns, or below 3 the powers v, ..., v^j1
+    if j1 >= 3:
+        bx = glm.natural_cubic_basis(v, df=j1).evaluate(v)
+    else:
+        bx = np.column_stack([v**k for k in range(1, j1 + 1)])
     dz = glm.confounder_design(zm, spline_df=j2, kinds=z_kinds)
     full = np.hstack([bx, dz])
     if n <= full.shape[1]:

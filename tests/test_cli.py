@@ -468,6 +468,22 @@ class TestSimulate:
         assert "method 'mf1d' is given more than once" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
 
+    def test_nb_size_reaches_the_default_negbinom_statistic(self, tmp_path):
+        # dgp 11's default statistic is glm:negbinom; --nb-size sets its
+        # size as it does that of --stat glm:negbinom
+        def table(*extra):
+            out = tmp_path / f"s{len(list(tmp_path.iterdir()))}.tsv"
+            args = ["simulate", "--dgp", "11", "--n", "60", "--m", "40", "--reps", "3",
+                    "--b", "19", "--method", "mf2d-fdr,bh", *extra, "--out", str(out)]
+            assert cli.main(args) == 0
+            return out.read_bytes()
+
+        default = table()
+        assert table("--nb-size", "3") == default
+        small = table("--nb-size", "0.5")
+        assert small != default
+        assert table("--stat", "glm:negbinom", "--nb-size", "0.5") == small
+
     def test_bad_dgp_validation(self, tmp_path, capsys):
         args = ["simulate", "--dgp", "19", "--out", str(tmp_path / "s.tsv"),
                 "--reps", "1"]
@@ -598,6 +614,88 @@ class TestUnreadSettings:
         extra = ["--sampler", "residual-perm", "--bin-edges", edges]
         assert self._run(tmp_path, command, extra) == (1, [])
         assert "--bin-edges" in capsys.readouterr().err
+
+
+class TestRefusals:
+    """Data a statistic cannot take, a bad config file and an out-of-range
+    --bin-col: each exits 1 with its own message and writes no result."""
+
+    @staticmethod
+    def _files(tmp_path, x, y, z):
+        paths = [str(tmp_path / f"{name}.tsv") for name in "xyz"]
+        for path, mat in zip(paths, (x, y, z)):
+            io.save_matrix(path, mat, [f"c{j}" for j in range(mat.shape[1])])
+        return paths
+
+    def _run(self, tmp_path, capsys, command, args):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main([command, *args, "--b", "5", "--out", str(out / "r")])
+        assert os.listdir(out) == []
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stat, x_bin, y_bin, z_bin, message",
+        [
+            ("basis-wald", True, False, False,
+             "basis statistics need continuous exposure and outcomes"),
+            ("basis-wald", False, True, False,
+             "basis statistics need continuous exposure and outcomes"),
+            ("categorical", False, True, True,
+             "categorical statistics need binary exposure and outcomes"),
+            ("categorical", True, False, True,
+             "categorical statistics need binary exposure and outcomes"),
+            ("categorical", True, True, False, "categorical statistics need binary confounders"),
+        ],
+    )
+    def test_statistic_refuses_data_kinds(self, tmp_path, capsys, stat, x_bin, y_bin, z_bin, message):
+        rng = np.random.default_rng(31)
+
+        def block(binary, m):
+            return (rng.random((40, m)) < 0.5).astype(float) if binary else rng.normal(size=(40, m))
+
+        paths = self._files(tmp_path, block(x_bin, 1), block(y_bin, 6), block(z_bin, 1))
+        sampler = "parametric-logistic" if x_bin else "residual-perm"
+        args = [*(a for pair in zip(("--x", "--y", "--z"), paths) for a in pair),
+                "--stat", stat, "--sampler", sampler]
+        assert self._run(tmp_path, capsys, "analyze", args) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "grid-dump"])
+    def test_basis_wald_refuses_a_multivariate_exposure(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(32)
+        x, y, z = rng.normal(size=(40, 2)), rng.normal(size=(40, 6)), rng.normal(size=(40, 1))
+        paths = self._files(tmp_path, x, y, z)
+        args = [*(a for pair in zip(("--x", "--y", "--z"), paths) for a in pair),
+                "--stat", "basis-wald"]
+        want = "error: basis statistics need a univariate exposure\n"
+        assert self._run(tmp_path, capsys, command, args) == (1, want)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "config file not found: {path}"),
+            ("q = 0.1", "config file {path}: Expecting value: line 1 column 1 (char 0)"),
+            ("[0.1]", "config file {path}: expected a JSON object"),
+            ("3", "config file {path}: expected a JSON object"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_config_file_refused(self, tmp_path, capsys, monkeypatch, command, text, message):
+        monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        code = self._run(tmp_path, capsys, command, ["--config", str(path)])
+        assert code == (1, f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "grid-dump"])
+    @pytest.mark.parametrize("column", ["-1", "1", "5"])
+    def test_bin_col_out_of_range(self, tmp_path, capsys, command, column):
+        paths = _write_xyz(tmp_path)  # one confounder column
+        args = [*(a for pair in zip(("--x", "--y", "--z"), paths) for a in pair),
+                "--sampler", "binned-perm", "--bin-edges", "0", "--bin-col", column]
+        want = f"error: bin-col {column} out of range for 1 confounders\n"
+        assert self._run(tmp_path, capsys, command, args) == (1, want)
 
 
 class TestPreprocess:

@@ -223,6 +223,36 @@ class TestEstimators:
         assert out == 1.0
         assert len(rec) == 1
 
+    def test_one_point_queries_read_the_planes(self, monkeypatch):
+        # fdp_tilde and storey_pi0 count at one point without sorting a
+        # pooled axis; the expected values are those of the sorted-axis
+        # counts they replaced, zero-variance features and ties included
+        rng = np.random.default_rng(154)
+        vals = rng.integers(0, 8, size=(8, 12, 2)).astype(float) / 2.0
+        vals[:, [2, 9], :] = 0.0
+        zv = np.zeros(12, bool)
+        zv[[2, 9]] = True
+        tensor = core.StatTensor(pairs=vals, zero_variance=zv)
+
+        def no_sort(*args):
+            raise AssertionError("a one-point query sorted a pooled axis")
+
+        monkeypatch.setattr(engine, "_axis_bins", no_sort)
+        points = [(0.0, 0.0), (1.0, 1.5), (2.5, 0.5), (3.5, 3.5), (1.2, 2.7), (np.inf, 0.0)]
+        assert [engine.fdp_tilde(tensor, t1, t2) for t1, t2 in points] == [
+            1.2, 1.4583333333333333, 3.125, 0.0, 1.5, 0.0
+        ]
+        assert [engine.fdp_tilde(tensor, t1, t2, 0.6) for t1, t2 in points] == [
+            0.72, 0.875, 1.875, 0.0, 0.8999999999999999, 0.0
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pi0 = [engine.storey_pi0(tensor, lam) for lam in (0.0, 0.5, 1.0, 1.7, 3.0, 10.0)]
+        assert pi0 == [
+            0.96, 0.9142857142857143, 0.7804878048780488, 0.7547169811320755,
+            0.7441860465116279, 1.0,
+        ]
+
     def test_pi0_in_unit_interval(self):
         rng = np.random.default_rng(111)
         for _ in range(20):
@@ -661,6 +691,18 @@ class TestConfigValidation:
             ({"kind": "glm"}, "glm statistics need a family, e.g. glm:gaussian"),
             ({"kind": "glm", "family": "x"}, "unknown family 'x'"),
             ({"kind": "glm", "family": "negbinom"}, "negbinom family requires a positive size"),
+            # a NaN epsilon made every conditional hsic value NaN, and a
+            # NaN negbinom size was reported as a singular design
+            ({"kind": "hsic", "epsilon": np.nan}, "epsilon must be a finite positive number, got nan"),
+            ({"kind": "hsic", "epsilon": np.inf}, "epsilon must be a finite positive number, got inf"),
+            ({"kind": "hsic", "epsilon": 0.0}, "epsilon must be a finite positive number, got 0.0"),
+            ({"kind": "rv", "epsilon": -1.0}, "epsilon must be a finite positive number, got -1.0"),
+            ({"kind": "glm", "family": "negbinom", "size": np.nan},
+             "size must be a finite positive number, got nan"),
+            ({"kind": "glm", "family": "negbinom", "size": np.inf},
+             "size must be a finite positive number, got inf"),
+            ({"kind": "glm", "family": "gaussian", "size": -2.0},
+             "size must be a finite positive number, got -2.0"),
         ],
     )
     def test_spec_refuses_what_no_evaluator_takes(self, kwargs, message):

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fdr2d import _accel, _rng, core, engine, sim, stats
+from fdr2d import _accel, _rng, core, engine, sim
 
 
 class TestGenSignals:
@@ -278,7 +278,7 @@ class TestReplication:
 
 class TestBhFromTensor:
     """bh beside a tensor method reads the tensor's observed conditional
-    row, which holds the glm fit model_pvalues would make again."""
+    row, which holds the glm fit a refit without a tensor makes again."""
 
     @staticmethod
     def _config():
@@ -305,7 +305,7 @@ class TestBhFromTensor:
         plan = dataclasses.replace(config.sampler, seed=_rng.substream_seed(rep_seed, "sampler"))
         tensor = engine.build_tensor(dataset, plan, config.statistic)
         got, rejected = engine.bh_rejections(dataset, config.statistic, 0.2, tensor)
-        want = stats.model_pvalues(dataset.y, dataset.x, dataset.z, "binomial")
+        want = engine.bh_rejections(dataset, config.statistic, 0.2)[0]
         valid = ~tensor.zero_variance
         assert valid.all() and got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(rejected, engine.bh_procedure(want, 0.2))
