@@ -26,17 +26,101 @@ HAVE_NUMBA = False
 # largest dominance-count histogram, (g1 + 1) * (g2 + 1) int64 cells: 128 MiB
 MAX_GRID_CELLS = 2**24
 
+# values per block of sort_order's passes over its keys
+_KEY_BLOCK = 2**13
+
+
+def _sort_keys(keys):
+    # every in-place key sort of sort_order, under one name a test can count
+    keys.sort()
+
+
+def _bits_at(values, index):
+    # the IEEE bits of values[index] + 0.0 (-0.0 made +0.0), for a uint64 index
+    gathered = values[index.view(np.intp)]
+    return np.add(gathered, 0.0, out=gathered).view(np.uint64)
+
+
+def sort_order(values):
+    """(order, repaired): an order that sorts the float64 array values, and
+    the number of runs it had to repair.
+
+    Each value becomes one uint64 key: its IEEE bits (of values + 0.0, so
+    -0.0 is +0.0) with the low s = (N - 1).bit_length() bits replaced by
+    its index. For a sign bit clear the bits order like the values, NaN
+    last, so one in-place sort of the keys, masked down to their low
+    bits, is the order as an intp view: no argsort, no index array
+    beside the keys. Two values that share all but their low s bits come
+    out in index order, so the keys are scanned block by block for such
+    a pair out of value order; each run of keys sharing that prefix is
+    re-keyed by its values' low bits and sorted again (repaired). The
+    indices are made and the keys checked _KEY_BLOCK values at a time,
+    so the keys are the only array of the axis's length. A value with
+    its sign bit set (a negative or a negative NaN), or an axis past
+    2^32 values, falls back to np.argsort, with repaired None.
+    """
+    n = values.shape[0]
+    s = max(n - 1, 0).bit_length()
+    if s > 32:
+        return np.argsort(values), None
+    low = np.uint64((1 << s) - 1)
+    keys = np.empty(n, dtype=np.uint64)
+    np.add(values, 0.0, out=keys.view(np.float64))
+    keys &= ~low
+    for lo in range(0, n, _KEY_BLOCK):
+        block = keys[lo : lo + _KEY_BLOCK]
+        block |= np.arange(lo, lo + block.shape[0], dtype=np.uint64)
+    _sort_keys(keys)
+    if n and keys[-1] >> np.uint64(63):
+        del keys
+        return np.argsort(values), None
+    runs = _unsorted_runs(keys, values, low)
+    keys &= low
+    for start, stop in runs:
+        _sort_run(keys[start:stop], values, s, low)
+    return keys.view(np.intp), len(runs)
+
+
+def _unsorted_runs(keys, values, low):
+    # (start, stop) of each run of sorted keys that share their prefix
+    # (all but the low bits) and hold two neighbours out of value order
+    prefixes = set()
+    for lo in range(0, keys.shape[0] - 1, _KEY_BLOCK):
+        k = keys[lo : lo + _KEY_BLOCK + 1]
+        at = np.flatnonzero(np.bitwise_xor(k[1:], k[:-1]) <= low)
+        if at.size:
+            at = at[_bits_at(values, k[at] & low) > _bits_at(values, k[at + 1] & low)]
+            prefixes.update(np.unique(k[at] & ~low).tolist())
+    prefix = np.array(sorted(prefixes), dtype=np.uint64)
+    starts = np.searchsorted(keys, prefix, "left")
+    stops = np.searchsorted(keys, prefix | low, "right")
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+def _sort_run(run, values, s, low):
+    # sort a run of indices whose values share their prefix: re-keyed as
+    # (low bits of the value << s) | index, which needs 2s <= 64 bits
+    for lo in range(0, run.shape[0], _KEY_BLOCK):
+        index = run[lo : lo + _KEY_BLOCK]
+        bits = _bits_at(values, index)
+        bits &= low
+        bits <<= np.uint64(s)
+        index |= bits
+    _sort_keys(run)
+    run &= low
+
 
 def exceed_bins(order, ascending, thresholds):
     """Per value of one axis, the number of thresholds at or below it.
 
-    order is the axis's argsort and ascending the axis gathered in that
-    order; thresholds must be ascending. Each threshold is located among
-    the sorted values, and every run of values between two thresholds
-    takes one bin, scattered back through the order: no search per
-    value. The bins are int16, widened to int32 or int64 only when a set
-    has 2^15 or 2^31 thresholds or more, so an axis of N values costs 2N
-    bytes of bins.
+    order is an order that sorts the axis (sort_order's; any such order
+    gives the same bins, as equal values share a bin) and ascending the
+    axis gathered in that order; thresholds must be ascending. Each
+    threshold is located among the sorted values, and every run of
+    values between two thresholds takes one bin, scattered back through
+    the order: no search per value. The bins are int16, widened to int32
+    or int64 only when a set has 2^15 or 2^31 thresholds or more, so an
+    axis of N values costs 2N bytes of bins.
     """
     g = thresholds.shape[0]
     dtype = np.int16 if g < 2**15 else np.int32 if g < 2**31 else np.int64

@@ -215,15 +215,17 @@ def _inverted_cdf(sorted_values, levels):
 def _axis_bins(values, derive):
     """The per-axis routine of every search over a tensor.
 
-    Argsorts one pooled axis once and gathers its values once in that
-    order. derive(ascending) reads off those sorted values what the
-    caller needs and returns (sets, found): sets maps names to ascending
+    Sorts one pooled axis once, as packed (value | index) keys
+    (_accel.sort_order), and gathers its values once in that order.
+    derive(ascending) reads off those sorted values what the caller
+    needs and returns (sets, found): sets maps names to ascending
     threshold arrays, found is anything else (thresholds, lambda, a
     count). Returns (sets, bins, found), bins mapping each name to the
-    axis's _accel.exceed_bins against that set. The argsort and the
+    axis's _accel.exceed_bins against that set. Any order that sorts the
+    values gives the same sets, bins and found. The order and the
     sorted copy are dropped on return, before another axis is sorted.
     """
-    order = np.argsort(values)
+    order, _ = _accel.sort_order(values)
     ascending = values[order]
     sets, found = derive(ascending)
     bins = {name: _accel.exceed_bins(order, ascending, t) for name, t in sets.items()}
@@ -563,17 +565,18 @@ class _SearchPass:
     """One search over one tensor, for the methods it is told it serves.
 
     Each pooled axis goes once through _axis_bins, one axis at a time:
-    it is argsorted and its values gathered once in that order; from
-    those sorted values the pass reads every threshold set that its
-    methods' rows of _METHODS name (the grid axis, the default path axis)
-    as make_grid and default_path read them, and, on the conditional
-    axis, lambda with the pooled count at or below it; it
-    bins the axis against each set in small integers and drops the
-    argsort and the sorted copy before the other axis is sorted. The grid
-    and chain counts are then made from the bins, observed row included
-    (its bins are the first m pooled ones), and the bins are dropped. pi0
-    is read from the pooled count on first use. grid, grid_counts, path
-    and path_counts stay None when no served method reads them.
+    its packed (value | index) keys are sorted once (_accel.sort_order)
+    and its values gathered once in that order; from those sorted values
+    the pass reads every threshold set that its methods' rows of
+    _METHODS name (the grid axis, the default path axis) as make_grid
+    and default_path read them, and, on the conditional axis, lambda
+    with the pooled count at or below it; it bins the axis against each
+    set in small integers and drops the order and the sorted copy before
+    the other axis is sorted. The grid and chain counts are then made
+    from the bins, observed row included (its bins are the first m
+    pooled ones), and the bins are dropped. pi0 is read from the pooled
+    count on first use. grid, grid_counts, path and path_counts stay
+    None when no served method reads them.
     """
 
     def __init__(self, tensor, config, methods):
@@ -634,7 +637,7 @@ def apply_methods(tensor, config, methods):
     Returns {method: CutoffResult}, each equal to what apply_method gives
     for that method. check_methods refuses the list: an unknown or
     repeated name, and bh, which reads p-values rather than a tensor. The
-    methods share one argsort of each pooled axis, from which the grid,
+    methods share one key sort of each pooled axis, from which the grid,
     the default path, the grid counts and the path walk are all derived
     (see _SearchPass). Each result carries the pass's lambda as
     pi0_lambda.

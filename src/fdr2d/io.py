@@ -41,18 +41,23 @@ def load_matrix(path):
         raise ValueError(f"{path}: empty data (header only)")
     values = np.empty((len(lines) - 1, len(names)))
     for i, line in enumerate(lines[1:], start=1):
-        cells = _split(line, delim)
+        # unstripped: float() ignores the whitespace _split strips
+        cells = line.split(delim)
         if len(cells) != len(names):
             raise ValueError(
                 f"{path}: row {i} has {len(cells)} cells, header has {len(names)}"
             )
-        for j, cell in enumerate(cells):
-            try:
-                values[i - 1, j] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {i}, column {names[j]!r}: non-numeric cell {cell!r}"
-                ) from None
+        try:
+            values[i - 1] = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            # cell by cell again, only to name the first bad one
+            for j, cell in enumerate(_split(line, delim)):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {i}, column {names[j]!r}: non-numeric cell {cell!r}"
+                    ) from None
     return values, names
 
 

@@ -18,7 +18,7 @@ import pytest
 
 import fdr2d
 import reference
-from fdr2d import core, engine, samplers, sim
+from fdr2d import _accel, core, engine, samplers, sim
 
 
 def _random_tensor(rng, m=None, b=None, style="ties"):
@@ -964,31 +964,35 @@ class TestApplyMethods:
                         assert np.float64(got).tobytes() == np.float64(want).tobytes(), method
 
     def test_one_sort_per_pooled_axis(self, monkeypatch):
-        # every full-length sort, argsort, unique, partition or median of
-        # a pooled axis is recorded; the five methods must share one sort
-        # per axis, pi0_lambda="auto" included
+        # every full-length in-place key sort, and every sort, argsort,
+        # unique, partition or median of a pooled axis is recorded; the five
+        # methods must share one key sort per axis, pi0_lambda="auto"
+        # included, and make no other full-length one
         rng = np.random.default_rng(155)
         tensor = core.StatTensor(
             pairs=rng.gamma(2.0, size=(21, 40, 2)), zero_variance=np.zeros(40, bool)
         )
         pooled = tensor.pairs[:, :, 0].size
-        sizes = []
-        for name in ("argsort", "sort", "unique", "partition", "median"):
-            original = getattr(np, name)
+        calls = []
+        for owner, name in [(_accel, "_sort_keys")] + [
+            (np, name) for name in ("argsort", "sort", "unique", "partition", "median")
+        ]:
+            original = getattr(owner, name)
 
-            def recording(a, *args, _original=original, **kwargs):
-                sizes.append(np.asarray(a).size)
+            def recording(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.asarray(a).size))
                 return _original(a, *args, **kwargs)
 
-            monkeypatch.setattr(np, name, recording)
+            monkeypatch.setattr(owner, name, recording)
         for grid in ("quantile:100", "observed"):
             for pi0 in (None, "auto"):
-                sizes.clear()
+                calls.clear()
                 config = engine.ProcedureConfig(q=0.3, grid=grid, pi0_lambda=pi0)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     engine.apply_methods(tensor, config, _TENSOR_METHODS)
-                assert [size for size in sizes if size >= pooled] == [pooled, pooled], (grid, pi0)
+                full = [call for call in calls if call[1] >= pooled]
+                assert full == [("_sort_keys", pooled)] * 2, (grid, pi0)
 
     def test_c_order_and_two_plane_tensors_give_the_same_results(self):
         # the two planes are read as flat views; a tensor whose pairs were

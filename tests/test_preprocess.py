@@ -110,6 +110,38 @@ class TestIo:
         np.testing.assert_array_equal(back, values)
         assert names == [f"c{i}" for i in range(4)]
 
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # signed zeros, infinities, NaN, subnormals and the extremes come
+        # back with the bits they were saved with
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((30, 7)) * 10.0 ** rng.integers(-300, 300, (30, 7))
+        values[0] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, np.finfo(float).max]
+        path = tmp_path / "m.tsv"
+        io.save_matrix(path, values, [f"c{i}" for i in range(7)])
+        back, _ = io.load_matrix(path)
+        assert back.dtype == np.float64 and back.shape == values.shape
+        np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    def test_cells_may_carry_whitespace(self, tmp_path):
+        p = tmp_path / "padded.csv"
+        p.write_text("u, v\n 1.5 ,2\n3, -4e-3\n")
+        values, names = io.load_matrix(p)
+        np.testing.assert_array_equal(values, [[1.5, 2.0], [3.0, -4e-3]])
+        assert names == ["u", "v"]
+
+    def test_error_texts(self, tmp_path):
+        # the first non-numeric cell of a row is named, stripped; a ragged
+        # row is refused before its cells are read
+        p = tmp_path / "bad.csv"
+        p.write_text("u,v,w\n1,2,3\n4, oops ,x\n")
+        with pytest.raises(ValueError) as err:
+            io.load_matrix(p)
+        assert str(err.value) == f"{p}: row 2, column 'v': non-numeric cell 'oops'"
+        p.write_text("u,v,w\n1,2,3\n4,x\n")
+        with pytest.raises(ValueError) as err:
+            io.load_matrix(p)
+        assert str(err.value) == f"{p}: row 2 has 2 cells, header has 3"
+
     def test_comma_and_tab_sniffed(self, tmp_path):
         p1 = tmp_path / "a.csv"
         p1.write_text("u,v\n1,2\n3,4\n")
