@@ -185,13 +185,20 @@ def _procedure_from(cfg):
 
 
 def _check_settings(cfg):
-    """Refuse an invalid statistic or sampler setting whether or not the
-    run reads it: result.json echoes every setting."""
+    """Refuse an invalid statistic, sampler or seed setting whether or
+    not the run reads it: result.json echoes every setting."""
     for key in ("epsilon", "nb_size"):
         if not (np.isfinite(cfg[key]) and cfg[key] > 0.0):
             raise ValueError(f"--{key.replace('_', '-')} must be a finite positive number")
+    _check_seed(cfg)
     if cfg.get("bin_edges") is not None:
         _bin_edges(cfg["bin_edges"])
+
+
+def _check_seed(cfg):
+    # every command's streams derive from the seed's words
+    if cfg["seed"] < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {cfg['seed']}")
 
 
 def _bin_edges(raw):
@@ -381,6 +388,7 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_preprocess(cfg):
+    _check_seed(cfg)
     _require_files(cfg, ("y",))
     counts, names = io.load_matrix(cfg["y"])
     out, kept = preprocess.preprocess_counts(

@@ -112,6 +112,8 @@ class SimConfig:
             raise ValueError("n must be at least 10")
         if self.m < 1 or self.reps < 1:
             raise ValueError("m and reps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.ar1_errors is not None and not abs(self.ar1_errors) < 1.0:
             raise ValueError("ar1_errors must lie strictly inside (-1, 1)")
         if self.statistic is None:

@@ -138,6 +138,20 @@ class TestAnalyze:
         got = json.loads((tmp_path / "s.json").read_text())["pi0_lambda"]
         assert got == want and (want is None) == (lam is None)
 
+    @pytest.mark.parametrize("command", ["analyze", "grid-dump"])
+    def test_negative_seed_refused_before_any_file_is_read(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(io, "load_dataset", None)  # never reached
+        xp, yp, zp = _write_xyz(tmp_path)
+        args = _analyze_args(xp, yp, zp, str(tmp_path / "o.json"))
+        args[0] = command
+        args[args.index("--seed") + 1] = "-1"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == 1
+        assert caught == []
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_bad_q_is_validation_error(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)
         args = _analyze_args(xp, yp, zp, str(tmp_path / "o.json"))
@@ -393,6 +407,19 @@ class TestSimulate:
             assert cli.main(args) == 0
         lines = out.read_text().splitlines()
         assert [line.split("\t")[-2:] for line in lines[1:]] == [["2", "1"], ["2", "1"]]
+
+    def test_negative_seed_refused_before_any_data(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = sim.gen_dataset
+        monkeypatch.setattr(sim, "gen_dataset", lambda c, rng: calls.append(c) or real(c, rng))
+        args = ["simulate", "--dgp", "1", "--n", "40", "--m", "10", "--reps", "2",
+                "--b", "5", "--seed", "-1", "--out", str(tmp_path / "s.tsv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == 1
+        assert calls == [] and caught == []
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "s.tsv").exists()
 
     def test_binned_sampler_refused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
@@ -699,6 +726,18 @@ class TestRefusals:
 
 
 class TestPreprocess:
+    @pytest.mark.parametrize("extra", [[], ["--rarefy"]])
+    def test_negative_seed_refused_before_the_file_is_read(self, tmp_path, capsys, monkeypatch, extra):
+        # refused whether or not --rarefy reads it, like the run commands' settings
+        monkeypatch.setattr(io, "load_matrix", None)  # never reached
+        cp = tmp_path / "counts.tsv"
+        cp.write_text("a\tb\n1\t2\n")
+        out = tmp_path / "out.tsv"
+        args = ["preprocess", "--y", str(cp), *extra, "--seed", "-2", "--out", str(out)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -2\n"
+        assert not out.exists()
+
     def test_pipeline_to_file(self, tmp_path):
         rng = np.random.default_rng(9)
         counts = rng.integers(0, 25, size=(30, 10)).astype(float)

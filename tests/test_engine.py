@@ -727,6 +727,11 @@ class TestConfigValidation:
                 engine.ResamplePlan("binned-perm", 1, 0, **bins)
         engine.ResamplePlan("binned-perm", 1, 0, bin_column=0, bin_edges=np.array([0.0]))
 
+    def test_plan_refuses_a_negative_seed(self):
+        # each draw's substream derives from the seed's words
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+            engine.ResamplePlan("residual-perm", 1, -3)
+
     def test_plan_refuses_an_exposure_its_sampler_cannot_draw(self):
         assert engine.ResamplePlan is samplers.ResamplePlan is fdr2d.ResamplePlan
         plan = engine.ResamplePlan("residual-perm", 1, 0)

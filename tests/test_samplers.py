@@ -36,7 +36,7 @@ class TestResidualLinear:
     def test_identity_permutation_returns_original(self, monkeypatch):
         x, z = _toy()
         model = samplers.fit_residual_linear(x, z)
-        monkeypatch.setattr(_rng, "substream", lambda seed, d: _IdentityRng())
+        monkeypatch.setattr(_rng, "substreams", lambda seed, draws: [_IdentityRng() for _ in draws])
         (draw,) = samplers.draw_for_strategy("residual-perm", model, 0, [1])
         np.testing.assert_allclose(draw, x, atol=1e-12)
 
@@ -232,8 +232,10 @@ class TestFitsMatchTheReferenceBitForBit:
     def test_binned_residual(self, seed):
         x, z = _toy(n=60, seed=seed, p=1 + seed % 2)
         model = samplers.fit_binned_residual(x, z, bin_column=1, bin_edges=[-0.3, 0.4])
+        assert len(model.bin_rows) == 3
         for b in range(3):
             idx = np.flatnonzero(model.bins == b)
+            np.testing.assert_array_equal(model.bin_rows[b], idx)
             fit = reference.ols_many(np.column_stack([np.ones(idx.size), z[idx]]), x[idx])
             np.testing.assert_array_equal(model.fitted_mean[idx], fit.fitted)
             np.testing.assert_array_equal(model.residuals[idx], fit.residuals)

@@ -173,6 +173,11 @@ class TestGenDataset:
         with pytest.raises(ValueError, match="ar1"):
             sim.SimConfig(dgp=1, ar1_errors=1.0)
 
+    def test_negative_seed_rejected(self):
+        # every replication's seed is a substream of it
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            sim.SimConfig(dgp=1, seed=-1)
+
 
 class TestScoring:
     def test_hand_example(self):
