@@ -9,8 +9,10 @@ success, 1 for validation problems, 2 for runtime failures.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -93,15 +95,19 @@ def _add_preprocess_flags(p):
 def _build_parser(command):
     """(parser, {command: subparser}). Every subcommand is listed, but only
     the named one gets its flags and its -h: each add_argument builds a
-    help formatter, which probes the terminal, so flags nobody parses
-    are not built."""
+    help formatter, so flags nobody parses are not built. Every parser's
+    formatter takes the width argparse would probe for, probed once
+    here, not once per formatter."""
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="fdr2d",
         description="Joint marginal/conditional threshold selection with FDR control",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, _, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=text, add_help=name == command)
+        sub.add_parser(name, help=text, add_help=name == command, formatter_class=formatter)
     if command in _SUBCOMMANDS:
         _SUBCOMMANDS[command][1](sub.choices[command])
     return parser, sub.choices

@@ -197,6 +197,54 @@ def _stack(family, seed, draws=4, n=40, m=6):
     return design, ymat
 
 
+def _score_and_weight(family, y, eta, nb_size):
+    # the log-likelihood score residual r (so the score is X'r) and the
+    # observed-information weight of one fit at its linear predictor,
+    # written from the family's density with no kernel helper
+    if family == _accel.BINOMIAL:
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        return y - mu, mu * (1.0 - mu)
+    mu = np.exp(eta)
+    if family == _accel.POISSON:
+        return y - mu, mu
+    return (y - mu) * nb_size / (mu + nb_size), nb_size * mu * (y + nb_size) / (mu + nb_size) ** 2
+
+
+# the largest Newton decrement U' cov U at a converged fit: a last step
+# of 1e-8 leaves about n w 1e-16 = 4e-15 at n = 40 and unit weights.
+# Measured at most 1.5e-15 (negbinom, whose IRLS converges linearly)
+# and 3e-30 (binomial, poisson)
+DECREMENT_BOUND = 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
+def test_converged_fits_solve_the_score_equations(family):
+    # independent of how the kernel forms its steps: at every status-0
+    # fit's coefficients the score of the family's log-likelihood is 0
+    # to the stop rule's precision, and cov is the inverse of the
+    # observed information X'WX made there directly. Each stack has
+    # staggered stops, a draw singular from iteration 1 and a column
+    # separated by draw 0's exposure (binomial) or all zero
+    stops = set()
+    for seed in range(3):
+        design, ymat = _stack(family, seed)
+        singular = design[:1].copy()
+        singular[0, :, 1] = singular[0, :, 2]
+        design = np.concatenate([design[:2], singular, design[2:]])
+        coef, cov, status, n_iter = _accel.glm_fit_many(design, ymat, family, 3.0, 50, 1e-8)
+        assert np.all(status[2] == 3)
+        assert status[0, 0] == (2 if family == _accel.BINOMIAL else 1)
+        for d, j in zip(*np.nonzero(status == 0)):
+            x = design[d]
+            r, w = _score_and_weight(family, ymat[:, j], x @ coef[d, j], 3.0)
+            u = x.T @ r
+            assert u @ cov[d, j] @ u <= DECREMENT_BOUND, (seed, d, j)
+            want = np.linalg.inv(x.T @ (w[:, None] * x))
+            np.testing.assert_allclose(cov[d, j], want, rtol=1e-10, atol=0.0)
+            stops.add(int(n_iter[d, j]))
+    assert len(stops) > 1
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
 def test_stacked_row_is_the_one_design_fit_bit_for_bit(family, seed):

@@ -5,8 +5,10 @@ codes (0 success, 1 validation, 2 runtime), output files, and the
 documented column layouts.
 """
 
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -807,6 +809,23 @@ class TestParser:
                 assert {_OWN_FLAG[command], "-h", "--out", "--config"} <= flags
             else:
                 assert flags == set()
+
+    @pytest.mark.parametrize("command", _OWN_FLAG)
+    def test_terminal_is_probed_once_per_parse(self, capsys, monkeypatch, command):
+        # argparse makes a help formatter per add_argument and each one
+        # probes the terminal; the whole call, help included, probes it
+        # once, and the help is what formatters probing alone print
+        probe = shutil.get_terminal_size
+        calls = []
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or probe(*a))
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert len(calls) == 1
+        parser, subparsers = cli._build_parser(command)
+        for p in (parser, subparsers[command]):
+            p.formatter_class = argparse.HelpFormatter
+        assert subparsers[command].format_help() == capsys.readouterr().out
+        assert parser.format_help() == cli._build_parser(command)[0].format_help()
 
 
 @pytest.mark.parametrize("module", ["fdr2d", "fdr2d.cli"])
