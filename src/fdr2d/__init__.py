@@ -13,6 +13,7 @@ from .engine import (
     MonotonePath,
     ProcedureConfig,
     ResamplePlan,
+    Search,
     StatisticSpec,
     apply_method,
     apply_methods,
@@ -21,9 +22,9 @@ from .engine import (
     default_path,
     fbar,
     fdp_tilde,
-    grid_surface,
     make_grid,
     ordered_grid_procedure,
+    search,
     storey_pi0,
 )
 from .io import load_dataset, load_matrix, save_matrix
@@ -49,6 +50,7 @@ __all__ = [
     "MonotonePath",
     "ProcedureConfig",
     "ResamplePlan",
+    "Search",
     "SimConfig",
     "StatTensor",
     "StatisticSpec",
@@ -62,7 +64,6 @@ __all__ = [
     "fdp_tilde",
     "gen_dataset",
     "gen_signals",
-    "grid_surface",
     "load_dataset",
     "load_matrix",
     "make_grid",
@@ -72,6 +73,7 @@ __all__ = [
     "run_replication",
     "save_matrix",
     "score_rejections",
+    "search",
     "storey_pi0",
     "validate",
 ]

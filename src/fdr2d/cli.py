@@ -311,7 +311,7 @@ def _write_json(path, doc):
             return [clean(e) for e in v]
         return str(v) if isinstance(v, float) and not np.isfinite(v) else v
 
-    io._atomic_write(path, json.dumps(clean(doc), indent=2, allow_nan=False) + "\n")
+    io._atomic_write(path, [json.dumps(clean(doc), indent=2, allow_nan=False) + "\n"])
 
 
 def _cmd_grid_dump(cfg):
@@ -320,17 +320,17 @@ def _cmd_grid_dump(cfg):
     procedure = _procedure_from(cfg)
     plan = _plan_from(cfg, dataset)
     tensor = engine.build_tensor(dataset, plan, spec)
-    # the grid, pi0 and counts of the search pass analyze makes
-    search = engine._SearchPass(tensor, procedure, ["mf2d-fdr"])
-    grid = search.grid
-    sumf, robs, crit = search.surface()
-    rows = []
-    for a, t1 in enumerate(grid.t1_values):
-        for c, t2 in enumerate(grid.t2_values):
-            rows.append((t1, t2, sumf[a, c], int(robs[a, c]), crit[a, c]))
-    io.save_table(
-        cfg["out"], ("t1", "t2", "sum_fbar", "rejections", "fdp_tilde"), rows
+    # the grid, pi0 and counts of the search analyze makes
+    found = engine.search(tensor, procedure, ["mf2d-fdr"])
+    sumf, robs, crit = found.surface
+    t2s = found.grid.t2_values.tolist()
+    # rows are made as the table is written, one grid row of floats at a time
+    rows = (
+        (t1, t2, s, r, c)
+        for a, t1 in enumerate(found.grid.t1_values.tolist())
+        for t2, s, r, c in zip(t2s, sumf[a].tolist(), robs[a].tolist(), crit[a].tolist())
     )
+    io.save_table(cfg["out"], ("t1", "t2", "sum_fbar", "rejections", "fdp_tilde"), rows)
     return 0
 
 

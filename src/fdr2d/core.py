@@ -180,7 +180,8 @@ class StatTensor:
     feature j under draw b; b = 0 is the observed data and counts as
     one of the B + 1 exchangeable draws everywhere downstream.
     Features flagged in ``zero_variance`` carry (0, 0) in every row
-    and are never rejected.
+    and are never rejected. Every statistic is a nonnegative number, as
+    every evaluator makes it; NaN or a negative value is refused.
 
     The statistics live in one C-contiguous (2, B+1, m) block,
     ``planes``: plane 0 marginal, plane 1 conditional. ``pairs`` is a
@@ -202,6 +203,8 @@ class StatTensor:
         if pairs.ndim != 3 or pairs.shape[2] != 2:
             raise ValueError(f"pairs must have shape (B+1, m, 2), got {pairs.shape}")
         self.pairs = np.ascontiguousarray(pairs.transpose(2, 0, 1)).transpose(1, 2, 0)
+        if not np.all(self.planes >= 0.0):
+            raise ValueError("statistics must be nonnegative numbers, not NaN")
         self.zero_variance = np.asarray(self.zero_variance, dtype=bool)
         if self.zero_variance.shape != (self.pairs.shape[1],):
             raise ValueError("zero_variance length must match the feature count")

@@ -18,8 +18,8 @@ import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Union
+from functools import partial
+from typing import Optional, Union
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class Grid2D:
 
     t1_values: np.ndarray
     t2_values: np.ndarray
-    construction: str = "observed-values"
 
     def __post_init__(self):
         self.t1_values = np.ascontiguousarray(self.t1_values, dtype=float)
@@ -86,8 +85,8 @@ class Grid2D:
         for axis in (self.t1_values, self.t2_values):
             if axis.size == 0:
                 raise ValueError("grid axes must be nonempty")
-            if np.any(axis < 0.0):
-                raise ValueError("grid values must be nonnegative")
+            if not np.all(axis >= 0.0):
+                raise ValueError("grid values must be nonnegative numbers, not NaN")
             if np.any(np.diff(axis) <= 0.0):
                 raise ValueError("grid axes must be strictly increasing")
 
@@ -104,6 +103,8 @@ class MonotonePath:
         self.t2 = np.asarray(self.t2, dtype=float).ravel()
         if self.t1.size == 0 or self.t1.size != self.t2.size:
             raise ValueError("empty or mismatched path")
+        if np.isnan(self.t1).any() or np.isnan(self.t2).any():
+            raise ValueError("path values must be numbers, not NaN")
         if np.any(np.diff(self.t1) < 0.0) or np.any(np.diff(self.t2) < 0.0):
             raise ValueError("path must be monotone nondecreasing in both coordinates")
 
@@ -239,12 +240,6 @@ def _both_axes(tensor, derive):
     return [_axis_bins(tensor.planes[k].ravel(), partial(derive, k)) for k in (0, 1)]
 
 
-def _bins_against(tensor, thresholds):
-    # each pooled axis's bins against its given ascending thresholds
-    axes = _both_axes(tensor, lambda k, s: ({"given": thresholds[k]}, None))
-    return [bins["given"] for _, bins, _ in axes]
-
-
 def _with_zero(distinct):
     """An ascending distinct array with 0 in its place: equal to
     np.unique(np.append(0.0, distinct))."""
@@ -261,10 +256,6 @@ def _grid_axis(ascending, size):
         return _with_zero(_distinct(ascending))
     levels = np.arange(1, size + 1) / size
     return np.unique(np.concatenate([[0.0], _inverted_cdf(ascending, levels)]))
-
-
-def _grid_of(axes, size):
-    return Grid2D(*axes, "observed-values" if size is None else "quantile")
 
 
 def _path_axis(ascending, steps):
@@ -328,20 +319,20 @@ def make_grid(tensor, spec="quantile:100"):
 
     'observed' uses every distinct pooled value; 'quantile:<G>' the G
     equally spaced pooled quantiles (inverted-CDF rule). Both prepend 0
-    so the loosest corner is always searchable. The grid a search pass
-    makes, from the same sorted axes.
+    so the loosest corner is always searchable. The grid search makes,
+    from the same sorted axes.
     """
     size = _grid_size(spec)
     axes = _both_axes(tensor, lambda k, s: ({}, _grid_axis(s, size)))
-    return _grid_of([found for _, _, found in axes], size)
+    return Grid2D(*(found for _, _, found in axes))
 
 
 def default_path(tensor, steps=100):
     """Diagonal quantile path over the distinct pooled values per axis.
 
     steps equal to the distinct-value count makes the path visit every
-    value of that axis. The path a search pass makes, from the same
-    sorted axes.
+    value of that axis. The path search makes, from the same sorted
+    axes.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -371,7 +362,7 @@ def fdp_tilde(tensor, t1, t2, pi0=None):
     B + 1), scaled by pi0 when given, over the observed rejection
     count floored at 1. Zero-variance features count in the numerator
     but never as rejections. The counts are read off the planes; they
-    are exact integers, so this equals the grid surface and the path
+    are exact integers, so this equals search's grid surface and path
     walks bit for bit.
     """
     pooled = np.count_nonzero(_dominating(tensor.planes, t1, t2))
@@ -414,21 +405,18 @@ def _observed_bins(tensor, bins):
     return [b[: tensor.m][valid] for b in bins]
 
 
-def _grid_counts(tensor, grid, bins=None):
-    # (pooled, observed) dominance counts at every grid point; bins, each
-    # pooled axis's exceed_bins against the grid, are made when not given
-    t = (grid.t1_values, grid.t2_values)
-    bins = _bins_against(tensor, t) if bins is None else bins
-    g = [v.size for v in t]
+def _grid_counts(tensor, grid, bins):
+    # (pooled, observed) dominance counts at every grid point from bins,
+    # each pooled axis's exceed_bins against the grid
+    g = (grid.t1_values.size, grid.t2_values.size)
     observed = _accel.pair_exceed_counts(*_observed_bins(tensor, bins), *g)
     return _accel.pair_exceed_counts(*bins, *g), observed
 
 
-def _chain_counts(tensor, path, bins=None):
+def _chain_counts(tensor, path, bins):
     # (pooled, observed) dominance counts at every path step, as
     # _grid_counts; the observed bins are copies, taken before the pooled
     # count overwrites the marginal bins with its minimum
-    bins = _bins_against(tensor, (path.t1, path.t2)) if bins is None else bins
     steps = path.t1.size
     observed = _accel.chain_exceed_counts(*_observed_bins(tensor, bins), steps)
     return _accel.chain_exceed_counts(*bins, steps), observed
@@ -480,8 +468,9 @@ def _cutoff(tensor, pi0, point=None, crit=0.0):
 def ordered_grid_procedure(tensor, path, q, pi0=None):
     """Smallest chain index whose fdp_tilde is at most q. Without pi0
     this is the exchangeable-path rule: the plain pooled-count ratio is
-    what carries the finite-sample guarantee."""
-    counts = _chain_counts(tensor, path)
+    what carries the finite-sample guarantee. The chain counts are those
+    search makes on the given path."""
+    counts = search(tensor, ProcedureConfig(q=q), ["exchangeable-path"], path).path_counts
     return _first_feasible(tensor, path, *counts, q, 1.0 if pi0 is None else float(pi0))
 
 
@@ -549,107 +538,106 @@ def bh_rejections(dataset, spec, q, tensor=None):
     return pvalues, bh_procedure(pvalues, q)
 
 
-def grid_surface(tensor, grid, pi0=1.0):
-    """(sum_fbar, observed rejections, fdp_tilde) arrays over the grid."""
-    return _surface(tensor, _grid_counts(tensor, grid), pi0)
+@dataclass
+class Search:
+    """What one search over one tensor made (see search). A field that
+    none of the searched methods reads stays None."""
 
+    draws: int  # B + 1, the tensor's row count
+    grid: Optional[Grid2D] = None
+    grid_counts: Optional[tuple] = None  # (pooled, observed) counts over the grid
+    path: Optional[MonotonePath] = None
+    path_counts: Optional[tuple] = None  # (pooled, observed) counts along the path
+    pi0_lambda: Optional[float] = None
+    pi0: Optional[float] = None
+    results: dict = dataclasses.field(default_factory=dict)  # {method: CutoffResult}
 
-def _surface(tensor, counts, pi0):
-    # grid_surface from a grid's (pooled, observed) counts
-    counts_all, robs = counts
-    b1 = tensor.pairs.shape[0]
-    return counts_all / float(b1), robs, _fdp(counts_all, robs, b1, pi0)
-
-
-class _SearchPass:
-    """One search over one tensor, for the methods it is told it serves.
-
-    Each pooled axis goes once through _axis_bins, one axis at a time:
-    its packed (value | index) keys are sorted once (_accel.sort_order)
-    and its values gathered once in that order; from those sorted values
-    the pass reads every threshold set that its methods' rows of
-    _METHODS name (the grid axis, the default path axis) as make_grid
-    and default_path read them, and, on the conditional axis, lambda
-    with the pooled count at or below it; it bins the axis against each
-    set in small integers and drops the order and the sorted copy before
-    the other axis is sorted. The grid and chain counts are then made
-    from the bins, observed row included (its bins are the first m
-    pooled ones), and the bins are dropped. pi0 is read from the pooled
-    count on first use. grid, grid_counts, path and path_counts stay
-    None when no served method reads them.
-    """
-
-    def __init__(self, tensor, config, methods):
-        self.tensor = tensor
-        self.config = config
-        size, steps, lam = _grid_size(config.grid), config.path_steps, config.pi0_lambda
-        axes = {"grid": partial(_grid_axis, size=size), "path": partial(_path_axis, steps=steps)}
-        reads = [name for name in axes if any(_METHODS[m].reads == name for m in methods)]
-
-        def derive(k, ascending):
-            sets = {name: axes[name](ascending) for name in reads}
-            if k == 0 or lam is None:
-                return sets, (None, 0)
-            at = _half_median(ascending) if lam == "auto" else float(lam)
-            return sets, (at, int(np.searchsorted(ascending, at, "right")))
-
-        (sets0, bins0, _), (sets1, bins1, found) = _both_axes(tensor, derive)
-        self.pi0_lambda, self._below = found
-        self.grid = self.grid_counts = self.path = self.path_counts = None
-        if "grid" in reads:
-            self.grid = _grid_of((sets0["grid"], sets1["grid"]), size)
-            bins = (bins0.pop("grid"), bins1.pop("grid"))
-            self.grid_counts = _grid_counts(tensor, self.grid, bins)
-        if "path" in reads:
-            self.path = MonotonePath(sets0["path"], sets1["path"])
-            bins = (bins0.pop("path"), bins1.pop("path"))
-            self.path_counts = _chain_counts(tensor, self.path, bins)
-
-    @cached_property
-    def pi0(self):
-        # storey_pi0 at lambda; 1.0 when no correction is asked for
-        if self.pi0_lambda is None:
-            return 1.0
-        return _storey(self.tensor, self.pi0_lambda, self._below)
-
+    @property
     def surface(self):
-        # grid_surface of the pass's grid at its pi0
-        return _surface(self.tensor, self.grid_counts, self.pi0)
+        """(sum_fbar, observed rejections, fdp_tilde) arrays over the grid
+        at the search's pi0."""
+        counts_all, robs = self.grid_counts
+        return counts_all / float(self.draws), robs, _fdp(counts_all, robs, self.draws, self.pi0)
 
-    def run(self, method):
+
+def search(tensor, config, methods, path=None):
+    """Run several thresholding methods on one tensor in one search.
+
+    The only code that sorts, bins and counts a tensor. Each pooled axis
+    goes once through _axis_bins, one axis at a time: its packed
+    (value | index) keys are sorted once (_accel.sort_order) and its
+    values gathered once in that order; from those sorted values the
+    search reads every threshold set that its methods' rows of _METHODS
+    name (the grid axis, the default path axis) as make_grid and
+    default_path read them, and, on the conditional axis, lambda with
+    the pooled count at or below it; it bins the axis against each set
+    in small integers and drops the order and the sorted copy before the
+    other axis is sorted. The grid and chain counts are then made from
+    the bins, observed row included (its bins are the first m pooled
+    ones), and the bins are dropped. A given path takes the place of the
+    default one. pi0 is read from the pooled count when some method
+    applies it: 1.0 with no lambda. Each result carries the search's
+    lambda as pi0_lambda.
+
+    check_methods refuses the list: an unknown or repeated name, and
+    bh, which reads p-values rather than a tensor. An empty list sorts
+    nothing. Returns the Search record.
+    """
+    check_methods(methods)
+    found = Search(tensor.pairs.shape[0])
+    if not methods:
+        return found
+    size, lam = _grid_size(config.grid), config.pi0_lambda
+    axes = {
+        "grid": lambda k, ascending: _grid_axis(ascending, size),
+        "path": lambda k, ascending: (
+            _path_axis(ascending, config.path_steps) if path is None else (path.t1, path.t2)[k]
+        ),
+    }
+    reads = [name for name in axes if any(_METHODS[m].reads == name for m in methods)]
+
+    def derive(k, ascending):
+        sets = {name: axes[name](k, ascending) for name in reads}
+        if k == 0 or lam is None:
+            return sets, (None, 0)
+        at = _half_median(ascending) if lam == "auto" else float(lam)
+        return sets, (at, int(np.searchsorted(ascending, at, "right")))
+
+    (sets0, bins0, _), (sets1, bins1, (found.pi0_lambda, below)) = _both_axes(tensor, derive)
+    if "grid" in reads:
+        found.grid = Grid2D(sets0["grid"], sets1["grid"])
+        bins = bins0.pop("grid"), bins1.pop("grid")
+        found.grid_counts = _grid_counts(tensor, found.grid, bins)
+    if "path" in reads:
+        found.path = MonotonePath(sets0["path"], sets1["path"]) if path is None else path
+        bins = bins0.pop("path"), bins1.pop("path")
+        found.path_counts = _chain_counts(tensor, found.path, bins)
+    if any(_METHODS[m].rule != "walk" for m in methods):
+        found.pi0 = 1.0 if lam is None else _storey(tensor, found.pi0_lambda, below)
+
+    def run(method):
         # the method's rule on the threshold set its row names
-        reads, rule = _METHODS[method]
-        tensor, q = self.tensor, self.config.q
-        if reads == "path":
-            pi0 = self.pi0 if rule == "pi0-walk" else 1.0
-            return _first_feasible(tensor, self.path, *self.path_counts, q, pi0)
-        t1v, counts = self.grid.t1_values, self.grid_counts
+        on, rule = _METHODS[method]
+        if on == "path":
+            pi0 = found.pi0 if rule == "pi0-walk" else 1.0
+            return _first_feasible(tensor, found.path, *found.path_counts, config.q, pi0)
+        t1v, counts = found.grid.t1_values, found.grid_counts
         if rule == "fdr-1d":
             # every grid starts at t1 = 0 (_grid_axis puts 0 in and Grid2D
             # refuses negative values); its first row is the 1-D search
             t1v, counts, rule = t1v[:1], [c[:1] for c in counts], "fdr"
-        return _pick(tensor, t1v, self.grid.t2_values, *counts, q, self.pi0, rule)
+        return _pick(tensor, t1v, found.grid.t2_values, *counts, config.q, found.pi0, rule)
+
+    for method in methods:
+        found.results[method] = run(method)
+        found.results[method].pi0_lambda = found.pi0_lambda
+    return found
 
 
 def apply_methods(tensor, config, methods):
-    """Run several thresholding methods on one tensor in one search pass.
-
-    Returns {method: CutoffResult}, each equal to what apply_method gives
-    for that method. check_methods refuses the list: an unknown or
-    repeated name, and bh, which reads p-values rather than a tensor. The
-    methods share one key sort of each pooled axis, from which the grid,
-    the default path, the grid counts and the path walk are all derived
-    (see _SearchPass). Each result carries the pass's lambda as
-    pi0_lambda.
-    """
-    check_methods(methods)
-    if not methods:
-        return {}
-    search = _SearchPass(tensor, config, methods)
-    results = {method: search.run(method) for method in methods}
-    for result in results.values():
-        result.pi0_lambda = search.pi0_lambda
-    return results
+    """{method: CutoffResult} of search, each equal to what apply_method
+    gives for that method."""
+    return search(tensor, config, methods).results
 
 
 def apply_method(tensor, config, method="mf2d-fdr"):

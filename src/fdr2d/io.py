@@ -4,6 +4,7 @@ Values print with 17 significant digits so a save/load round trip
 reproduces float64 data bit-exactly.
 """
 
+import itertools
 import os
 import tempfile
 
@@ -61,13 +62,15 @@ def load_matrix(path):
     return values, names
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    # the strings of lines are written to a temporary file as they come,
+    # which replaces path only once all are written
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,11 +100,11 @@ def save_matrix(path, values, col_names):
 
 
 def save_table(path, header, rows):
-    """Tab-separated table from row tuples; numbers at 17 digits."""
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(format_value(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Tab-separated table from row tuples; numbers at 17 digits. Rows
+    may be any iterable, a generator included: each line is written as
+    its row comes."""
+    lines = ("\t".join(map(format_value, row)) + "\n" for row in rows)
+    _atomic_write(path, itertools.chain(["\t".join(header) + "\n"], lines))
 
 
 def _column_kind(col):

@@ -249,7 +249,7 @@ def _replicate(config, rep_seed, methods):
 
     Data and sampler use disjoint substreams of ``rep_seed``, so every
     method sees the same data, and the methods engine.reads_tensor names
-    share one tensor and one search pass (engine.apply_methods). bh reads
+    share one tensor and one search (engine.search). bh reads
     its p-values from that tensor's observed row when there is one.
     """
     dataset, truth = gen_dataset(config, _rng.substream(rep_seed, "data"))

@@ -465,7 +465,7 @@ def sorted_axes(tensor):
 def make_grid(tensor, spec="quantile:100"):
     """engine.make_grid from np.sort of each pooled axis."""
     size = engine._grid_size(spec)
-    return engine._grid_of([engine._grid_axis(s, size) for s in sorted_axes(tensor)], size)
+    return engine.Grid2D(*(engine._grid_axis(s, size) for s in sorted_axes(tensor)))
 
 
 def default_path(tensor, steps=100):
@@ -530,9 +530,12 @@ def dominance_counts(tensor, grid):
 
 
 def search(tensor, grid, q, pi0, mode):
-    """Best feasible point of any one grid, with the search's own counts
-    and pick (engine._pick): the search of a grid no pass makes."""
-    counts = engine._grid_counts(tensor, grid)
+    """Best feasible point of any one grid, with the search's own bins,
+    counts and pick (engine._pick): the search of a grid engine.search
+    does not make. Each pooled axis is binned against the given grid."""
+    t = (grid.t1_values, grid.t2_values)
+    axes = engine._both_axes(tensor, lambda k, s: ({"given": t[k]}, None))
+    counts = engine._grid_counts(tensor, grid, [bins["given"] for _, bins, _ in axes])
     return engine._pick(tensor, grid.t1_values, grid.t2_values, *counts, q, pi0, mode)
 
 

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("lam", [None, "auto", "0.4"])
     @pytest.mark.parametrize("method", ["mf2d-fdr", "exchangeable-path"])
     def test_pi0_lambda_echo_comes_from_the_search(self, tmp_path, monkeypatch, method, lam):
-        # the echoed lambda is the one the search pass resolved, bit for
+        # the echoed lambda is the one the search resolved, bit for
         # bit the reference lambda (np.median) of the same tensor
         tensors = []
         build = engine.build_tensor
@@ -542,6 +543,41 @@ class TestGridDump:
         assert message in capsys.readouterr().err
         assert loads == [] and not out.exists()
 
+    def test_memory_per_grid_cell_is_bounded(self, tmp_path):
+        # the table's rows are written as they are made: the peak holds the
+        # grid's count and surface arrays, not one Python row per cell
+        xp, yp, zp = _write_xyz(tmp_path, seed=2, n=40, m=20)
+        out = tmp_path / "surface.tsv"
+        args = [
+            "grid-dump", "--x", xp, "--y", yp, "--z", zp,
+            "--stat", "glm:gaussian", "--sampler", "residual-perm",
+            "--b", "9", "--grid", "observed", "--seed", "1", "--out", str(out),
+        ]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = len(out.read_text().splitlines()) - 1
+        assert cells == 201**2
+        assert peak / cells < 100, f"{peak / cells:.0f} bytes per grid cell"
+
+    def test_table_failing_mid_write_leaves_the_old_file(self, tmp_path):
+        # rows are written as they come, so a row that fails comes after
+        # the temporary file holds the lines before it
+        out = tmp_path / "surface.tsv"
+        out.write_text("old\n")
+
+        def rows():
+            yield (0.0, 1.0)
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            io.save_table(out, ("t1", "t2"), rows())
+        assert os.listdir(tmp_path) == ["surface.tsv"]
+        assert out.read_text() == "old\n"
+
     def test_surface_table(self, tmp_path):
         xp, yp, zp = _write_xyz(tmp_path, seed=6, n=40, m=8)
         out = str(tmp_path / "surface.tsv")
@@ -567,7 +603,7 @@ class TestGridDump:
     @pytest.mark.parametrize("grid", ["quantile:12", "observed"])
     @pytest.mark.parametrize("lam", [None, "auto", "0.5"])
     def test_surface_equals_brute_force_recount(self, tmp_path, monkeypatch, lam, grid):
-        # the table and grid_surface against a recount of the same tensor:
+        # the table and search's surface against a recount of the same tensor:
         # the reference grid (np.sort), lambda (np.median) and pi0, and
         # dominance counts taken one grid point at a time
         tensors = []
@@ -601,7 +637,8 @@ class TestGridDump:
         ]
         got = [tuple(float(v) for v in line.split("\t")) for line in out.read_text().splitlines()[1:]]
         assert got == want
-        surface = engine.grid_surface(tensor, want_grid, pi0)
+        config = engine.ProcedureConfig(grid=grid, pi0_lambda=lam)
+        surface = engine.search(tensor, config, ["mf2d-fdr"]).surface
         assert [a.tolist() for a in surface] == [sumf, observed.tolist(), fdp]
 
 

@@ -295,6 +295,10 @@ class TestGrids:
             want = np.quantile(np.unique(tm), levels, method="inverted_cdf")
             np.testing.assert_array_equal(path.t1, want)
 
+    def test_nan_grid_value_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
+            engine.Grid2D(np.array([0.0, np.nan]), np.array([0.0, 1.0]))
+
     def test_bad_spec_rejected(self):
         rng = np.random.default_rng(122)
         tensor = _random_tensor(rng)
@@ -334,6 +338,11 @@ class TestPaths:
             engine.MonotonePath(t1=np.array([1.0, 0.5]), t2=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="empty"):
             engine.MonotonePath(t1=np.zeros(0), t2=np.zeros(0))
+
+    def test_nan_path_value_rejected(self):
+        # exceed_bins would fail on it with a message about negative repeats
+        with pytest.raises(ValueError, match="not NaN"):
+            engine.MonotonePath(t1=np.array([0.0, np.nan, 1.0]), t2=np.zeros(3))
 
 
 class TestSequentialProcedures:
@@ -549,9 +558,9 @@ class TestBuildTensor:
         assert caught == [] and np.flatnonzero(tensor.zero_variance).tolist() == [6]
         np.testing.assert_array_equal(tensor.pairs[:, 6], 0.0)
         assert 6 not in engine._rejected(tensor, 0.0, 0.0)
-        grid = engine.make_grid(tensor)
-        assert grid.t1_values[0] == grid.t2_values[0] == 0.0
-        assert engine.grid_surface(tensor, grid)[1][0, 0] == ds.m - 1
+        found = engine.search(tensor, engine.ProcedureConfig(), ["mf2d-fdr"])
+        assert found.grid.t1_values[0] == found.grid.t2_values[0] == 0.0
+        assert found.surface[1][0, 0] == ds.m - 1
 
     def test_separated_varying_feature_still_counts_as_failed(self):
         ds = self._binomial_dataset()
@@ -852,7 +861,7 @@ class TestApplyMethods:
                                     _assert_same(got[method], _reference(tensor, one, method))
 
     def test_pass_grid_and_path_equal_the_public_ones(self):
-        # the pass derives both from its own argsort, as make_grid and
+        # search derives both from its own key sort, as make_grid and
         # default_path do; the reference forms take np.sort of each axis.
         # Equal bits, including the sign of 0
         rng = np.random.default_rng(154)
@@ -864,10 +873,9 @@ class TestApplyMethods:
             for grid in ("observed", "quantile:1", "quantile:9", "quantile:100"):
                 for steps in (1, 3, distinct, distinct + 5, 100):
                     config = engine.ProcedureConfig(grid=grid, path_steps=steps)
-                    search = engine._SearchPass(tensor, config, _TENSOR_METHODS)
+                    found = engine.search(tensor, config, _TENSOR_METHODS)
                     want = reference.make_grid(tensor, grid)
-                    for got in (search.grid, engine.make_grid(tensor, grid)):
-                        assert got.construction == want.construction
+                    for got in (found.grid, engine.make_grid(tensor, grid)):
                         for got_axis, want_axis in (
                             (got.t1_values, want.t1_values),
                             (got.t2_values, want.t2_values),
@@ -879,12 +887,12 @@ class TestApplyMethods:
                             unique = np.unique(np.append(0.0, tensor.pairs[:, :, k]))
                             assert axis.tobytes() == unique.tobytes()
                     path = reference.default_path(tensor, steps)
-                    for got in (search.path, engine.default_path(tensor, steps)):
+                    for got in (found.path, engine.default_path(tensor, steps)):
                         assert got.t1.tobytes() == path.t1.tobytes()
                         assert got.t2.tobytes() == path.t2.tobytes()
 
     def test_pass_pi0_equals_resolve_pi0(self):
-        # the pass and storey_pi0 read lambda and the pooled count off the
+        # search and storey_pi0 read lambda and the pooled count off the
         # sorted conditional axis; the reference resolve_pi0 takes
         # np.median of the unsorted axis and counts afresh. Equal bits on
         # odd and even pooled sizes, with ties at the median (the
@@ -903,7 +911,7 @@ class TestApplyMethods:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     want = reference.resolve_pi0(tensor, config)[0]
-                    got = engine._SearchPass(tensor, config, _TENSOR_METHODS).pi0
+                    got = engine.search(tensor, config, _TENSOR_METHODS).pi0
                     alone = want if lam == "auto" else engine.storey_pi0(tensor, lam)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), lam
                 assert np.float64(alone).tobytes() == np.float64(want).tobytes(), lam
@@ -930,18 +938,18 @@ class TestApplyMethods:
         odd = tensor([[1.0, 5.0, 6.0], [0.2, 2.0, 3.0], [0.4, 0.6, 4.0]])
         for t, want in ((even, 0.8), (odd, 0.75)):
             assert reference.resolve_pi0(t, config) == (want, 1.0)
-            assert engine._SearchPass(t, config, _TENSOR_METHODS).pi0 == want
+            assert engine.search(t, config, _TENSOR_METHODS).pi0 == want
         # no observed value at or below lambda: both warn and give 1
         none_below = tensor([[3.0, 4.0], [0.5, 1.0]])
         for pi0 in (
             lambda: reference.resolve_pi0(none_below, config)[0],
-            lambda: engine._SearchPass(none_below, config, _TENSOR_METHODS).pi0,
+            lambda: engine.search(none_below, config, _TENSOR_METHODS).pi0,
         ):
             with pytest.warns(UserWarning, match="no statistics at or below lambda"):
                 assert pi0() == 1.0
 
     def test_result_lambda_equals_resolve_pi0(self):
-        # every tensor method's result carries the lambda the pass read
+        # every tensor method's result carries the lambda the search read
         # off its sorted conditional axis, bit for bit the one the
         # reference resolve_pi0 takes: with auto, with a number and with none, on odd and even
         # pooled sizes; exchangeable-path reports it but applies no pi0
@@ -972,7 +980,8 @@ class TestApplyMethods:
         # every full-length in-place key sort, and every sort, argsort,
         # unique, partition or median of a pooled axis is recorded; the five
         # methods must share one key sort per axis, pi0_lambda="auto"
-        # included, and make no other full-length one
+        # included, and make no other full-length one; so must a search on
+        # a given path and ordered_grid_procedure
         rng = np.random.default_rng(155)
         tensor = core.StatTensor(
             pairs=rng.gamma(2.0, size=(21, 40, 2)), zero_variance=np.zeros(40, bool)
@@ -989,15 +998,22 @@ class TestApplyMethods:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, recording)
+        path = engine.default_path(tensor, 7)
+        runs = [
+            lambda config: engine.apply_methods(tensor, config, _TENSOR_METHODS),
+            lambda config: engine.search(tensor, config, _TENSOR_METHODS, path),
+            lambda config: engine.ordered_grid_procedure(tensor, path, config.q, 0.8),
+        ]
         for grid in ("quantile:100", "observed"):
             for pi0 in (None, "auto"):
-                calls.clear()
-                config = engine.ProcedureConfig(q=0.3, grid=grid, pi0_lambda=pi0)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    engine.apply_methods(tensor, config, _TENSOR_METHODS)
-                full = [call for call in calls if call[1] >= pooled]
-                assert full == [("_sort_keys", pooled)] * 2, (grid, pi0)
+                for run in runs:
+                    calls.clear()
+                    config = engine.ProcedureConfig(q=0.3, grid=grid, pi0_lambda=pi0)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        run(config)
+                    full = [call for call in calls if call[1] >= pooled]
+                    assert full == [("_sort_keys", pooled)] * 2, (grid, pi0, runs.index(run))
 
     def test_c_order_and_two_plane_tensors_give_the_same_results(self):
         # the two planes are read as flat views; a tensor whose pairs were
@@ -1037,6 +1053,15 @@ class TestApplyMethods:
             tracemalloc.stop()
         assert peak <= 27 * 500_000
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5])
+    def test_statistic_not_a_nonnegative_number_rejected(self, bad):
+        # a NaN would sort into the top bin of its pooled axis, where no
+        # direct comparison counts it, so the search and fdp_tilde disagree
+        pairs = np.random.default_rng(159).gamma(2.0, size=(5, 8, 2))
+        pairs[1, 3, 1] = bad
+        with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
+            core.StatTensor(pairs=pairs, zero_variance=np.zeros(8, bool))
+
     def test_infeasible_level_gives_sentinels(self):
         tensor = core.StatTensor(pairs=np.ones((3, 5, 2)), zero_variance=np.zeros(5, bool))
         config = engine.ProcedureConfig(q=1e-9, grid="observed")
@@ -1068,7 +1093,8 @@ class TestApplyMethods:
                     t1=np.sort(rng.integers(0, 8, steps) / 2.5),
                     t2=np.sort(rng.integers(0, 8, steps) / 2.5),
                 )
-            counts_all, robs = engine._chain_counts(tensor, path)
+            config = engine.ProcedureConfig()
+            counts_all, robs = engine.search(tensor, config, ["exchangeable-path"], path).path_counts
             for pi0 in (None, 0.6):
                 mult = 1.0 if pi0 is None else pi0
                 crit = engine._fdp(counts_all, robs, b1, mult)
