@@ -18,7 +18,6 @@ import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -87,7 +86,7 @@ class Grid2D:
                 raise ValueError("grid axes must be nonempty")
             if not np.all(axis >= 0.0):
                 raise ValueError("grid values must be nonnegative numbers, not NaN")
-            if np.any(np.diff(axis) <= 0.0):
+            if np.any(axis[1:] <= axis[:-1]):
                 raise ValueError("grid axes must be strictly increasing")
 
 
@@ -105,7 +104,7 @@ class MonotonePath:
             raise ValueError("empty or mismatched path")
         if np.isnan(self.t1).any() or np.isnan(self.t2).any():
             raise ValueError("path values must be numbers, not NaN")
-        if np.any(np.diff(self.t1) < 0.0) or np.any(np.diff(self.t2) < 0.0):
+        if np.any(self.t1[1:] < self.t1[:-1]) or np.any(self.t2[1:] < self.t2[:-1]):
             raise ValueError("path must be monotone nondecreasing in both coordinates")
 
 
@@ -213,31 +212,16 @@ def _inverted_cdf(sorted_values, levels):
     return sorted_values[index]
 
 
-def _axis_bins(values, derive):
-    """The per-axis routine of every search over a tensor.
-
-    Sorts one pooled axis once, as packed (value | index) keys
-    (_accel.sort_order), and gathers its values once in that order.
-    derive(ascending) reads off those sorted values what the caller
-    needs and returns (sets, found): sets maps names to ascending
-    threshold arrays, found is anything else (thresholds, lambda, a
-    count). Returns (sets, bins, found), bins mapping each name to the
-    axis's _accel.exceed_bins against that set. Any order that sorts the
-    values gives the same sets, bins and found. The order and the
-    sorted copy are dropped on return, before another axis is sorted.
+def _sorted_axis(tensor, k):
+    """(order, ascending) of pooled axis k (0 marginal, 1 conditional),
+    a flat view of its plane whose first m values are the observed row:
+    its packed (value | index) keys sorted once (_accel.sort_order) and
+    its values gathered once in that order. Any order that sorts the
+    values gives the same thresholds, bins and counts downstream.
     """
+    values = tensor.planes[k].ravel()
     order, _ = _accel.sort_order(values)
-    ascending = values[order]
-    sets, found = derive(ascending)
-    bins = {name: _accel.exceed_bins(order, ascending, t) for name, t in sets.items()}
-    return sets, bins, found
-
-
-def _both_axes(tensor, derive):
-    # _axis_bins on each pooled axis in turn, derive(k, ascending); axis k
-    # (0 marginal, 1 conditional) is a flat view of its plane, whose
-    # first m values are the observed row
-    return [_axis_bins(tensor.planes[k].ravel(), partial(derive, k)) for k in (0, 1)]
+    return order, values[order]
 
 
 def _with_zero(distinct):
@@ -323,8 +307,7 @@ def make_grid(tensor, spec="quantile:100"):
     from the same sorted axes.
     """
     size = _grid_size(spec)
-    axes = _both_axes(tensor, lambda k, s: ({}, _grid_axis(s, size)))
-    return Grid2D(*(found for _, _, found in axes))
+    return Grid2D(*(_grid_axis(_sorted_axis(tensor, k)[1], size) for k in (0, 1)))
 
 
 def default_path(tensor, steps=100):
@@ -336,8 +319,7 @@ def default_path(tensor, steps=100):
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    axes = _both_axes(tensor, lambda k, s: ({}, _path_axis(s, steps)))
-    return MonotonePath(*(found for _, _, found in axes))
+    return MonotonePath(*(_path_axis(_sorted_axis(tensor, k)[1], steps) for k in (0, 1)))
 
 
 def _dominating(planes, t1, t2):
@@ -398,28 +380,15 @@ def _rejected(tensor, t1, t2):
     return np.flatnonzero(hit).astype(np.int64)
 
 
-def _observed_bins(tensor, bins):
-    # the observed row's bins are the first m of each pooled axis;
-    # zero-variance features never count there
-    valid = ~tensor.zero_variance
-    return [b[: tensor.m][valid] for b in bins]
-
-
-def _grid_counts(tensor, grid, bins):
-    # (pooled, observed) dominance counts at every grid point from bins,
-    # each pooled axis's exceed_bins against the grid
-    g = (grid.t1_values.size, grid.t2_values.size)
-    observed = _accel.pair_exceed_counts(*_observed_bins(tensor, bins), *g)
-    return _accel.pair_exceed_counts(*bins, *g), observed
-
-
-def _chain_counts(tensor, path, bins):
-    # (pooled, observed) dominance counts at every path step, as
-    # _grid_counts; the observed bins are copies, taken before the pooled
-    # count overwrites the marginal bins with its minimum
-    steps = path.t1.size
-    observed = _accel.chain_exceed_counts(*_observed_bins(tensor, bins), steps)
-    return _accel.chain_exceed_counts(*bins, steps), observed
+def _counts(tensor, count, bins, *size):
+    # (pooled, observed) dominance counts from each pooled axis's bins
+    # against one threshold set: count is _accel.pair_exceed_counts over
+    # a grid (size g1, g2) or _accel.chain_exceed_counts along a path
+    # (size: its steps). The observed row's bins are the first m pooled
+    # ones, copied out before a chain count overwrites the marginal bins
+    # with its minimum; zero-variance features never count there
+    observed = count(*(b[: tensor.m][~tensor.zero_variance] for b in bins), *size)
+    return count(*bins, *size), observed
 
 
 def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
@@ -429,21 +398,13 @@ def _pick(tensor, t1v, t2v, counts_all, robs, q, pi0, mode):
     (the family-wise error estimate) for mode 'fwer'.
     """
     b1 = tensor.pairs.shape[0]
-    if mode == "fdr":
-        crit = _fdp(counts_all, robs, b1, pi0)
-    else:
-        crit = pi0 * (counts_all / float(b1))
+    crit = _fdp(counts_all, robs, b1, pi0) if mode == "fdr" else pi0 * (counts_all / float(b1))
     feas = crit <= q
     if not feas.any():
         return _cutoff(tensor, pi0)
-    rmask = np.where(feas, robs, -1)
-    best_r = int(rmask.max())
-    cand = feas & (robs == best_r)
-    critmask = np.where(cand, crit, np.inf)
-    best_c = critmask.min()
-    cand &= critmask == best_c
-    flat = int(np.argmax(cand.ravel()))
-    a, c = divmod(flat, t2v.size)
+    cand = feas & (robs == robs[feas].max())
+    cand &= crit == crit[cand].min()
+    a, c = divmod(int(np.argmax(cand)), t2v.size)
     return _cutoff(tensor, pi0, (t1v[a], t2v[c]), crit[a, c])
 
 
@@ -563,21 +524,20 @@ class Search:
 def search(tensor, config, methods, path=None):
     """Run several thresholding methods on one tensor in one search.
 
-    The only code that sorts, bins and counts a tensor. Each pooled axis
-    goes once through _axis_bins, one axis at a time: its packed
-    (value | index) keys are sorted once (_accel.sort_order) and its
-    values gathered once in that order; from those sorted values the
-    search reads every threshold set that its methods' rows of _METHODS
-    name (the grid axis, the default path axis) as make_grid and
-    default_path read them, and, on the conditional axis, lambda with
-    the pooled count at or below it; it bins the axis against each set
-    in small integers and drops the order and the sorted copy before the
-    other axis is sorted. The grid and chain counts are then made from
-    the bins, observed row included (its bins are the first m pooled
-    ones), and the bins are dropped. A given path takes the place of the
-    default one. pi0 is read from the pooled count when some method
-    applies it: 1.0 with no lambda. Each result carries the search's
-    lambda as pi0_lambda.
+    The only code that sorts, bins and counts a tensor. It takes the
+    two pooled axes one at a time (_sorted_axis: one packed-key sort and
+    one gather each). From the sorted values it reads every threshold
+    set that its methods' rows of _METHODS name, as make_grid and
+    default_path read them: the grid axis and the default path axis (a
+    given path takes the place of the default one). On the conditional
+    axis it also reads lambda and the pooled count at or below it. It
+    bins the axis against each set in small integers
+    (_accel.exceed_bins) and drops the order and the sorted copy before
+    the other axis is sorted. The grid and chain counts are then made
+    from the bins, observed row included (its bins are the first m
+    pooled ones), and each set's bins are dropped once counted. pi0 is
+    read from the pooled count when some method applies it: 1.0 with no
+    lambda. Each result carries the search's lambda as pi0_lambda.
 
     check_methods refuses the list: an unknown or repeated name, and
     bh, which reads p-values rather than a tensor. An empty list sorts
@@ -588,30 +548,32 @@ def search(tensor, config, methods, path=None):
     if not methods:
         return found
     size, lam = _grid_size(config.grid), config.pi0_lambda
-    axes = {
-        "grid": lambda k, ascending: _grid_axis(ascending, size),
-        "path": lambda k, ascending: (
-            _path_axis(ascending, config.path_steps) if path is None else (path.t1, path.t2)[k]
-        ),
-    }
-    reads = [name for name in axes if any(_METHODS[m].reads == name for m in methods)]
-
-    def derive(k, ascending):
-        sets = {name: axes[name](k, ascending) for name in reads}
-        if k == 0 or lam is None:
-            return sets, (None, 0)
-        at = _half_median(ascending) if lam == "auto" else float(lam)
-        return sets, (at, int(np.searchsorted(ascending, at, "right")))
-
-    (sets0, bins0, _), (sets1, bins1, (found.pi0_lambda, below)) = _both_axes(tensor, derive)
-    if "grid" in reads:
-        found.grid = Grid2D(sets0["grid"], sets1["grid"])
-        bins = bins0.pop("grid"), bins1.pop("grid")
-        found.grid_counts = _grid_counts(tensor, found.grid, bins)
-    if "path" in reads:
-        found.path = MonotonePath(sets0["path"], sets1["path"]) if path is None else path
-        bins = bins0.pop("path"), bins1.pop("path")
-        found.path_counts = _chain_counts(tensor, found.path, bins)
+    # {name: (axes, bins)} of each threshold set the methods read: its
+    # marginal and conditional axes, and each pooled axis's bins against them
+    sets = {n: ([], []) for n in ("grid", "path") if any(_METHODS[m].reads == n for m in methods)}
+    for k in (0, 1):
+        order, ascending = _sorted_axis(tensor, k)
+        if "grid" in sets:
+            sets["grid"][0].append(_grid_axis(ascending, size))
+        if "path" in sets:
+            axis = _path_axis(ascending, config.path_steps) if path is None else (path.t1, path.t2)[k]
+            sets["path"][0].append(axis)
+        if k == 1 and lam is not None:
+            found.pi0_lambda = _half_median(ascending) if lam == "auto" else float(lam)
+            below = int(np.searchsorted(ascending, found.pi0_lambda, "right"))
+        for axes, bins in sets.values():
+            bins.append(_accel.exceed_bins(order, ascending, axes[k]))
+        del order, ascending
+    # the count kernels are looked up on each call, not bound at import:
+    # perfbench's trace hooks replace them at run time
+    if "grid" in sets:
+        axes, bins = sets.pop("grid")
+        found.grid = Grid2D(*axes)
+        found.grid_counts = _counts(tensor, _accel.pair_exceed_counts, bins, *map(len, axes))
+    if "path" in sets:
+        axes, bins = sets.pop("path")
+        found.path = MonotonePath(*axes) if path is None else path
+        found.path_counts = _counts(tensor, _accel.chain_exceed_counts, bins, len(axes[0]))
     if any(_METHODS[m].rule != "walk" for m in methods):
         found.pi0 = 1.0 if lam is None else _storey(tensor, found.pi0_lambda, below)
 

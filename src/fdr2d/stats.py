@@ -247,7 +247,7 @@ def _rows(out, draws, m):
 
 
 class _GlmEvaluator:
-    def __init__(self, dataset, spec, **_):
+    def __init__(self, dataset, spec, confounders, **_):
         code, size = glm.family_code(spec.family, spec.size)
         gaussian = code == _accel.GAUSSIAN
         # refuse a singular observed design before any draw, by the rank
@@ -269,10 +269,11 @@ class _GlmEvaluator:
         self._y = dataset.y
         self._z = dataset.z
         self._spec = spec
-        # the gaussian outcomes residualised on [1, z] and on [1], once
+        # the gaussian outcomes residualised on [1, z], the shared fit of
+        # confounders(None), and on [1], once
         self._responses = (None, None)
         if gaussian:
-            full = _response(glm.Residualiser(np.hstack([ones, dataset.z])), dataset.y)
+            full = _response(confounders(None), dataset.y)
             reduced = _response(glm.Residualiser(ones), dataset.y, full.tol)
             self._responses = (full, reduced)
 
@@ -627,11 +628,12 @@ def make_evaluator(dataset, spec, confounders=None, bandwidths=None):
     evaluator reads its own fields of spec (basis-wald expands the
     exposure in a fixed _BASIS_DF-column spline).
 
-    Whatever no draw changes is made here, once: rv and basis-wald read
-    their confounder fit from confounders, the glm.confounder_fits of
-    dataset.z a caller shares (one is made when not given), and hsic
-    reads each outcome column's kernel bandwidth from bandwidths when
-    given (StatisticSpec.unscorable's, for these columns).
+    Whatever no draw changes is made here, once: rv, basis-wald and the
+    gaussian GLM read their confounder fit from confounders, the
+    glm.confounder_fits of dataset.z a caller shares (one is made when
+    not given), and hsic reads each outcome column's kernel bandwidth
+    from bandwidths when given (StatisticSpec.unscorable's, for these
+    columns).
     """
     if confounders is None:
         confounders = glm.confounder_fits(dataset.z, dataset.z_kinds)

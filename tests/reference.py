@@ -530,12 +530,13 @@ def dominance_counts(tensor, grid):
 
 
 def search(tensor, grid, q, pi0, mode):
-    """Best feasible point of any one grid, with the search's own bins,
-    counts and pick (engine._pick): the search of a grid engine.search
-    does not make. Each pooled axis is binned against the given grid."""
+    """Best feasible point of any one grid, with the search's own bins
+    (engine._sorted_axis, _accel.exceed_bins), counts (engine._counts)
+    and pick (engine._pick): the search of a grid engine.search does not
+    make. Each pooled axis is binned against the given grid."""
     t = (grid.t1_values, grid.t2_values)
-    axes = engine._both_axes(tensor, lambda k, s: ({"given": t[k]}, None))
-    counts = engine._grid_counts(tensor, grid, [bins["given"] for _, bins, _ in axes])
+    bins = [_accel.exceed_bins(*engine._sorted_axis(tensor, k), t[k]) for k in (0, 1)]
+    counts = engine._counts(tensor, _accel.pair_exceed_counts, bins, t[0].size, t[1].size)
     return engine._pick(tensor, grid.t1_values, grid.t2_values, *counts, q, pi0, mode)
 
 

@@ -623,6 +623,24 @@ def test_one_confounder_fit_per_design(monkeypatch, stat, sampler, spline_df, fi
     assert tensor.planes[1][:, keep].tobytes() == tc.tobytes()
 
 
+def test_gaussian_glm_reads_the_shared_confounder_fit(monkeypatch):
+    # the gaussian GLM residualises its outcomes on [1, z] through the
+    # fit it is handed, so with a residual sampler on the same design the
+    # tensor decomposes [1, z] once
+    dataset = make_dataset("glm:gaussian", "residual-perm", 1)
+    design = glm.confounder_design(dataset.z, None, dataset.z_kinds)
+    fits = []
+    real = glm.Residualiser.__init__
+
+    def init(self, a):
+        fits.append(np.array_equal(a, design))
+        real(self, a)
+
+    monkeypatch.setattr(glm.Residualiser, "__init__", init)
+    engine.build_tensor(dataset, make_plan("residual-perm", b=9), make_spec("glm:gaussian"))
+    assert fits.count(True) == 1
+
+
 @pytest.mark.parametrize("stat,fits", [("glm:gaussian", 2), ("basis-wald", 1)])
 def test_outcomes_are_residualised_once_per_model(monkeypatch, stat, fits):
     # the evaluator residualises the outcome block on each model's fixed

@@ -237,7 +237,7 @@ class TestEstimators:
         def no_sort(*args):
             raise AssertionError("a one-point query sorted a pooled axis")
 
-        monkeypatch.setattr(engine, "_axis_bins", no_sort)
+        monkeypatch.setattr(engine, "_sorted_axis", no_sort)
         points = [(0.0, 0.0), (1.0, 1.5), (2.5, 0.5), (3.5, 3.5), (1.2, 2.7), (np.inf, 0.0)]
         assert [engine.fdp_tilde(tensor, t1, t2) for t1, t2 in points] == [
             1.2, 1.4583333333333333, 3.125, 0.0, 1.5, 0.0
@@ -299,6 +299,14 @@ class TestGrids:
         with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
             engine.Grid2D(np.array([0.0, np.nan]), np.array([0.0, 1.0]))
 
+    def test_repeated_infinite_grid_value_rejected(self):
+        # neighbours are compared, not subtracted: inf - inf is NaN, which
+        # a difference test passed as increasing, with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="strictly increasing"):
+                engine.Grid2D(np.array([0.0, np.inf, np.inf]), np.array([0.0, 1.0]))
+
     def test_bad_spec_rejected(self):
         rng = np.random.default_rng(122)
         tensor = _random_tensor(rng)
@@ -338,6 +346,12 @@ class TestPaths:
             engine.MonotonePath(t1=np.array([1.0, 0.5]), t2=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="empty"):
             engine.MonotonePath(t1=np.zeros(0), t2=np.zeros(0))
+
+    def test_repeated_infinite_path_value_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            path = engine.MonotonePath(t1=np.array([0.0, np.inf, np.inf]), t2=np.arange(3.0))
+        assert path.t1[-1] == np.inf
 
     def test_nan_path_value_rejected(self):
         # exceed_bins would fail on it with a message about negative repeats
@@ -981,7 +995,7 @@ class TestApplyMethods:
         # unique, partition or median of a pooled axis is recorded; the five
         # methods must share one key sort per axis, pi0_lambda="auto"
         # included, and make no other full-length one; so must a search on
-        # a given path and ordered_grid_procedure
+        # a given path, ordered_grid_procedure, make_grid and default_path
         rng = np.random.default_rng(155)
         tensor = core.StatTensor(
             pairs=rng.gamma(2.0, size=(21, 40, 2)), zero_variance=np.zeros(40, bool)
@@ -1003,6 +1017,8 @@ class TestApplyMethods:
             lambda config: engine.apply_methods(tensor, config, _TENSOR_METHODS),
             lambda config: engine.search(tensor, config, _TENSOR_METHODS, path),
             lambda config: engine.ordered_grid_procedure(tensor, path, config.q, 0.8),
+            lambda config: engine.make_grid(tensor, config.grid),
+            lambda config: engine.default_path(tensor, 7),
         ]
         for grid in ("quantile:100", "observed"):
             for pi0 in (None, "auto"):
@@ -1061,6 +1077,20 @@ class TestApplyMethods:
         pairs[1, 3, 1] = bad
         with pytest.raises(ValueError, match="nonnegative numbers, not NaN"):
             core.StatTensor(pairs=pairs, zero_variance=np.zeros(8, bool))
+
+    def test_infinite_statistics_search_without_warning(self):
+        # two +inf marginal values: the default path repeats inf at its
+        # strict end, and neither the path nor the grid check warns
+        pairs = np.random.default_rng(160).gamma(2.0, size=(5, 8, 2))
+        pairs[1, 3, 0] = pairs[2, 5, 0] = np.inf
+        tensor = core.StatTensor(pairs=pairs, zero_variance=np.zeros(8, bool))
+        config = engine.ProcedureConfig(q=0.3, pi0_lambda="auto")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            found = engine.search(tensor, config, _TENSOR_METHODS)
+        assert found.path.t1[-2:].tolist() == [np.inf, np.inf]
+        assert found.grid.t1_values[-1] == np.inf
+        assert found.results["mf2d-fdr"].n_rejected == 3
 
     def test_infeasible_level_gives_sentinels(self):
         tensor = core.StatTensor(pairs=np.ones((3, 5, 2)), zero_variance=np.zeros(5, bool))
