@@ -29,16 +29,14 @@ MAX_GRID_CELLS = 2**24
 # values per block of sort_order's passes over its keys
 _KEY_BLOCK = 2**13
 
+# leading rows of the design on which every fit is first tested for
+# separation or saturation; only the fits that pass are tested on all rows
+_HEAD = 8
+
 
 def _sort_keys(keys):
     # every in-place key sort of sort_order, under one name a test can count
     keys.sort()
-
-
-def _bits_at(values, index):
-    # the IEEE bits of values[index] + 0.0 (-0.0 made +0.0), for a uint64 index
-    gathered = values[index.view(np.intp)]
-    return np.add(gathered, 0.0, out=gathered).view(np.uint64)
 
 
 def sort_order(values):
@@ -51,19 +49,18 @@ def sort_order(values):
     last, so one in-place sort of the keys, masked down to their low
     bits, is the order as an intp view: no argsort, no index array
     beside the keys. Two values that share all but their low s bits come
-    out in index order, so the keys are scanned block by block for such
-    a pair out of value order; each run of keys sharing that prefix is
-    re-keyed by its values' low bits and sorted again (repaired). The
-    indices are made and the keys checked _KEY_BLOCK values at a time,
-    so the keys are the only array of the axis's length. A value with
-    its sign bit set (a negative or a negative NaN), or an axis past
-    2^32 values, falls back to np.argsort, with repaired None.
+    out in index order, so the keys are scanned block by block for two
+    such neighbours out of value order; each run of keys sharing that
+    prefix is re-sorted in place by a stable argsort of its values
+    (repaired). Equal values stay in index order, so without NaN the
+    order is np.argsort(values, kind="stable"). The indices are made and
+    the keys checked _KEY_BLOCK values at a time, so the keys are the
+    only array of the axis's length. A value with its sign bit set (a
+    negative or a negative NaN) falls back to np.argsort, with repaired
+    None.
     """
     n = values.shape[0]
-    s = max(n - 1, 0).bit_length()
-    if s > 32:
-        return np.argsort(values), None
-    low = np.uint64((1 << s) - 1)
+    low = np.uint64((1 << max(n - 1, 0).bit_length()) - 1)
     keys = np.empty(n, dtype=np.uint64)
     np.add(values, 0.0, out=keys.view(np.float64))
     keys &= ~low
@@ -76,9 +73,11 @@ def sort_order(values):
         return np.argsort(values), None
     runs = _unsorted_runs(keys, values, low)
     keys &= low
+    order = keys.view(np.intp)
     for start, stop in runs:
-        _sort_run(keys[start:stop], values, s, low)
-    return keys.view(np.intp), len(runs)
+        run = order[start:stop]
+        run[:] = run[np.argsort(values[run], kind="stable")]
+    return order, len(runs)
 
 
 def _unsorted_runs(keys, values, low):
@@ -89,25 +88,12 @@ def _unsorted_runs(keys, values, low):
         k = keys[lo : lo + _KEY_BLOCK + 1]
         at = np.flatnonzero(np.bitwise_xor(k[1:], k[:-1]) <= low)
         if at.size:
-            at = at[_bits_at(values, k[at] & low) > _bits_at(values, k[at + 1] & low)]
-            prefixes.update(np.unique(k[at] & ~low).tolist())
+            ahead = values[(k[at] & low).view(np.intp)] > values[(k[at + 1] & low).view(np.intp)]
+            prefixes.update(np.unique(k[at[ahead]] & ~low).tolist())
     prefix = np.array(sorted(prefixes), dtype=np.uint64)
     starts = np.searchsorted(keys, prefix, "left")
     stops = np.searchsorted(keys, prefix | low, "right")
     return list(zip(starts.tolist(), stops.tolist()))
-
-
-def _sort_run(run, values, s, low):
-    # sort a run of indices whose values share their prefix: re-keyed as
-    # (low bits of the value << s) | index, which needs 2s <= 64 bits
-    for lo in range(0, run.shape[0], _KEY_BLOCK):
-        index = run[lo : lo + _KEY_BLOCK]
-        bits = _bits_at(values, index)
-        bits &= low
-        bits <<= np.uint64(s)
-        index |= bits
-    _sort_keys(run)
-    run &= low
 
 
 def exceed_bins(order, ascending, thresholds):
@@ -336,11 +322,16 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     same bits, as D copies of the block. The (fits, n) working arrays
     are made once per call; each later iteration works in place in their
     leading rows, one per fit still active. While every fit is active an
-    iteration gathers nothing: it reads eta in place, takes y - mu and
-    the separation sides by broadcasting over the draws and writes the
-    new linear predictors straight into eta, and while every fit is also
-    kept (no singular information) it neither gathers nor scatters the
-    coefficients: the same arithmetic as the gathered rows.
+    iteration gathers nothing: it reads eta in place, takes y - mu by
+    broadcasting over the draws and writes the new linear predictors
+    straight into eta, and while every fit is also kept (no singular
+    information) it neither gathers nor scatters the coefficients: the
+    same arithmetic as the gathered rows.
+
+    Separation, and the covariance pass's saturation (every mean within
+    1e-8 of 0 or 1), are tested on each fit's first _HEAD rows, then on
+    all n rows of only the fits that pass there: one path for any set of
+    fits, with the verdicts of testing every row.
     """
     xs = design if design.ndim == 3 else design[None]
     nd, n, k = xs.shape
@@ -412,14 +403,11 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
             eta[keep] = ek
         status[keep[done]] = 0
         if family == BINOMIAL:
-            if kept_all:
-                sided = np.multiply(side, ek.reshape(nd, m, n), out=mu_buf.reshape(nd, m, n))
-            else:
-                sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
-                sided *= ek
-            separated = np.all(sided.reshape(keep.size, n) > 0.0, axis=1)
-            status[keep[separated]] = 2
-            done |= separated
+            cols = keep % m
+            at = np.flatnonzero(np.all(side[cols, :_HEAD] * ek[:, :_HEAD] > 0.0, axis=1))
+            at = at[np.all(side[cols[at]] * ek[at] > 0.0, axis=1)]
+            status[keep[at]] = 2
+            done[at] = True
         active = keep[~done]
 
     fitted = np.flatnonzero(status <= 1)
@@ -427,7 +415,9 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     eta_fit = eta if f == fits else np.take(eta, fitted, axis=0, out=eta_buf[:f])
     mu = _mean(eta_fit, family, mu_buf[:f])
     if family == BINOMIAL:
-        separated = ~np.any((mu > 1e-8) & (mu < 1.0 - 1e-8), axis=1)
+        separated = ~np.any((mu[:, :_HEAD] > 1e-8) & (mu[:, :_HEAD] < 1.0 - 1e-8), axis=1)
+        at = np.flatnonzero(separated)
+        separated[at] = ~np.any((mu[at] > 1e-8) & (mu[at] < 1.0 - 1e-8), axis=1)
         if separated.any():
             status[fitted[separated]] = 2
             fitted = fitted[~separated]

@@ -119,11 +119,12 @@ def _settings(cfg):
 
 def _with_config(parser, command, args, argv):
     """Parse again with the --config file's settings as the command's
-    defaults, so defaults < config file < explicit flags."""
+    defaults, so defaults < config file < explicit flags. A leading UTF-8
+    byte-order mark in the file is dropped."""
     path = args.config
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             fromfile = json.load(fh)
         except json.JSONDecodeError as exc:

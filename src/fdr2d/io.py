@@ -29,9 +29,13 @@ def _split(line, delim):
 
 
 def load_matrix(path):
-    """(values, column names) from a delimited text file with a header."""
+    """(values, column names) from a delimited text file with a header.
+
+    A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" export
+    writes, is dropped, so it never starts the first column's name.
+    """
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     lines = [ln for ln in lines if ln.strip()]
     if not lines:

@@ -105,6 +105,20 @@ class TestAnalyze:
         d1.pop("runtime_seconds"), d2.pop("runtime_seconds")
         assert d1 == d2
 
+    def test_byte_order_mark_is_not_part_of_a_feature_name(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a UTF-8 BOM
+        xp, yp, zp = _write_xyz(tmp_path, seed=1)
+        bom = tmp_path / "y-bom.tsv"
+        bom.write_text("\ufeff" + open(yp, encoding="utf-8").read(), encoding="utf-8")
+        docs, tables = [], []
+        for y, name in ((yp, "plain"), (str(bom), "bom")):
+            assert cli.main(_analyze_args(xp, y, zp, str(tmp_path / f"{name}.json"))) == 0
+            docs.append(json.loads((tmp_path / f"{name}.json").read_text()))
+            tables.append((tmp_path / f"{name}.features.tsv").read_text())
+        assert tables[1] == tables[0]
+        assert tables[1].splitlines()[1].split("\t")[0] == "feat0"
+        assert docs[1]["rejected_features"] == docs[0]["rejected_features"]
+
     def test_bh_writes_pvalue_table(self, tmp_path):
         xp, yp, zp = _write_xyz(tmp_path, seed=2)
         out = str(tmp_path / "bh.json")
@@ -278,6 +292,18 @@ class TestConfigFile:
         assert doc["config"]["q"] == 0.3  # flag wins
         assert doc["config"]["b"] == 10  # file fills the rest
         assert doc["config"]["seed"] == 9
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        xp, yp, zp = _write_xyz(tmp_path, seed=5)
+        cfg = tmp_path / "run.json"
+        cfg.write_text("\ufeff" + json.dumps({"q": 0.3, "b": 10}), encoding="utf-8")
+        run = ["analyze", "--x", xp, "--y", yp, "--z", zp]
+        assert cli.main(run + ["--config", str(cfg), "--out", str(tmp_path / "c.json")]) == 0
+        assert cli.main(run + ["--q", "0.3", "--b", "10", "--out", str(tmp_path / "f.json")]) == 0
+        docs = [json.loads((tmp_path / f"{name}.json").read_text()) for name in ("c", "f")]
+        for doc in docs:
+            doc.pop("runtime_seconds")
+        assert docs[0] == docs[1]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         xp, yp, zp = _write_xyz(tmp_path)

@@ -33,8 +33,8 @@ def _prefix_cluster(values, at, start):
 @st.composite
 def _axes(draw):
     # (values, negatives): a gamma axis of a size around powers of two,
-    # with prefix clusters, specials (ties, +-0, STAT_CAP, inf, NaN) and
-    # sometimes negatives
+    # with prefix clusters (some repeating a value), specials (ties, +-0,
+    # STAT_CAP, inf, NaN) and sometimes negatives
     sizes = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 9, 1024, 1025, 8192, 8193])
     n = draw(st.one_of(sizes, st.integers(0, 600)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -47,6 +47,9 @@ def _axes(draw):
         if size >= 2:
             at = np.sort(rng.choice(n, size, replace=False))
             _prefix_cluster(values, at, rng.choice([1e-300, 0.5, 3.0, 1e12, 1e300]))
+            if draw(st.booleans()):
+                # ties inside the run: its values drawn again, with repeats
+                values[at] = rng.choice(values[at], size)
     specials = SPECIALS + (NEGATIVES if draw(st.booleans()) else ())
     if n:
         picks = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3]))
@@ -75,6 +78,9 @@ class TestSortOrder:
         assert np.array_equal(ascending, np.sort(values), equal_nan=True)
         # a sign bit set on any value but -0.0 is the argsort fallback
         assert (repaired is None) == negative
+        if not negative:
+            # equal values, repaired runs' too, stay in index order
+            np.testing.assert_array_equal(order, np.argsort(values, kind="stable"))
         # any sorting order gives the argsort route's bins
         argsort = np.argsort(values)
         rng = np.random.default_rng(values.size)
