@@ -29,11 +29,6 @@ MAX_GRID_CELLS = 2**24
 # values per block of sort_order's passes over its keys
 _KEY_BLOCK = 2**13
 
-# leading rows of the design on which every fit is first tested for
-# separation or saturation; only the fits that pass are tested on all rows
-_HEAD = 8
-
-
 def _sort_keys(keys):
     # every in-place key sort of sort_order, under one name a test can count
     keys.sort()
@@ -322,16 +317,13 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     same bits, as D copies of the block. The (fits, n) working arrays
     are made once per call; each later iteration works in place in their
     leading rows, one per fit still active. While every fit is active an
-    iteration gathers nothing: it reads eta in place, takes y - mu by
-    broadcasting over the draws and writes the new linear predictors
-    straight into eta, and while every fit is also kept (no singular
-    information) it neither gathers nor scatters the coefficients: the
-    same arithmetic as the gathered rows.
-
-    Separation, and the covariance pass's saturation (every mean within
-    1e-8 of 0 or 1), are tested on each fit's first _HEAD rows, then on
-    all n rows of only the fits that pass there: one path for any set of
-    fits, with the verdicts of testing every row.
+    iteration reads eta in place, takes y - mu by broadcasting over the
+    draws and writes the new linear predictors straight into eta, and
+    while every fit is also kept (no singular information) it neither
+    gathers nor scatters the coefficients: the same arithmetic as the
+    gathered rows. The binomial separation test is one path for any set
+    of kept fits: it gathers their response sides into mu_buf and
+    multiplies them by the new linear predictors.
     """
     xs = design if design.ndim == 3 else design[None]
     nd, n, k = xs.shape
@@ -403,11 +395,11 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
             eta[keep] = ek
         status[keep[done]] = 0
         if family == BINOMIAL:
-            cols = keep % m
-            at = np.flatnonzero(np.all(side[cols, :_HEAD] * ek[:, :_HEAD] > 0.0, axis=1))
-            at = at[np.all(side[cols[at]] * ek[at] > 0.0, axis=1)]
-            status[keep[at]] = 2
-            done[at] = True
+            sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
+            sided *= ek
+            separated = np.all(sided > 0.0, axis=1)
+            status[keep[separated]] = 2
+            done |= separated
         active = keep[~done]
 
     fitted = np.flatnonzero(status <= 1)
@@ -415,9 +407,7 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     eta_fit = eta if f == fits else np.take(eta, fitted, axis=0, out=eta_buf[:f])
     mu = _mean(eta_fit, family, mu_buf[:f])
     if family == BINOMIAL:
-        separated = ~np.any((mu[:, :_HEAD] > 1e-8) & (mu[:, :_HEAD] < 1.0 - 1e-8), axis=1)
-        at = np.flatnonzero(separated)
-        separated[at] = ~np.any((mu[at] > 1e-8) & (mu[at] < 1.0 - 1e-8), axis=1)
+        separated = ~np.any((mu > 1e-8) & (mu < 1.0 - 1e-8), axis=1)
         if separated.any():
             status[fitted[separated]] = 2
             fitted = fitted[~separated]

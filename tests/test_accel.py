@@ -369,21 +369,21 @@ def test_diverging_log_link_fit_is_not_converged():
 def _on_side_and_saturated(design, ymat, coef):
     # per fit of the stack and per row, whether the linear predictor puts
     # the row on the side of its response, and whether its mean is within
-    # 1e-8 of 0 or 1: the plain tests, with no screening
+    # 1e-8 of 0 or 1
     eta = np.einsum("dnk,dmk->dmn", design, coef)
     mu = 1.0 / (1.0 + np.exp(-np.clip(eta, -700.0, 700.0)))
     return (2.0 * ymat.T - 1.0) * eta > 0.0, ~((mu > 1e-8) & (mu < 1.0 - 1e-8))
 
 
 @pytest.mark.parametrize("n", [5, 8, 30])
-def test_screened_separation_is_the_all_rows_rule(n):
-    # [1, x] designs whose first _HEAD rows sit at x = +-3 (draw 0) or
-    # +-40 (draw 1), where the means saturate, with a singular third draw
-    # so that not every fit is kept; columns separated in every row, on
-    # their side in the first _HEAD rows only, and at random. A fit's
-    # status is 2 exactly when its final coefficients put every row on
-    # its side or saturate every mean, tested on all rows here
-    head = min(n, _accel._HEAD)
+def test_separation_is_the_all_rows_rule(n):
+    # [1, x] designs whose first 8 rows sit at x = +-3 (draw 0) or +-40
+    # (draw 1), where the means saturate, with a singular third draw so
+    # that not every fit is kept; columns separated in every row, on
+    # their side in the first 8 rows only, and at random. A fit's status
+    # is 2 exactly when its final coefficients put every row on its side
+    # or saturate every mean: a test of leading rows alone fails here
+    head = min(n, 8)
     rng = np.random.default_rng(n)
     x = rng.uniform(-1.0, 1.0, size=n)
     x[:head] = np.where(np.arange(head) % 2, 1.0, -1.0)
@@ -398,9 +398,10 @@ def test_screened_separation_is_the_all_rows_rule(n):
     side, saturated = _on_side_and_saturated(design[:2], ymat, coef[:2])
     np.testing.assert_array_equal(status[:2] == 2, side.all(axis=2) | saturated.all(axis=2))
     assert np.all(status[:2, 0] == 2)
-    if n > _accel._HEAD:
-        # the screen passes on the head-only column, which is not separated
+    if n > head:
+        # the head-only column is on its side in its first 8 rows and
+        # not separated
         assert np.all(status[:2, 1] == 0)
         assert side[:, 1, :head].all() and not side[:, 1].all(axis=1).any()
-        # draw 1 saturates that column's first _HEAD means only
+        # draw 1 saturates that column's first 8 means only
         assert saturated[1, 1, :head].all() and not saturated[1, 1].all()
