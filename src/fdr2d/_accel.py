@@ -317,13 +317,11 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
     same bits, as D copies of the block. The (fits, n) working arrays
     are made once per call; each later iteration works in place in their
     leading rows, one per fit still active. While every fit is active an
-    iteration reads eta in place, takes y - mu by broadcasting over the
-    draws and writes the new linear predictors straight into eta, and
-    while every fit is also kept (no singular information) it neither
-    gathers nor scatters the coefficients: the same arithmetic as the
-    gathered rows. The binomial separation test is one path for any set
-    of kept fits: it gathers their response sides into mu_buf and
-    multiplies them by the new linear predictors.
+    iteration gathers nothing: it reads eta in place, takes y - mu and
+    the separation sides by broadcasting over the draws and writes the
+    new linear predictors straight into eta, and while every fit is also
+    kept (no singular information) it neither gathers nor scatters the
+    coefficients: the same arithmetic as the gathered rows.
     """
     xs = design if design.ndim == 3 else design[None]
     nd, n, k = xs.shape
@@ -395,9 +393,12 @@ def glm_fit_many(design, ymat, family, nb_size, max_iter, tol):
             eta[keep] = ek
         status[keep[done]] = 0
         if family == BINOMIAL:
-            sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
-            sided *= ek
-            separated = np.all(sided > 0.0, axis=1)
+            if kept_all:
+                sided = np.multiply(side, ek.reshape(nd, m, n), out=mu_buf.reshape(nd, m, n))
+            else:
+                sided = np.take(side, keep % m, axis=0, out=mu_buf[: keep.size])
+                sided *= ek
+            separated = np.all(sided.reshape(keep.size, n) > 0.0, axis=1)
             status[keep[separated]] = 2
             done |= separated
         active = keep[~done]

@@ -375,26 +375,29 @@ def _on_side_and_saturated(design, ymat, coef):
     return (2.0 * ymat.T - 1.0) * eta > 0.0, ~((mu > 1e-8) & (mu < 1.0 - 1e-8))
 
 
+@pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("n", [5, 8, 30])
-def test_separation_is_the_all_rows_rule(n):
+def test_separation_is_the_all_rows_rule(n, singular):
     # [1, x] designs whose first 8 rows sit at x = +-3 (draw 0) or +-40
-    # (draw 1), where the means saturate, with a singular third draw so
-    # that not every fit is kept; columns separated in every row, on
-    # their side in the first 8 rows only, and at random. A fit's status
-    # is 2 exactly when its final coefficients put every row on its side
-    # or saturate every mean: a test of leading rows alone fails here
+    # (draw 1), where the means saturate, and a third draw that is
+    # singular (so not every fit is kept) or not; columns separated in
+    # every row, on their side in the first 8 rows only, and at random.
+    # A fit's status is 2 exactly when its final coefficients put every
+    # row on its side or saturate every mean: a test of leading rows
+    # alone fails here
     head = min(n, 8)
     rng = np.random.default_rng(n)
     x = rng.uniform(-1.0, 1.0, size=n)
     x[:head] = np.where(np.arange(head) % 2, 1.0, -1.0)
     scaled = [np.where(np.arange(n) < head, c * x, x) for c in (3.0, 40.0)]
-    design = np.stack([np.column_stack([np.ones(n), v]) for v in scaled + [np.full(n, 2.0)]])
+    third = np.full(n, 2.0) if singular else rng.normal(size=n)
+    design = np.stack([np.column_stack([np.ones(n), v]) for v in scaled + [third]])
     separated = (x > 0).astype(float)
     head_only = separated.copy()
     head_only[head:] = (np.arange(n - head) + 1) % 4 < 2  # 1, 0, 0, 1, ... whatever x is
     ymat = np.column_stack([separated, head_only, rng.random(n) < 0.5]).astype(float)
     coef, _, status, _ = _accel.glm_fit_many(design, ymat, _accel.BINOMIAL, 3.0, 50, 1e-8)
-    assert np.all(status[2] == 3)
+    assert np.all(status[2] == 3) == singular
     side, saturated = _on_side_and_saturated(design[:2], ymat, coef[:2])
     np.testing.assert_array_equal(status[:2] == 2, side.all(axis=2) | saturated.all(axis=2))
     assert np.all(status[:2, 0] == 2)
