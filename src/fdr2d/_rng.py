@@ -2,7 +2,10 @@
 
 Every stochastic component (resampling draws, simulation replications)
 pulls its generator from a root seed plus a key path, so streams are
-independent of each other and of execution order.
+independent of each other and of execution order. numpy's SeedSequence
+derives every stream: substreams reads a batch's seed pool from it and
+computes only each key's mix and state words itself. numpy.random is
+reached at call time, so importing this module does not load it.
 """
 
 import functools
@@ -12,9 +15,10 @@ import numpy as np
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
 # entropy hash's initial value and multiplier, the output hash's, the
-# pool mix's two multipliers, the xor shift of all three and the pool
-# size. substreams restates SeedSequence with them, and the tests hold
-# it to numpy's own SeedSequence bit for bit.
+# pool mix's two multipliers and the xor shift of all three. substreams
+# takes the seed's pool from numpy and restates with them only the key's
+# mix and the output hash; the tests hold it to numpy's own SeedSequence
+# bit for bit.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -22,7 +26,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-_POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
 
@@ -35,6 +38,11 @@ def _normalize_key(key):
     return zlib.crc32(str(key).encode("utf-8"))
 
 
+def _sequence(seed, keys):
+    spawn_key = tuple(_normalize_key(k) for k in keys)
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
+
+
 def substream(seed, *keys):
     """Generator for the stream identified by ``seed`` and ``keys``.
 
@@ -42,62 +50,16 @@ def substream(seed, *keys):
     counter-based (spawn keys), so ``substream(s, 3)`` is the same
     stream no matter how many other substreams were created first.
     """
-    spawn_key = tuple(_normalize_key(k) for k in keys)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_sequence(seed, keys))
 
 
-def _hash_steps(hash_const, mult, count):
-    # the xors and multipliers of count hash steps from hash_const: a
-    # hash's constants never depend on the words it hashes
-    xors, mults = [], []
+def _hash_consts(hash_const, mult, count):
+    # a hash's next count + 1 constants: hashing a word xors it with one
+    # and multiplies it by the next, whatever the words hashed
+    consts = [hash_const]
     for _ in range(count):
-        xors.append(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        mults.append(hash_const)
-    return xors, mults
-
-
-def _hashmix(value, hash_const):
-    # SeedSequence's hashmix on Python ints: (hashed value, next constant)
-    value ^= hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> _XSHIFT, hash_const
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
-def _seed_pool(seed):
-    """SeedSequence(seed, spawn_key=(k,))'s pool before the key's word
-    is mixed in, and the entropy hash's constant at that point: every
-    pool word and cross-mix that reads only the seed's words."""
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    # a spawn key pads the seed's words to the pool size with zeros
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)
 
 
 @functools.cache
@@ -127,12 +89,13 @@ def substreams(seed, keys):
 
     ``keys`` are integers in [0, 2**32). SeedSequence mixes a seed's
     words into its pool before the spawn key's word, and its hash
-    constants do not depend on the data, so the seed's part is mixed
-    once here, in Python ints. Only each key's word and the 8 state
-    words it yields are computed per key, as uint32 arrays. Each PCG64
-    is seeded straight from its 4 uint64 words, so a generator's
-    ``bit_generator.seed_seq`` is not a SeedSequence and cannot spawn;
-    nothing in the package, its tests or its benchmark reads it.
+    constants do not depend on the data, so the seed's pool is read once
+    from numpy's own ``SeedSequence(seed).pool``. Only each key's word
+    and the 8 state words it yields are computed per key, as uint32
+    arrays. Each PCG64 is seeded straight from its 4 uint64 words, so a
+    generator's ``bit_generator.seed_seq`` is not a SeedSequence and
+    cannot spawn; nothing in the package, its tests or its benchmark
+    reads it.
     """
     seed = int(seed)
     if seed < 0:
@@ -142,20 +105,23 @@ def substreams(seed, keys):
         keys.dtype.kind not in "iu" or keys.min() < 0 or keys.max() > _MASK32
     ):
         raise ValueError("substreams keys must be a list of integers in [0, 2**32)")
-    pool, hash_const = _seed_pool(seed)
-    xors, mults = _hash_steps(hash_const, _MULT_A, _POOL_SIZE)
-    out_xors, out_mults = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    # the key's word comes after the seed's, padded with zeros to the
+    # pool's size; the entropy hash took one step per pool word, one per
+    # cross-mix and one per pool word for each seed word past the pool
+    pool = np.random.SeedSequence(seed).pool
+    width = max(1, -(-seed.bit_length() // 32))
+    steps = pool.size * max(pool.size, width)
+    h = _hash_consts(_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32, _MULT_A, pool.size)
+    out = _hash_consts(_INIT_B, _MULT_B, 2 * pool.size)
     with np.errstate(over="ignore"):
         # the key word's hashmix into each pool word, then the mix
-        key = keys.astype(np.uint32)[:, None]
-        value = (key ^ np.array(xors, np.uint32)) * np.array(mults, np.uint32)
+        value = (keys.astype(np.uint32)[:, None] ^ h[:-1]) * h[1:]
         value ^= value >> _XSHIFT
-        mixed = np.array([_MIX_MULT_L * p & _MASK32 for p in pool], np.uint32)
-        mixed = mixed - value * np.uint32(_MIX_MULT_R)
+        mixed = pool * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
         mixed ^= mixed >> _XSHIFT
         # generate_state's 8 uint32 words, cycling through the pool
-        state = np.concatenate([mixed, mixed], axis=1) ^ np.array(out_xors, np.uint32)
-        state *= np.array(out_mults, np.uint32)
+        state = np.concatenate([mixed, mixed], axis=1) ^ out[:-1]
+        state *= out[1:]
         state ^= state >> _XSHIFT
     words = state.astype("<u4").view("<u8").astype(np.uint64)
     state_words = _state_words_type()
@@ -168,6 +134,4 @@ def substream_seed(seed, *keys):
     Use when a component needs to hand a plain seed onward (for example
     a per-replication seed that later spawns its own sampler streams).
     """
-    spawn_key = tuple(_normalize_key(k) for k in keys)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
-    return int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
+    return int(_sequence(seed, keys).generate_state(2, dtype=np.uint32).view(np.uint64)[0])

@@ -209,10 +209,7 @@ def _check_seed(cfg):
 
 
 def _bin_edges(raw):
-    try:
-        edges = np.array(_floats(raw))
-    except ValueError:
-        raise ValueError(f"--bin-edges {raw!r} is not a comma-separated list of numbers") from None
+    edges = np.array(_floats(raw, "--bin-edges"))
     if not np.all(np.diff(edges) > 0.0):
         raise ValueError("--bin-edges must be strictly increasing")
     return edges
@@ -335,8 +332,11 @@ def _cmd_grid_dump(cfg):
     return 0
 
 
-def _floats(raw):
-    return [float(v) for v in str(raw).split(",")]
+def _floats(raw, flag):
+    try:
+        return [float(v) for v in str(raw).split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {raw!r} is not a comma-separated list of numbers") from None
 
 
 def _cmd_simulate(cfg):
@@ -351,10 +351,11 @@ def _cmd_simulate(cfg):
     statistic = _statistic_from(cfg) if cfg["stat"] else None
     # each replication reseeds the plan from its own substream
     plan = _plan_from(cfg) if cfg["sampler"] else None
+    rhos, pis, ls = (_floats(cfg[key], f"--{key}") for key in ("rho", "pi", "l"))
     rows = []
-    for rho in _floats(cfg["rho"]):
-        for pi in _floats(cfg["pi"]):
-            for l in _floats(cfg["l"]):
+    for rho in rhos:
+        for pi in pis:
+            for l in ls:
                 scenario = sim.SimConfig(
                     dgp=cfg["dgp"],
                     n=cfg["n"],

@@ -118,6 +118,9 @@ def validate(dataset):
         out.append(Violation("x", "row-count-mismatch", detail=f"x has {x.shape[0]} rows, y has {n}"))
     if z.shape[0] != n:
         out.append(Violation("z", "row-count-mismatch", detail=f"z has {z.shape[0]} rows, y has {n}"))
+    for label, mat in (("x", x), ("y", y)):
+        if mat.shape[1] == 0:
+            out.append(Violation(label, "no-columns"))
     if n < 3:
         out.append(Violation("y", "too-few-rows", detail=f"n={n}, need at least 3"))
     if dataset.x_kind not in X_KINDS:
@@ -144,7 +147,7 @@ def validate(dataset):
         offender = np.isfinite(block) & (block != 0.0) & (block != 1.0)
         for k, r in _found(offender.T):
             c = cols[k]
-            out.append(Violation(label, "not-binary", int(r), int(c), detail=f"value {mat[r, c]!r}"))
+            out.append(Violation(label, "not-binary", int(r), int(c), detail=f"value {float(mat[r, c])!r}"))
 
     if dataset.x_kind == "binary":
         check_binary("x", x, range(x.shape[1]))
@@ -153,7 +156,7 @@ def validate(dataset):
     if dataset.y_kind == "count":
         offender = np.isfinite(y) & ((y < 0) | (y != np.floor(y)))
         for r, c in _found(offender):
-            out.append(Violation("y", "not-count", int(r), int(c), detail=f"value {y[r, c]!r}"))
+            out.append(Violation("y", "not-count", int(r), int(c), detail=f"value {float(y[r, c])!r}"))
     binary_z = [c for c, kind in enumerate(dataset.z_kinds) if kind == "binary" and c < z.shape[1]]
     check_binary("z", z, binary_z)
     return out

@@ -63,7 +63,10 @@ class ProcedureConfig:
         if not (0.0 < self.q <= 1.0):
             raise ValueError("q must lie in (0, 1]")
         if self.pi0_lambda is not None and self.pi0_lambda != "auto":
-            lam = float(self.pi0_lambda)
+            try:
+                lam = float(self.pi0_lambda)
+            except (TypeError, ValueError):
+                lam = np.nan
             if not np.isfinite(lam) or lam <= 0.0:
                 raise ValueError("pi0_lambda must be 'auto' or a finite positive number")
         if self.path_steps < 1:

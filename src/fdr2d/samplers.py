@@ -7,7 +7,7 @@ own small model. Draws never refit anything and come as a stack
 (D, n, p): draw d consumes exactly the generator _rng.substream(seed, d),
 so it depends only on the model, the seed and d, never on the other
 draws stacked with it. A stack's generators come from one
-_rng.substreams call, which mixes the seed's part of numpy's
+_rng.substreams call, which reads the seed's pool from numpy's
 SeedSequence once and derives only each draw's key per draw: 100
 residual-perm draws at n = 100 take about 0.6 ms with their
 permutations, against 1.9 ms with one SeedSequence per draw (timeit

@@ -549,5 +549,5 @@ def not_binary(label, mat, cols):
         col = mat[:, c]
         offenders = np.nonzero(np.isfinite(col) & (col != 0.0) & (col != 1.0))[0]
         for r in offenders:
-            out.append(core.Violation(label, "not-binary", int(r), int(c), detail=f"value {col[r]!r}"))
+            out.append(core.Violation(label, "not-binary", int(r), int(c), detail=f"value {float(col[r])!r}"))
     return out

@@ -197,7 +197,8 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flag, value, word",
         [("--grid", "bogus", "grid"), ("--path-steps", "0", "path_steps"),
-         ("--pi0-lambda", "-1", "pi0_lambda")],
+         ("--pi0-lambda", "-1", "pi0_lambda"),
+         ("--pi0-lambda", "AUTO", "pi0_lambda must be 'auto' or a finite positive number")],
     )
     def test_bh_refuses_bad_search_settings(self, tmp_path, capsys, flag, value, word):
         # bh reads none of these, but result.json echoes them all
@@ -238,6 +239,12 @@ class TestAnalyze:
         args = _analyze_args(xp, yp, zp, str(tmp_path / "o.json"), extra=["--method", method])
         assert cli.main(args) == 1
         assert "invalid dataset: y[3,2]: non-finite" in capsys.readouterr().err
+
+    def test_not_binary_value_is_a_plain_number(self, tmp_path, capsys):
+        # the bundled outcomes are counts, so a binomial statistic refuses them
+        assert cli.main(_fixture_args("analyze", tmp_path / "o.json", "--stat", "glm:binomial")) == 1
+        err = capsys.readouterr().err
+        assert "y[3,0]: not-binary (value 4.0)" in err and "np.float64" not in err
 
     def test_incompatible_stat_rejected(self, tmp_path, capsys):
         # hsic needs a continuous exposure
@@ -449,6 +456,14 @@ class TestSimulate:
         assert calls == [] and caught == []
         assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "s.tsv").exists()
+
+    @pytest.mark.parametrize("flag", ["--rho", "--pi", "--l"])
+    def test_malformed_number_list_names_its_flag(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
+        args = ["simulate", flag, "1.0,x", "--reps", "1", "--out", str(tmp_path / "s.tsv")]
+        assert cli.main(args) == 1
+        want = f"error: {flag} '1.0,x' is not a comma-separated list of numbers\n"
+        assert capsys.readouterr().err == want
 
     def test_binned_sampler_refused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sim, "run_method_comparison", None)  # never reached
@@ -891,14 +906,29 @@ class TestParser:
         assert parser.format_help() == cli._build_parser(command)[0].format_help()
 
 
-@pytest.mark.parametrize("module", ["fdr2d", "fdr2d.cli"])
-def test_import_leaves_scipy_unloaded(module):
-    # scipy serves only bh's p-values; a run that does not ask for them
-    # should not pay for its import
+@pytest.mark.parametrize(
+    "module, package",
+    [
+        pytest.param("fdr2d", "scipy", id="fdr2d"),
+        pytest.param("fdr2d.cli", "scipy", id="fdr2d.cli"),
+        pytest.param(
+            "fdr2d.cli", "numpy.random", id="fdr2d.cli-numpy.random",
+            marks=pytest.mark.skipif(
+                np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                reason="numpy 1 imports numpy.random with numpy",
+            ),
+        ),
+    ],
+)
+def test_import_leaves_scipy_unloaded(module, package):
+    # scipy serves only bh's p-values, and numpy.random only the draws and
+    # simulations; a run that does not ask for them should not pay for
+    # their import
     src = os.path.dirname(os.path.dirname(os.path.abspath(fdr2d.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    loaded = f"[m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]"
+    code = f"import sys, {module}; print({loaded})"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,

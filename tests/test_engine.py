@@ -625,6 +625,21 @@ class TestBuildTensor:
                 ds, plan, engine.StatisticSpec(kind="glm", family="gaussian")
             )
 
+    @pytest.mark.parametrize("block", ["x", "y"])
+    def test_empty_block_rejected_before_any_draw(self, monkeypatch, block):
+        # an (n, 0) exposure would score all zeros and an (n, 0) outcome
+        # block would fail in the search
+        ds = _tensor_dataset()
+        blocks = {"x": ds.x, "y": ds.y, "z": ds.z, block: getattr(ds, block)[:, :0]}
+        draws = []
+        monkeypatch.setattr(engine.samplers, "draw_for_strategy", lambda *a: draws.append(a))
+        plan = engine.ResamplePlan("residual-perm", 3, seed=0)
+        with pytest.raises(ValueError, match=f"^invalid dataset: {block}: no-columns$"):
+            engine.build_tensor(
+                core.Dataset(**blocks), plan, engine.StatisticSpec(kind="glm", family="gaussian")
+            )
+        assert draws == []
+
 
 class TestValidate:
     def test_binary_check_matches_the_column_loop(self):
@@ -673,11 +688,15 @@ class TestValidate:
                 {"y": [[np.nan, 1, 0], [2, 0, -1], [0, 3, 1], [1, 2.5, 4], [5, 0, 2]]},
                 [("y", "non-finite", 0, 0), ("y", "not-count", 1, 2), ("y", "not-count", 3, 1)],
             ),
+            ({"x": np.zeros((5, 0))}, [("x", "no-columns", -1, -1)]),
+            ({"y": np.zeros((5, 0))}, [("y", "no-columns", -1, -1)]),
+            # no confounders is a valid design
+            ({"z": np.zeros((5, 0)), "z_kinds": ()}, []),
         ],
         ids=[
             "row-count-mismatch-x", "row-count-mismatch-z", "too-few-rows", "unknown-kind-x",
             "unknown-kind-y", "unknown-kind-z", "kind-count-mismatch", "name-count-mismatch",
-            "not-count",
+            "not-count", "no-columns-x", "no-columns-y", "no-columns-z-valid",
         ],
     )
     def test_each_rule_locates_its_violation(self, changes, want):
@@ -767,8 +786,9 @@ class TestConfigValidation:
             engine.ProcedureConfig(q=0.0)
         with pytest.raises(ValueError, match="q must"):
             engine.ProcedureConfig(q=1.5)
-        with pytest.raises(ValueError, match="pi0_lambda"):
-            engine.ProcedureConfig(pi0_lambda=-2.0)
+        for lam in (-2.0, "AUTO", "0.5x", [0.5]):
+            with pytest.raises(ValueError, match="^pi0_lambda must be 'auto' or a finite positive"):
+                engine.ProcedureConfig(pi0_lambda=lam)
         engine.ProcedureConfig(q=1.0, pi0_lambda="auto")
 
     def test_apply_method_dispatch(self):
